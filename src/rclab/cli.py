@@ -642,31 +642,56 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if s.ok() else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error as one line on stderr and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _form_name(name: str) -> str:
+    try:
+        form_by_name(name, 2)  # the least prec every catalogue form accepts
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rc-lab", description=__doc__)
+    ap = _Parser(prog="rc-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("form", help="print a catalogue form")
-    p.add_argument("name")
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("name", type=_form_name)
+    p.add_argument("--prec", type=_int_at_least(1), default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_form)
 
     p = sub.add_parser("bracket", help="compute a bracket of two catalogue forms")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    p.add_argument("--f", type=_form_name, required=True)
+    p.add_argument("--g", type=_form_name, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--prec", type=_int_at_least(1), default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("star", help="compute a deformed product")
     p.add_argument("--kind", default="eholzer")
     p.add_argument("--kappa", default=None)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    p.add_argument("--f", type=_form_name, required=True)
+    p.add_argument("--g", type=_form_name, required=True)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--prec", type=_int_at_least(1), default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_star)
 
@@ -693,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
     p.add_argument("--config", default=None)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_int_at_least(2), default=None)
     p.add_argument("--hbar-order", dest="hbar_order", type=int, default=None)
     p.add_argument("--grid-bound", dest="grid_bound", type=int, default=None)
     p.add_argument("--grid", type=int, default=None)

@@ -6,7 +6,8 @@ Everything downstream works over these three carriers:
              lowest terms with positive denominator, so equality is structural)
   QSeries -- a truncated power series in q with Rat coefficients; ``prec`` is
              the number of known coefficients (powers 0..prec-1) and is
-             propagated as min() through arithmetic, never silently extended
+             propagated as min() through arithmetic, never silently extended;
+             a product is one exact big-int multiply (Kronecker substitution)
   MPoly   -- a sparse polynomial over an ordered variable list, exponent
              vector -> Rat, with no zero coefficients stored
 
@@ -147,17 +148,18 @@ class QSeries:
         return QSeries(self.prec, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: QSeries) -> QSeries:
-        # Schoolbook Cauchy product; quadratic is fine at desk scale.
+        # With a_i, b_j the numerators over each operand's common denominator,
+        # |c_n| = |sum a_i b_j| <= prec * max|a| * max|b| < 2^(k-2).  Adding 2^(k-1)
+        # to every k-bit slot of the packed product leaves each slot at c_n + 2^(k-1)
+        # in [0, 2^k): no slot borrows from or carries into the next.
         prec = min(self.prec, other.prec)
-        out = [Fraction(0)] * prec
-        for i, a in enumerate(self.coeffs[:prec]):
-            if a == 0:
-                continue
-            for j in range(prec - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return QSeries(prec, tuple(out))
+        da, na, bits_a = _numerators(self.coeffs[:prec])
+        db, nb, bits_b = _numerators(other.coeffs[:prec])
+        k = bits_a + bits_b + prec.bit_length() + 2
+        half, slot_mask, low_mask = 1 << (k - 1), (1 << k) - 1, (1 << k * prec) - 1
+        biased = (_pack(na, k) * _pack(nb, k) + half * (low_mask // slot_mask)) & low_mask
+        slots = ((biased >> k * i) & slot_mask for i in range(prec))
+        return QSeries(prec, tuple(Fraction(s - half, da * db) for s in slots))
 
     def scale(self, c: RatLike) -> QSeries:
         c = rat(c)
@@ -209,16 +211,19 @@ class QSeries:
         return f"{body} + O(q^{self.prec})"
 
 
-def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
+def _numerators(coeffs: Sequence[Rat]) -> tuple[int, list[int], int]:
+    """(d, [c*d for c in coeffs], widest numerator bit length), d the lcm of denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (d // c.denominator) for c in coeffs]
+    return d, nums, max(n.bit_length() for n in nums)
 
 
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def qs_derive(a: QSeries) -> QSeries:
-    return a.derive()
+def _pack(nums: Sequence[int], k: int) -> int:
+    """sum nums[i] * 2^(k*i), exactly, for signed nums."""
+    out = 0
+    for n in reversed(nums):
+        out = (out << k) + n
+    return out
 
 
 # ---------------------------------------------------------------------------

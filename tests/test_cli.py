@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,15 @@ def test_form_json_golden(capsys):
     assert out == (
         '{"name":"E4","series":{"coeffs":["1","240","2160","6720","17520"],'
         '"prec":5},"weight":4}\n'
+    )
+
+
+def test_verify_all_json_report_is_byte_identical(capsys):
+    # SHA-256 of the full seed-0 report, as recorded in bench/golden.json
+    code, out = run(capsys, "verify", "all", "--json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6f7dfba6578e261628e4438f93f882105e78a98600ec0411d264831a785c5245"
     )
 
 
@@ -102,3 +112,14 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     code, _ = run(capsys, "verify", "not-a-suite")
     assert code == 2
+    for argv in (
+        ["form", "E4", "--prec", "0"],
+        ["bracket", "--f", "E4", "--g", "E6", "--n", "1", "--prec", "0"],
+        ["verify", "forms", "--prec", "1"],
+        ["form", "E5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("rc-lab"), err

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rclab.exactcore import MPoly, QSeries, binom, pochhammer
 
@@ -75,6 +77,61 @@ def test_qs_ring_axioms_and_derivation_property():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a * b).derive() == a.derive() * b + a * b.derive()
+
+
+def _schoolbook_mul(a, b):
+    """Reference product: the Fraction double loop the integer kernel replaced."""
+    prec = min(a.prec, b.prec)
+    out = [F(0)] * prec
+    for i, x in enumerate(a.coeffs[:prec]):
+        if x == 0:
+            continue
+        for j in range(prec - i):
+            y = b.coeffs[j]
+            if y != 0:
+                out[i + j] += x * y
+    return QSeries(prec, tuple(out))
+
+
+def _sparse_series(max_prec, max_abs):
+    """Zero-heavy series: a few nonzero coefficients over mixed denominators."""
+    coeff = st.builds(
+        F, st.integers(-max_abs, max_abs).filter(bool), st.sampled_from((1, 2, 7, 144, 691))
+    )
+
+    @st.composite
+    def build(draw):
+        prec = draw(st.integers(1, max_prec))
+        nonzero = draw(st.dictionaries(st.integers(0, prec - 1), coeff, max_size=12))
+        return QSeries(prec, tuple(nonzero.get(i, F(0)) for i in range(prec)))
+
+    return build()
+
+
+_BIG = 2**201 - 1  # widest 201-bit numerator
+_FULL = QSeries(160, (F(_BIG),) * 160)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_sparse_series(160, _BIG), _sparse_series(160, _BIG))
+@example(QSeries.zero(160), _FULL)
+@example(_FULL, _FULL)  # every Cauchy sum at its largest magnitude
+@example(-_FULL, _FULL.truncate(159))
+def test_qs_mul_matches_fraction_oracle(a, b):
+    got = a * b
+    assert got.prec == min(a.prec, b.prec)
+    assert got.coeffs == _schoolbook_mul(a, b).coeffs
+    assert all(type(c) is F for c in got.coeffs)
+
+
+# 64-bit numerators keep the oracle's fifth powers within the time budget
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_sparse_series(160, 2**64))
+def test_qs_pow_matches_repeated_oracle_products(a):
+    want = QSeries.one(a.prec)
+    for e in range(6):
+        assert a.pow(e) == want
+        want = _schoolbook_mul(want, a)
 
 
 def test_qs_min_prec_rule():
