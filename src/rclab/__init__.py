@@ -55,6 +55,7 @@ from .starprod import (
     assoc_residual,
     cmz_coeff,
     free_assoc_residual,
+    ident_coefficients,
     ident_residual,
     rc_series,
     star_product,

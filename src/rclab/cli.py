@@ -408,7 +408,7 @@ def suite_p3(s: Suite) -> None:
     )
     s.check(
         "p3/reference-diff-within-recorded-damage",
-        len(repp["inner_diff"]) <= 2 and len(repp["substituted_diff"]) <= 2,
+        len(repp["inner_diff"]) == 0 and len(repp["substituted_diff"]) == 0,
         {},
         inner_diff=repp["inner_diff"],
         substituted_diff=repp["substituted_diff"],
@@ -448,8 +448,19 @@ SUITES = {
 # ---------------------------------------------------------------------------
 
 
+class UsageError(Exception):
+    """A usage or domain error found after parsing; main() reports it like a parse error."""
+
+
+def _form(name: str, prec: int):
+    try:
+        return form_by_name(name, prec)
+    except ValueError as exc:  # a precision the named form cannot take
+        raise UsageError(f"{name}: {exc}") from None
+
+
 def cmd_form(args: argparse.Namespace) -> int:
-    f = form_by_name(args.name, args.prec)
+    f = _form(args.name, args.prec)
     if args.json:
         obj = {"name": args.name, "weight": f.weight, "series": f.series.to_json_obj()}
         print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
@@ -459,8 +470,8 @@ def cmd_form(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    f = form_by_name(args.f, args.prec)
-    g = form_by_name(args.g, args.prec)
+    f = _form(args.f, args.prec)
+    g = _form(args.g, args.prec)
     b = nearlyholo.rc_bracket(f, g, args.n)
     if args.json:
         obj = {
@@ -477,8 +488,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_star(args: argparse.Namespace) -> int:
-    f = GradedForm.from_form(form_by_name(args.f, args.prec))
-    g = GradedForm.from_form(form_by_name(args.g, args.prec))
+    f = GradedForm.from_form(_form(args.f, args.prec))
+    g = GradedForm.from_form(_form(args.g, args.prec))
     if args.kind == "eholzer":
         coeffs = starprod.StarCoefficients.eholzer()
     elif args.kind == "cmz":
@@ -667,6 +678,21 @@ def _form_name(name: str) -> str:
     return name
 
 
+def _rational(text: str) -> str:
+    """Validate a 'p/q' argument; it is kept as written, since reports echo it."""
+    try:
+        rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
+def _rational_list(text: str) -> str:
+    for piece in text.split(","):
+        _rational(piece)
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="rc-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -680,17 +706,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", help="compute a bracket of two catalogue forms")
     p.add_argument("--f", type=_form_name, required=True)
     p.add_argument("--g", type=_form_name, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--prec", type=_int_at_least(1), default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("star", help="compute a deformed product")
     p.add_argument("--kind", default="eholzer")
-    p.add_argument("--kappa", default=None)
+    p.add_argument("--kappa", type=_rational, default=None)
     p.add_argument("--f", type=_form_name, required=True)
     p.add_argument("--g", type=_form_name, required=True)
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_int_at_least(0), default=4)
     p.add_argument("--prec", type=_int_at_least(1), default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_star)
@@ -709,9 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve coefficient identity systems")
     solvesub = p.add_subparsers(dest="solve_command", required=True)
     pa = solvesub.add_parser("an")
-    pa.add_argument("--n", type=int, required=True)
-    pa.add_argument("--grid", type=int, default=6)
-    pa.add_argument("--c", default="0")
+    pa.add_argument("--n", type=_int_at_least(1), required=True)
+    pa.add_argument("--grid", type=_int_at_least(1), default=6)
+    pa.add_argument("--c", type=_rational, default="0")
     pa.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_solve)
 
@@ -721,13 +747,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=_int_at_least(2), default=None)
     p.add_argument("--hbar-order", dest="hbar_order", type=int, default=None)
     p.add_argument("--grid-bound", dest="grid_bound", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kappas", default=None, help="comma-separated kappa sample list")
-    p.add_argument("--kappa", default=None, help="single kappa sample (overrides the list)")
+    p.add_argument("--kappas", type=_rational_list, default=None,
+                   help="comma-separated kappa sample list")
+    p.add_argument("--kappa", type=_rational, default=None,
+                   help="single kappa sample (overrides the list)")
     p.add_argument("--kind", default=None, help="coefficient kind for the ident suite (cmz)")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--seeds", type=int, default=200)
+    p.add_argument("--seeds", type=_int_at_least(1), default=200)
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--phi-sign", dest="phi_sign", default="both", choices=("plus", "minus", "both"))
     p.add_argument("--printed", action="store_true", help="assert the quoted kappa->c constant as-is")
@@ -755,8 +783,12 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_negative_values(list(argv)))
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(_merge_negative_values(list(argv)))
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

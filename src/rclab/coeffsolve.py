@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
-from .starprod import cmz_coeff
+from .starprod import cmz_coeff, ident_coefficients
 
 
 class MissingEntryError(KeyError):
@@ -268,40 +268,6 @@ def solve(sys: LinSystem) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _ident_row_terms(n: int, k: int, l: int, m: int, p: int):
-    """Yield ('unknown', pair, coeff) and ('known', r_or_s, side, coeff) parts.
-
-    Row semantics: sum over unknown-pair coefficients times A_n(pair), plus the
-    known contribution, equals 0.  The unknown level-n factors appear exactly
-    at the boundary indices of the two sums.
-    """
-    x, y, z = 2 * k, 2 * l, 2 * m
-    for r in range(n - p + 1):
-        c = binom(n, r) * binom(n - r, p)
-        if c == 0:
-            continue
-        den = pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r)
-        c = c / den
-        if r == 0:
-            yield ("unknown", (x + y, z), c)
-        elif r == n:
-            yield ("unknown", (x, y), c)
-        else:
-            yield ("known-left", r, c)
-    for s in range(p + 1):
-        c = binom(n, s) * binom(n - s, n - p)
-        if c == 0:
-            continue
-        den = pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s)
-        c = c / den
-        if s == 0:
-            yield ("unknown", (x, y + z), -c)
-        elif s == n:
-            yield ("unknown", (y, z), -c)
-        else:
-            yield ("known-right", s, -c)
-
-
 def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     """Linear system for the level-n values from all identities on the grid.
 
@@ -320,19 +286,25 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
             for m in range(1, grid_bound + 1):
                 x, y, z = 2 * k, 2 * l, 2 * m
                 for p in range(n + 1):
+                    # Row: sum of coeffs[pair] * A_n(pair) = rhs.  Since A_0 = 1, the
+                    # level-n unknowns are the end terms of each sum; the interior
+                    # terms are known and move to the right-hand side.
+                    left, right = ident_coefficients(n, p, x, y, z)
                     coeffs: dict[Pair, Rat] = {}
                     rhs = Fraction(0)
-                    for part in _ident_row_terms(n, k, l, m, p):
-                        if part[0] == "unknown":
-                            _, pair, c = part
-                            coeffs[pair] = coeffs.get(pair, Fraction(0)) + c
-                            pairs.add(pair)
-                        elif part[0] == "known-left":
-                            _, r, c = part
+                    for r, c in left:
+                        if 0 < r < n:
                             rhs -= c * known.get(r, x, y) * known.get(n - r, x + y + 2 * r, z)
                         else:
-                            _, s, c = part
-                            rhs -= c * known.get(s, y, z) * known.get(n - s, x, y + z + 2 * s)
+                            pair = (x + y, z) if r == 0 else (x, y)
+                            coeffs[pair] = coeffs.get(pair, Fraction(0)) + c
+                    for s, c in right:
+                        if 0 < s < n:
+                            rhs += c * known.get(s, y, z) * known.get(n - s, x, y + z + 2 * s)
+                        else:
+                            pair = (x, y + z) if s == 0 else (y, z)
+                            coeffs[pair] = coeffs.get(pair, Fraction(0)) - c
+                    pairs.update(coeffs)
                     staged.append((coeffs, rhs))
     variables = sorted(pairs)
     index = {pair: i for i, pair in enumerate(variables)}

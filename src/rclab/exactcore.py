@@ -11,11 +11,18 @@ Everything downstream works over these three carriers:
   MPoly   -- a sparse polynomial over an ordered variable list, exponent
              vector -> Rat, with no zero coefficients stored
 
-All values are immutable after construction and all operations are pure.
+The scalar combinatorics, binom and pochhammer, take their whole product in
+Python ints over the argument's numerator and denominator and build one
+Fraction at the end.  Both are memoized without bound: the identity systems
+ask for a few hundred distinct values some hundred thousand times.
+
+All values are immutable after construction and all operations are pure,
+which is what makes sharing a memoized result between callers safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,30 +45,32 @@ def rat_str(x: Rat) -> str:
     return str(x)
 
 
+@functools.lru_cache(maxsize=None)
 def pochhammer(a: RatLike, n: int) -> Rat:
-    """Rising factorial a(a+1)...(a+n-1), with the empty product equal to 1."""
+    """Rising factorial a(a+1)...(a+n-1), with the empty product equal to 1.
+
+    For a = p/q this is prod(p + i*q) / q^n, computed in Python ints.
+    """
     if n < 0:
         raise ValueError(f"pochhammer length must be >= 0, got {n}")
     a = rat(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + n * q, q)), q**n)
 
 
+@functools.lru_cache(maxsize=None)
 def binom(a: RatLike, b: int) -> Rat:
     """Generalized binomial coefficient C(a, b) = a(a-1)...(a-b+1)/b!.
 
     Defined for any rational a and integer b; zero for b < 0.  Agrees with
     math.comb on nonnegative integers and vanishes for integer 0 <= a < b.
+    For a = p/q this is prod(p - i*q) / (q^b b!), computed in Python ints.
     """
     if b < 0:
         return Fraction(0)
     a = rat(a)
-    num = Fraction(1)
-    for i in range(b):
-        num *= a - i
-    return num / math.factorial(b)
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p - b * q, -q)), q**b * math.factorial(b))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +479,3 @@ class MPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def mp_all_coeffs_positive(p: MPoly) -> tuple[bool, tuple[tuple[int, ...], Rat] | None]:
-    return p.all_coeffs_positive()
-

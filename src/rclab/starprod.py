@@ -12,9 +12,10 @@ with x, y the weights of the graded parts.  Three coefficient kinds:
                is normalized to A_1(x, y) = x y
   table        coeff = A_n(x, y) / ((x)_n (y)_n) from an explicit A-table
 
-The reduced associativity identities (ident_residual) identify, for each
-hbar-degree n and each p = 0..n, the coefficient of dtil^(n-p) f * g *
-dtil^p h in the two ways of bracketing a triple product.  The version
+The reduced associativity identities identify, for each hbar-degree n and
+each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
+ways of bracketing a triple product; ident_coefficients is their one
+definition, shared by ident_residual and the coefficient solver.  The version
 implemented carries the multinomial factors C(n, r), C(n, s) on the interior
 terms; free_assoc_residual expands both bracketings completely in the free
 triple-product model and is the independent oracle for that reduction.
@@ -22,6 +23,7 @@ triple-product model and is the independent oracle for that reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,36 +219,53 @@ def assoc_residual(
 # ---------------------------------------------------------------------------
 
 
+def ident_coefficients(
+    n: int, p: int, x: int, y: int, z: int
+) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
+    """The coefficients of the degree-n, index-p associativity identity.
+
+    x, y, z are the (integer) weights.  Returns (left, right): the pairs
+    (r, c_r), 0 <= r <= n-p, and (s, c_s), 0 <= s <= p, of the identity
+
+      sum_r c_r A_r(x,y) A_{n-r}(x+y+2r, z) = sum_s c_s A_s(y,z) A_{n-s}(x, y+z+2s)
+
+    with c_r = C(n,r) C(n-r,p) / [(x+y+2r)_{n-p-r} (z)_p (x)_r]
+    and  c_s = C(n,s) C(n-s,n-p) / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s].
+    Each coefficient is one Fraction of two exact integer products.
+    """
+    if not 0 <= p <= n:
+        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
+
+    def rising(a: int, length: int) -> int:
+        return math.prod(range(a, a + length))
+
+    left = [
+        (r, Fraction(math.comb(n, r) * math.comb(n - r, p),
+                     rising(x + y + 2 * r, n - p - r) * rising(z, p) * rising(x, r)))
+        for r in range(n - p + 1)
+    ]
+    right = [
+        (s, Fraction(math.comb(n, s) * math.comb(n - s, n - p),
+                     rising(x, n - p) * rising(y + z + 2 * s, p - s) * rising(z, s)))
+        for s in range(p + 1)
+    ]
+    return left, right
+
+
 def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
     """Residual of the degree-n, index-p associativity identity at (k, l, m).
 
     k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
-    the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings:
-
-      sum_{r=0}^{n-p} C(n,r) C(n-r,p) A_r(x,y) A_{n-r}(x+y+2r, z)
-                      / [(x+y+2r)_{n-p-r} (z)_p (x)_r]
-    = sum_{s=0}^{p}   C(n,s) C(n-s,n-p) A_s(y,z) A_{n-s}(x, y+z+2s)
-                      / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s]
-
-    Returns LHS - RHS; the table must cover every referenced pair.
+    the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
+    (see ident_coefficients).  Returns LHS - RHS; the table must cover every
+    referenced pair.
     """
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
     x, y, z = 2 * k, 2 * l, 2 * m
-    lhs = Fraction(0)
-    for r in range(n - p + 1):
-        c = binom(n, r) * binom(n - r, p)
-        if c == 0:
-            continue
-        den = pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r)
-        lhs += c * atable.get(r, x, y) * atable.get(n - r, x + y + 2 * r, z) / den
-    rhs = Fraction(0)
-    for s in range(p + 1):
-        c = binom(n, s) * binom(n - s, n - p)
-        if c == 0:
-            continue
-        den = pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s)
-        rhs += c * atable.get(s, y, z) * atable.get(n - s, x, y + z + 2 * s) / den
+    left, right = ident_coefficients(n, p, x, y, z)
+    lhs = sum((c * atable.get(r, x, y) * atable.get(n - r, x + y + 2 * r, z) for r, c in left),
+              Fraction(0))
+    rhs = sum((c * atable.get(s, y, z) * atable.get(n - s, x, y + z + 2 * s) for s, c in right),
+              Fraction(0))
     return lhs - rhs
 
 

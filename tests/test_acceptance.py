@@ -275,8 +275,8 @@ def test_criterion_12_positivity_certificate():
         rep["substituted_all_positive"]
         and rep["coeff_k5_l"] == 48
         and rep["coeff_l2_m8"] == 1536
-        and len(rep["inner_diff"]) <= 2
-        and len(rep["substituted_diff"]) <= 2
+        and len(rep["inner_diff"]) == 0
+        and len(rep["substituted_diff"]) == 0
     )
     assert _report(12, "substituted cubic has all-positive coefficients", ok)
 

@@ -117,6 +117,15 @@ def test_usage_errors_exit_two(capsys):
         ["bracket", "--f", "E4", "--g", "E6", "--n", "1", "--prec", "0"],
         ["verify", "forms", "--prec", "1"],
         ["form", "E5"],
+        ["bracket", "--f", "E4", "--g", "E6", "--n", "-1"],
+        ["form", "Delta", "--prec", "1"],
+        ["verify", "ident", "--kappas", "1/0"],
+        ["star", "--f", "E4", "--g", "E6", "--order", "-1"],
+        ["verify", "uniqueness", "--seeds", "0"],
+        ["solve", "an", "--n", "2", "--grid", "0"],
+        ["solve", "an", "--n", "0"],
+        ["verify", "ident", "--grid", "0"],
+        ["verify", "p3", "--kappa", "abc"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,55 @@ def test_scalar_helpers():
     assert binom(2, 5) == 0  # integer collapse
     assert binom(F(-1, 2), 2) == F(3, 8)
     assert binom(-1, 0) == 1
+
+
+def _pochhammer_oracle(a, n):
+    # the per-factor Fraction loop that pochhammer used before its int kernel
+    if n < 0:
+        raise ValueError(n)
+    a = F(a)
+    out = F(1)
+    for i in range(n):
+        out *= a + i
+    return out
+
+
+def _binom_oracle(a, b):
+    # the per-factor Fraction loop that binom used before its int kernel
+    if b < 0:
+        return F(0)
+    a = F(a)
+    num = F(1)
+    for i in range(b):
+        num *= a - i
+    return num / math.factorial(b)
+
+
+_RATIONALS = st.sampled_from([1, 2, 3, 7]).flatmap(
+    lambda d: st.integers(-40 * d, 40 * d).map(lambda p: F(p, d)))
+_SCALAR_ARGS = st.one_of(st.integers(-40, 40), _RATIONALS, _RATIONALS.map(str))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_SCALAR_ARGS, st.integers(-2, 14))
+@example("-1/2", 14)
+@example(0, 0)
+def test_binom_pochhammer_match_fraction_oracles(a, k):
+    got = binom(a, k)
+    assert type(got) is F and got == _binom_oracle(a, k)
+    if k >= 0:
+        got = pochhammer(a, k)
+        assert type(got) is F and got == _pochhammer_oracle(a, k)
+    # a negative length raises on every call: the memo never stores a failure
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pochhammer(a, -1)
+
+
+def test_binom_agrees_with_math_comb():
+    for a in range(41):
+        for b in range(a + 1):
+            assert binom(a, b) == math.comb(a, b)
 
 
 def test_qs_add_identities():

@@ -13,6 +13,7 @@ from rclab.starprod import (
     assoc_residual,
     cmz_coeff,
     free_assoc_residual,
+    ident_coefficients,
     ident_residual,
     rc_series,
     star_product,
@@ -165,6 +166,28 @@ def test_ident_residual_detects_wrong_family():
     # halving the level-2 value breaks the identities: the system is inhomogeneous
     half = ATable(2, 60, filler=lambda n, x, y: pochhammer(x, n) * pochhammer(y, n) / 2)
     assert ident_residual(half, 1, 1, 1, 2, 0) != 0
+
+
+def test_ident_coefficients_match_binom_pochhammer_expression():
+    weights = range(2, 13, 2)
+    for n in range(7):
+        for p in range(n + 1):
+            for x in weights:
+                for y in weights:
+                    for z in weights:
+                        left, right = ident_coefficients(n, p, x, y, z)
+                        assert left == [
+                            (r, binom(n, r) * binom(n - r, p)
+                             / (pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r)))
+                            for r in range(n - p + 1)
+                        ]
+                        assert right == [
+                            (s, binom(n, s) * binom(n - s, n - p)
+                             / (pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s)))
+                            for s in range(p + 1)
+                        ]
+    with pytest.raises(ValueError):
+        ident_coefficients(2, 3, 2, 2, 2)
 
 
 def test_ident_residual_published_variant_diverges():
