@@ -32,9 +32,7 @@ from .nearlyholo import (
     zagier_sequence,
 )
 from .rep import (
-    DSVector,
-    TensorVector,
-    TripleVector,
+    Vector,
     act_lower,
     act_raise,
     act_weight,
@@ -42,9 +40,7 @@ from .rep import (
     casimir_eigenvalue,
     lowest_weight_tensor,
     realize_and_multiply,
-    tensor_lower,
     triple_kernel_dim,
-    triple_lower,
     triple_preimage,
     xi_vector_concrete,
 )

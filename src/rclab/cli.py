@@ -19,6 +19,10 @@ from .exactcore import rat
 from .forms import GradedForm, form_by_name
 
 
+class UsageError(Exception):
+    """A usage or domain error found after parsing; main() reports it like a parse error."""
+
+
 @dataclass
 class RunConfig:
     prec: int = 20
@@ -29,9 +33,13 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.prec < 2:
-            raise ValueError("prec must be >= 2")
+            raise UsageError("prec must be >= 2")
         if self.hbar_order < 0:
-            raise ValueError("hbar_order must be >= 0")
+            raise UsageError("hbar_order must be >= 0")
+        if self.grid_bound < 1:
+            raise UsageError("grid_bound must be >= 1")
+        if not self.kappa_samples:
+            raise UsageError("kappa_samples must not be empty")
 
     def as_obj(self) -> dict:
         return {
@@ -47,19 +55,28 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """key=value file, overridden by any explicitly supplied flags."""
     cfg = RunConfig()
     if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            try:
                 if key in ("prec", "hbar_order", "grid_bound", "seed"):
                     setattr(cfg, key, int(value))
                 elif key == "kappa_samples":
-                    cfg.kappa_samples = tuple(v.strip() for v in value.split(",") if v.strip())
+                    cfg.kappa_samples = tuple(
+                        _rational(v.strip()) for v in value.split(",") if v.strip()
+                    )
                 else:
-                    raise ValueError(f"unknown config key {key!r}")
+                    raise ValueError("unknown config key")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"{path}: {key}: {exc}") from None
     for key in ("prec", "hbar_order", "grid_bound", "seed"):
         v = getattr(args, key, None)
         if v is not None:
@@ -203,7 +220,7 @@ def suite_casimir(s: Suite, n_max: int = 10) -> None:
     for w in (2, 4, 6, 12):
         ok = True
         for n in range(n_max + 1):
-            v = rep.DSVector.basis(w, n)
+            v = rep.Vector.basis((w,), (n,))
             if not (rep.casimir(v) - v.scale(rep.casimir_eigenvalue(w))).is_zero():
                 ok = False
         s.check(f"casimir/weight-{w}", ok, {"n_max": n_max, "eigenvalue": str(rep.casimir_eigenvalue(w))})
@@ -213,7 +230,7 @@ def suite_propasso(s: Suite, n_kernel: int = 8, n_realize: int = 4) -> None:
     prec = s.cfg.prec
     cat = _catalogue(prec)
     ok = all(
-        rep.tensor_lower(rep.lowest_weight_tensor(x, y, n)).is_zero()
+        rep.act_lower(rep.lowest_weight_tensor(x, y, n)).is_zero()
         for n in range(n_kernel + 1)
         for x in (2, 4, 8)
         for y in (4, 6, 12)
@@ -448,10 +465,6 @@ SUITES = {
 # ---------------------------------------------------------------------------
 
 
-class UsageError(Exception):
-    """A usage or domain error found after parsing; main() reports it like a parse error."""
-
-
 def _form(name: str, prec: int):
     try:
         return form_by_name(name, prec)
@@ -522,7 +535,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
         rows = []
         ok = True
         for n in range(args.n_max + 1):
-            v = rep.DSVector.basis(w, n)
+            v = rep.Vector.basis((w,), (n,))
             good = (rep.casimir(v) - v.scale(rep.casimir_eigenvalue(w))).is_zero()
             ok = ok and good
             rows.append({"n": n, "scalar": str(rep.casimir_eigenvalue(w)), "ok": good})
@@ -558,24 +571,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 2
     c = rat(args.c)
     n = args.n
-    fam = coeffsolve.a2_family_assoc(c)
-    bound = 4 * args.grid + 2 * n + 4
-
-    def fill(level: int, x: int, y: int):
-        if level == 2:
-            return fam(x, y)
-        raise coeffsolve.MissingEntryError(f"A_{level}({x},{y}) not available")
-
-    known = coeffsolve.ATable(2, bound, filler=fill, name=f"family(c={c})")
-    if n > 3:
-        for j in range(3, n):
-            known, _ = coeffsolve.solved_table(j, args.grid + (n - j), known)
+    known = coeffsolve.chain_solve(c, n - 1, args.grid + 1)
     sys_n = coeffsolve.build_ident_system(n, args.grid, known)
     res = coeffsolve.solve(sys_n)
     table = None
     residual_nonzero = None
     if res.consistent and res.nullity == 0:
-        table, _ = coeffsolve.solved_table(n, args.grid, known)
+        table = known
+        for (x, y), v in zip(sys_n.variables, res.solution):
+            table.set(n, x, y, v)
         residual_nonzero = 0
         for p in range(n + 1):
             for k in range(1, args.grid + 1):
@@ -670,6 +674,13 @@ def _int_at_least(low: int):
     return integer
 
 
+def _positive_even(text: str) -> int:
+    value = int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be a positive even weight, got {value}")
+    return value
+
+
 def _form_name(name: str) -> str:
     try:
         form_by_name(name, 2)  # the least prec every catalogue form accepts
@@ -724,11 +735,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep", help="lowest-weight model computations")
     repsub = p.add_subparsers(dest="rep_command", required=True)
     pc = repsub.add_parser("casimir")
-    pc.add_argument("--weight", type=int, required=True)
-    pc.add_argument("--n-max", dest="n_max", type=int, default=10)
+    pc.add_argument("--weight", type=_positive_even, required=True)
+    pc.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=10)
     pc.add_argument("--json", action="store_true")
     pk = repsub.add_parser("kernel-dims")
-    pk.add_argument("--n-max", dest="n_max", type=int, default=8)
+    pk.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=8)
     pk.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_rep)
 
@@ -745,8 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--config", default=None)
     p.add_argument("--prec", type=_int_at_least(2), default=None)
-    p.add_argument("--hbar-order", dest="hbar_order", type=int, default=None)
-    p.add_argument("--grid-bound", dest="grid_bound", type=int, default=None)
+    p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=None)
+    p.add_argument("--grid-bound", dest="grid_bound", type=_int_at_least(1), default=None)
     p.add_argument("--grid", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--kappas", type=_rational_list, default=None,
@@ -754,9 +765,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=_rational, default=None,
                    help="single kappa sample (overrides the list)")
     p.add_argument("--kind", default=None, help="coefficient kind for the ident suite (cmz)")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=None)
     p.add_argument("--seeds", type=_int_at_least(1), default=200)
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=_int_at_least(0), default=3)
     p.add_argument("--phi-sign", dest="phi_sign", default="both", choices=("plus", "minus", "both"))
     p.add_argument("--printed", action="store_true", help="assert the quoted kappa->c constant as-is")
     p.add_argument("--json", action="store_true")

@@ -40,11 +40,6 @@ def rat(x: RatLike) -> Rat:
     return Fraction(x)
 
 
-def rat_str(x: Rat) -> str:
-    """Canonical 'p/q' form ('p' when the denominator is 1)."""
-    return str(x)
-
-
 @functools.lru_cache(maxsize=None)
 def pochhammer(a: RatLike, n: int) -> Rat:
     """Rising factorial a(a+1)...(a+n-1), with the empty product equal to 1.
@@ -199,7 +194,7 @@ class QSeries:
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {"prec": self.prec, "coeffs": [rat_str(c) for c in self.coeffs]}
+        return {"prec": self.prec, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> QSeries:
@@ -211,11 +206,11 @@ class QSeries:
             if c == 0:
                 continue
             if i == 0:
-                parts.append(rat_str(c))
+                parts.append(str(c))
             elif i == 1:
-                parts.append(f"{rat_str(c)}*q")
+                parts.append(f"{c}*q")
             else:
-                parts.append(f"{rat_str(c)}*q^{i}")
+                parts.append(f"{c}*q^{i}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(q^{self.prec})"
 
@@ -456,7 +451,7 @@ class MPoly:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"exp": list(exp), "c": rat_str(self.terms[exp])}
+            {"exp": list(exp), "c": str(self.terms[exp])}
             for exp in sorted(self.terms)
         ]
 
@@ -469,7 +464,7 @@ class MPoly:
             return "0"
         parts = []
         for exp in sorted(self.terms, reverse=True):
-            factors = [rat_str(self.terms[exp])]
+            factors = [str(self.terms[exp])]
             for name, e in zip(self.vars, exp):
                 if e == 1:
                     factors.append(name)

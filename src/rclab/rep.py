@@ -10,85 +10,103 @@ so [lower, raise] = -weight, [weight, raise] = 2 raise, [weight, lower] =
 -2 lower, and the Casimir 2(raise lower + lower raise) + weight^2 acts on the
 whole module as the scalar w(w - 2) = 4k(k-1).
 
-Tensor and triple vectors are finitely supported rational combinations of
-dtil^r f (x) dtil^s g (and a third factor), where dtil is the normalized
-raising chain sending phi_n to phi_(n+1); the concrete realization maps these
-through rclab.nearlyholo.
+One vector type, Vector, serves the module and its tensor products: a
+finitely supported rational combination of dtil^r f (x) dtil^s g (x) ...,
+keyed by the index tuple (r, s, ...) with one entry per factor, where dtil
+is the normalized raising chain sending phi_n to phi_(n+1).  The module
+itself is the one-factor case, phi_n having key (n,).  Each operator acts
+slot-wise, as the sum over the factors of its action on that factor (the
+coproduct), so act_lower is the one lowering map of the module, the tensor
+product and the triple product.  The concrete realization maps two-factor
+vectors through rclab.nearlyholo.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
+from .coeffsolve import LinSystem, solve
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
 from .forms import ModularForm
 from .nearlyholo import NearlyHoloForm, dtil_power, lower as nh_lower, shimura_pow
 
-
-def _clean(d: dict, key, val: Rat) -> None:
-    if val == 0:
-        d.pop(key, None)
-    else:
-        d[key] = val
+Key = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class DSVector:
-    """Finitely supported vector sum_n c_n phi_n in the weight-w module."""
+class Vector:
+    """Finitely supported sum of c * dtil^k0 (x) dtil^k1 (x) ..., keyed by (k0, k1, ...).
 
-    lowest_weight: int
-    support: tuple[tuple[int, Rat], ...]
+    `weights` holds the lowest weight of each factor; every key has one entry per factor.
+    """
 
-    @staticmethod
-    def make(lowest_weight: int, support: dict[int, RatLike]) -> DSVector:
-        clean = {n: rat(c) for n, c in support.items() if rat(c) != 0}
-        if any(n < 0 for n in clean):
-            raise ValueError("phi_n indices must be >= 0")
-        return DSVector(lowest_weight, tuple(sorted(clean.items())))
+    weights: tuple[int, ...]
+    support: tuple[tuple[Key, Rat], ...]
 
     @staticmethod
-    def basis(lowest_weight: int, n: int) -> DSVector:
-        return DSVector.make(lowest_weight, {n: 1})
+    def make(weights: tuple[int, ...], support: dict[Key, RatLike]) -> Vector:
+        clean = {k: rat(c) for k, c in support.items() if rat(c) != 0}
+        if any(len(k) != len(weights) for k in clean):
+            raise ValueError(f"indices must have one entry per factor of {tuple(weights)}")
+        if any(min(k) < 0 for k in clean):
+            raise ValueError("indices must be >= 0")
+        return Vector(tuple(weights), tuple(sorted(clean.items())))
 
-    def as_dict(self) -> dict[int, Rat]:
+    @staticmethod
+    def basis(weights: tuple[int, ...], key: Key) -> Vector:
+        return Vector.make(weights, {key: 1})
+
+    def as_dict(self) -> dict[Key, Rat]:
         return dict(self.support)
 
     def is_zero(self) -> bool:
         return not self.support
 
-    def __add__(self, other: DSVector) -> DSVector:
-        if self.lowest_weight != other.lowest_weight:
+    def __add__(self, other: Vector) -> Vector:
+        if self.weights != other.weights:
             raise ValueError("cannot add vectors from different modules")
         out = self.as_dict()
-        for n, c in other.support:
-            _clean(out, n, out.get(n, Fraction(0)) + c)
-        return DSVector.make(self.lowest_weight, out)
+        for k, c in other.support:
+            out[k] = out.get(k, 0) + c
+        return Vector.make(self.weights, out)
 
-    def __sub__(self, other: DSVector) -> DSVector:
+    def __sub__(self, other: Vector) -> Vector:
         return self + other.scale(-1)
 
-    def scale(self, c: RatLike) -> DSVector:
+    def scale(self, c: RatLike) -> Vector:
         c = rat(c)
-        return DSVector.make(self.lowest_weight, {n: c * v for n, v in self.support})
+        return Vector.make(self.weights, {k: c * v for k, v in self.support})
 
 
-def act_raise(v: DSVector) -> DSVector:
-    w = v.lowest_weight
-    return DSVector.make(w, {n + 1: (w + n) * c for n, c in v.support})
+def _slotwise(v: Vector, step: int, factor: Callable[[int, int], int]) -> Vector:
+    """Sum over the slots of factor(w, n) times the key with that slot's n moved by step."""
+    out: dict[Key, Rat] = {}
+    for key, c in v.support:
+        for i, (w, n) in enumerate(zip(v.weights, key)):
+            f = factor(w, n)
+            if f:
+                k = key[:i] + (n + step,) + key[i + 1 :]
+                out[k] = out.get(k, 0) + f * c
+    return Vector.make(v.weights, out)
 
 
-def act_lower(v: DSVector) -> DSVector:
-    w = v.lowest_weight
-    return DSVector.make(w, {n - 1: -n * c for n, c in v.support if n >= 1})
+def act_raise(v: Vector) -> Vector:
+    return _slotwise(v, 1, lambda w, n: w + n)
 
 
-def act_weight(v: DSVector) -> DSVector:
-    w = v.lowest_weight
-    return DSVector.make(w, {n: (w + 2 * n) * c for n, c in v.support})
+def act_lower(v: Vector) -> Vector:
+    """phi_n -> -n phi_(n-1) in each slot; on a triple it drops the hbar-degree by one."""
+    return _slotwise(v, -1, lambda w, n: -n)
 
 
-def casimir(v: DSVector) -> DSVector:
+def act_weight(v: Vector) -> Vector:
+    return _slotwise(v, 0, lambda w, n: w + 2 * n)
+
+
+def casimir(v: Vector) -> Vector:
     """2(raise lower + lower raise) + weight^2, rational and scalar-acting."""
     rl = act_raise(act_lower(v))
     lr = act_lower(act_raise(v))
@@ -107,71 +125,20 @@ def casimir_eigenvalue(lowest_weight: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorVector:
-    """Vector in basis dtil^r f (x) dtil^s g over modules of weights (x, y)."""
-
-    weights: tuple[int, int]
-    support: tuple[tuple[tuple[int, int], Rat], ...]
-
-    @staticmethod
-    def make(weights: tuple[int, int], support: dict[tuple[int, int], RatLike]) -> TensorVector:
-        clean = {k: rat(c) for k, c in support.items() if rat(c) != 0}
-        if any(r < 0 or s < 0 for r, s in clean):
-            raise ValueError("tensor indices must be >= 0")
-        return TensorVector(tuple(weights), tuple(sorted(clean.items())))
-
-    def as_dict(self) -> dict[tuple[int, int], Rat]:
-        return dict(self.support)
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __add__(self, other: TensorVector) -> TensorVector:
-        if self.weights != other.weights:
-            raise ValueError("cannot add tensor vectors with different weights")
-        out = self.as_dict()
-        for k, c in other.support:
-            _clean(out, k, out.get(k, Fraction(0)) + c)
-        return TensorVector.make(self.weights, out)
-
-    def __sub__(self, other: TensorVector) -> TensorVector:
-        return self + other.scale(-1)
-
-    def scale(self, c: RatLike) -> TensorVector:
-        c = rat(c)
-        return TensorVector.make(self.weights, {k: c * v for k, v in self.support})
-
-
-def tensor_lower(v: TensorVector) -> TensorVector:
-    """Coproduct of the lowering operator: acts as -r and -s on the two slots."""
-    out: dict[tuple[int, int], Rat] = {}
-    for (r, s), c in v.support:
-        if r >= 1:
-            key = (r - 1, s)
-            _clean(out, key, out.get(key, Fraction(0)) - r * c)
-        if s >= 1:
-            key = (r, s - 1)
-            _clean(out, key, out.get(key, Fraction(0)) - s * c)
-    return TensorVector.make(v.weights, out)
-
-
-def lowest_weight_tensor(x: int, y: int, n: int) -> TensorVector:
+def lowest_weight_tensor(x: int, y: int, n: int) -> Vector:
     """(1/n!) sum_r (-1)^r C(n, r) dtil^r f (x) dtil^(n-r) g.
 
-    Killed by tensor_lower; its concrete realization is the degree-n bracket
+    Killed by act_lower; its concrete realization is the degree-n bracket
     divided by (x)_n (y)_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    fact = Fraction(1)
-    for i in range(1, n + 1):
-        fact /= i
+    fact = Fraction(1, math.factorial(n))
     support = {(r, n - r): fact * (-1) ** r * binom(n, r) for r in range(n + 1)}
-    return TensorVector.make((x, y), support)
+    return Vector.make((x, y), support)
 
 
-def realize_and_multiply(v: TensorVector, f: ModularForm, g: ModularForm) -> NearlyHoloForm:
+def realize_and_multiply(v: Vector, f: ModularForm, g: ModularForm) -> NearlyHoloForm:
     """Send dtil^r f (x) dtil^s g to the product of the realized factors.
 
     dtil^r is realized as X^r / (weight)_r on each factor.  On the vector
@@ -203,105 +170,32 @@ def realize_and_multiply(v: TensorVector, f: ModularForm, g: ModularForm) -> Nea
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TripleVector:
-    """Vector in basis dtil^r f dtil^s g dtil^t h; hbar-degree of (r,s,t) is r+s+t."""
-
-    weights: tuple[int, int, int]
-    support: tuple[tuple[tuple[int, int, int], Rat], ...]
-
-    @staticmethod
-    def make(
-        weights: tuple[int, int, int], support: dict[tuple[int, int, int], RatLike]
-    ) -> TripleVector:
-        clean = {k: rat(c) for k, c in support.items() if rat(c) != 0}
-        if any(min(k) < 0 for k in clean):
-            raise ValueError("triple indices must be >= 0")
-        return TripleVector(tuple(weights), tuple(sorted(clean.items())))
-
-    @staticmethod
-    def basis(weights: tuple[int, int, int], key: tuple[int, int, int]) -> TripleVector:
-        return TripleVector.make(weights, {key: 1})
-
-    def as_dict(self) -> dict[tuple[int, int, int], Rat]:
-        return dict(self.support)
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __add__(self, other: TripleVector) -> TripleVector:
-        if self.weights != other.weights:
-            raise ValueError("cannot add triple vectors with different weights")
-        out = self.as_dict()
-        for k, c in other.support:
-            _clean(out, k, out.get(k, Fraction(0)) + c)
-        return TripleVector.make(self.weights, out)
-
-    def __sub__(self, other: TripleVector) -> TripleVector:
-        return self + other.scale(-1)
-
-    def scale(self, c: RatLike) -> TripleVector:
-        c = rat(c)
-        return TripleVector.make(self.weights, {k: c * v for k, v in self.support})
-
-
-def triple_lower(v: TripleVector) -> TripleVector:
-    """Slot-wise lowering, dropping the hbar-degree by one."""
-    out: dict[tuple[int, int, int], Rat] = {}
-    for (r, s, t), c in v.support:
-        for slot, idx in enumerate((r, s, t)):
-            if idx >= 1:
-                key = list((r, s, t))
-                key[slot] -= 1
-                key = tuple(key)
-                _clean(out, key, out.get(key, Fraction(0)) - idx * c)
-    return TripleVector.make(v.weights, out)
-
-
 def degree_slice(n: int) -> list[tuple[int, int, int]]:
     """All (r, s, t) with r+s+t = n, in lexicographic order."""
     return [(r, s, n - r - s) for r in range(n + 1) for s in range(n - r + 1)]
 
 
 def triple_kernel_dim(weights: tuple[int, int, int], n: int) -> int:
-    """Nullity of triple_lower on the hbar-degree-n slice, by exact elimination."""
+    """Nullity of act_lower on the hbar-degree-n slice, by exact elimination."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    dom = degree_slice(n)
-    cod = {key: i for i, key in enumerate(degree_slice(n - 1))} if n else {}
-    rows: list[dict[int, Rat]] = []
+    dom, cod = degree_slice(n), degree_slice(n - 1)
+    index = {key: i for i, key in enumerate(cod)}
+    image = LinSystem(cod)
     for key in dom:
-        img = triple_lower(TripleVector.basis(weights, key))
-        rows.append({cod[k]: c for k, c in img.support})
-    # rank of the (dom x cod) matrix by sparse forward elimination
-    rank = 0
-    pivots: dict[int, dict[int, Rat]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                piv = pivots[lead]
-                factor = row[lead] / piv[lead]
-                for c, v in piv.items():
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    _clean(row, c, nv)
-            else:
-                pivots[lead] = row
-                rank += 1
-                break
-    return len(dom) - rank
+        image.add_row({index[k]: c for k, c in act_lower(Vector.basis(weights, key)).support}, 0)
+    return len(dom) - solve(image).rank
 
 
-def triple_preimage(target: tuple[int, int, int]) -> TripleVector:
-    """Explicit preimage of a degree-(n-1) basis vector under triple_lower.
+def triple_preimage(target: tuple[int, int, int]) -> Vector:
+    """Explicit preimage of a degree-(n-1) basis vector under act_lower.
 
     For target (r, s, t) the combination
 
       sum_i [(-1)^i i! / (r+1)_(i+1)] sum_j C(s, i-j) C(t, j)
                                basis(r+1+i, s-i+j, t-j)
 
-    satisfies triple_lower(preimage) = -target (the sign is the scaled
+    satisfies act_lower(preimage) = -target (the sign is the scaled
     lowering convention).  Every index in the support has first entry >= r+1.
     """
     r, s, t = target
@@ -310,12 +204,7 @@ def triple_preimage(target: tuple[int, int, int]) -> TripleVector:
     n = r + s + t + 1
     support: dict[tuple[int, int, int], Rat] = {}
     for i in range(n - r):
-        coeff = Fraction((-1) ** i)
-        fact = 1
-        for u in range(1, i + 1):
-            fact *= u
-        coeff *= fact
-        coeff /= pochhammer(r + 1, i + 1)
+        coeff = (-1) ** i * math.factorial(i) / pochhammer(r + 1, i + 1)
         for j in range(i + 1):
             c = binom(s, i - j) * binom(t, j)
             if c == 0:
@@ -324,9 +213,9 @@ def triple_preimage(target: tuple[int, int, int]) -> TripleVector:
             if min(key) < 0:
                 continue
             support[key] = support.get(key, Fraction(0)) + coeff * c
-    weights = (0, 0, 0)  # the free lowering action does not read the weights
-    v = TripleVector.make(weights, support)
-    check = triple_lower(v) + TripleVector.basis(weights, target)
+    weights = (0, 0, 0)  # the lowering action does not read the weights
+    v = Vector.make(weights, support)
+    check = act_lower(v) + Vector.basis(weights, target)
     if not check.is_zero():
         raise AssertionError(f"preimage formula failed for target {target}")
     return v

@@ -34,13 +34,13 @@ from rclab.nearlyholo import (
     verify_der_identity,
 )
 from rclab.rep import (
-    DSVector,
+    Vector,
+    act_lower,
     casimir,
     casimir_eigenvalue,
     degree_slice,
     lowest_weight_tensor,
     realize_and_multiply,
-    tensor_lower,
     triple_kernel_dim,
     verify_xi_lowest_weight,
 )
@@ -135,14 +135,14 @@ def test_criterion_04_casimir_scalar():
         k = w // 2
         ok = ok and ev == 4 * k * (k - 1)
         for n in range(11):
-            v = DSVector.basis(w, n)
+            v = Vector.basis((w,), (n,))
             ok = ok and (casimir(v) - v.scale(ev)).is_zero()
     assert _report(4, "casimir scalar 4k(k-1), n <= 10", ok)
 
 
 def test_criterion_05_lowest_weight_vectors_and_realization():
     ok = all(
-        tensor_lower(lowest_weight_tensor(x, y, n)).is_zero()
+        act_lower(lowest_weight_tensor(x, y, n)).is_zero()
         for n in range(9)
         for x in (2, 4, 6, 8)
         for y in (2, 6, 12)

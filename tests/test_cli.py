@@ -106,12 +106,39 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert obj["config"]["prec"] == 14
 
 
-def test_usage_errors_exit_two(capsys):
+# SHA-256 of stdout; the `verify all` digest above does not cover these commands
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("rep casimir --weight 12 --n-max 10 --json",
+         "86984f9a934d5fcb0993e1f60c3a1420eb91ec2e299ce692227af2b4d1195573"),
+        ("rep kernel-dims --n-max 8 --json",
+         "6eb985cb026e4cb2317293b7d76791fefa7b180ef88de5018f761a7fd7cd692c"),
+        ("solve an --n 2 --grid 4 --json",
+         "24eccd545b93797b94d4a00027c21a51eedb0d1cb2f8f73cc811c8c8a6eb8894"),
+        ("solve an --n 4 --grid 4 --c -5/4 --json",
+         "fe17b91b3d3a95bd6d17c4480ec32a2f06a31de637ff0ada84ae90173721f6c5"),
+        ("solve an --n 5 --grid 3 --c 1/2 --json",
+         "e1d85b71f760641dc80b543b41f19f957576d3e584473296836423fb977358a2"),
+    ],
+)
+def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
     code, _ = run(capsys, "verify", "not-a-suite")
     assert code == 2
+    (tmp_path / "prec.cfg").write_text("prec =\n")
+    (tmp_path / "key.cfg").write_text("colour = red\n")
+    (tmp_path / "kappa.cfg").write_text("kappa_samples = 1/0\n")
+    (tmp_path / "grid.cfg").write_text("grid_bound = 0\n")
+    (tmp_path / "empty.cfg").write_text("kappa_samples =\n")
     for argv in (
         ["form", "E4", "--prec", "0"],
         ["bracket", "--f", "E4", "--g", "E6", "--n", "1", "--prec", "0"],
@@ -126,6 +153,20 @@ def test_usage_errors_exit_two(capsys):
         ["solve", "an", "--n", "0"],
         ["verify", "ident", "--grid", "0"],
         ["verify", "p3", "--kappa", "abc"],
+        ["verify", "forms", "--config", str(tmp_path / "missing.cfg")],
+        ["verify", "forms", "--config", str(tmp_path / "prec.cfg")],
+        ["verify", "forms", "--config", str(tmp_path / "key.cfg")],
+        ["verify", "kappa-c", "--config", str(tmp_path / "kappa.cfg")],
+        ["verify", "kappa-c", "--config", str(tmp_path / "grid.cfg")],
+        ["verify", "ident", "--config", str(tmp_path / "empty.cfg")],
+        ["verify", "assoc", "--hbar-order", "-1"],
+        ["verify", "uniqueness", "--order", "-1"],
+        ["verify", "ident", "--n-max", "-1"],
+        ["rep", "kernel-dims", "--n-max", "-1"],
+        ["rep", "casimir", "--weight", "4", "--n-max", "-1"],
+        ["rep", "casimir", "--weight", "3"],
+        ["verify", "canonical", "--n-max", "-1"],
+        ["verify", "kappa-c", "--grid-bound", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

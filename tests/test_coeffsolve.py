@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclab.coeffsolve import (
     ATable,
@@ -89,6 +91,55 @@ def test_solve_basics():
     sys.add_row({0: F(1)}, 2)
     res = solve(sys)
     assert not res.consistent and res.certificate_row == 1
+
+
+_ENTRIES = st.one_of(
+    st.just(F(0)), st.integers(-4, 4).flatmap(lambda p: st.sampled_from([F(p), F(p, 3)]))
+)
+
+
+@st.composite
+def _systems(draw):
+    """(matrix, rhs) with up to 6 rows and unknowns; half the rhs lie in the column space."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        x = [draw(_ENTRIES) for _ in range(ncols)]
+        b = [sum((r * v for r, v in zip(row, x)), F(0)) for row in a]
+    else:
+        b = [draw(_ENTRIES) for _ in range(nrows)]
+    return a, b
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_systems())
+def test_solve_matches_sympy_rank_and_nullspace(ab):
+    sympy = pytest.importorskip("sympy")
+    a, b = ab
+    ncols = len(a[0])
+    sys = LinSystem(list(range(ncols)))
+    for row, rhs in zip(a, b):
+        sys.add_row(dict(enumerate(row)), rhs)
+    res = solve(sys)
+    m = sympy.Matrix(a)
+    rank = m.rank()
+    assert res.rank == rank and res.nullity == ncols - rank
+    aug_rank = sympy.Matrix.hstack(m, sympy.Matrix(b)).rank()
+    assert res.consistent == (aug_rank == rank)
+    if res.consistent:
+        assert list(m * sympy.Matrix(res.solution)) == b
+        assert len(res.null_basis) == len(m.nullspace())
+        if res.null_basis:
+            kernel = sympy.Matrix.hstack(*map(sympy.Matrix, res.null_basis))
+            assert (m * kernel).is_zero_matrix and kernel.rank() == res.nullity
+    else:
+        # the certificate is the first row that makes the system inconsistent
+        k = res.certificate_row
+        head = sympy.Matrix(a[: k + 1])
+        assert sympy.Matrix.hstack(head, sympy.Matrix(b[: k + 1])).rank() > head.rank()
+        if k:
+            head = sympy.Matrix(a[:k])
+            assert sympy.Matrix.hstack(head, sympy.Matrix(b[:k])).rank() == head.rank()
 
 
 def test_level_one_system_kernel_is_product_direction():

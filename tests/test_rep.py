@@ -6,9 +6,7 @@ import pytest
 from rclab.exactcore import pochhammer
 from rclab.nearlyholo import lower as nh_lower, rc_bracket
 from rclab.rep import (
-    DSVector,
-    TensorVector,
-    TripleVector,
+    Vector,
     act_lower,
     act_raise,
     act_weight,
@@ -17,9 +15,7 @@ from rclab.rep import (
     degree_slice,
     lowest_weight_tensor,
     realize_and_multiply,
-    tensor_lower,
     triple_kernel_dim,
-    triple_lower,
     triple_preimage,
     verify_xi_lowest_weight,
     xi_vector_concrete,
@@ -27,32 +23,47 @@ from rclab.rep import (
 
 
 def test_raise_lower_weight_basics():
-    phi0 = DSVector.basis(4, 0)
-    assert act_raise(phi0).as_dict() == {1: F(4)}
-    assert act_raise(act_raise(phi0)).as_dict() == {2: F(20)}
-    assert act_raise(DSVector.make(4, {})).is_zero()
+    phi0 = Vector.basis((4,), (0,))
+    assert act_raise(phi0).as_dict() == {(1,): F(4)}
+    assert act_raise(act_raise(phi0)).as_dict() == {(2,): F(20)}
+    assert act_raise(Vector.make((4,), {})).is_zero()
     assert act_lower(phi0).is_zero()
-    assert act_lower(DSVector.basis(4, 1)).as_dict() == {0: F(-1)}
-    assert act_weight(phi0).as_dict() == {0: F(4)}
-    assert act_weight(DSVector.basis(4, 3)).as_dict() == {3: F(10)}
+    assert act_lower(Vector.basis((4,), (1,))).as_dict() == {(0,): F(-1)}
+    assert act_weight(phi0).as_dict() == {(0,): F(4)}
+    assert act_weight(Vector.basis((4,), (3,))).as_dict() == {(3,): F(10)}
+
+
+def test_vector_rejects_bad_keys_and_mixed_modules():
+    with pytest.raises(ValueError):
+        Vector.make((4, 6), {(1, -1): F(1)})
+    with pytest.raises(ValueError):
+        Vector.make((4, 6), {(1,): F(1)})
+    with pytest.raises(ValueError):
+        Vector.basis((4,), (0,)) + Vector.basis((6,), (0,))
+    assert Vector.make((4, 6), {(1, -1): F(0)}).is_zero()  # zero terms are dropped first
 
 
 def test_weight_operator_is_diagonal():
-    v = DSVector.make(6, {1: F(2), 4: F(-1)})
-    assert act_weight(v).as_dict() == {1: F(2 * 8), 4: F(-14)}
+    v = Vector.make((6,), {(1,): F(2), (4,): F(-1)})
+    assert act_weight(v).as_dict() == {(1,): F(2 * 8), (4,): F(-14)}
 
 
-def _random_vector(rng, w):
-    return DSVector.make(
-        w, {rng.randrange(9): F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)}
+def _random_vector(rng, weights):
+    return Vector.make(
+        weights,
+        {
+            tuple(rng.randrange(9) for _ in weights): F(rng.randint(-9, 9), rng.randint(1, 5))
+            for _ in range(4)
+        },
     )
 
 
 def test_sl2_relations_on_random_vectors():
+    # the slot-wise (coproduct) action on tensor and triple vectors obeys them too
     rng = random.Random(17)
-    for w in (2, 4, 6, 12):
+    for weights in ((2,), (4,), (6,), (12,), (4, 6), (4, 4, 6)):
         for _ in range(6):
-            v = _random_vector(rng, w)
+            v = _random_vector(rng, weights)
             lr = act_lower(act_raise(v)) - act_raise(act_lower(v))
             assert (lr + act_weight(v)).is_zero()
             hr = act_weight(act_raise(v)) - act_raise(act_weight(v))
@@ -66,7 +77,7 @@ def test_casimir_scalar_action():
         ev = casimir_eigenvalue(w)
         assert ev == w * (w - 2)
         for n in range(11):
-            v = DSVector.basis(w, n)
+            v = Vector.basis((w,), (n,))
             assert (casimir(v) - v.scale(ev)).is_zero()
     assert casimir_eigenvalue(2) == 0
     assert casimir_eigenvalue(4) == 8
@@ -75,9 +86,9 @@ def test_casimir_scalar_action():
 
 def test_casimir_commutes_with_generators():
     rng = random.Random(23)
-    for w in (4, 10):
+    for weights in ((4,), (10,), (2, 8)):
         for _ in range(4):
-            v = _random_vector(rng, w)
+            v = _random_vector(rng, weights)
             for op in (act_raise, act_lower, act_weight):
                 assert (casimir(op(v)) - op(casimir(v))).is_zero()
 
@@ -85,7 +96,7 @@ def test_casimir_commutes_with_generators():
 def test_lower_of_raise_chain():
     for w in (2, 4, 12):
         for n in range(1, 11):
-            v = DSVector.basis(w, 0)
+            v = Vector.basis((w,), (0,))
             rn = v
             for _ in range(n):
                 rn = act_raise(rn)
@@ -103,18 +114,18 @@ def test_lowest_weight_tensor_shape():
 @pytest.mark.parametrize("n", range(9))
 def test_lowest_weight_tensor_killed(n):
     for x, y in ((2, 2), (4, 6), (8, 12)):
-        assert tensor_lower(lowest_weight_tensor(x, y, n)).is_zero()
+        assert act_lower(lowest_weight_tensor(x, y, n)).is_zero()
 
 
-def test_tensor_lower_basics():
-    v = TensorVector.make((4, 6), {(0, 0): F(1)})
-    assert tensor_lower(v).is_zero()
-    v = TensorVector.make((4, 6), {(1, 0): F(1)})
-    assert tensor_lower(v).as_dict() == {(0, 0): F(-1)}
+def test_act_lower_on_tensor_basics():
+    v = Vector.make((4, 6), {(0, 0): F(1)})
+    assert act_lower(v).is_zero()
+    v = Vector.make((4, 6), {(1, 0): F(1)})
+    assert act_lower(v).as_dict() == {(0, 0): F(-1)}
     rng = random.Random(3)
-    a = TensorVector.make((4, 6), {(rng.randrange(4), rng.randrange(4)): F(rng.randint(1, 5)) for _ in range(3)})
-    b = TensorVector.make((4, 6), {(rng.randrange(4), rng.randrange(4)): F(rng.randint(1, 5)) for _ in range(3)})
-    assert tensor_lower(a + b).as_dict() == (tensor_lower(a) + tensor_lower(b)).as_dict()
+    a = Vector.make((4, 6), {(rng.randrange(4), rng.randrange(4)): F(rng.randint(1, 5)) for _ in range(3)})
+    b = Vector.make((4, 6), {(rng.randrange(4), rng.randrange(4)): F(rng.randint(1, 5)) for _ in range(3)})
+    assert act_lower(a + b).as_dict() == (act_lower(a) + act_lower(b)).as_dict()
 
 
 def test_realization_degree_zero_and_one(catalogue):
@@ -141,11 +152,11 @@ def test_realization_weight_mismatch(catalogue):
         realize_and_multiply(lowest_weight_tensor(4, 4, 1), catalogue["E4"], catalogue["E6"])
 
 
-def test_triple_lower_basics():
+def test_act_lower_on_triple_basics():
     w = (4, 4, 6)
-    assert triple_lower(TripleVector.basis(w, (0, 0, 0))).is_zero()
-    assert triple_lower(TripleVector.basis(w, (1, 0, 0))).as_dict() == {(0, 0, 0): F(-1)}
-    v = triple_lower(TripleVector.basis(w, (1, 2, 0)))
+    assert act_lower(Vector.basis(w, (0, 0, 0))).is_zero()
+    assert act_lower(Vector.basis(w, (1, 0, 0))).as_dict() == {(0, 0, 0): F(-1)}
+    v = act_lower(Vector.basis(w, (1, 2, 0)))
     assert v.as_dict() == {(0, 2, 0): F(-1), (1, 1, 0): F(-2)}
 
 
@@ -155,7 +166,7 @@ def test_triple_dimensions(n):
     assert triple_kernel_dim((4, 4, 6), n) == n + 1
 
 
-def test_triple_lower_surjective_on_slices():
+def test_act_lower_surjective_on_triple_slices():
     # rank = slice - kernel must equal the dimension one degree down
     for n in range(1, 7):
         rank = len(degree_slice(n)) - triple_kernel_dim((2, 4, 8), n)
@@ -170,10 +181,10 @@ def test_triple_preimage_explicit_and_random():
         for tgt in degree_slice(n - 1):
             pre = triple_preimage(tgt)  # exactness asserted inside
             assert all(key[0] >= tgt[0] + 1 for key in pre.as_dict())
-    # triple_lower(pre) = -target, by the scaled convention
+    # act_lower(pre) = -target, by the scaled convention
     tgt = (1, 2, 1)
     pre = triple_preimage(tgt)
-    img = triple_lower(pre)
+    img = act_lower(pre)
     assert img.as_dict() == {tgt: F(-1)}
 
 
