@@ -12,6 +12,14 @@ The chain of facts certified here, at desk scale:
     series RC(F1, G1) = RC(F2, G2) forces F1 = C F2, G2 = C G1
     (rc_uniqueness_check, plus a seeded randomized search).
 
+The search works in generator coordinates.  [., .]_n is bilinear, so each
+term [f, g]_n of a drawn pair is a sum of c_i d_j [m_i, m_j]_n over the
+generator monomials m = E4^a E6^b, and the monomial brackets are memoized per
+(m_i, m_j, n, prec): at weights 4..16 and order 3 the table has at most
+9 * 9 * 4 entries per precision, filled once per process.  The generator
+monomials themselves are memoized per (a, b, prec) and shared with
+IsobaricPoly.to_form and form_to_isobaric.
+
 The long reference expansion embedded below is the output of an independent
 computer-algebra run of the same substitution; it is used purely as a diff
 corpus, with the derived polynomial as ground truth.
@@ -19,12 +27,13 @@ corpus, with the derived polynomial as ground truth.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 from .coeffsolve import LinSystem, solve
 from .exactcore import MPoly, QSeries, Rat, RatLike, binom, rat
-from .forms import GradedForm, ModularForm, eisenstein_form
+from .forms import GradedForm, ModularForm, eisenstein
 from .nearlyholo import rc_bracket
 from .starprod import rc_series
 
@@ -390,11 +399,9 @@ class IsobaricPoly:
         w = self.weight()
         if w is None:
             raise ValueError("only weight-homogeneous polynomials convert to forms")
-        e4 = eisenstein_form(4, prec)
-        e6 = eisenstein_form(6, prec)
         total = QSeries.zero(prec)
         for (a, b), c in self.terms.items():
-            total = total + (e4.series.pow(a) * e6.series.pow(b)).scale(c)
+            total = total + _monomial(a, b, prec).scale(c)
         return ModularForm(w, total)
 
     def __str__(self) -> str:
@@ -411,6 +418,12 @@ class IsobaricPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial(a: int, b: int, prec: int) -> QSeries:
+    """The generator monomial E4^a E6^b to prec, memoized per (a, b, prec)."""
+    return eisenstein(4, prec).pow(a) * eisenstein(6, prec).pow(b)
 
 
 def weight_basis(weight: int) -> list[tuple[int, int]]:
@@ -441,9 +454,7 @@ def form_to_isobaric(f: ModularForm) -> IsobaricPoly:
     if f.prec < dim:
         raise ValueError(f"need prec >= {dim} to resolve weight {f.weight}, have {f.prec}")
     prec = f.prec
-    e4 = eisenstein_form(4, prec)
-    e6 = eisenstein_form(6, prec)
-    columns = [(e4.series.pow(a) * e6.series.pow(b)) for a, b in basis]
+    columns = [_monomial(a, b, prec) for a, b in basis]
     sys = LinSystem(list(range(dim)))
     for i in range(prec):
         sys.add_row({j: columns[j].coeff(i) for j in range(dim)}, f.series.coeff(i))
@@ -610,10 +621,17 @@ def rc_uniqueness_check(
     """
     f1, g1 = f1.truncate(prec), g1.truncate(prec)
     f2, g2 = f2.truncate(prec), g2.truncate(prec)
-    t1 = rc_series(f1, g1, order)
-    t2 = rc_series(f2, g2, order)
-    if t1 != t2:
+    if rc_series(f1, g1, order) != rc_series(f2, g2, order):
         return {"equal": False, "C": None, "proportional": False, "counterexample": False}
+    return _factorization_verdict(f1, g1, f2, g2)
+
+
+def _factorization_verdict(f1: GradedForm, g1: GradedForm, f2: GradedForm, g2: GradedForm) -> dict:
+    """The rc_uniqueness_check verdict for two pairs whose bracket series agree.
+
+    Zero factors, the lowest weight and the valuation of its part fix the
+    only candidate C; the pairs are proportional iff f1 = C f2 and g2 = C g1.
+    """
     if f1.is_zero() or f2.is_zero() or g1.is_zero() or g2.is_zero():
         degenerate = (f1.is_zero() or g1.is_zero()) and (f2.is_zero() or g2.is_zero())
         return {
@@ -634,63 +652,86 @@ def rc_uniqueness_check(
     return {"equal": True, "C": c if ok else None, "proportional": ok, "counterexample": not ok}
 
 
-def _random_graded(rng: random.Random, prec: int, max_parts: int = 2) -> GradedForm:
-    weights = rng.sample([4, 6, 8, 10, 12, 14, 16], k=rng.randint(1, max_parts))
-    out = GradedForm.zero()
-    for w in weights:
-        coeffs = {}
+def _random_coords(rng: random.Random) -> IsobaricPoly:
+    """Generator coordinates of a random graded form with one or two parts.
+
+    Each part has a drawn weight in 4..16 and coefficients in [-3, 3], not
+    all zero; a level-1 graded form is a polynomial in g4, g6, and its part
+    of weight w is the isobaric component 4a + 6b = w.
+    """
+    coeffs: dict[tuple[int, int], int] = {}
+    for w in rng.sample([4, 6, 8, 10, 12, 14, 16], k=rng.randint(1, 2)):
+        part = {}
         for ab in weight_basis(w):
             c = rng.randint(-3, 3)
             if c:
-                coeffs[ab] = Fraction(c)
-        if not coeffs:
-            coeffs[weight_basis(w)[0]] = Fraction(1)
-        out = out + GradedForm.from_form(IsobaricPoly(coeffs).to_form(prec))
-    return out
+                part[ab] = c
+        coeffs.update(part or {weight_basis(w)[0]: 1})
+    return IsobaricPoly(coeffs)
+
+
+def _graded(p: IsobaricPoly, prec: int) -> GradedForm:
+    """The graded form with generator coordinates p, one part per weight."""
+    parts: dict[int, dict[tuple[int, int], Rat]] = {}
+    for (a, b), c in p.terms.items():
+        parts.setdefault(4 * a + 6 * b, {})[(a, b)] = c
+    return GradedForm({w: IsobaricPoly(t).to_form(prec) for w, t in parts.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: int) -> QSeries:
+    """[E4^a1 E6^b1, E4^a2 E6^b2]_n to prec, memoized: the search's bracket table."""
+    (a1, b1), (a2, b2) = m1, m2
+    f = ModularForm(4 * a1 + 6 * b1, _monomial(a1, b1, prec))
+    g = ModularForm(4 * a2 + 6 * b2, _monomial(a2, b2, prec))
+    return rc_bracket(f, g, n).series
+
+
+def _bracket_term(f: IsobaricPoly, g: IsobaricPoly, n: int, prec: int) -> GradedForm:
+    """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).term(n).
+
+    By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
+    terms c m_f of f and d m_g of g, grouped by weight; zero parts drop out.
+    """
+    parts: dict[int, QSeries] = {}
+    for (a1, b1), c in f.terms.items():
+        for (a2, b2), d in g.terms.items():
+            w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
+            s = _monomial_bracket((a1, b1), (a2, b2), n, prec).scale(c * d)
+            parts[w] = parts[w] + s if w in parts else s
+    return GradedForm({w: ModularForm(w, s) for w, s in parts.items()})
 
 
 def random_uniqueness_search(seeds: int, order: int = 3, prec: int = 15, seed0: int = 0) -> dict:
     """Seeded search for violations of the factorization property.
 
-    Each trial draws two random graded pairs; every third trial replaces the
-    second pair by an exact rescaling of the first to exercise the recovery
-    path.  Series comparison escalates order-by-order so non-matching pairs
-    exit cheaply.  Returns counts; 'counterexamples' must stay 0.
+    Each trial draws two random graded pairs in generator coordinates; every
+    third trial replaces the second pair by an exact rescaling of the first
+    to exercise the recovery path.  The terms [f, g]_n are assembled from the
+    memoized monomial-bracket table and compared order by order, so
+    non-matching pairs exit at their first differing term.  When every term
+    up to `order` agrees, the series RC(f1, g1) and RC(f2, g2) are equal, so
+    the pairs go straight to the verdict half of rc_uniqueness_check with no
+    bracket recomputed.  Returns counts; 'counterexamples' must stay 0.
     """
     stats = {"trials": seeds, "equal_pairs": 0, "recovered_constants": 0, "counterexamples": 0}
     for i in range(seeds):
         rng = random.Random(seed0 + i)
-        f1 = _random_graded(rng, prec)
-        g1 = _random_graded(rng, prec)
+        f1, g1 = _random_coords(rng), _random_coords(rng)
         if i % 3 == 0:
             c = Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1))
             f2, g2 = f1.scale(1 / c), g1.scale(c)
         else:
-            f2 = _random_graded(rng, prec)
-            g2 = _random_graded(rng, prec)
-        # cheap escalating comparison before the full check
-        differs = False
-        for n in range(order + 1):
-            a = _rc_term(f1, g1, n)
-            b = _rc_term(f2, g2, n)
-            if a != b:
-                differs = True
-                break
-        if differs:
+            f2, g2 = _random_coords(rng), _random_coords(rng)
+        if any(
+            _bracket_term(f1, g1, n, prec) != _bracket_term(f2, g2, n, prec)
+            for n in range(order + 1)
+        ):
             continue
-        res = rc_uniqueness_check(f1, g1, f2, g2, order, prec)
-        if res["equal"]:
-            stats["equal_pairs"] += 1
-            if res["proportional"] and res["C"] is not None:
-                stats["recovered_constants"] += 1
-            if res["counterexample"]:
-                stats["counterexamples"] += 1
+        res = _factorization_verdict(*(_graded(p, prec) for p in (f1, g1, f2, g2)))
+        stats["equal_pairs"] += 1
+        if res["proportional"] and res["C"] is not None:
+            stats["recovered_constants"] += 1
+        if res["counterexample"]:
+            stats["counterexamples"] += 1
     return stats
-
-
-def _rc_term(f: GradedForm, g: GradedForm, n: int) -> GradedForm:
-    acc = GradedForm.zero()
-    for x in f.weights():
-        for y in g.weights():
-            acc = acc + GradedForm.from_form(rc_bracket(f.parts[x], g.parts[y], n))
-    return acc

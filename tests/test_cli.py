@@ -128,6 +128,17 @@ def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_solve_on_grid_one_reports_only_solved_samples(capsys, n):
+    # the grid-1 system solves no A_n(x, 6) and no A_n(4, 4) at level n >= 3
+    code, out = run(capsys, "solve", "an", "--n", str(n), "--grid", "1", "--json")
+    obj = json.loads(out)
+    assert code == (0 if obj["consistent"] and not obj["residual_nonzero_count"] else 1)
+    if n >= 3:
+        assert obj["nullity"] == 0
+        assert sorted(obj["sample_values"]) == [f"A_{n}(2,2)", f"A_{n}(2,4)", f"A_{n}(4,2)"]
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
@@ -166,6 +177,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["rep", "casimir", "--weight", "4", "--n-max", "-1"],
         ["rep", "casimir", "--weight", "3"],
         ["verify", "canonical", "--n-max", "-1"],
+        ["verify", "canonical", "--n-max", "0"],
+        ["verify", "canonical", "--n-max", "1"],
+        ["verify", "all", "--n-max", "1"],
         ["verify", "kappa-c", "--grid-bound", "0"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclab.exactcore import MPoly, QSeries
 from rclab.forms import GradedForm, ModularForm
+from rclab.nearlyholo import rc_bracket
+from rclab.starprod import rc_series
 from rclab.uniq import (
     IsobaricPoly,
+    _bracket_term,
+    _graded,
+    _random_coords,
     bracket_shift_residual,
     fine_det3,
     fine_det3_mpoly,
@@ -237,3 +245,100 @@ def test_random_search_no_counterexamples():
     assert stats["counterexamples"] == 0
     assert stats["recovered_constants"] == stats["equal_pairs"]
     assert stats["equal_pairs"] >= 150 // 3
+
+
+# -- the search against its form-level reference ------------------------------
+
+
+def _reference_graded(rng, prec):
+    weights = rng.sample([4, 6, 8, 10, 12, 14, 16], k=rng.randint(1, 2))
+    out = GradedForm.zero()
+    for w in weights:
+        coeffs = {}
+        for ab in weight_basis(w):
+            c = rng.randint(-3, 3)
+            if c:
+                coeffs[ab] = F(c)
+        if not coeffs:
+            coeffs[weight_basis(w)[0]] = F(1)
+        out = out + GradedForm.from_form(IsobaricPoly(coeffs).to_form(prec))
+    return out
+
+
+def _reference_term(f, g, n):
+    acc = GradedForm.zero()
+    for x in f.weights():
+        for y in g.weights():
+            acc = acc + GradedForm.from_form(rc_bracket(f.parts[x], g.parts[y], n))
+    return acc
+
+
+def _reference_search(seeds, order, prec, seed0):
+    """The search on forms: bracket every graded pair, then rc_uniqueness_check."""
+    stats = {"trials": seeds, "equal_pairs": 0, "recovered_constants": 0, "counterexamples": 0}
+    for i in range(seeds):
+        rng = random.Random(seed0 + i)
+        f1 = _reference_graded(rng, prec)
+        g1 = _reference_graded(rng, prec)
+        if i % 3 == 0:
+            c = F(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1))
+            f2, g2 = f1.scale(1 / c), g1.scale(c)
+        else:
+            f2 = _reference_graded(rng, prec)
+            g2 = _reference_graded(rng, prec)
+        if any(_reference_term(f1, g1, n) != _reference_term(f2, g2, n) for n in range(order + 1)):
+            continue
+        res = rc_uniqueness_check(f1, g1, f2, g2, order, prec)
+        if res["equal"]:
+            stats["equal_pairs"] += 1
+            if res["proportional"] and res["C"] is not None:
+                stats["recovered_constants"] += 1
+            if res["counterexample"]:
+                stats["counterexamples"] += 1
+    return stats
+
+
+def test_random_coords_draw_the_reference_forms():
+    # same forms from the same rng stream, and the stream left in the same state
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert _graded(_random_coords(rng), 15) == _reference_graded(ref, 15)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "seeds,order,prec,seed0",
+    [(45, 3, 15, 0), (30, 0, 15, 11), (30, 4, 12, 5), (30, 2, 12, 100), (30, 3, 2, 7)],
+)
+def test_search_matches_reference_search(seeds, order, prec, seed0):
+    assert random_uniqueness_search(seeds, order, prec, seed0) == _reference_search(
+        seeds, order, prec, seed0
+    )
+
+
+def test_search_stats_are_pinned():
+    assert random_uniqueness_search(1000, 3, 15, 0) == {
+        "trials": 1000, "equal_pairs": 334, "recovered_constants": 334, "counterexamples": 0,
+    }
+    assert random_uniqueness_search(200, 3, 15, 0) == {
+        "trials": 200, "equal_pairs": 67, "recovered_constants": 67, "counterexamples": 0,
+    }
+
+
+_COORDS = st.sampled_from([F(0), F(1), F(-3), F(2), F(-2, 7), F(5, 3)])
+
+
+@st.composite
+def _graded_coords(draw):
+    weights = draw(
+        st.lists(st.sampled_from([4, 6, 8, 10, 12, 14, 16]), min_size=1, max_size=2, unique=True)
+    )
+    return IsobaricPoly({ab: draw(_COORDS) for w in weights for ab in weight_basis(w)})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_graded_coords(), _graded_coords(), st.integers(0, 4), st.sampled_from([3, 8, 12]))
+def test_bracket_term_matches_rc_series(f, g, n, prec):
+    want = rc_series(_graded(f, prec), _graded(g, prec), n).term(n)
+    assert _bracket_term(f, g, n, prec) == want
