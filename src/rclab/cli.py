@@ -352,7 +352,9 @@ def suite_solve_unique(s: Suite, grid: int = 6) -> None:
             {"grid": grid},
             nullity=resn.nullity,
         )
-    degs = [coeffsolve.degree_in_c(n, (4, 4), list(range(n + 1))) for n in (2, 3, 4)]
+    # n + 2 samples, one more than the degree bound n: with n + 1 a degree
+    # above n would alias to a lower one instead of failing the check
+    degs = [coeffsolve.degree_in_c(n, (4, 4), list(range(n + 2))) for n in (2, 3, 4)]
     s.check("solve/degree-in-c", degs == [1, 1, 2], {"pair": [4, 4]}, degrees=degs)
 
 

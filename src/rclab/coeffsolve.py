@@ -15,13 +15,20 @@ them exactly, and packages the structural facts about the solution set:
   * the classical coefficient family lands in the level-2 family at
     c = 4*kappa^2 - 8*kappa + 3 (kappa_c_report records how this differs
     from the historically quoted constant).
+
+The coefficients of a level-n identity system come only from
+ident_coefficients, so its matrix does not depend on the lower-level table;
+only the right-hand side does.  One eliminator (eliminate) reduces a matrix
+once for any number of right-hand-side columns: solve is its one-column case,
+and chain_solve_many walks several c values through the chain with one
+elimination per level, computing each row's columns as the row is eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
 from .starprod import cmz_coeff, ident_coefficients
@@ -200,34 +207,78 @@ class SolveResult:
     certificate_row: int | None  # witness row index when inconsistent
 
 
-def solve(sys: LinSystem) -> SolveResult:
-    """Exact reduced row echelon over the rationals, sparse row-by-row."""
-    nvars = len(sys.variables)
-    pivots: dict[int, tuple[dict[int, Rat], Rat]] = {}  # pivot column -> normalized row
-    certificate = None
-    for idx, (coeffs, rhs) in enumerate(sys.rows):
+class Echelon:
+    """Reduced row echelon form of one matrix with several right-hand sides.
+
+    pivots maps each pivot column key to its normalized, fully reduced row and
+    that row's right-hand-side values, one per column; certificates holds,
+    per right-hand-side column, the index of the first row that reduced to
+    0 = nonzero (None when that column is consistent).
+    """
+
+    def __init__(self, pivots: dict, certificates: list[int | None]):
+        self.pivots: dict[object, tuple[dict[object, Rat], list[Rat]]] = pivots
+        self.certificates = certificates
+
+    def result(self, keys: Sequence, j: int = 0) -> SolveResult:
+        """The solution for right-hand side j over the ordered column keys."""
+        rank = len(self.pivots)
+        nullity = len(keys) - rank
+        if self.certificates[j] is not None:
+            return SolveResult(False, rank, nullity, None, [], self.certificates[j])
+        zero = Fraction(0)
+        solution = [self.pivots[key][1][j] if key in self.pivots else zero for key in keys]
+        position = {key: i for i, key in enumerate(keys)}
+        null_basis = []
+        for free in keys:
+            if free in self.pivots:
+                continue
+            vec = [zero] * len(keys)
+            vec[position[free]] = Fraction(1)
+            for col, (prow, _) in self.pivots.items():
+                if free in prow:
+                    vec[position[col]] = -prow[free]
+            null_basis.append(vec)
+        return SolveResult(True, rank, nullity, solution, null_basis, None)
+
+
+def _reduce(row: dict, rhs: list[Rat], prow: dict, prhs: list[Rat], factor: Rat) -> list[Rat]:
+    """row -= factor * prow in place; returns rhs - factor * prhs."""
+    for c, v in prow.items():
+        nv = row.get(c, Fraction(0)) - factor * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+    return [r - factor * p for r, p in zip(rhs, prhs)]
+
+
+def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon:
+    """Exact sparse reduced row echelon over the rationals, row by row.
+
+    Each row is (coefficients by column key, `width` right-hand-side values)
+    with no zero coefficients; keys are any totally ordered values, and the
+    smallest key of a row is its pivot candidate.  Rows are consumed one at a
+    time, so a generator can compute each row as it is eliminated.  The matrix
+    is eliminated once for every right-hand side.
+    """
+    pivots: dict = {}
+    certificates: list[int | None] = [None] * width
+    for idx, (coeffs, rhs) in enumerate(rows):
         row = dict(coeffs)
-        r = rhs
-        while True:
-            if not row:
-                if r != 0 and certificate is None:
-                    certificate = idx
-                break
+        r = list(rhs)
+        while row:
             lead = min(row)
-            if lead in pivots:
-                prow, pr = pivots[lead]
-                factor = row[lead]
-                for c, v in prow.items():
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    if nv == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
-                r -= factor * pr
-            else:
+            if lead not in pivots:
                 inv = 1 / row[lead]
-                pivots[lead] = ({c: v * inv for c, v in row.items()}, r * inv)
+                pivots[lead] = ({c: v * inv for c, v in row.items()}, [v * inv for v in r])
                 break
+            prow, pr = pivots[lead]
+            r = _reduce(row, r, prow, pr, row[lead])
+        else:
+            for j, v in enumerate(r):
+                if v != 0 and certificates[j] is None:
+                    certificates[j] = idx
     # back-substitution to reduced echelon form
     for col in sorted(pivots, reverse=True):
         prow, pr = pivots[col]
@@ -236,36 +287,61 @@ def solve(sys: LinSystem) -> SolveResult:
                 break
             row2, r2 = pivots[col2]
             if col in row2:
-                factor = row2[col]
-                for c, v in prow.items():
-                    nv = row2.get(c, Fraction(0)) - factor * v
-                    if nv == 0:
-                        row2.pop(c, None)
-                    else:
-                        row2[c] = nv
-                pivots[col2] = (row2, r2 - factor * pr)
-    rank = len(pivots)
-    nullity = nvars - rank
-    if certificate is not None:
-        return SolveResult(False, rank, nullity, None, [], certificate)
-    solution = [Fraction(0)] * nvars
-    for col, (_, pr) in pivots.items():
-        solution[col] = pr
-    free_cols = [j for j in range(nvars) if j not in pivots]
-    null_basis = []
-    for j in free_cols:
-        vec = [Fraction(0)] * nvars
-        vec[j] = Fraction(1)
-        for col, (prow, _) in pivots.items():
-            if j in prow:
-                vec[col] = -prow[j]
-        null_basis.append(vec)
-    return SolveResult(True, rank, nullity, solution, null_basis, None)
+                pivots[col2] = (row2, _reduce(row2, r2, prow, pr, row2[col]))
+    return Echelon(pivots, certificates)
+
+
+def solve(sys: LinSystem) -> SolveResult:
+    """Exact reduced row echelon over the rationals: eliminate with one column."""
+    ech = eliminate(((coeffs, (rhs,)) for coeffs, rhs in sys.rows), 1)
+    return ech.result(range(len(sys.variables)))
 
 
 # ---------------------------------------------------------------------------
 # The identity systems on the A-values
 # ---------------------------------------------------------------------------
+
+
+def _ident_rows(
+    n: int, grid_bound: int, tables: Sequence[ATable], pairs: set[Pair]
+) -> Iterator[tuple[dict[Pair, Rat], tuple[Rat, ...]]]:
+    """The level-n identity rows in order, one right-hand side per table.
+
+    One row per (k, l, m, p): (nonzero coefficients by level-n pair, values).
+    Since A_0 = 1, the level-n unknowns are the end terms of each identity
+    sum; the interior terms are known, read from each table, and move to the
+    right-hand side.  The coefficients come only from ident_coefficients, so
+    they are the same for every table.  Every pair a row touches is added to
+    `pairs`, also one whose coefficients sum to 0.
+    """
+    for k in range(1, grid_bound + 1):
+        for l in range(1, grid_bound + 1):
+            for m in range(1, grid_bound + 1):
+                x, y, z = 2 * k, 2 * l, 2 * m
+                for p in range(n + 1):
+                    left, right = ident_coefficients(n, p, x, y, z)
+                    coeffs: dict[Pair, Rat] = {}
+                    interior = []
+                    for r, c in left:
+                        if 0 < r < n:
+                            interior.append((-c, (r, x, y), (n - r, x + y + 2 * r, z)))
+                        else:
+                            pair = (x + y, z) if r == 0 else (x, y)
+                            coeffs[pair] = coeffs.get(pair, Fraction(0)) + c
+                    for s, c in right:
+                        if 0 < s < n:
+                            interior.append((c, (s, y, z), (n - s, x, y + z + 2 * s)))
+                        else:
+                            pair = (x, y + z) if s == 0 else (y, z)
+                            coeffs[pair] = coeffs.get(pair, Fraction(0)) - c
+                    pairs.update(coeffs)
+                    yield (
+                        {pair: v for pair, v in coeffs.items() if v != 0},
+                        tuple(
+                            sum((c * t.get(*a) * t.get(*b) for c, a, b in interior), Fraction(0))
+                            for t in tables
+                        ),
+                    )
 
 
 def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
@@ -275,51 +351,25 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     The unknown set is every level-n pair any row touches (this auto-enlarges
     past the nominal grid, as the boundary terms reach weights up to twice
     the grid).  Lower-level lookups go through `known` and raise
-    MissingEntryError if the table is too small.
+    MissingEntryError if the table is too small.  The matrix does not depend
+    on `known`; only the right-hand side does.
     """
     if n < 1:
         raise ValueError("systems are built for levels n >= 1")
     pairs: set[Pair] = set()
-    staged = []
-    for k in range(1, grid_bound + 1):
-        for l in range(1, grid_bound + 1):
-            for m in range(1, grid_bound + 1):
-                x, y, z = 2 * k, 2 * l, 2 * m
-                for p in range(n + 1):
-                    # Row: sum of coeffs[pair] * A_n(pair) = rhs.  Since A_0 = 1, the
-                    # level-n unknowns are the end terms of each sum; the interior
-                    # terms are known and move to the right-hand side.
-                    left, right = ident_coefficients(n, p, x, y, z)
-                    coeffs: dict[Pair, Rat] = {}
-                    rhs = Fraction(0)
-                    for r, c in left:
-                        if 0 < r < n:
-                            rhs -= c * known.get(r, x, y) * known.get(n - r, x + y + 2 * r, z)
-                        else:
-                            pair = (x + y, z) if r == 0 else (x, y)
-                            coeffs[pair] = coeffs.get(pair, Fraction(0)) + c
-                    for s, c in right:
-                        if 0 < s < n:
-                            rhs += c * known.get(s, y, z) * known.get(n - s, x, y + z + 2 * s)
-                        else:
-                            pair = (x, y + z) if s == 0 else (y, z)
-                            coeffs[pair] = coeffs.get(pair, Fraction(0)) - c
-                    pairs.update(coeffs)
-                    staged.append((coeffs, rhs))
+    staged = list(_ident_rows(n, grid_bound, [known], pairs))
     variables = sorted(pairs)
     index = {pair: i for i, pair in enumerate(variables)}
     sys = LinSystem(variables)
-    for coeffs, rhs in staged:
+    for coeffs, (rhs,) in staged:
         sys.add_row({index[pair]: c for pair, c in coeffs.items()}, rhs)
     return sys
 
 
-def solved_table(
-    n: int, grid_bound: int, known: ATable, require_unique: bool = True
-) -> tuple[ATable, SolveResult]:
-    """Solve the level-n system and return `known` extended with the solution."""
-    sys = build_ident_system(n, grid_bound, known)
-    res = solve(sys)
+def _extended(
+    known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult, require_unique: bool = True
+) -> ATable:
+    """`known` plus the level-n solution over `pairs`; raises unless it is one."""
     if not res.consistent:
         raise ValueError(f"level-{n} system inconsistent (row {res.certificate_row})")
     if require_unique and res.nullity != 0:
@@ -331,9 +381,46 @@ def solved_table(
         filler=known.filler,
         name=known.name,
     )
-    for pair, v in zip(sys.variables, res.solution):
+    for pair, v in zip(pairs, res.solution):
         out.set(n, pair[0], pair[1], v)
-    return out, res
+    return out
+
+
+def solved_table(
+    n: int, grid_bound: int, known: ATable, require_unique: bool = True
+) -> tuple[ATable, SolveResult]:
+    """Solve the level-n system and return `known` extended with the solution."""
+    sys = build_ident_system(n, grid_bound, known)
+    res = solve(sys)
+    return _extended(known, n, sys.variables, res, require_unique), res
+
+
+def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) -> list[ATable]:
+    """chain_solve for every c in cs, eliminating each level's matrix once.
+
+    The level-j matrix does not depend on c, so each level is one elimination
+    whose right-hand-side columns are the c values' tables; every row is
+    built and eliminated in one pass, without staging the system.
+    """
+    base_bound = final_grid + max(0, upto_n - 2)
+
+    def base(c: RatLike) -> ATable:
+        fam = a2_family_assoc(c)
+
+        def fill(n: int, x: int, y: int) -> Rat:
+            if n == 2:
+                return fam(x, y)
+            raise MissingEntryError(f"chain(c={c}): no entry for A_{n}({x}, {y})")
+
+        return ATable(2, base_bound, filler=fill, name=f"chain(c={c})")
+
+    tables = [base(c) for c in cs]
+    for j in range(3, upto_n + 1):
+        pairs: set[Pair] = set()
+        ech = eliminate(_ident_rows(j, final_grid + (upto_n - j), tables, pairs), len(tables))
+        keys = sorted(pairs)
+        tables = [_extended(t, j, keys, ech.result(keys, i)) for i, t in enumerate(tables)]
+    return tables
 
 
 def chain_solve(c: RatLike, upto_n: int, final_grid: int = 4) -> ATable:
@@ -343,25 +430,17 @@ def chain_solve(c: RatLike, upto_n: int, final_grid: int = 4) -> ATable:
     every pair the next level's rows reference.  Raises if any level fails to
     be uniquely determined.
     """
-    fam = a2_family_assoc(c)
-    base_bound = final_grid + max(0, upto_n - 2)
-
-    def fill(n: int, x: int, y: int) -> Rat:
-        if n == 2:
-            return fam(x, y)
-        raise MissingEntryError(f"chain(c={c}): no entry for A_{n}({x}, {y})")
-
-    table = ATable(2, base_bound, filler=fill, name=f"chain(c={c})")
-    for j in range(3, upto_n + 1):
-        table, _ = solved_table(j, final_grid + (upto_n - j), table)
-    return table
+    return chain_solve_many([c], upto_n, final_grid)[0]
 
 
 def interpolate(points: Sequence[tuple[Rat, Rat]]) -> list[Rat]:
     """Exact polynomial interpolation; coefficients lowest-degree first.
 
-    Uses the first d+1 points for the smallest consistent degree and verifies
-    the remaining points lie on the curve, raising ValueError otherwise.
+    Returns the least-degree polynomial through every point (Newton divided
+    differences over all points, trailing zeros trimmed), then re-evaluates it
+    at each point as a check of the expansion.  With k points the degree is at
+    most k - 1, so a curve of higher degree aliases to a lower one: pass at
+    least one point more than the largest degree to be detected.
     """
     if not points:
         raise ValueError("need at least one sample")
@@ -394,19 +473,20 @@ def interpolate(points: Sequence[tuple[Rat, Rat]]) -> list[Rat]:
 
 
 def degree_in_c(n: int, pair: Pair, c_samples: Sequence[RatLike]) -> int:
-    """Degree in c of A_n(pair) along the solved chain with A_2 from the family."""
+    """Degree in c of A_n(pair) along the solved chain with A_2 from the family.
+
+    All samples share one elimination per level (chain_solve_many).  With
+    n + 1 samples the result is at most n; pass n + 2 or more so that a degree
+    above n shows instead of aliasing to a lower one.
+    """
     if len(c_samples) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct c samples")
-    pts = []
-    for c in c_samples:
-        c = rat(c)
-        if n == 2:
-            val = a2_family_assoc(c)(pair[0], pair[1])
-        else:
-            table = chain_solve(c, n)
-            val = table.get(n, pair[0], pair[1])
-        pts.append((c, val))
-    poly = interpolate(pts)
+    cs = [rat(c) for c in c_samples]
+    if n == 2:
+        vals = [a2_family_assoc(c)(pair[0], pair[1]) for c in cs]
+    else:
+        vals = [table.get(n, pair[0], pair[1]) for table in chain_solve_many(cs, n)]
+    poly = interpolate(list(zip(cs, vals)))
     return len(poly) - 1
 
 

@@ -9,7 +9,8 @@ Everything downstream works over these three carriers:
              propagated as min() through arithmetic, never silently extended;
              a product is one exact big-int multiply (Kronecker substitution)
   MPoly   -- a sparse polynomial over an ordered variable list, exponent
-             vector -> Rat, with no zero coefficients stored
+             vector -> Rat, with no zero coefficients stored; substitute
+             computes each power of each image once per call
 
 The scalar combinatorics, binom and pochhammer, take their whole product in
 Python ints over the argument's numerator and denominator and build one
@@ -366,10 +367,6 @@ class MPoly:
             exp[self.vars.index(name)] = p
         return self.coeff_of(exp)
 
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def all_coeffs_positive(self) -> tuple[bool, tuple[tuple[int, ...], Rat] | None]:
         """True iff every stored coefficient is > 0; else one offending term."""
         for exp in sorted(self.terms):
@@ -383,7 +380,8 @@ class MPoly:
         """Replace variables by polynomials over a common superset variable list.
 
         Unmapped variables must exist in the target variable list and are
-        carried over unchanged.
+        carried over unchanged.  Each power of an image is computed once per
+        call and shared by every term that needs it.
         """
         targets = list(mapping.values())
         if not targets:
@@ -403,14 +401,18 @@ class MPoly:
                 if name not in tvars:
                     raise KeyError(f"variable {name!r} missing from target variables {tvars}")
                 images.append(MPoly.var(tvars, name))
-        out = MPoly.zero(tvars)
+        powers: dict[tuple[int, int], MPoly] = {}
+        out: dict[tuple[int, ...], Rat] = {}
         for exp, c in self.terms.items():
             term = MPoly.const(tvars, c)
-            for img, e in zip(images, exp):
+            for i, e in enumerate(exp):
                 if e:
-                    term = term * img.pow(e)
-            out = out + term
-        return out
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i].pow(e)
+                    term = term * powers[i, e]
+            for te, tc in term.terms.items():
+                out[te] = out.get(te, Fraction(0)) + tc
+        return MPoly(tvars, out)
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
         out = Fraction(0)

@@ -64,11 +64,6 @@ class NearlyHoloForm:
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.ypoly)
 
-    def to_modular(self) -> ModularForm:
-        if not self.is_holomorphic():
-            raise ValueError(f"Y-degree {self.y_degree()} form is not holomorphic")
-        return ModularForm(self.weight, self.ypoly[0])
-
     def __add__(self, other: NearlyHoloForm) -> NearlyHoloForm:
         if self.weight != other.weight:
             raise ValueError(f"cannot add weights {self.weight} and {other.weight}")

@@ -128,6 +128,25 @@ def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of stdout for the suites whose exact objects are derived once per
+# call or per process (the det3 polynomial, the p3 substitution, the c chain)
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("verify fine --json",
+         "ee4d1fc5ee6483c9a04b189b4e77356141eaa0ae06b5858f38b2c5a331efb42b"),
+        ("verify p3 --json",
+         "3c60937e78915b2081b738a4e9d779d4ca591a6ba728ab858614e425b3acd0ba"),
+        ("verify solve-unique --json",
+         "efe663ddf586c497c6ef0823062058035497dc24588fd624eb487112b81b779f"),
+    ],
+)
+def test_verify_suite_json_outputs_are_byte_identical(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_solve_on_grid_one_reports_only_solved_samples(capsys, n):
     # the grid-1 system solves no A_n(x, 6) and no A_n(4, 4) at level n >= 3

@@ -12,9 +12,11 @@ from rclab.coeffsolve import (
     a2_family_assoc,
     build_ident_system,
     chain_solve,
+    chain_solve_many,
     degree_in_c,
     det2x2_direct,
     det2x2_lemma,
+    eliminate,
     induced_c_from_kappa,
     interpolate,
     kappa_c_report,
@@ -142,6 +144,65 @@ def test_solve_matches_sympy_rank_and_nullspace(ab):
             assert sympy.Matrix.hstack(head, sympy.Matrix(b[:k])).rank() == head.rank()
 
 
+@st.composite
+def _multi_column_systems(draw):
+    """(matrix, columns): 1-4 right-hand sides, each in the column space or not."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = [draw(_ENTRIES) for _ in range(ncols)]
+            columns.append([sum((r * v for r, v in zip(row, x)), F(0)) for row in a])
+        else:
+            columns.append([draw(_ENTRIES) for _ in range(nrows)])
+    return a, columns
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_multi_column_systems())
+def test_multi_column_elimination_matches_per_column_solve(system):
+    a, columns = system
+    ncols = len(a[0])
+    rows = [
+        ({j: v for j, v in enumerate(row) if v != 0}, tuple(col[i] for col in columns))
+        for i, row in enumerate(a)
+    ]
+    ech = eliminate(iter(rows), len(columns))
+    for j, col in enumerate(columns):
+        sys = LinSystem(list(range(ncols)))
+        for row, rhs in zip(a, col):
+            sys.add_row(dict(enumerate(row)), rhs)
+        want = solve(sys)
+        got = ech.result(range(ncols), j)
+        assert (got.rank, got.nullity, got.consistent) == (want.rank, want.nullity, want.consistent)
+        assert got.solution == want.solution
+        assert got.certificate_row == want.certificate_row
+        assert got.null_basis == want.null_basis
+
+
+def _reference_chain(c, upto_n, final_grid=4):
+    # a separate chain per c value, one build_ident_system + solve per level:
+    # chain_solve as it was before each level was eliminated once for several c
+    fam = a2_family_assoc(c)
+    table = ATable(2, final_grid + upto_n - 2, filler=lambda n, x, y: fam(x, y), name="ref")
+    for j in range(3, upto_n + 1):
+        table, _ = solved_table(j, final_grid + (upto_n - j), table)
+    return table
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_several_c_chain_matches_separate_chains(n):
+    cs = [F(0), F(-5, 4), F(1, 2), F(3), F(7, 5)]
+    tables = chain_solve_many(cs, n)
+    for c, got in zip(cs, tables):
+        want = _reference_chain(c, n)
+        solved = {key: v for key, v in want.values.items() if key[0] >= 3}
+        assert solved and {key: got.values[key] for key in solved} == solved
+        assert {key for key in got.values if key[0] >= 3} == set(solved)
+        assert (got.max_n, got.grid_bound, got.name) == (n, 4 + n - 2, f"chain(c={c})")
+
+
 def test_level_one_system_kernel_is_product_direction():
     known = ATable.eholzer(0, 30)
     sys1 = build_ident_system(1, 4, known)
@@ -230,6 +291,10 @@ def test_grid_too_small_raises():
 def test_interpolate():
     pts = [(0, F(3)), (1, F(6)), (2, F(11)), (3, F(18))]
     assert interpolate(pts) == [F(3), F(2), F(1)]  # 3 + 2c + c^2
+    # d + 1 samples of a degree d + 1 curve alias to a lower degree; d + 2 show it
+    cubic = [(x, F(x**3 - x)) for x in range(5)]
+    assert len(interpolate(cubic[:3])) - 1 == 2
+    assert len(interpolate(cubic[:4])) - 1 == 3
     with pytest.raises(ValueError):
         interpolate([(0, F(0)), (1, F(1)), (2, F(3)), (0, F(5))])
 
@@ -237,6 +302,7 @@ def test_interpolate():
 @pytest.mark.parametrize("n,deg", [(2, 1), (3, 1), (4, 2)])
 def test_degree_in_c(n, deg):
     assert degree_in_c(n, (4, 4), list(range(n + 1))) == deg
+    assert degree_in_c(n, (4, 4), list(range(n + 2))) == deg
 
 
 def test_degree_in_c_needs_enough_samples():

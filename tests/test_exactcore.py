@@ -235,22 +235,70 @@ def test_mpoly_positivity_witness():
     assert witness == ((0, 1), F(-1))
 
 
-def test_mpoly_ring_axioms():
-    rng = random.Random(99)
-    vars = ("x", "y", "z")
+_VARS = ("x", "y", "z")
+_MPOLY_COEFFS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
-    def rand_poly():
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            exp = tuple(rng.randint(0, 3) for _ in vars)
-            terms[exp] = F(rng.randint(-6, 6), rng.randint(1, 4))
-        return MPoly(vars, terms)
 
-    for _ in range(20):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
+def _mpolys(vars=_VARS, max_terms=5, max_exp=3):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return st.dictionaries(exps, _MPOLY_COEFFS, max_size=max_terms).map(lambda t: MPoly(vars, t))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_mpolys(), _mpolys(), _mpolys(), st.integers(0, 3))
+def test_mpoly_ring_axioms(a, b, c, e):
+    zero, one = MPoly.zero(_VARS), MPoly.const(_VARS, 1)
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a - a).is_zero() and a - b == -(b - a)
+    power = one
+    for _ in range(e):
+        power = power * a
+    assert a.pow(e) == power
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_mpolys(), _mpolys())
+def test_mpoly_div_exact_round_trips(a, b):
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.div_exact(b)
+        return
+    assert (a * b).div_exact(b) == a
+    if any(any(exp) for exp in b.terms):
+        # a non-constant divisor never divides a * b + 1
+        with pytest.raises(ValueError):
+            (a * b + 1).div_exact(b)
+
+
+def _substitute_oracle(p, mapping):
+    # MPoly.substitute before it shared each image power across terms:
+    # one pow per (term, variable) and a fresh sum per term
+    tvars = next(iter(mapping.values())).vars
+    images = [mapping[n] if n in mapping else MPoly.var(tvars, n) for n in p.vars]
+    out = MPoly.zero(tvars)
+    for exp, c in p.terms.items():
+        term = MPoly.const(tvars, c)
+        for img, e in zip(images, exp):
+            if e:
+                term = term * img.pow(e)
+        out = out + term
+    return out
+
+
+_TARGET = ("x", "y", "z", "w")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    _mpolys(max_terms=8),
+    st.dictionaries(st.sampled_from(_VARS), _mpolys(_TARGET, max_terms=3, max_exp=2), min_size=1),
+)
+def test_mpoly_substitute_matches_termwise_oracle(p, mapping):
+    assert p.substitute(mapping) == _substitute_oracle(p, mapping)
 
 
 def test_mpoly_div_exact():
