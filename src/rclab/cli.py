@@ -387,9 +387,10 @@ def suite_kappa_c(s: Suite, printed: bool = False) -> None:
 
 
 def suite_fine(s: Suite, grid: int = 5, n_max: int = 6) -> None:
+    n_max = max(3, n_max)  # the lemma starts at n = 3; record the n actually checked
     ok2 = all(
         coeffsolve.det2x2_lemma(n, k, l, m) < 0
-        for n in range(3, max(3, n_max) + 1)
+        for n in range(3, n_max + 1)
         for k in range(1, grid + 1)
         for l in range(1, grid + 1)
         for m in range(1, grid + 1)

@@ -22,12 +22,18 @@ only the right-hand side does.  One eliminator (eliminate) reduces a matrix
 once for any number of right-hand-side columns: solve is its one-column case,
 and chain_solve_many walks several c values through the chain with one
 elimination per level, computing each row's columns as the row is eliminated.
+The eliminator is a fraction-free Gauss-Jordan over Python ints: rows are
+scaled to integers, every stored pivot row is kept fully reduced and
+primitive (content divided out), and Fractions are built only at the end,
+when each pivot row is divided by its pivot.  Its result is the reduced row
+echelon form, which is unique, so no reduction order can change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
@@ -242,15 +248,61 @@ class Echelon:
         return SolveResult(True, rank, nullity, solution, null_basis, None)
 
 
-def _reduce(row: dict, rhs: list[Rat], prow: dict, prhs: list[Rat], factor: Rat) -> list[Rat]:
-    """row -= factor * prow in place; returns rhs - factor * prhs."""
+def _clear(row: dict, rhs: list[int], prow: dict, prhs: list[int], col) -> list[int]:
+    """Clear column col from row: row = b*row - a*prow in place, over the
+    integers, with a/b = row[col]/prow[col] in lowest terms; returns
+    b*rhs - a*prhs."""
+    a, b = row[col], prow[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for c in row:
+            row[c] *= b
     for c, v in prow.items():
-        nv = row.get(c, Fraction(0)) - factor * v
-        if nv == 0:
-            row.pop(c, None)
-        else:
+        nv = row.get(c, 0) - a * v
+        if nv:
             row[c] = nv
-    return [r - factor * p for r, p in zip(rhs, prhs)]
+        else:
+            del row[c]
+    return [b * r - a * p for r, p in zip(rhs, prhs)]
+
+
+def _primitive(row: dict, rhs: list[int]) -> list[int]:
+    """Divide row (in place) and rhs by their content; returns the new rhs."""
+    g = gcd(*row.values(), *rhs)
+    if g != 1:
+        for c in row:
+            row[c] //= g
+        rhs = [r // g for r in rhs]
+    return rhs
+
+
+def _integer_rref(
+    rows: Iterable[tuple[dict, Sequence[Rat]]], width: int
+) -> tuple[dict[object, tuple[dict[object, int], list[int]]], list[int | None]]:
+    """eliminate's integer pass: primitive, fully reduced pivot rows and certificates."""
+    pivots: dict = {}
+    certificates: list[int | None] = [None] * width
+    for idx, (coeffs, rhs) in enumerate(rows):
+        d = lcm(*(v.denominator for v in coeffs.values()), *(v.denominator for v in rhs))
+        row = {c: v.numerator * (d // v.denominator) for c, v in coeffs.items()}
+        r = [v.numerator * (d // v.denominator) for v in rhs]
+        # pivot rows have no entry in another pivot column, so each reduction
+        # clears one column and leaves the row's other pivot columns alone
+        for col in [c for c in row if c in pivots]:
+            r = _clear(row, r, *pivots[col], col)
+        if not row:
+            for j, v in enumerate(r):
+                if v and certificates[j] is None:
+                    certificates[j] = idx
+            continue
+        r = _primitive(row, r)
+        lead = min(row)
+        for col, (prow, pr) in pivots.items():
+            if lead in prow:
+                pivots[col] = (prow, _primitive(prow, _clear(prow, pr, row, r, lead)))
+        pivots[lead] = (row, r)
+    return pivots, certificates
 
 
 def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon:
@@ -261,34 +313,31 @@ def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon
     smallest key of a row is its pivot candidate.  Rows are consumed one at a
     time, so a generator can compute each row as it is eliminated.  The matrix
     is eliminated once for every right-hand side.
+
+    The elimination is a fraction-free Gauss-Jordan over Python ints.  Each
+    row is scaled to integers by the lcm of its denominators (right-hand side
+    included) and reduced once against each pivot column it touches, by
+    b*row - a*prow with a/b the entry ratio in lowest terms.  A row that does
+    not vanish is divided by its content and becomes a pivot row at its
+    smallest key; that column is then cleared from the earlier pivot rows,
+    which are divided by their content in turn.  So every pivot row is kept
+    fully reduced: its pivot is its smallest key and it has no entry in any
+    other pivot column.  A new row therefore never cascades through the
+    stored rows, and no back-substitution is needed.  Fractions are built
+    only at the end, dividing each row by its pivot entry.  That gives the
+    reduced row echelon form of the matrix, which is unique, so the result
+    does not depend on the order of the reductions.  The certificate of a
+    column is the first row that reduces to 0 = nonzero, a property of the
+    row prefix.  The caller's rows are not modified.
     """
-    pivots: dict = {}
-    certificates: list[int | None] = [None] * width
-    for idx, (coeffs, rhs) in enumerate(rows):
-        row = dict(coeffs)
-        r = list(rhs)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = 1 / row[lead]
-                pivots[lead] = ({c: v * inv for c, v in row.items()}, [v * inv for v in r])
-                break
-            prow, pr = pivots[lead]
-            r = _reduce(row, r, prow, pr, row[lead])
-        else:
-            for j, v in enumerate(r):
-                if v != 0 and certificates[j] is None:
-                    certificates[j] = idx
-    # back-substitution to reduced echelon form
-    for col in sorted(pivots, reverse=True):
-        prow, pr = pivots[col]
-        for col2 in sorted(pivots):
-            if col2 >= col:
-                break
-            row2, r2 = pivots[col2]
-            if col in row2:
-                pivots[col2] = (row2, _reduce(row2, r2, prow, pr, row2[col]))
-    return Echelon(pivots, certificates)
+    pivots, certificates = _integer_rref(rows, width)
+    return Echelon(
+        {
+            col: ({c: Fraction(v, row[col]) for c, v in row.items()}, [Fraction(v, row[col]) for v in r])
+            for col, (row, r) in pivots.items()
+        },
+        certificates,
+    )
 
 
 def solve(sys: LinSystem) -> SolveResult:

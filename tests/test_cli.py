@@ -147,6 +147,15 @@ def test_verify_suite_json_outputs_are_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n_max,checked", [(0, 3), (1, 3), (2, 3), (3, 3), (4, 4)])
+def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
+    # the 2x2 lemma starts at n = 3, so a smaller --n-max still checks n = 3
+    code, out = run(capsys, "verify", "fine", "--n-max", str(n_max), "--grid", "2", "--json")
+    assert code == 0
+    (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == "fine/det2x2-closed-form-negative"]
+    assert rec["params"] == {"grid": 2, "n_max": checked}
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_solve_on_grid_one_reports_only_solved_samples(capsys, n):
     # the grid-1 system solves no A_n(x, 6) and no A_n(4, 4) at level n >= 3

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rclab import coeffsolve
 from rclab.coeffsolve import (
     ATable,
+    Echelon,
     LinSystem,
     MissingEntryError,
     a2_family,
@@ -179,6 +182,127 @@ def test_multi_column_elimination_matches_per_column_solve(system):
         assert got.solution == want.solution
         assert got.certificate_row == want.certificate_row
         assert got.null_basis == want.null_basis
+
+
+# The eliminator as it was before the integer Gauss-Jordan, kept verbatim as
+# the oracle for eliminate: Fraction rows, leading-entry reduction, then
+# back-substitution.
+def _reference_reduce(row, rhs, prow, prhs, factor):
+    """row -= factor * prow in place; returns rhs - factor * prhs."""
+    for c, v in prow.items():
+        nv = row.get(c, F(0)) - factor * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+    return [r - factor * p for r, p in zip(rhs, prhs)]
+
+
+def _reference_eliminate(rows, width):
+    pivots = {}
+    certificates = [None] * width
+    for idx, (coeffs, rhs) in enumerate(rows):
+        row = dict(coeffs)
+        r = list(rhs)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = 1 / row[lead]
+                pivots[lead] = ({c: v * inv for c, v in row.items()}, [v * inv for v in r])
+                break
+            prow, pr = pivots[lead]
+            r = _reference_reduce(row, r, prow, pr, row[lead])
+        else:
+            for j, v in enumerate(r):
+                if v != 0 and certificates[j] is None:
+                    certificates[j] = idx
+    # back-substitution to reduced echelon form
+    for col in sorted(pivots, reverse=True):
+        prow, pr = pivots[col]
+        for col2 in sorted(pivots):
+            if col2 >= col:
+                break
+            row2, r2 = pivots[col2]
+            if col in row2:
+                pivots[col2] = (row2, _reference_reduce(row2, r2, prow, pr, row2[col]))
+    return Echelon(pivots, certificates)
+
+
+def _same_echelon(got, want):
+    assert got.pivots == want.pivots
+    assert got.certificates == want.certificates
+    assert all(
+        type(v) is F for row, r in got.pivots.values() for v in [*row.values(), *r]
+    )
+
+
+_NONZERO = st.builds(F, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def _keyed_systems(draw):
+    """(rows, width): sparse rows over tuple keys, up to about 12x12, 1-4 columns.
+
+    Half the draws are chain-shaped: each row touches keys i and i + 1, in a
+    drawn order, plus up to four repeated supports; these made the old
+    eliminator fill in.  Each column lies in the column space or not.
+    """
+    keys = sorted(
+        draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), min_size=2, max_size=12, unique=True))
+    )
+    if draw(st.booleans()):
+        chain = [keys[i : i + 2] for i in range(len(keys) - 1)]
+        supports = draw(st.permutations(chain)) + draw(st.lists(st.sampled_from(chain), max_size=4))
+    else:
+        supports = draw(
+            st.lists(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True), min_size=1, max_size=12)
+        )
+    a = [{k: draw(_NONZERO) for k in support} for support in supports]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = {k: draw(_ENTRIES) for k in keys}
+            columns.append([sum((v * x[k] for k, v in row.items()), F(0)) for row in a])
+        else:
+            columns.append([draw(_ENTRIES) for _ in a])
+    return [(row, [col[i] for col in columns]) for i, row in enumerate(a)], len(columns)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_keyed_systems())
+def test_eliminate_matches_reference_eliminator(system):
+    rows, width = system
+    snapshot = [(dict(coeffs), list(rhs)) for coeffs, rhs in rows]
+    got = eliminate(iter(rows), width)
+    assert rows == snapshot  # solve(sys) may run twice on one system
+    _same_echelon(got, _reference_eliminate(iter(rows), width))
+    # the stored integer rows are primitive and fully reduced
+    pivots, _ = coeffsolve._integer_rref(iter(rows), width)
+    for col, (row, r) in pivots.items():
+        assert gcd(*row.values(), *r) == 1
+        assert min(row) == col and not (set(row) - {col}) & set(pivots)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_six_systems_eliminate_as_the_reference(n):
+    sys = build_ident_system(n, 6, ATable.eholzer(n - 1, 40))
+    rows = [(coeffs, (rhs,)) for coeffs, rhs in sys.rows]
+    _same_echelon(eliminate(iter(rows), 1), _reference_eliminate(iter(rows), 1))
+
+
+def test_chain_levels_eliminate_as_the_reference(monkeypatch):
+    checked = []
+
+    def both(rows, width):
+        rows = list(rows)
+        got = eliminate(iter(rows), width)
+        _same_echelon(got, _reference_eliminate(iter(rows), width))
+        checked.append(width)
+        return got
+
+    monkeypatch.setattr(coeffsolve, "eliminate", both)
+    chain_solve_many([F(0), F(-5, 4), F(1, 2)], 4)
+    assert checked == [3, 3]
 
 
 def _reference_chain(c, upto_n, final_grid=4):

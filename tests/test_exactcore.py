@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -201,6 +202,22 @@ def test_qs_json_roundtrip():
     assert QSeries.from_json_obj(obj) == a
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_sparse_series(40, _BIG))
+def test_qs_json_round_trips(a):
+    obj = json.loads(json.dumps(a.to_json_obj()))
+    assert QSeries.from_json_obj(obj) == a
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_sparse_series(40, 10**6), _sparse_series(40, 10**6))
+def test_qs_derive_leibniz_rule(a, b):
+    # D = q d/dq is a derivation, at the smaller precision of mixed operands
+    got = (a * b).derive()
+    assert got == a.derive() * b + a * b.derive()
+    assert got.prec == min(a.prec, b.prec)
+
+
 def test_mpoly_basic_arithmetic():
     k, l = MPoly.variables(("k", "l"))
     assert (k + l) * (k - l) == k * k - l * l
@@ -315,3 +332,11 @@ def test_mpoly_json_roundtrip():
     obj = p.to_json_obj()
     assert obj == [{"exp": [0, 0], "c": "5"}, {"exp": [1, 2], "c": "-7/3"}]
     assert MPoly.from_json_obj(vars, obj) == p
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_mpolys(max_terms=8, max_exp=5))
+def test_mpoly_json_round_trips(p):
+    obj = json.loads(json.dumps(p.to_json_obj()))
+    back = MPoly.from_json_obj(_VARS, obj)
+    assert back == p and back.to_json_obj() == obj

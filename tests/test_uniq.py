@@ -192,6 +192,23 @@ def test_form_to_isobaric(catalogue):
     assert form_to_isobaric(e4 * catalogue["E6"]).terms == {(1, 1): F(1)}
 
 
+_ISO_COEFFS = st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 5, 1728]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([0, 4, 6, 8, 10, 12, 14, 18, 24, 30, 36]).flatmap(
+        lambda w: st.dictionaries(st.sampled_from(weight_basis(w)), _ISO_COEFFS, min_size=1)
+    ),
+    st.integers(0, 4),
+)
+def test_form_to_isobaric_round_trips(terms, extra):
+    # to_form, then form_to_isobaric, at the smallest resolving precision and above
+    p = IsobaricPoly(terms)
+    prec = len(weight_basis(p.weight())) + extra
+    assert form_to_isobaric(p.to_form(prec)).terms == p.terms
+
+
 def test_form_to_isobaric_rejects_non_modular():
     fake = ModularForm(4, QSeries.from_coeffs([1, 1, 1, 1, 1, 1]))
     with pytest.raises(ValueError):
