@@ -504,18 +504,18 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_star(args: argparse.Namespace) -> int:
-    f = GradedForm.from_form(_form(args.f, args.prec))
-    g = GradedForm.from_form(_form(args.g, args.prec))
-    if args.kind == "eholzer":
-        coeffs = starprod.StarCoefficients.eholzer()
-    elif args.kind == "cmz":
-        if args.kappa is None:
-            print("--kappa is required for --kind cmz", file=sys.stderr)
-            return 2
+    if args.kind not in ("eholzer", "cmz"):
+        raise UsageError(f"unknown coefficient kind {args.kind!r}")
+    if args.kind == "cmz" and args.kappa is None:
+        raise UsageError("--kappa is required for --kind cmz")
+    if args.kind != "cmz" and args.kappa is not None:
+        raise UsageError(f"--kappa applies only to --kind cmz, not {args.kind!r}")
+    if args.kind == "cmz":
         coeffs = starprod.StarCoefficients.cmz(rat(args.kappa))
     else:
-        print(f"unknown coefficient kind {args.kind!r}", file=sys.stderr)
-        return 2
+        coeffs = starprod.StarCoefficients.eholzer()
+    f = GradedForm.from_form(_form(args.f, args.prec))
+    g = GradedForm.from_form(_form(args.g, args.prec))
     series = starprod.star_product(f, g, coeffs, args.order)
     if args.json:
         obj = {

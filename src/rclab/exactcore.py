@@ -6,8 +6,12 @@ Everything downstream works over these three carriers:
              lowest terms with positive denominator, so equality is structural)
   QSeries -- a truncated power series in q with Rat coefficients; ``prec`` is
              the number of known coefficients (powers 0..prec-1) and is
-             propagated as min() through arithmetic, never silently extended;
-             a product is one exact big-int multiply (Kronecker substitution)
+             propagated as min() through arithmetic, never silently extended.
+             The coefficients are stored as Python-int numerators over one
+             positive common denominator in lowest terms (gcd(den, *nums)
+             == 1), every operation works on those ints, and a product is
+             one exact big-int multiply (Kronecker substitution); Fractions
+             are made only where a caller reads coefficients
   MPoly   -- a sparse polynomial over an ordered variable list, exponent
              vector -> Rat, with no zero coefficients stored; substitute
              computes each power of each image once per call
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -74,18 +77,29 @@ def binom(a: RatLike, b: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """Truncated q-expansion: coeffs[i] is the coefficient of q^i, i < prec."""
+    """Truncated q-expansion: the coefficient of q^i, i < prec, is nums[i] / den.
 
-    prec: int
-    coeffs: tuple[Rat, ...]
+    The numerators are Python ints over one common denominator, kept in
+    canonical form: den > 0 and gcd(den, *nums) == 1, so the zero series has
+    den == 1 and two series with equal coefficients have equal (prec, nums,
+    den).  Every operation works on the ints and reduces its result once.
+    ``coeffs``, the coefficients as a tuple of Fractions, is built on first
+    use and cached; the constructor takes such a tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if self.prec < 1:
-            raise ValueError(f"prec must be >= 1, got {self.prec}")
-        if len(self.coeffs) != self.prec:
+    __slots__ = ("prec", "nums", "den", "_coeffs")
+
+    def __init__(self, prec: int, coeffs: Sequence[RatLike]):
+        if prec < 1:
+            raise ValueError(f"prec must be >= 1, got {prec}")
+        if len(coeffs) != prec:
             raise ValueError("coefficient list length must equal prec")
+        cs = tuple(rat(c) for c in coeffs)
+        # each c is in lowest terms, so the lcm leaves gcd(den, *nums) == 1
+        den = math.lcm(*(c.denominator for c in cs))
+        self.prec, self.den, self._coeffs = prec, den, cs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
 
     # -- constructors ------------------------------------------------------
 
@@ -99,8 +113,17 @@ class QSeries:
         return QSeries(prec, tuple(cs[:prec]))
 
     @staticmethod
+    def from_numerators(nums: Sequence[int], den: int = 1) -> QSeries:
+        """The series sum nums[i]/den q^i, prec = len(nums), with no Fraction built."""
+        if not nums:
+            raise ValueError("prec must be >= 1, got 0")
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        return _reduced(len(nums), nums, den)
+
+    @staticmethod
     def zero(prec: int) -> QSeries:
-        return QSeries(prec, (Fraction(0),) * prec)
+        return QSeries.constant(0, prec)
 
     @staticmethod
     def one(prec: int) -> QSeries:
@@ -108,7 +131,10 @@ class QSeries:
 
     @staticmethod
     def constant(c: RatLike, prec: int) -> QSeries:
-        return QSeries.from_coeffs([rat(c)], prec)
+        if prec < 1:
+            raise ValueError(f"prec must be >= 1, got {prec}")
+        c = rat(c)
+        return _canonical(prec, (c.numerator,) + (0,) * (prec - 1), c.denominator)
 
     @staticmethod
     def q(prec: int) -> QSeries:
@@ -116,65 +142,107 @@ class QSeries:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients as Fractions, built on first use and cached."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple([Fraction(n, den) for n in self.nums])
+        return self._coeffs
+
     def coeff(self, i: int) -> Rat:
         if not 0 <= i < self.prec:
             raise IndexError(f"coefficient q^{i} not known at prec {self.prec}")
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def __getitem__(self, i: int) -> Rat:
         return self.coeff(i)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def valuation(self) -> int | None:
         """Lowest power with nonzero coefficient, None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, n in enumerate(self.nums):
+            if n:
                 return i
         return None
 
     def truncate(self, prec: int) -> QSeries:
         if prec > self.prec:
             raise ValueError(f"cannot extend prec {self.prec} to {prec}")
-        return QSeries(prec, self.coeffs[:prec])
+        if prec < 1:
+            raise ValueError(f"prec must be >= 1, got {prec}")
+        if prec == self.prec:
+            return self
+        return _reduced(prec, self.nums[:prec], self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self.prec == other.prec and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.prec, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"QSeries(prec={self.prec!r}, coeffs={self.coeffs!r})"
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: QSeries) -> QSeries:
-        prec = min(self.prec, other.prec)
-        return QSeries(prec, tuple(self.coeffs[i] + other.coeffs[i] for i in range(prec)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: QSeries) -> QSeries:
-        prec = min(self.prec, other.prec)
-        return QSeries(prec, tuple(self.coeffs[i] - other.coeffs[i] for i in range(prec)))
+        return self._combine(other, -1)
+
+    def _combine(self, other: QSeries, sign: int) -> QSeries:
+        """self + sign*other over the lcm of the two denominators."""
+        d = math.lcm(self.den, other.den)
+        ma, mb = d // self.den, sign * (d // other.den)
+        # zip stops at the shorter operand: the min(prec) rule
+        return _reduced(min(self.prec, other.prec),
+                        [x * ma + y * mb for x, y in zip(self.nums, other.nums)], d)
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.prec, tuple(-c for c in self.coeffs))
+        return _canonical(self.prec, [-n for n in self.nums], self.den)
 
     def __mul__(self, other: QSeries) -> QSeries:
-        # With a_i, b_j the numerators over each operand's common denominator,
-        # |c_n| = |sum a_i b_j| <= prec * max|a| * max|b| < 2^(k-2).  Adding 2^(k-1)
-        # to every k-bit slot of the packed product leaves each slot at c_n + 2^(k-1)
-        # in [0, 2^k): no slot borrows from or carries into the next.
+        # |c_n| = |sum a_i b_j| <= prec * max|a| * max|b| < 2^(k-2) for the
+        # numerator products; adding 2^(k-1) to every k-bit slot of the packed
+        # product leaves each slot at c_n + 2^(k-1) in [0, 2^k): no slot
+        # borrows from or carries into the next.  k is rounded up to whole bytes.
         prec = min(self.prec, other.prec)
-        da, na, bits_a = _numerators(self.coeffs[:prec])
-        db, nb, bits_b = _numerators(other.coeffs[:prec])
-        k = bits_a + bits_b + prec.bit_length() + 2
-        half, slot_mask, low_mask = 1 << (k - 1), (1 << k) - 1, (1 << k * prec) - 1
-        biased = (_pack(na, k) * _pack(nb, k) + half * (low_mask // slot_mask)) & low_mask
-        slots = ((biased >> k * i) & slot_mask for i in range(prec))
-        return QSeries(prec, tuple(Fraction(s - half, da * db) for s in slots))
+        na, nb = self.nums[:prec], other.nums[:prec]
+        nbytes = (_width(na) + _width(nb) + prec.bit_length() + 2 + 7) // 8
+        k = 8 * nbytes
+        pa = _pack(na, nbytes)
+        pb = pa if other is self else _pack(nb, nbytes)  # a square multiplies faster
+        bias = int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * prec, "little")
+        biased = (pa * pb + bias) & ((1 << k * prec) - 1)
+        raw = biased.to_bytes(nbytes * prec, "little")
+        half = 1 << (k - 1)
+        slots = [int.from_bytes(raw[i:i + nbytes], "little") - half
+                 for i in range(0, nbytes * prec, nbytes)]
+        return _reduced(prec, slots, self.den * other.den)
 
     def scale(self, c: RatLike) -> QSeries:
         c = rat(c)
-        return QSeries(self.prec, tuple(c * a for a in self.coeffs))
+        p, q = c.numerator, c.denominator
+        if p == 0:
+            return QSeries.zero(self.prec)
+        # gcd(p, q) == gcd(nums, den) == 1, so dividing p*nums / q*den by
+        # gcd(p, den) and gcd(q, nums) leaves it in lowest terms
+        g_p, g_q = math.gcd(p, self.den), math.gcd(q, *self.nums)
+        p //= g_p
+        nums = self.nums if g_q == 1 else [n // g_q for n in self.nums]
+        return _canonical(self.prec, [p * n for n in nums], (q // g_q) * (self.den // g_p))
 
     def shift(self, k: int) -> QSeries:
         """Multiply by q^k; the prec grows by k since low coefficients are exact."""
         if k < 0:
             raise ValueError("negative shifts are not defined on truncated series")
-        return QSeries(self.prec + k, (Fraction(0),) * k + self.coeffs)
+        return _canonical(self.prec + k, (0,) * k + self.nums, self.den)
 
     def pow(self, e: int) -> QSeries:
         if e < 0:
@@ -190,7 +258,7 @@ class QSeries:
 
     def derive(self) -> QSeries:
         """The operator D = q d/dq: multiply the q^n coefficient by n."""
-        return QSeries(self.prec, tuple(n * c for n, c in enumerate(self.coeffs)))
+        return _reduced(self.prec, [i * n for i, n in enumerate(self.nums)], self.den)
 
     # -- serialization -----------------------------------------------------
 
@@ -216,19 +284,35 @@ class QSeries:
         return f"{body} + O(q^{self.prec})"
 
 
-def _numerators(coeffs: Sequence[Rat]) -> tuple[int, list[int], int]:
-    """(d, [c*d for c in coeffs], widest numerator bit length), d the lcm of denominators."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (d // c.denominator) for c in coeffs]
-    return d, nums, max(n.bit_length() for n in nums)
+def _canonical(prec: int, nums: Sequence[int], den: int) -> QSeries:
+    """A QSeries from numerators and a denominator already in canonical form."""
+    s = object.__new__(QSeries)
+    s.prec, s.nums, s.den, s._coeffs = prec, tuple(nums), den, None
+    return s
 
 
-def _pack(nums: Sequence[int], k: int) -> int:
-    """sum nums[i] * 2^(k*i), exactly, for signed nums."""
-    out = 0
-    for n in reversed(nums):
-        out = (out << k) + n
-    return out
+def _reduced(prec: int, nums: Sequence[int], den: int) -> QSeries:
+    """A QSeries from numerators over den > 0, divided by their one common gcd."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return _canonical(prec, nums, den)
+
+
+def _width(nums: Sequence[int]) -> int:
+    """Bit length of the widest numerator."""
+    return max(max(nums), -min(nums)).bit_length()
+
+
+def _pack(nums: Sequence[int], nbytes: int) -> int:
+    """sum nums[i] * 2^(8*nbytes*i), exactly, for signed nums of fewer than 8*nbytes bits."""
+    raw = b"".join([n.to_bytes(nbytes, "little", signed=True) for n in nums])
+    packed = int.from_bytes(raw, "little")
+    # a negative n was written as n + 2^(8*nbytes): take each such carry back out
+    carries = bytearray(len(raw))
+    carries[::nbytes] = bytes([n < 0 for n in nums])
+    return packed - (int.from_bytes(carries, "little") << 8 * nbytes)
 
 
 # ---------------------------------------------------------------------------

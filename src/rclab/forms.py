@@ -32,9 +32,8 @@ def eisenstein(weight: int, prec: int) -> QSeries:
     scale = {2: -24, 4: 240, 6: -504}
     if weight not in scale:
         raise ValueError(f"unsupported Eisenstein weight {weight}; expected 2, 4 or 6")
-    coeffs = [Fraction(1)]
-    coeffs += [Fraction(scale[weight] * sigma(n, weight - 1)) for n in range(1, prec)]
-    return QSeries.from_coeffs(coeffs)
+    sigmas = [scale[weight] * sigma(n, weight - 1) for n in range(1, prec)]
+    return QSeries.from_numerators([1] + sigmas)
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,13 @@ def delta(prec: int) -> ModularForm:
     """The discriminant Delta = q prod (1-q^n)^24, expanded exactly."""
     if prec < 2:
         raise ValueError("prec must be >= 2 for a visible cusp form")
-    # Euler product to prec-1, then the q-shift restores prec coefficients.
-    euler = QSeries.one(prec - 1)
+    # Euler product prod_n (1 - q^n) to prec-1, one factor at a time on the
+    # integer coefficients; the q-shift then restores prec coefficients.
+    euler = [1] + [0] * (prec - 2)
     for n in range(1, prec - 1):
-        factor = QSeries.from_coeffs([1] + [0] * (n - 1) + [-1], prec - 1)
-        euler = euler * factor
-    return ModularForm(12, euler.pow(24).shift(1))
+        for m in range(prec - 2, n - 1, -1):
+            euler[m] -= euler[m - n]
+    return ModularForm(12, QSeries.from_numerators(euler).pow(24).shift(1))
 
 
 def phi_zagier(prec: int) -> ModularForm:
@@ -105,11 +105,11 @@ def eta_log_derivative(prec: int) -> QSeries:
     Equals E2/6; the cross-check against eisenstein(2, prec) is a test, not an
     input, so this stays an independent route.
     """
-    coeffs = [Fraction(1, 6)] + [Fraction(0)] * (prec - 1)
+    nums = [1] + [0] * (prec - 1)  # over the denominator 6
     for n in range(1, prec):
         for m in range(n, prec, n):
-            coeffs[m] -= 4 * n
-    return QSeries.from_coeffs(coeffs)
+            nums[m] -= 24 * n
+    return QSeries.from_numerators(nums, 6)
 
 
 class GradedForm:
@@ -174,7 +174,7 @@ class GradedForm:
         )
 
     def __hash__(self) -> int:
-        return hash(tuple((w, self.parts[w].series.coeffs) for w in self.weights()))
+        return hash(tuple((w, self.parts[w].series) for w in self.weights()))
 
     def truncate(self, prec: int) -> GradedForm:
         return GradedForm({w: f.truncate(prec) for w, f in self.parts.items()})

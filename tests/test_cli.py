@@ -187,6 +187,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["form", "Delta", "--prec", "1"],
         ["verify", "ident", "--kappas", "1/0"],
         ["star", "--f", "E4", "--g", "E6", "--order", "-1"],
+        ["star", "--kind", "eholzer", "--kappa", "1/2", "--f", "E4", "--g", "E6", "--json"],
+        ["star", "--kind", "cmz", "--f", "E4", "--g", "E6"],
+        ["star", "--kind", "moyal", "--f", "E4", "--g", "E6"],
         ["verify", "uniqueness", "--seeds", "0"],
         ["solve", "an", "--n", "2", "--grid", "0"],
         ["solve", "an", "--n", "0"],

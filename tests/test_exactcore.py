@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -141,7 +142,53 @@ def _schoolbook_mul(a, b):
             y = b.coeffs[j]
             if y != 0:
                 out[i + j] += x * y
-    return QSeries(prec, tuple(out))
+    return type(a)(prec, tuple(out))
+
+
+@dataclass(frozen=True)
+class _FractionQSeries:
+    """QSeries as a tuple of Fractions, one Fraction operation per coefficient.
+
+    The storage the integer-numerator QSeries replaced, kept as the reference
+    that every kernel of the new type is checked against.
+    """
+
+    prec: int
+    coeffs: tuple
+
+    def __add__(self, other):
+        return _FractionQSeries(min(self.prec, other.prec),
+                                tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return _FractionQSeries(min(self.prec, other.prec),
+                                tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return _FractionQSeries(self.prec, tuple(-x for x in self.coeffs))
+
+    __mul__ = _schoolbook_mul
+
+    def scale(self, c):
+        return _FractionQSeries(self.prec, tuple(F(c) * x for x in self.coeffs))
+
+    def derive(self):
+        return _FractionQSeries(self.prec, tuple(n * x for n, x in enumerate(self.coeffs)))
+
+    def truncate(self, prec):
+        return _FractionQSeries(prec, self.coeffs[:prec])
+
+    def shift(self, k):
+        return _FractionQSeries(self.prec + k, (F(0),) * k + self.coeffs)
+
+    def pow(self, e):
+        out = _FractionQSeries(self.prec, (F(1),) + (F(0),) * (self.prec - 1))
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def to_json_obj(self):
+        return {"prec": self.prec, "coeffs": [str(x) for x in self.coeffs]}
 
 
 def _sparse_series(max_prec, max_abs):
@@ -183,6 +230,74 @@ def test_qs_pow_matches_repeated_oracle_products(a):
     for e in range(6):
         assert a.pow(e) == want
         want = _schoolbook_mul(want, a)
+
+
+def _assert_canonical(s):
+    """The storage invariant: one positive denominator in lowest terms."""
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.prec and all(type(n) is int for n in s.nums)
+    if s.is_zero():
+        assert s.den == 1
+    assert all(type(c) is F for c in s.coeffs)
+    assert s.nums == tuple(c.numerator * (s.den // c.denominator) for c in s.coeffs)
+
+
+_OPS = {
+    "add": lambda a, b, c, e: a + b,
+    "sub": lambda a, b, c, e: a - b,
+    "neg": lambda a, b, c, e: -a,
+    "mul": lambda a, b, c, e: a * b,
+    "derive": lambda a, b, c, e: a.derive(),
+    "scale": lambda a, b, c, e: a.scale(c),
+    "pow": lambda a, b, c, e: a.pow(e),
+    "truncate": lambda a, b, c, e: a.truncate(max(1, a.prec - e)),
+    "shift": lambda a, b, c, e: a.shift(e),
+}
+_COEFF_LISTS = st.lists(
+    st.one_of(st.just(F(0)), st.builds(F, st.integers(-10**6, 10**6),
+                                       st.sampled_from((1, 2, 3, 7, 144, 691)))),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_OPS)), _COEFF_LISTS, _COEFF_LISTS,
+       st.one_of(st.just(F(0)), _RATIONALS), st.integers(0, 4))
+@example("mul", [F(0)] * 6, [F(1, 2)] * 6, F(1), 0)  # the zero series
+@example("scale", [F(1, 3), F(2)], [F(1)], F(0), 0)  # zero scale
+@example("add", [F(1, 2)], [F(1, 3)], F(1), 0)  # prec 1
+@example("add", [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)], F(1), 0)  # denominators cancel to 1
+@example("sub", [F(1, 7)] * 5, [F(1, 7), F(-1, 7), F(0)], F(1), 0)  # min(prec) is 3
+@example("derive", [F(5), F(1, 2), F(1, 4)], [F(1)], F(1), 0)  # 1/2 and 2/4 become integers
+@example("truncate", [F(1), F(1, 691)], [F(1)], F(1), 1)  # the denominator leaves with q^1
+def test_qs_kernels_match_fraction_tuple_oracle(op, xs, ys, c, e):
+    a, b = QSeries(len(xs), tuple(xs)), QSeries(len(ys), tuple(ys))
+    for s in (a, b):
+        _assert_canonical(s)
+    got = _OPS[op](a, b, c, e)
+    want = _OPS[op](_FractionQSeries(len(xs), tuple(xs)), _FractionQSeries(len(ys), tuple(ys)), c, e)
+    assert got.prec == want.prec and got.coeffs == want.coeffs
+    _assert_canonical(got)
+    assert got.to_json_obj() == want.to_json_obj()
+    back = QSeries.from_json_obj(json.loads(json.dumps(got.to_json_obj())))
+    assert back == got and hash(back) == hash(got)
+    rebuilt = QSeries(want.prec, want.coeffs)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_COEFF_LISTS, _COEFF_LISTS, _RATIONALS.filter(bool))
+def test_qs_equal_series_hash_equal_whatever_built_them(xs, ys, c):
+    a, b = QSeries(len(xs), tuple(xs)), QSeries(len(ys), tuple(ys))
+    for left, right in (
+        ((a * b).derive(), a.derive() * b + a * b.derive()),
+        (a.scale(c).scale(1 / c), a),
+        (a - a, QSeries.zero(a.prec)),
+        (a + b - b, a.truncate(min(a.prec, b.prec))),
+        ((a * b).shift(2).truncate(min(a.prec, b.prec) + 1), a.shift(1) * b.shift(1)),
+    ):
+        _assert_canonical(left)
+        _assert_canonical(right)
+        assert left == right and hash(left) == hash(right)
 
 
 def test_qs_min_prec_rule():

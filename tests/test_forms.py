@@ -53,6 +53,15 @@ def test_delta_expansion():
     assert ((e4 * e4 * e4).series - (e6 * e6).series).scale(F(1, 1728)) == d.series
 
 
+def test_delta_matches_product_of_series():
+    # the definition q prod_n (1 - q^n)^24 as QSeries products, factor by factor
+    for prec in (2, 3, 15, 30, 64):
+        euler = QSeries.one(prec - 1)
+        for n in range(1, prec - 1):
+            euler = euler * QSeries.from_coeffs([1] + [0] * (n - 1) + [-1], prec - 1)
+        assert delta(prec).series == euler.pow(24).shift(1)
+
+
 def test_discriminant_relation_across_precisions():
     for prec in (2, 5, 17, 64):
         e4, e6, d = eisenstein_form(4, prec), eisenstein_form(6, prec), delta(prec)
