@@ -15,7 +15,6 @@ from .forms import (
     eisenstein_form,
     eta_log_derivative,
     form_by_name,
-    graded_mul,
     phi_zagier,
     sigma,
 )
@@ -78,7 +77,6 @@ from .uniq import (
     isobaric_gcd,
     lowest_q_identity,
     p3_build,
-    p3_substitute_and_certify,
     rc_uniqueness_check,
 )
 

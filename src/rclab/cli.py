@@ -548,30 +548,25 @@ def cmd_rep(args: argparse.Namespace) -> int:
         else:
             print(f"casimir scalar at weight {w}: {obj['eigenvalue']} ({'ok' if ok else 'FAIL'})")
         return 0 if ok else 1
-    if args.rep_command == "kernel-dims":
-        rows = []
-        ok = True
-        for n in range(args.n_max + 1):
-            dim = len(rep.degree_slice(n))
-            ker = rep.triple_kernel_dim((4, 4, 6), n)
-            good = ker == n + 1 and dim == (n + 1) * (n + 2) // 2
-            ok = ok and good
-            rows.append({"n": n, "slice_dim": dim, "kernel_dim": ker, "ok": good})
-        obj = {"checks": rows, "ok": ok}
-        if args.json:
-            print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
-        else:
-            for r in rows:
-                print(f"n={r['n']}: slice {r['slice_dim']}, kernel {r['kernel_dim']}")
-        return 0 if ok else 1
-    print("unknown rep subcommand", file=sys.stderr)
-    return 2
+    # kernel-dims: argparse admits no other subcommand
+    rows = []
+    ok = True
+    for n in range(args.n_max + 1):
+        dim = len(rep.degree_slice(n))
+        ker = rep.triple_kernel_dim((4, 4, 6), n)
+        good = ker == n + 1 and dim == (n + 1) * (n + 2) // 2
+        ok = ok and good
+        rows.append({"n": n, "slice_dim": dim, "kernel_dim": ker, "ok": good})
+    obj = {"checks": rows, "ok": ok}
+    if args.json:
+        print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+    else:
+        for r in rows:
+            print(f"n={r['n']}: slice {r['slice_dim']}, kernel {r['kernel_dim']}")
+    return 0 if ok else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.solve_command != "an":
-        print("unknown solve subcommand", file=sys.stderr)
-        return 2
     c = rat(args.c)
     n = args.n
     known = coeffsolve.chain_solve(c, n - 1, args.grid + 1)

@@ -323,7 +323,7 @@ def _pack(nums: Sequence[int], nbytes: int) -> int:
 class MPoly:
     """Sparse polynomial over an ordered tuple of named variables.
 
-    Terms map exponent vectors (one entry per variable) to nonzero Rat
+    Terms map exponent vectors (one entry >= 0 per variable) to nonzero Rat
     coefficients.  Adding polynomials with different variable tuples is an
     error; ``substitute`` may move into a superset variable list.
     """
@@ -339,6 +339,8 @@ class MPoly:
                 continue
             if len(exp) != len(self.vars):
                 raise ValueError(f"exponent vector {exp} does not match variables {self.vars}")
+            if exp and min(exp) < 0:
+                raise ValueError("exponents must be >= 0")
             clean[tuple(exp)] = c
         self.terms: dict[tuple[int, ...], Rat] = clean
 

@@ -188,10 +188,6 @@ class GradedForm:
         return " + ".join(f"[wt {w}] {self.parts[w].series}" for w in self.weights())
 
 
-def graded_mul(f: GradedForm, g: GradedForm) -> GradedForm:
-    return f * g
-
-
 def form_by_name(name: str, prec: int) -> ModularForm:
     """Small named catalogue used by the CLI and tests."""
     key = name.strip().lower()

@@ -12,6 +12,13 @@ The chain of facts certified here, at desk scale:
     series RC(F1, G1) = RC(F2, G2) forces F1 = C F2, G2 = C G1
     (rc_uniqueness_check, plus a seeded randomized search).
 
+The level-1 ring Q[E4, E6] is carried by MPoly, the one polynomial type:
+IsobaricPoly is an MPoly over the generators ("g4", "g6") that adds only its
+weight and its q-expansion (to_form).  Unique factorization in that ring is
+exercised by isobaric_gcd, a gcd on MPoly over any variables: a primitive
+pseudo-remainder sequence in the last variable, with contents taken one
+variable down.
+
 The search works in generator coordinates.  [., .]_n is bilinear, so each
 term [f, g]_n of a drawn pair is a sum of c_i d_j [m_i, m_j]_n over the
 generator monomials m = E4^a E6^b, and the monomial brackets are memoized per
@@ -324,32 +331,18 @@ def p3_certify_report() -> dict:
     }
 
 
-def p3_substitute_and_certify() -> tuple[bool, dict]:
-    rep = p3_certify_report()
-    return rep["substituted_all_positive"], rep
-
-
 # ---------------------------------------------------------------------------
 # Isobaric structure of the level-1 ring
 # ---------------------------------------------------------------------------
 
 
-class IsobaricPoly:
-    """Polynomial in the two ring generators g4, g6: terms (a, b) -> Rat."""
+class IsobaricPoly(MPoly):
+    """An MPoly over the two ring generators ("g4", "g6"): terms (a, b) -> Rat."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[tuple[int, int], RatLike] | None = None):
-        self.terms: dict[tuple[int, int], Rat] = {}
-        for (a, b), c in (terms or {}).items():
-            c = rat(c)
-            if c != 0:
-                if a < 0 or b < 0:
-                    raise ValueError("exponents must be >= 0")
-                self.terms[(a, b)] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        super().__init__(("g4", "g6"), terms)
 
     def weight(self) -> int | None:
         """Common weight 4a + 6b of the monomials, or None if mixed/zero."""
@@ -357,41 +350,6 @@ class IsobaricPoly:
         if len(ws) == 1:
             return next(iter(ws))
         return None
-
-    def __add__(self, other: IsobaricPoly) -> IsobaricPoly:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return IsobaricPoly(out)
-
-    def __sub__(self, other: IsobaricPoly) -> IsobaricPoly:
-        return self + other.scale(-1)
-
-    def scale(self, c: RatLike) -> IsobaricPoly:
-        c = rat(c)
-        return IsobaricPoly({k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: IsobaricPoly) -> IsobaricPoly:
-        out: dict[tuple[int, int], Rat] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return IsobaricPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IsobaricPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def to_form(self, prec: int) -> ModularForm:
         w = self.weight()
@@ -401,21 +359,6 @@ class IsobaricPoly:
         for (a, b), c in self.terms.items():
             total = total + _monomial(a, b, prec).scale(c)
         return ModularForm(w, total)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms):
-            factors = [str(self.terms[(a, b)])]
-            if a:
-                factors.append(f"g4^{a}" if a > 1 else "g4")
-            if b:
-                factors.append(f"g6^{b}" if b > 1 else "g6")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 @functools.lru_cache(maxsize=None)
@@ -467,139 +410,61 @@ def form_to_isobaric(f: ModularForm) -> IsobaricPoly:
     return out
 
 
-# -- gcd over the two-generator polynomial ring ------------------------------
-#
-# Univariate polynomials over Q are plain coefficient lists (lowest first);
-# the gcd in Q[g4, g6] is computed as a Euclidean gcd in g6 over the rational
-# function field Q(g4), then content-normalized back into the ring.
+# -- gcd over Q[vars] ---------------------------------------------------------
 
 
-def _upoly_trim(p: list[Rat]) -> list[Rat]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _monic(p: MPoly) -> MPoly:
+    """p scaled to lex-leading coefficient 1; zero stays zero."""
+    return p * (1 / p.terms[max(p.terms)]) if p.terms else p
 
 
-def _upoly_mul(p: list[Rat], q: list[Rat]) -> list[Rat]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _upoly_trim(out)
+def _lead(p: MPoly) -> tuple[int, MPoly]:
+    """Degree of nonzero p in its last variable, and the coefficient of that power."""
+    d = max(e[-1] for e in p.terms)
+    return d, MPoly(p.vars, {e[:-1] + (0,): c for e, c in p.terms.items() if e[-1] == d})
 
 
-def _upoly_divmod(p: list[Rat], q: list[Rat]) -> tuple[list[Rat], list[Rat]]:
-    if not q:
-        raise ZeroDivisionError
-    p = list(p)
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        c = p[-1] / q[-1]
-        d = len(p) - len(q)
-        out[d] = c
-        for i, b in enumerate(q):
-            p[d + i] -= c * b
-        _upoly_trim(p)
-        if not p:
-            break
-    return _upoly_trim(out), p
+def _primitive(p: MPoly) -> tuple[MPoly, MPoly]:
+    """(content, primitive part) of nonzero p as a polynomial in its last variable.
+
+    The content is the gcd of the coefficients, one variable down.
+    """
+    coeffs: dict[int, dict[tuple[int, ...], Rat]] = {}
+    for e, c in p.terms.items():
+        coeffs.setdefault(e[-1], {})[e[:-1]] = c
+    content = functools.reduce(isobaric_gcd, (MPoly(p.vars[:-1], t) for t in coeffs.values()))
+    return content, p.div_exact(_lift(content, p.vars))
 
 
-def _upoly_gcd(p: list[Rat], q: list[Rat]) -> list[Rat]:
-    p, q = list(p), list(q)
-    while q:
-        p, q = q, _upoly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
+def _lift(c: MPoly, vars: tuple[str, ...]) -> MPoly:
+    """c, a polynomial in vars[:-1], as a polynomial in vars."""
+    return MPoly(vars, {e + (0,): v for e, v in c.terms.items()})
 
 
-def isobaric_gcd(p: IsobaricPoly, q: IsobaricPoly) -> IsobaricPoly:
-    """Gcd in the two-generator ring, normalized to lex leading coefficient 1."""
+def isobaric_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """Gcd in Q[vars], normalized to lex-leading coefficient 1; gcd(0, 0) = 0.
+
+    The level-1 ring is Q[g4, g6] (IsobaricPoly).  The gcd is a primitive
+    pseudo-remainder sequence in the last variable, times the gcd of the two
+    contents, which this function computes one variable down.
+    """
+    p._check(q)
     if p.is_zero() or q.is_zero():
-        base = q if p.is_zero() else p
-        if base.is_zero():
-            return IsobaricPoly({})
-        lead = max(base.terms)
-        return base.scale(1 / base.terms[lead])
-    # monomial content: the generators are primes of the ring
-    a_min = min(min(a for a, _ in r.terms) for r in (p, q))
-    b_min = min(min(b for _, b in r.terms) for r in (p, q))
-
-    def strip(r: IsobaricPoly) -> dict[int, list[Rat]]:
-        ra = min(a for a, _ in r.terms)
-        rb = min(b for _, b in r.terms)
-        cols: dict[int, list[Rat]] = {}
-        for (a, b), c in r.terms.items():
-            col = cols.setdefault(b - rb, [])
-            while len(col) <= a - ra:
-                col.append(Fraction(0))
-            col[a - ra] = c
-        return cols
-
-    def as_g6_poly(cols: dict[int, list[Rat]]) -> list[list[Rat]]:
-        deg = max(cols)
-        return [_upoly_trim(list(cols.get(b, []))) for b in range(deg + 1)]
-
-    pp = as_g6_poly(strip(p))
-    qq = as_g6_poly(strip(q))
-
-    # Euclid in g6 over Q(g4), fraction-free via pseudo-division
-    def content(poly: list[list[Rat]]) -> list[Rat]:
-        g: list[Rat] = []
-        for c in poly:
-            if c:
-                g = _upoly_gcd(g, c) if g else [ci / c[-1] for ci in c]
-        return g or [Fraction(1)]
-
-    def primitive(poly: list[list[Rat]]) -> list[list[Rat]]:
-        g = content(poly)
-        return [(_upoly_divmod(c, g)[0] if c else []) for c in poly]
-
-    def trim2(poly: list[list[Rat]]) -> list[list[Rat]]:
-        while poly and not poly[-1]:
-            poly.pop()
-        return poly
-
-    a, b = trim2(primitive(pp)), trim2(primitive(qq))
-    while b:
-        # pseudo-remainder: multiply a by lead(b)^(deg gap + 1) then reduce
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            a, b = b, a
-            continue
-        lead_b = b[-1]
-        scaled = [_upoly_mul(c, lead_b) for c in a]
-        c_top = a[-1]
-        shift = da - db
-        sub = [[] for _ in range(shift)] + [_upoly_mul(c, c_top) for c in b]
-        rem = []
-        for i in range(max(len(scaled), len(sub))):
-            x = scaled[i] if i < len(scaled) else []
-            y = sub[i] if i < len(sub) else []
-            n = max(len(x), len(y))
-            xi = list(x) + [Fraction(0)] * (n - len(x))
-            for j in range(len(y)):
-                xi[j] -= y[j]
-            rem.append(_upoly_trim(xi))
-        rem = trim2(rem)
-        a, b = b, trim2(primitive(rem)) if rem else []
-    g_cols = a
-    out_terms: dict[tuple[int, int], Rat] = {}
-    for bdeg, col in enumerate(g_cols):
-        for adeg, c in enumerate(col):
-            if c != 0:
-                out_terms[(adeg + a_min, bdeg + b_min)] = c
-    out = IsobaricPoly(out_terms)
-    if out.is_zero():
-        return out
-    lead = max(out.terms)
-    return out.scale(1 / out.terms[lead])
+        return _monic(q if p.is_zero() else p)
+    if not p.vars:
+        return MPoly.const((), 1)
+    (cp, a), (cq, b) = _primitive(p), _primitive(q)
+    if _lead(a)[0] < _lead(b)[0]:
+        a, b = b, a
+    x = MPoly.var(p.vars, p.vars[-1])
+    while not b.is_zero():
+        db, lb = _lead(b)
+        r = a
+        while not r.is_zero() and _lead(r)[0] >= db:
+            dr, lr = _lead(r)
+            r = lb * r - lr * x.pow(dr - db) * b
+        a, b = b, (r if r.is_zero() else _primitive(r)[1])
+    return _monic(a * _lift(isobaric_gcd(cp, cq), p.vars))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +533,7 @@ def _random_coords(rng: random.Random) -> IsobaricPoly:
     return IsobaricPoly(coeffs)
 
 
-def _graded(p: IsobaricPoly, prec: int) -> GradedForm:
+def _graded(p: MPoly, prec: int) -> GradedForm:
     """The graded form with generator coordinates p, one part per weight."""
     parts: dict[int, dict[tuple[int, int], Rat]] = {}
     for (a, b), c in p.terms.items():
@@ -685,7 +550,7 @@ def _monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: in
     return rc_bracket(f, g, n).series
 
 
-def _bracket_term(f: IsobaricPoly, g: IsobaricPoly, n: int, prec: int) -> GradedForm:
+def _bracket_term(f: MPoly, g: MPoly, n: int, prec: int) -> GradedForm:
     """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).term(n).
 
     By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
@@ -718,7 +583,7 @@ def random_uniqueness_search(seeds: int, order: int = 3, prec: int = 15, seed0: 
         f1, g1 = _random_coords(rng), _random_coords(rng)
         if i % 3 == 0:
             c = Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1))
-            f2, g2 = f1.scale(1 / c), g1.scale(c)
+            f2, g2 = f1 * (1 / c), g1 * c
         else:
             f2, g2 = _random_coords(rng), _random_coords(rng)
         if any(

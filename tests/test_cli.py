@@ -207,6 +207,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["rep", "kernel-dims", "--n-max", "-1"],
         ["rep", "casimir", "--weight", "4", "--n-max", "-1"],
         ["rep", "casimir", "--weight", "3"],
+        ["rep", "foo"],
+        ["solve", "bar"],
         ["verify", "canonical", "--n-max", "-1"],
         ["verify", "canonical", "--n-max", "0"],
         ["verify", "canonical", "--n-max", "1"],

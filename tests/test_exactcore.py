@@ -449,6 +449,14 @@ def test_mpoly_json_roundtrip():
     assert MPoly.from_json_obj(vars, obj) == p
 
 
+def test_mpoly_rejects_negative_exponents():
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        MPoly.from_json_obj(("x",), [{"exp": [-1], "c": "1"}])
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        MPoly(("x", "y"), {(2, -3): F(1, 2)})
+    assert MPoly(("x",), {(-1,): 0}).is_zero()  # zero terms are dropped unchecked
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_mpolys(max_terms=8, max_exp=5))
 def test_mpoly_json_round_trips(p):

@@ -11,7 +11,6 @@ from rclab.forms import (
     eisenstein_form,
     eta_log_derivative,
     form_by_name,
-    graded_mul,
     phi_zagier,
     sigma,
 )
@@ -99,11 +98,11 @@ def test_graded_form_mul():
     e6 = eisenstein_form(6, prec)
     one = GradedForm.from_form(ModularForm(0, QSeries.one(prec)))
     f = GradedForm.from_form(e4)
-    assert graded_mul(f, one) == f
-    sq = graded_mul(f, f)
+    assert f * one == f
+    sq = f * f
     assert sq.weights() == [8]
     assert sq.parts[8].series == (e4 * e4).series
-    mixed = graded_mul(GradedForm.from_form(e4) + GradedForm.from_form(e6), f)
+    mixed = (GradedForm.from_form(e4) + GradedForm.from_form(e6)) * f
     assert mixed.weights() == [8, 10]
     assert mixed.parts[8].series == (e4 * e4).series
     assert mixed.parts[10].series == (e6 * e4).series

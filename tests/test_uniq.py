@@ -24,7 +24,7 @@ from rclab.uniq import (
     p3_build,
     p3_reference_inner,
     p3_reference_substituted,
-    p3_substitute_and_certify,
+    p3_certify_report,
     p3_substituted,
     random_uniqueness_search,
     rc_uniqueness_check,
@@ -141,8 +141,8 @@ def test_p3_substituted_positive_and_spot_values():
 
 
 def test_p3_certify_report():
-    ok, rep = p3_substitute_and_certify()
-    assert ok
+    rep = p3_certify_report()
+    assert rep["substituted_all_positive"] and rep["positivity_witness"] is None
     assert rep["coeff_k5_l"] == 48
     assert rep["coeff_l2_m8"] == 1536
     assert len(rep["inner_diff"]) == 0
@@ -228,6 +228,47 @@ def test_isobaric_gcd():
     assert isobaric_gcd(p, p) == IsobaricPoly({(3, 0): 1, (0, 2): -1})
     u = g4 * g4 * g4 - g6 * g6
     assert isobaric_gcd(u * g4, u * g6) == IsobaricPoly({(3, 0): 1, (0, 2): -1})
+    # a common factor free of g6, in mixed weights
+    v = g4 * g4 + 1
+    assert isobaric_gcd(g6 * v, (g6 * g6 + g4) * v) == v
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        IsobaricPoly({(-1, 2): 1})
+
+
+_GCD_COEFFS = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3, 2), F(5, 7)])
+
+
+@st.composite
+def _gcd_operands(draw, homogeneous):
+    """An IsobaricPoly of one drawn weight, or with free (mixed-weight) terms."""
+    if homogeneous:
+        basis = weight_basis(draw(st.sampled_from([0, 4, 6, 8, 10, 12, 14, 16, 18, 24])))
+    else:
+        da, db = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        basis = [(a, b) for a in range(da + 1) for b in range(db + 1)]
+    return IsobaricPoly({ab: draw(_GCD_COEFFS) for ab in basis})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.booleans().flatmap(lambda h: st.tuples(*[_gcd_operands(h)] * 3)))
+def test_isobaric_gcd_matches_sympy(upq):
+    sympy = pytest.importorskip("sympy")
+    u, p, q = upq
+    g4, g6 = sympy.symbols("g4 g6")
+
+    def expr(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * g4**a * g6**b
+                   for (a, b), c in poly.terms.items())
+
+    got = isobaric_gcd(u * p, u * q)
+    want = sympy.gcd(expr(u * p), expr(u * q))
+    if want == 0:
+        assert got.is_zero()
+    else:
+        # equal up to a nonzero constant
+        ratio = sympy.cancel(expr(got) / want)
+        assert ratio.is_Number and ratio != 0
+        assert got.terms[max(got.terms)] == 1
 
 
 def test_uniqueness_check_recovers_constant(catalogue):
