@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coeffsolve, forms, nearlyholo, rep, starprod, uniq
-from .exactcore import rat
+from .exactcore import pochhammer, rat
 from .forms import GradedForm, form_by_name
 
 
@@ -123,9 +123,14 @@ def _jsonify(obj):
     return obj
 
 
+def _print_json(obj) -> None:
+    """One compact line with sorted keys: the form every byte-identity guarantee pins."""
+    print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+
+
 def emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_jsonify(report), sort_keys=True, separators=(",", ":")))
+        _print_json(report)
         return
     print(f"# {report['command']}")
     for c in report["checks"]:
@@ -161,9 +166,12 @@ def suite_forms(s: Suite) -> None:
     s.check("forms/phi-normalization", phi.series.scale(144) == e4.series, {"prec": prec})
 
 
-def suite_canonical(s: Suite, n_max: int | None = None, phi_sign: str = "both") -> None:
+def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both") -> None:
+    if n_max < 2:
+        # the quoted +E4/144 element first differs at degree 2: a shorter run
+        # cannot reproduce the mismatch and would report a false FAIL
+        raise UsageError(f"--n-max must be >= 2 for the canonical suite, got {n_max}")
     prec = max(s.cfg.prec, 12)
-    n_max = n_max if n_max is not None else 6
     cat = _catalogue(prec)
     pairs = [("E4", "E6"), ("E4", "Delta"), ("E6", "Delta")]
     phi_plus = forms.phi_zagier(prec)
@@ -208,12 +216,12 @@ def suite_combi(s: Suite, n_max: int = 5) -> None:
         s.check(f"combi/holomorphic-and-equal/{a}-{b}", ok, {"n_max": n_max, "prec": prec})
 
 
-def suite_der(s: Suite, m_max: int = 5) -> None:
+def suite_der(s: Suite, n_max: int = 5) -> None:
     prec = max(s.cfg.prec, 12)
     cat = _catalogue(prec)
     for name, f in cat.items():
-        ok = all(nearlyholo.verify_der_identity(f, m) for m in range(m_max + 1))
-        s.check(f"der/{name}", ok, {"m_max": m_max, "prec": prec})
+        ok = all(nearlyholo.verify_der_identity(f, m) for m in range(n_max + 1))
+        s.check(f"der/{name}", ok, {"m_max": n_max, "prec": prec})
 
 
 def suite_casimir(s: Suite, n_max: int = 10) -> None:
@@ -236,8 +244,6 @@ def suite_propasso(s: Suite, n_kernel: int = 8, n_realize: int = 4) -> None:
         for y in (4, 6, 12)
     )
     s.check("propasso/tensor-kernel", ok, {"n_max": n_kernel})
-    from .exactcore import pochhammer
-
     f, g = cat["E4"], cat["E6"]
     ok = True
     for n in range(n_realize + 1):
@@ -278,26 +284,29 @@ def suite_triple(s: Suite, n_max: int = 8, xi_n_max: int = 3) -> None:
         s.check(f"triple/xi-kernel/{'-'.join(names)}", ok, {"n_max": xi_n_max, "prec": prec})
 
 
+def _ident_residuals(table: coeffsolve.ATable, n: int, grid: int) -> list:
+    """ident_residual at level n for every p <= n and k, l, m in 1..grid."""
+    ks = range(1, grid + 1)
+    return [
+        starprod.ident_residual(table, k, l, m, n, p)
+        for p in range(n + 1)
+        for k in ks
+        for l in ks
+        for m in ks
+    ]
+
+
 def suite_ident(s: Suite, n_max: int = 5, grid: int | None = None) -> None:
     grid = grid if grid is not None else s.cfg.grid_bound
     for kap_s in s.cfg.kappa_samples:
-        kap = rat(kap_s)
-        table = coeffsolve.ATable.from_kappa(kap, n_max, 4 * grid + 2 * n_max)
-        bad = 0
-        count = 0
-        for n in range(n_max + 1):
-            for p in range(n + 1):
-                for k in range(1, grid + 1):
-                    for l in range(1, grid + 1):
-                        for m in range(1, grid + 1):
-                            count += 1
-                            if starprod.ident_residual(table, k, l, m, n, p) != 0:
-                                bad += 1
+        table = coeffsolve.ATable.from_kappa(rat(kap_s), n_max, 4 * grid + 2 * n_max)
+        res = [r for n in range(n_max + 1) for r in _ident_residuals(table, n, grid)]
+        bad = sum(r != 0 for r in res)
         s.check(
             f"ident/kappa-{kap_s.replace('/', 'over')}",
             bad == 0,
             {"n_max": n_max, "grid": grid},
-            checked=count,
+            checked=len(res),
             nonzero=bad,
         )
 
@@ -435,7 +444,8 @@ def suite_p3(s: Suite) -> None:
     )
 
 
-def suite_uniqueness(s: Suite, seeds: int = 200, order: int = 3, prec: int = 15) -> None:
+def suite_uniqueness(s: Suite, seeds: int = 200, order: int = 3) -> None:
+    prec = min(s.cfg.prec, 15)
     stats = uniq.random_uniqueness_search(seeds, order=order, prec=prec, seed0=s.cfg.seed)
     s.check(
         "uniqueness/no-counterexamples",
@@ -478,8 +488,7 @@ def _form(name: str, prec: int):
 def cmd_form(args: argparse.Namespace) -> int:
     f = _form(args.name, args.prec)
     if args.json:
-        obj = {"name": args.name, "weight": f.weight, "series": f.series.to_json_obj()}
-        print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+        _print_json({"name": args.name, "weight": f.weight, "series": f.series.to_json_obj()})
     else:
         print(f"{args.name} (weight {f.weight}): {f.series}")
     return 0
@@ -490,14 +499,13 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     g = _form(args.g, args.prec)
     b = nearlyholo.rc_bracket(f, g, args.n)
     if args.json:
-        obj = {
+        _print_json({
             "f": args.f,
             "g": args.g,
             "n": args.n,
             "weight": b.weight,
             "series": b.series.to_json_obj(),
-        }
-        print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+        })
     else:
         print(f"[{args.f}, {args.g}]_{args.n} (weight {b.weight}): {b.series}")
     return 0
@@ -518,15 +526,14 @@ def cmd_star(args: argparse.Namespace) -> int:
     g = GradedForm.from_form(_form(args.g, args.prec))
     series = starprod.star_product(f, g, coeffs, args.order)
     if args.json:
-        obj = {
+        _print_json({
             "f": args.f,
             "g": args.g,
             "kind": args.kind,
             "kappa": args.kappa,
             "order": args.order,
             "series": series.to_json_obj(),
-        }
-        print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+        })
     else:
         print(series)
     return 0
@@ -544,7 +551,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
             rows.append({"n": n, "scalar": str(rep.casimir_eigenvalue(w)), "ok": good})
         obj = {"weight": w, "eigenvalue": str(rep.casimir_eigenvalue(w)), "checks": rows, "ok": ok}
         if args.json:
-            print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+            _print_json(obj)
         else:
             print(f"casimir scalar at weight {w}: {obj['eigenvalue']} ({'ok' if ok else 'FAIL'})")
         return 0 if ok else 1
@@ -559,7 +566,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
         rows.append({"n": n, "slice_dim": dim, "kernel_dim": ker, "ok": good})
     obj = {"checks": rows, "ok": ok}
     if args.json:
-        print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+        _print_json(obj)
     else:
         for r in rows:
             print(f"n={r['n']}: slice {r['slice_dim']}, kernel {r['kernel_dim']}")
@@ -578,13 +585,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         table = known
         for (x, y), v in zip(sys_n.variables, res.solution):
             table.set(n, x, y, v)
-        residual_nonzero = 0
-        for p in range(n + 1):
-            for k in range(1, args.grid + 1):
-                for l in range(1, args.grid + 1):
-                    for m in range(1, args.grid + 1):
-                        if starprod.ident_residual(table, k, l, m, n, p) != 0:
-                            residual_nonzero += 1
+        residual_nonzero = sum(r != 0 for r in _ident_residuals(table, n, args.grid))
     kernel = None
     if res.consistent and 0 < res.nullity <= 3:
         kernel = [
@@ -612,7 +613,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "sample_values": samples,
     }
     if args.json:
-        print(json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":")))
+        _print_json(obj)
     else:
         print(obj)
     return 0 if res.consistent and not residual_nonzero else 1
@@ -620,48 +621,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 SUITE_ALIASES = {"cmz-unique": "solve-unique"}
 
+# Each suite flag of `verify`, and the suites that take it as a keyword of the
+# same name.  A flag left out of the command line leaves the suite's default.
+SUITE_FLAGS = {
+    "n_max": ("canonical", "combi", "der", "ident", "fine"),
+    "grid": ("ident", "solve-unique", "fine"),
+    "seeds": ("uniqueness",),
+    "order": ("uniqueness",),
+    "phi_sign": ("canonical",),
+    "printed": ("kappa-c",),
+}
+
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     if args.kappa is not None:
         cfg.kappa_samples = (args.kappa,)
     if args.kind is not None and args.kind != "cmz":
-        print(f"only cmz coefficient tables are verified here, not {args.kind!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"only cmz coefficient tables are verified here, not {args.kind!r}")
     which = SUITE_ALIASES.get(args.suite, args.suite)
-    names = list(SUITES) if which == "all" else [which]
-    if which != "all" and which not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or 'all'", file=sys.stderr)
-        return 2
-    if "canonical" in names and args.n_max is not None and args.n_max < 2:
-        # the quoted +E4/144 element first differs at degree 2: a shorter run
-        # cannot reproduce the mismatch and would report a false FAIL
-        raise UsageError(f"--n-max must be >= 2 for the canonical suite, got {args.n_max}")
+    given = {flag: v for flag, v in vars(args).items() if flag in SUITE_FLAGS}
     s = Suite(f"verify {args.suite}", cfg)
-    for name in names:
-        fn = SUITES[name]
-        if name == "canonical":
-            fn(s, n_max=args.n_max, phi_sign=args.phi_sign)
-        elif name == "combi":
-            fn(s, n_max=args.n_max if args.n_max is not None else 5)
-        elif name == "der":
-            fn(s, m_max=args.n_max if args.n_max is not None else 5)
-        elif name == "ident":
-            fn(s, n_max=args.n_max if args.n_max is not None else 5, grid=args.grid)
-        elif name == "uniqueness":
-            fn(s, seeds=args.seeds, order=args.order, prec=min(cfg.prec, 15))
-        elif name == "kappa-c":
-            fn(s, printed=args.printed)
-        elif name == "solve-unique":
-            fn(s, grid=args.grid if args.grid is not None else 6)
-        elif name == "fine":
-            fn(
-                s,
-                grid=args.grid if args.grid is not None else 5,
-                n_max=args.n_max if args.n_max is not None else 6,
-            )
-        else:
-            fn(s)
+    for name in SUITES if which == "all" else [which]:
+        SUITES[name](s, **{flag: v for flag, v in given.items() if name in SUITE_FLAGS[flag]})
     emit(s.report(), args.json)
     return 0 if s.ok() else 1
 
@@ -762,23 +744,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite")
+    p.add_argument("suite", choices=(*SUITES, *SUITE_ALIASES, "all"))
     p.add_argument("--config", default=None)
     p.add_argument("--prec", type=_int_at_least(2), default=None)
     p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=None)
     p.add_argument("--grid-bound", dest="grid_bound", type=_int_at_least(1), default=None)
-    p.add_argument("--grid", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--kappas", type=_rational_list, default=None,
                    help="comma-separated kappa sample list")
     p.add_argument("--kappa", type=_rational, default=None,
                    help="single kappa sample (overrides the list)")
     p.add_argument("--kind", default=None, help="coefficient kind for the ident suite (cmz)")
-    p.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=None)
-    p.add_argument("--seeds", type=_int_at_least(1), default=200)
-    p.add_argument("--order", type=_int_at_least(0), default=3)
-    p.add_argument("--phi-sign", dest="phi_sign", default="both", choices=("plus", "minus", "both"))
-    p.add_argument("--printed", action="store_true", help="assert the quoted kappa->c constant as-is")
+    # the SUITE_FLAGS: absent unless given, so each suite keeps its own default
+    unset = argparse.SUPPRESS
+    p.add_argument("--grid", type=_int_at_least(1), default=unset)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=unset)
+    p.add_argument("--seeds", type=_int_at_least(1), default=unset)
+    p.add_argument("--order", type=_int_at_least(0), default=unset)
+    p.add_argument("--phi-sign", dest="phi_sign", choices=("plus", "minus", "both"), default=unset)
+    p.add_argument("--printed", action="store_true", default=unset,
+                   help="assert the quoted kappa->c constant as-is")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

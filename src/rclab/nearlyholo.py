@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import QSeries, RatLike, binom, pochhammer, rat
-from .forms import ModularForm
+from .forms import ModularForm, eisenstein
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class NearlyHoloForm:
     @property
     def prec(self) -> int:
         return self.ypoly[0].prec
-
-    def y_degree(self) -> int:
-        return len(self.ypoly) - 1
 
     def is_holomorphic(self) -> bool:
         return len(self.ypoly) == 1
@@ -156,6 +153,16 @@ def dtil_power(f: ModularForm, r: int) -> NearlyHoloForm:
 # ---------------------------------------------------------------------------
 
 
+def _bracket_sum(n: int, x: int, y: int, a: list, b: list, zero):
+    """sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) a_r b_(n-r), accumulated onto zero."""
+    out = zero
+    for r in range(n + 1):
+        c = (-1) ** r * binom(n + x - 1, n - r) * binom(n + y - 1, r)
+        if c != 0:
+            out = out + (a[r] * b[n - r]).scale(c)
+    return out
+
+
 def rc_bracket(f: ModularForm, g: ModularForm, n: int) -> ModularForm:
     """Degree-n bracket from iterated q-derivatives.
 
@@ -171,18 +178,11 @@ def rc_bracket(f: ModularForm, g: ModularForm, n: int) -> ModularForm:
     for _ in range(n):
         df.append(df[-1].derive())
         dg.append(dg[-1].derive())
-    out = QSeries.zero(prec)
-    for r in range(n + 1):
-        c = (-1) ** r * binom(n + x - 1, n - r) * binom(n + y - 1, r)
-        if c != 0:
-            out = out + (df[r] * dg[n - r]).scale(c)
-    return ModularForm(x + y + 2 * n, out)
+    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, df, dg, QSeries.zero(prec)))
 
 
 def ramanujan_X(f: ModularForm) -> ModularForm:
     """The derivation Df - (weight/2) * (E2/6) * f, raising the weight by 2."""
-    from .forms import eisenstein
-
     k2 = Fraction(f.weight, 2)
     e2 = eisenstein(2, f.prec)
     series = f.series.derive() - (e2 * f.series).scale(k2 / 6)
@@ -216,12 +216,9 @@ def canonical_rc(f: ModularForm, g: ModularForm, n: int, phi: ModularForm) -> Mo
     fs = zagier_sequence(f, phi, n)
     gs = zagier_sequence(g, phi, n)
     prec = min(f.prec, g.prec, phi.prec)
-    out = QSeries.zero(prec)
-    for r in range(n + 1):
-        c = (-1) ** r * binom(n + x - 1, n - r) * binom(n + y - 1, r)
-        if c != 0:
-            out = out + (fs[r].series.truncate(prec) * gs[n - r].series.truncate(prec)).scale(c)
-    return ModularForm(x + y + 2 * n, out)
+    a = [fr.series.truncate(prec) for fr in fs]
+    b = [gr.series.truncate(prec) for gr in gs]
+    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, a, b, QSeries.zero(prec)))
 
 
 def verify_canonical_rc(
@@ -293,11 +290,7 @@ def combi_bracket(f: ModularForm, g: ModularForm, n: int) -> NearlyHoloForm:
     for _ in range(n):
         xf.append(shimura_X(xf[-1]))
         xg.append(shimura_X(xg[-1]))
-    out = NearlyHoloForm.zero(x + y + 2 * n, prec)
-    for r in range(n + 1):
-        c = (-1) ** r * binom(x + n - 1, n - r) * binom(y + n - 1, r)
-        if c != 0:
-            out = out + (xf[r] * xg[n - r]).scale(c)
+    out = _bracket_sum(n, x, y, xf, xg, NearlyHoloForm.zero(x + y + 2 * n, prec))
     if not out.is_holomorphic():
         raise AssertionError(f"combi bracket picked up Y-terms at n={n}")
     if out.ypoly[0] != rc_bracket(f, g, n).series.truncate(prec):

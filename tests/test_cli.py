@@ -156,6 +156,33 @@ def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
     assert rec["params"] == {"grid": 2, "n_max": checked}
 
 
+# each verify flag reaches the suite that takes it, as echoed in the record's params
+@pytest.mark.parametrize(
+    "argv,record,params",
+    [
+        ("der --n-max 1 --prec 12", "der/E4", {"m_max": 1, "prec": 12}),
+        ("combi --n-max 1 --prec 8", "combi/holomorphic-and-equal/E4-E6", {"n_max": 1, "prec": 8}),
+        ("canonical --n-max 2 --prec 12", "canonical/corrected-element/E4-E6",
+         {"n_max": 2, "prec": 12, "phi": "-E4/144"}),
+        ("ident --n-max 1 --grid-bound 2 --kappa 1/2", "ident/kappa-1over2", {"n_max": 1, "grid": 2}),
+        ("ident --n-max 0 --grid 3 --kappa 1/2", "ident/kappa-1over2", {"n_max": 0, "grid": 3}),
+        ("fine --n-max 4 --grid 2 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 4, "grid": 2}),
+        ("fine --grid 3 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 6, "grid": 3}),
+        ("solve-unique --grid 2", "solve/level3-unique", {"grid": 2}),
+        ("cmz-unique --grid 2", "solve/level3-unique", {"grid": 2}),
+        ("uniqueness --seeds 3 --order 2 --prec 12", "uniqueness/no-counterexamples",
+         {"seeds": 3, "order": 2, "prec": 12}),
+        ("uniqueness --seeds 3 --prec 40", "uniqueness/no-counterexamples",
+         {"seeds": 3, "order": 3, "prec": 15}),
+    ],
+)
+def test_verify_flags_reach_their_suite(capsys, argv, record, params):
+    code, out = run(capsys, "verify", *argv.split(), "--json")
+    (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == record]
+    assert rec["params"] == params
+    assert code == 0
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_solve_on_grid_one_reports_only_solved_samples(capsys, n):
     # the grid-1 system solves no A_n(x, 6) and no A_n(4, 4) at level n >= 3
@@ -168,17 +195,15 @@ def test_solve_on_grid_one_reports_only_solved_samples(capsys, n):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus-command"])
-    assert exc.value.code == 2
-    code, _ = run(capsys, "verify", "not-a-suite")
-    assert code == 2
     (tmp_path / "prec.cfg").write_text("prec =\n")
     (tmp_path / "key.cfg").write_text("colour = red\n")
     (tmp_path / "kappa.cfg").write_text("kappa_samples = 1/0\n")
     (tmp_path / "grid.cfg").write_text("grid_bound = 0\n")
     (tmp_path / "empty.cfg").write_text("kappa_samples =\n")
     for argv in (
+        ["bogus-command"],
+        ["verify", "not-a-suite"],
+        ["verify", "ident", "--kind", "moyal"],
         ["form", "E4", "--prec", "0"],
         ["bracket", "--f", "E4", "--g", "E6", "--n", "1", "--prec", "0"],
         ["verify", "forms", "--prec", "1"],
