@@ -20,8 +20,9 @@ The coefficients of a level-n identity system come only from
 ident_coefficients, so its matrix does not depend on the lower-level table;
 only the right-hand side does.  One eliminator (eliminate) reduces a matrix
 once for any number of right-hand-side columns: solve is its one-column case,
-and chain_solve_many walks several c values through the chain with one
-elimination per level, computing each row's columns as the row is eliminated.
+and level_echelon eliminates a level-n system once for any number of tables
+(chain_solve_many, solved_table and `rc-lab solve an` all go through it),
+computing each row's columns as the row is eliminated.
 The eliminator is a fraction-free Gauss-Jordan over Python ints: rows are
 scaled to integers, every stored pivot row is kept fully reduced and
 primitive (content divided out), and Fractions are built only at the end,
@@ -155,30 +156,27 @@ def induced_c_from_kappa(kappa: RatLike) -> Rat:
 def kappa_c_report(kappa: RatLike, grid_bound: int = 4) -> dict:
     """Cross-check the quoted kappa -> c constant against the induced values.
 
-    Fits the kernel coordinate of the gauge-normalized induced A_2 on the
-    grid, checks it is constant, and compares the quoted constant's family
-    member against the induced values.  Nothing is auto-corrected; the
-    mismatch (present for every kappa) is returned as data.
+    Fits the kernel coordinate c of the gauge-normalized induced A_2 against
+    a2_family_assoc on the grid, checks it is constant, and compares the
+    quoted constant with the fitted one in that coordinate.  Nothing is
+    auto-corrected; the mismatch (present for every rational kappa, since
+    5 kappa^2 - 12 kappa + 6 has no rational root) is returned as data.
     """
     kappa = rat(kappa)
     c_quoted = kappa_to_c(kappa)
-    quoted_member = a2_family(c_quoted)
     table = ATable.from_kappa(kappa, 2, grid_bound)
-    fits = set()
-    quoted_matches = True
-    for k in range(1, grid_bound + 1):
-        for l in range(1, grid_bound + 1):
-            x, y = 2 * k, 2 * l
-            a2 = table.get(2, x, y)
-            fits.add((a2 - pochhammer(x, 2) * pochhammer(y, 2)) * (x + y + 1) / (x * y))
-            if quoted_member(x, y) != a2:
-                quoted_matches = False
+    base, unit = a2_family_assoc(0), a2_family_assoc(1)
+    fits = {
+        (table.get(2, x, y) - base(x, y)) / (unit(x, y) - base(x, y))
+        for x in range(2, 2 * grid_bound + 1, 2)
+        for y in range(2, 2 * grid_bound + 1, 2)
+    }
     fit_consistent = len(fits) == 1
     c_fit = next(iter(fits)) if fit_consistent else None
     return {
         "kappa": kappa,
         "c_quoted": c_quoted,
-        "quoted_family_matches_induced": quoted_matches,
+        "quoted_family_matches_induced": c_quoted == c_fit,
         "c_fit": c_fit,
         "fit_consistent": fit_consistent,
         "c_fit_formula": induced_c_from_kappa(kappa),
@@ -415,7 +413,19 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     return sys
 
 
-def _extended(
+def level_echelon(n: int, grid_bound: int, tables: Sequence[ATable]) -> tuple[list[Pair], Echelon]:
+    """The level-n identity system on the grid, eliminated once for all tables.
+
+    Returns the sorted level-n pairs the rows touch (the column keys) and the
+    echelon, with one right-hand-side column per table.  Every row is built
+    and eliminated in one pass, without staging the system.
+    """
+    pairs: set[Pair] = set()
+    ech = eliminate(_ident_rows(n, grid_bound, tables, pairs), len(tables))
+    return sorted(pairs), ech
+
+
+def extended(
     known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult, require_unique: bool = True
 ) -> ATable:
     """`known` plus the level-n solution over `pairs`; raises unless it is one."""
@@ -439,17 +449,16 @@ def solved_table(
     n: int, grid_bound: int, known: ATable, require_unique: bool = True
 ) -> tuple[ATable, SolveResult]:
     """Solve the level-n system and return `known` extended with the solution."""
-    sys = build_ident_system(n, grid_bound, known)
-    res = solve(sys)
-    return _extended(known, n, sys.variables, res, require_unique), res
+    pairs, ech = level_echelon(n, grid_bound, [known])
+    res = ech.result(pairs)
+    return extended(known, n, pairs, res, require_unique), res
 
 
 def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) -> list[ATable]:
     """chain_solve for every c in cs, eliminating each level's matrix once.
 
-    The level-j matrix does not depend on c, so each level is one elimination
-    whose right-hand-side columns are the c values' tables; every row is
-    built and eliminated in one pass, without staging the system.
+    The level-j matrix does not depend on c, so each level is one
+    level_echelon whose right-hand-side columns are the c values' tables.
     """
     base_bound = final_grid + max(0, upto_n - 2)
 
@@ -465,10 +474,8 @@ def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) ->
 
     tables = [base(c) for c in cs]
     for j in range(3, upto_n + 1):
-        pairs: set[Pair] = set()
-        ech = eliminate(_ident_rows(j, final_grid + (upto_n - j), tables, pairs), len(tables))
-        keys = sorted(pairs)
-        tables = [_extended(t, j, keys, ech.result(keys, i)) for i, t in enumerate(tables)]
+        keys, ech = level_echelon(j, final_grid + (upto_n - j), tables)
+        tables = [extended(t, j, keys, ech.result(keys, i)) for i, t in enumerate(tables)]
     return tables
 
 

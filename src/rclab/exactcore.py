@@ -369,6 +369,10 @@ class MPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    def _like(self, terms: Mapping[tuple[int, ...], RatLike]) -> MPoly:
+        """A polynomial of this one's type over its variables; ring results go through it."""
+        return MPoly(self.vars, terms)
+
     def _check(self, other: MPoly) -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -384,12 +388,12 @@ class MPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return MPoly(self.vars, out)
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: MPoly | RatLike) -> MPoly:
         if not isinstance(other, MPoly):
@@ -397,12 +401,12 @@ class MPoly:
         return self + (-other)
 
     def __rsub__(self, other: RatLike) -> MPoly:
-        return MPoly.const(self.vars, other) - self
+        return -self + other
 
     def __mul__(self, other: MPoly | RatLike) -> MPoly:
         if not isinstance(other, MPoly):
             c = rat(other)
-            return MPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+            return self._like({e: c * v for e, v in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], Rat] = {}
         for e1, c1 in self.terms.items():
@@ -413,14 +417,14 @@ class MPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MPoly(self.vars, out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def pow(self, e: int) -> MPoly:
         if e < 0:
             raise ValueError("negative powers are not defined")
-        out = MPoly.const(self.vars, 1)
+        out = self._like({(0,) * len(self.vars): 1})
         base = self
         while e:
             if e & 1:

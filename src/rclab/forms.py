@@ -137,14 +137,8 @@ class GradedForm:
     def weights(self) -> list[int]:
         return sorted(self.parts)
 
-    def part(self, w: int) -> ModularForm | None:
-        return self.parts.get(w)
-
     def is_zero(self) -> bool:
         return not self.parts
-
-    def prec(self) -> int | None:
-        return min((f.prec for f in self.parts.values()), default=None)
 
     def __add__(self, other: GradedForm) -> GradedForm:
         out = dict(self.parts)

@@ -14,6 +14,7 @@ module a finite exact computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -255,17 +256,11 @@ def verify_der_identity(f: ModularForm, m: int) -> bool:
     rhs = NearlyHoloForm.zero(w + 2 * m, prec)
     for r in range(m + 1):
         term = shimura_pow(base, m - r)
-        coeff = Fraction(1)
-        for i in range(m - r):
-            coeff /= i + 1
-        coeff *= binom(w + m - 1, r)
+        coeff = binom(w + m - 1, r) / math.factorial(m - r)
         # multiply by Y^r: shift the Y-polynomial up by r
         shifted = [QSeries.zero(prec)] * r + [s for s in term.ypoly]
         rhs = rhs + NearlyHoloForm.make(w + 2 * m, shifted).scale(coeff)
-    fact = 1
-    for i in range(1, m + 1):
-        fact *= i
-    rhs = rhs.scale(fact)
+    rhs = rhs.scale(math.factorial(m))
     dm = f.series
     for _ in range(m):
         dm = dm.derive()

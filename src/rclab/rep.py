@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .coeffsolve import LinSystem, solve
+from .coeffsolve import eliminate
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
 from .forms import ModularForm
 from .nearlyholo import NearlyHoloForm, dtil_power, lower as nh_lower, shimura_pow
@@ -179,12 +179,9 @@ def triple_kernel_dim(weights: tuple[int, int, int], n: int) -> int:
     """Nullity of act_lower on the hbar-degree-n slice, by exact elimination."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    dom, cod = degree_slice(n), degree_slice(n - 1)
-    index = {key: i for i, key in enumerate(cod)}
-    image = LinSystem(cod)
-    for key in dom:
-        image.add_row({index[k]: c for k, c in act_lower(Vector.basis(weights, key)).support}, 0)
-    return len(dom) - solve(image).rank
+    dom = degree_slice(n)
+    rows = ((act_lower(Vector.basis(weights, key)).as_dict(), (0,)) for key in dom)
+    return len(dom) - len(eliminate(rows, 1).pivots)
 
 
 def triple_preimage(target: tuple[int, int, int]) -> Vector:

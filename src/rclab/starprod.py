@@ -18,7 +18,8 @@ ways of bracketing a triple product; ident_coefficients is their one
 definition, shared by ident_residual and the coefficient solver.  The version
 implemented carries the multinomial factors C(n, r), C(n, s) on the interior
 terms; free_assoc_residual expands both bracketings completely in the free
-triple-product model and is the independent oracle for that reduction.
+triple-product model (rclab.rep vectors) and is the independent oracle for
+that reduction.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import rep
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
 from .forms import GradedForm
 from .nearlyholo import rc_bracket
@@ -120,10 +122,6 @@ class HbarSeries:
         if len(terms) != order + 1:
             raise ValueError("need exactly order+1 terms")
         return HbarSeries(order, tuple(terms))
-
-    @staticmethod
-    def zero(order: int) -> HbarSeries:
-        return HbarSeries(order, tuple(GradedForm.zero() for _ in range(order + 1)))
 
     @staticmethod
     def from_graded(f: GradedForm, order: int) -> HbarSeries:
@@ -274,33 +272,40 @@ def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _pair_star_free(x: int, y: int, coeffs: StarCoefficients, order: int) -> dict[int, dict[tuple[int, int], Rat]]:
-    """f*g in the free pair model: level n -> {(a, b): coeff of dtil^a f dtil^b g}."""
-    out: dict[int, dict[tuple[int, int], Rat]] = {}
-    for n in range(order + 1):
-        c = coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n)
-        fact = Fraction(1)
-        for i in range(1, n + 1):
-            fact /= i
-        level: dict[tuple[int, int], Rat] = {}
-        for r in range(n + 1):
-            v = c * fact * (-1) ** r * binom(n, r)
-            if v != 0:
-                level[(r, n - r)] = v
-        out[n] = level
-    return out
+def _pair_level(x: int, y: int, n: int, coeffs: StarCoefficients) -> rep.Vector:
+    """Level n of the pair star product, coefficient(n, x, y) [f, g]_n, in the dtil basis."""
+    c = coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n)
+    return rep.lowest_weight_tensor(x, y, n).scale(c)
 
 
-def _raise_pair(level: dict[tuple[int, int], Rat], x: int, y: int) -> dict[tuple[int, int], Rat]:
-    out: dict[tuple[int, int], Rat] = {}
-    for (a, b), c in level.items():
-        for key, w in (((a + 1, b), x + a), ((a, b + 1), y + b)):
-            v = out.get(key, Fraction(0)) + c * w
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
+def _free_bracketing(
+    weights: tuple[int, int, int], coeffs: StarCoefficients, order: int, inner_left: bool
+) -> rep.Vector:
+    """(f*g)*h (inner_left) or f*(g*h) in the free triple model, in the dtil basis.
+
+    Each level of the inner pair is a lowest-weight vector of weight
+    w = (its two weights) + 2 n1; the outer bracket's term dtil^s of it is
+    act_raise applied s times, divided by (w)_s.  The hbar-degree of a key
+    (a, b, c) is a + b + c.
+    """
+    x, y, z = weights
+    pair = (x, y) if inner_left else (y, z)
+    inners = [_pair_level(*pair, n1, coeffs) for n1 in range(order + 1)]
+    out: dict[tuple[int, ...], Rat] = {}
+    for n1, inner in enumerate(inners):
+        w = sum(pair) + 2 * n1
+        outer = (w, z) if inner_left else (x, w)
+        raised = [inner]
+        for n2 in range(order - n1 + 1):
+            for key, o in _pair_level(*outer, n2, coeffs).support:
+                s, t = key if inner_left else key[::-1]
+                while len(raised) <= s:
+                    raised.append(rep.act_raise(raised[-1]))
+                o = o / pochhammer(w, s)
+                for ab, c in raised[s].support:
+                    k = ab + (t,) if inner_left else (t,) + ab
+                    out[k] = out.get(k, 0) + o * c
+    return rep.Vector.make(weights, out)
 
 
 def free_assoc_residual(
@@ -309,65 +314,13 @@ def free_assoc_residual(
     """Fully expand (f*g)*h - f*(g*h) in the free triple basis.
 
     Keys are (hbar-degree, (a, b, c)) for the basis element
-    dtil^a f dtil^b g dtil^c h; an associative coefficient family gives the
-    empty dict.  This expansion never uses the reduced identities, so it is
-    an independent check on them.
+    X^a f X^b g X^c h; an associative coefficient family gives the empty
+    dict.  This expansion never uses the reduced identities, so it is an
+    independent check on them.
     """
     x, y, z = weights
-    resid: dict[tuple[int, tuple[int, int, int]], Rat] = {}
-
-    def add(n: int, key: tuple[int, int, int], c: Rat) -> None:
-        if c == 0:
-            return
-        k = (n, key)
-        v = resid.get(k, Fraction(0)) + c
-        if v == 0:
-            resid.pop(k, None)
-        else:
-            resid[k] = v
-
-    # (f*g)*h
-    fg = _pair_star_free(x, y, coeffs, order)
-    for n1, level in fg.items():
-        w_mid = x + y + 2 * n1
-        for n2 in range(order - n1 + 1):
-            c2 = coeffs.coefficient(n2, w_mid, z) * pochhammer(w_mid, n2) * pochhammer(z, n2)
-            fact = Fraction(1)
-            for i in range(1, n2 + 1):
-                fact /= i
-            raised = level
-            for s in range(n2 + 1):
-                outer = c2 * fact * (-1) ** s * binom(n2, s) / pochhammer(w_mid, s) / pochhammer(
-                    z, n2 - s
-                )
-                if outer != 0:
-                    for (a, b), c in raised.items():
-                        add(n1 + n2, (a, b, n2 - s), outer * c / (pochhammer(x, a) * pochhammer(y, b)))
-                if s < n2:
-                    raised = _raise_pair(raised, x, y)
-
-    # f*(g*h), subtracted
-    gh = _pair_star_free(y, z, coeffs, order)
-    for n1, level in gh.items():
-        w_mid = y + z + 2 * n1
-        for n2 in range(order - n1 + 1):
-            c2 = coeffs.coefficient(n2, x, w_mid) * pochhammer(x, n2) * pochhammer(w_mid, n2)
-            fact = Fraction(1)
-            for i in range(1, n2 + 1):
-                fact /= i
-            raised = level
-            for s in range(n2 + 1):
-                outer = c2 * fact * (-1) ** (n2 - s) * binom(n2, n2 - s) / pochhammer(
-                    w_mid, s
-                ) / pochhammer(x, n2 - s)
-                if outer != 0:
-                    for (b, c_idx), c in raised.items():
-                        add(
-                            n1 + n2,
-                            (n2 - s, b, c_idx),
-                            -outer * c / (pochhammer(y, b) * pochhammer(z, c_idx)),
-                        )
-                if s < n2:
-                    raised = _raise_pair(raised, y, z)
-
-    return resid
+    left, right = (_free_bracketing(weights, coeffs, order, first) for first in (True, False))
+    return {
+        (a + b + c, (a, b, c)): v / (pochhammer(x, a) * pochhammer(y, b) * pochhammer(z, c))
+        for (a, b, c), v in (left - right).support
+    }

@@ -14,8 +14,9 @@ The chain of facts certified here, at desk scale:
 
 The level-1 ring Q[E4, E6] is carried by MPoly, the one polynomial type:
 IsobaricPoly is an MPoly over the generators ("g4", "g6") that adds only its
-weight and its q-expansion (to_form).  Unique factorization in that ring is
-exercised by isobaric_gcd, a gcd on MPoly over any variables: a primitive
+weight and its q-expansion (to_form); its ring operations return an
+IsobaricPoly.  Unique factorization in that ring is exercised by
+isobaric_gcd, a gcd on MPoly over any variables: a primitive
 pseudo-remainder sequence in the last variable, with contents taken one
 variable down.
 
@@ -43,7 +44,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .coeffsolve import LinSystem, solve
+from .coeffsolve import eliminate
 from .exactcore import MPoly, QSeries, Rat, RatLike, binom, rat
 from .forms import GradedForm, ModularForm, eisenstein
 from .nearlyholo import rc_bracket
@@ -337,12 +338,18 @@ def p3_certify_report() -> dict:
 
 
 class IsobaricPoly(MPoly):
-    """An MPoly over the two ring generators ("g4", "g6"): terms (a, b) -> Rat."""
+    """An MPoly over the two ring generators ("g4", "g6"): terms (a, b) -> Rat.
+
+    + - * pow and negation return an IsobaricPoly; substitute an MPoly.
+    """
 
     __slots__ = ()
 
     def __init__(self, terms: dict[tuple[int, int], RatLike] | None = None):
         super().__init__(("g4", "g6"), terms)
+
+    def _like(self, terms: dict[tuple[int, int], RatLike]) -> IsobaricPoly:
+        return IsobaricPoly(terms)
 
     def weight(self) -> int | None:
         """Common weight 4a + 6b of the monomials, or None if mixed/zero."""
@@ -396,10 +403,11 @@ def form_to_isobaric(f: ModularForm) -> IsobaricPoly:
         raise ValueError(f"need prec >= {dim} to resolve weight {f.weight}, have {f.prec}")
     prec = f.prec
     columns = [_monomial(a, b, prec) for a, b in basis]
-    sys = LinSystem(list(range(dim)))
-    for i in range(prec):
-        sys.add_row({j: columns[j].coeff(i) for j in range(dim)}, f.series.coeff(i))
-    res = solve(sys)
+    rows = (
+        ({j: v for j, v in enumerate(col.coeff(i) for col in columns) if v}, (f.series.coeff(i),))
+        for i in range(prec)
+    )
+    res = eliminate(rows, 1).result(range(dim))
     if not res.consistent:
         raise ValueError("series does not lie in the span of the generator monomials")
     if res.nullity != 0:
@@ -533,7 +541,7 @@ def _random_coords(rng: random.Random) -> IsobaricPoly:
     return IsobaricPoly(coeffs)
 
 
-def _graded(p: MPoly, prec: int) -> GradedForm:
+def _graded(p: IsobaricPoly, prec: int) -> GradedForm:
     """The graded form with generator coordinates p, one part per weight."""
     parts: dict[int, dict[tuple[int, int], Rat]] = {}
     for (a, b), c in p.terms.items():

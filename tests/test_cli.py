@@ -1,8 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from rclab import coeffsolve
 from rclab.cli import main
 
 
@@ -120,6 +122,14 @@ def test_config_file_and_flag_override(tmp_path, capsys):
          "fe17b91b3d3a95bd6d17c4480ec32a2f06a31de637ff0ada84ae90173721f6c5"),
         ("solve an --n 5 --grid 3 --c 1/2 --json",
          "e1d85b71f760641dc80b543b41f19f957576d3e584473296836423fb977358a2"),
+        ("rep casimir --weight 12 --n-max 4",
+         "3b87d6b8d003a653c9817f3a2baedcd9e8497d38540e08eddcdb09a127cf4b34"),
+        ("rep kernel-dims --n-max 5",
+         "4f97202783e348bc014b0d794288294b4c2d986d657954c0a56db797a1783b6e"),
+        ("solve an --n 4 --grid 3 --c 1/2",
+         "8990c63575a6f11d50fc0bfb200f2e5a6b43b404b4ef35ae004e9e3c05aacaa7"),
+        ("solve an --n 1 --grid 3 --json",
+         "1d669c0f78e60dc5fe59618705aa14e71729f64a4e0253a0a0faddfaa2175c89"),
     ],
 )
 def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
@@ -239,9 +249,43 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "canonical", "--n-max", "1"],
         ["verify", "all", "--n-max", "1"],
         ["verify", "kappa-c", "--grid-bound", "0"],
+        ["verify", "casimir", "--n-max", "3"],
+        ["verify", "ident", "--seeds", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("rc-lab"), err
+
+
+def _kappa_c_verdict(capsys):
+    code, out = run(capsys, "verify", "kappa-c", "--json")
+    return code, {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+
+
+def test_kappa_c_fails_when_the_quoted_constant_is_correct(capsys, monkeypatch):
+    # with the induced constant planted as the quoted one the mismatch is gone
+    monkeypatch.setattr(coeffsolve, "kappa_to_c", coeffsolve.induced_c_from_kappa)
+    code, statuses = _kappa_c_verdict(capsys)
+    assert code == 1
+    assert statuses["kappa-c/1over2/quoted-constant-mismatch-reproduced"] == "fail"
+
+
+def test_kappa_c_fails_when_the_level2_coordinate_is_rescaled(capsys, monkeypatch):
+    # halving the c-term of a2_family_assoc doubles every fitted c
+    family = coeffsolve.a2_family_assoc
+    monkeypatch.setattr(coeffsolve, "a2_family_assoc", lambda c: family(Fraction(c) / 2))
+    code, statuses = _kappa_c_verdict(capsys)
+    assert code == 1
+    assert statuses["kappa-c/2/fit"] == "fail"  # c = 3 at kappa = 2; c = 0 at 1/2 and 3/2
+
+
+def test_a_suite_that_raises_fails_as_a_record(capsys, monkeypatch):
+    direct = coeffsolve.det2x2_direct
+    monkeypatch.setattr(coeffsolve, "det2x2_direct", lambda *a: 2 * direct(*a))
+    code, out = run(capsys, "verify", "fine", "--json")
+    assert code == 1 and capsys.readouterr().err == ""
+    (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == "fine/error"]
+    assert rec["status"] == "fail" and rec["exception"] == "AssertionError"
+    assert "closed form disagrees" in rec["message"]

@@ -20,6 +20,7 @@ from rclab.coeffsolve import (
     det2x2_direct,
     det2x2_lemma,
     eliminate,
+    extended,
     induced_c_from_kappa,
     interpolate,
     kappa_c_report,
@@ -311,7 +312,8 @@ def _reference_chain(c, upto_n, final_grid=4):
     fam = a2_family_assoc(c)
     table = ATable(2, final_grid + upto_n - 2, filler=lambda n, x, y: fam(x, y), name="ref")
     for j in range(3, upto_n + 1):
-        table, _ = solved_table(j, final_grid + (upto_n - j), table)
+        sys = build_ident_system(j, final_grid + (upto_n - j), table)
+        table = extended(table, j, sys.variables, solve(sys))
     return table
 
 

@@ -1,9 +1,11 @@
+import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
 
 from rclab.coeffsolve import ATable, a2_family_assoc
-from rclab.exactcore import QSeries, binom, pochhammer
+from rclab.exactcore import QSeries, Rat, binom, pochhammer
 from rclab.forms import GradedForm, ModularForm
 from rclab.nearlyholo import rc_bracket
 from rclab.starprod import (
@@ -229,6 +231,141 @@ def test_free_model_oracle_flags_bad_coefficients():
     bad = ATable(3, 40, filler=lambda n, x, y: pochhammer(x, n) * pochhammer(y, n) * (2 if n == 2 else 1))
     resid = free_assoc_residual((2, 2, 2), StarCoefficients.from_table(bad), 3)
     assert resid
+
+
+# The dict-based free model, kept as an independent reference for the
+# rep.Vector implementation of free_assoc_residual.
+
+
+def _pair_star_free(x: int, y: int, coeffs: StarCoefficients, order: int) -> dict[int, dict[tuple[int, int], Rat]]:
+    """f*g in the free pair model: level n -> {(a, b): coeff of dtil^a f dtil^b g}."""
+    out: dict[int, dict[tuple[int, int], Rat]] = {}
+    for n in range(order + 1):
+        c = coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n)
+        fact = Fraction(1)
+        for i in range(1, n + 1):
+            fact /= i
+        level: dict[tuple[int, int], Rat] = {}
+        for r in range(n + 1):
+            v = c * fact * (-1) ** r * binom(n, r)
+            if v != 0:
+                level[(r, n - r)] = v
+        out[n] = level
+    return out
+
+
+def _raise_pair(level: dict[tuple[int, int], Rat], x: int, y: int) -> dict[tuple[int, int], Rat]:
+    out: dict[tuple[int, int], Rat] = {}
+    for (a, b), c in level.items():
+        for key, w in (((a + 1, b), x + a), ((a, b + 1), y + b)):
+            v = out.get(key, Fraction(0)) + c * w
+            if v == 0:
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return out
+
+
+def reference_free_assoc_residual(
+    weights: tuple[int, int, int], coeffs: StarCoefficients, order: int
+) -> dict[tuple[int, tuple[int, int, int]], Rat]:
+    """Fully expand (f*g)*h - f*(g*h) in the free triple basis.
+
+    Keys are (hbar-degree, (a, b, c)) for the basis element
+    dtil^a f dtil^b g dtil^c h; an associative coefficient family gives the
+    empty dict.  This expansion never uses the reduced identities, so it is
+    an independent check on them.
+    """
+    x, y, z = weights
+    resid: dict[tuple[int, tuple[int, int, int]], Rat] = {}
+
+    def add(n: int, key: tuple[int, int, int], c: Rat) -> None:
+        if c == 0:
+            return
+        k = (n, key)
+        v = resid.get(k, Fraction(0)) + c
+        if v == 0:
+            resid.pop(k, None)
+        else:
+            resid[k] = v
+
+    # (f*g)*h
+    fg = _pair_star_free(x, y, coeffs, order)
+    for n1, level in fg.items():
+        w_mid = x + y + 2 * n1
+        for n2 in range(order - n1 + 1):
+            c2 = coeffs.coefficient(n2, w_mid, z) * pochhammer(w_mid, n2) * pochhammer(z, n2)
+            fact = Fraction(1)
+            for i in range(1, n2 + 1):
+                fact /= i
+            raised = level
+            for s in range(n2 + 1):
+                outer = c2 * fact * (-1) ** s * binom(n2, s) / pochhammer(w_mid, s) / pochhammer(
+                    z, n2 - s
+                )
+                if outer != 0:
+                    for (a, b), c in raised.items():
+                        add(n1 + n2, (a, b, n2 - s), outer * c / (pochhammer(x, a) * pochhammer(y, b)))
+                if s < n2:
+                    raised = _raise_pair(raised, x, y)
+
+    # f*(g*h), subtracted
+    gh = _pair_star_free(y, z, coeffs, order)
+    for n1, level in gh.items():
+        w_mid = y + z + 2 * n1
+        for n2 in range(order - n1 + 1):
+            c2 = coeffs.coefficient(n2, x, w_mid) * pochhammer(x, n2) * pochhammer(w_mid, n2)
+            fact = Fraction(1)
+            for i in range(1, n2 + 1):
+                fact /= i
+            raised = level
+            for s in range(n2 + 1):
+                outer = c2 * fact * (-1) ** (n2 - s) * binom(n2, n2 - s) / pochhammer(
+                    w_mid, s
+                ) / pochhammer(x, n2 - s)
+                if outer != 0:
+                    for (b, c_idx), c in raised.items():
+                        add(
+                            n1 + n2,
+                            (n2 - s, b, c_idx),
+                            -outer * c / (pochhammer(y, b) * pochhammer(z, c_idx)),
+                        )
+                if s < n2:
+                    raised = _raise_pair(raised, y, z)
+
+    return resid
+
+
+def _free_model_cases():
+    """Seeded (weights, coeffs, order) cases: associative families and planted tables."""
+    rng = random.Random(2007)
+    cases = []
+    for i in range(160):
+        weights = tuple(rng.randint(2, 18) for _ in range(3))
+        order = i % 6
+        kind = i % 4
+        if kind == 0:
+            coeffs = StarCoefficients.cmz(F(rng.randint(-9, 9), rng.randint(1, 4)))
+        elif kind == 1:
+            coeffs = StarCoefficients.cmz(F(rng.randint(-9, 9), 2), gauge=F(rng.randint(1, 5), 3))
+        elif kind == 2:
+            coeffs = StarCoefficients.eholzer()
+        else:
+            level, factor = rng.randint(2, max(2, order)), F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            table = ATable(5, 40, filler=lambda n, x, y, level=level, factor=factor: (
+                pochhammer(x, n) * pochhammer(y, n) * (factor if n == level else 1)))
+            coeffs = StarCoefficients.from_table(table, gauge=rng.choice((1, -4)))
+        cases.append((weights, coeffs, order))
+    return cases
+
+
+def test_free_model_matches_dict_reference():
+    nonzero = 0
+    for weights, coeffs, order in _free_model_cases():
+        got = free_assoc_residual(weights, coeffs, order)
+        assert got == reference_free_assoc_residual(weights, coeffs, order), (weights, coeffs, order)
+        nonzero += bool(got)
+    assert nonzero >= 20  # the planted tables make the comparison see nonzero residuals
 
 
 def test_hbar_series_shapes(catalogue):

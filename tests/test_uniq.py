@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclab.exactcore import MPoly, QSeries
-from rclab.forms import GradedForm, ModularForm
+from rclab.forms import GradedForm, ModularForm, eisenstein_form
 from rclab.nearlyholo import rc_bracket
 from rclab.starprod import rc_series
 from rclab.uniq import (
@@ -216,6 +216,15 @@ def test_form_to_isobaric_rejects_non_modular():
     short = ModularForm(12, QSeries.one(1))
     with pytest.raises(ValueError):
         form_to_isobaric(short)
+
+
+def test_isobaric_arithmetic_keeps_its_type():
+    g4, g6 = IsobaricPoly({(1, 0): 1}), IsobaricPoly({(0, 1): 1})
+    assert (g4 * g6).weight() == 10
+    assert (g4 * 2).to_form(6) == eisenstein_form(4, 6).scale(2)
+    for p in (g4 + g6, g4 - g6, 1 - g4, -g4, 3 * g6, g4.pow(2)):
+        assert type(p) is IsobaricPoly
+    assert type(g4.substitute({"g4": MPoly.var(("g4", "g6"), "g6")})) is MPoly
 
 
 def test_isobaric_gcd():
