@@ -51,6 +51,7 @@ from .starprod import (
     cmz_coeff,
     free_assoc_residual,
     ident_coefficients,
+    ident_numerators,
     ident_residual,
     rc_series,
     star_product,

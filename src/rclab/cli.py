@@ -4,13 +4,15 @@ Every subcommand echoes its effective configuration into the report, sorts
 check records by name, and stringifies all rationals, so identical
 invocations produce byte-identical JSON.  Exit codes: 0 all checks pass,
 1 a check failed (witness included), 2 usage error.  A suite that raises
-fails as a `<suite>/error` record and the remaining suites still run.
+fails as a `<suite>/error` record and the remaining suites still run; a
+reader that closes stdout early gets exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -762,9 +764,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the exit flush
+        # cannot raise again, and fail without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

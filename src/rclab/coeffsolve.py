@@ -17,17 +17,20 @@ them exactly, and packages the structural facts about the solution set:
     from the historically quoted constant).
 
 The coefficients of a level-n identity system come only from
-ident_coefficients, so its matrix does not depend on the lower-level table;
-only the right-hand side does.  One eliminator (eliminate) reduces a matrix
-once for any number of right-hand-side columns: solve is its one-column case,
-and level_echelon eliminates a level-n system once for any number of tables
-(chain_solve_many, solved_table and `rc-lab solve an` all go through it),
-computing each row's columns as the row is eliminated.
-The eliminator is a fraction-free Gauss-Jordan over Python ints: rows are
-scaled to integers, every stored pivot row is kept fully reduced and
-primitive (content divided out), and Fractions are built only at the end,
-when each pivot row is divided by its pivot.  Its result is the reduced row
-echelon form, which is unique, so no reduction order can change it.
+ident_numerators, so its matrix does not depend on the lower-level table;
+only the right-hand side does.  Each row is its identity scaled by the
+common denominator D, so the matrix entries are Python ints and each
+right-hand side is one Fraction, summed in integers.  One eliminator
+(eliminate) reduces a matrix once for any number of right-hand-side columns:
+solve is its one-column case, and level_echelon eliminates a level-n system
+once for any number of tables (chain_solve_many, solved_table and `rc-lab
+solve an` all go through it), computing each row's columns as the row is
+eliminated.  The eliminator is a fraction-free Gauss-Jordan over Python
+ints: rows are scaled to integers, every stored pivot row is kept fully
+reduced and primitive (content divided out), and Fractions are built only at
+the end, when each pivot row is divided by its pivot.  Its result is the
+reduced row echelon form, which is unique, so no reduction order can change
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
-from .starprod import cmz_coeff, ident_coefficients
+from .starprod import _ident_sum, cmz_coeff, ident_numerators
 
 
 class MissingEntryError(KeyError):
@@ -196,9 +199,9 @@ class LinSystem:
     variables: list
     rows: list[tuple[dict[int, Rat], Rat]] = field(default_factory=list)
 
-    def add_row(self, coeffs: dict[int, Rat], rhs: RatLike) -> None:
-        clean = {i: rat(c) for i, c in coeffs.items() if rat(c) != 0}
-        self.rows.append((clean, rat(rhs)))
+    def add_row(self, coeffs: dict[int, RatLike], rhs: RatLike) -> None:
+        values = {i: rat(c) for i, c in coeffs.items()}
+        self.rows.append(({i: v for i, v in values.items() if v}, rat(rhs)))
 
 
 @dataclass
@@ -351,41 +354,43 @@ def solve(sys: LinSystem) -> SolveResult:
 
 def _ident_rows(
     n: int, grid_bound: int, tables: Sequence[ATable], pairs: set[Pair]
-) -> Iterator[tuple[dict[Pair, Rat], tuple[Rat, ...]]]:
+) -> Iterator[tuple[dict[Pair, int], tuple[Rat, ...]]]:
     """The level-n identity rows in order, one right-hand side per table.
 
     One row per (k, l, m, p): (nonzero coefficients by level-n pair, values).
     Since A_0 = 1, the level-n unknowns are the end terms of each identity
     sum; the interior terms are known, read from each table, and move to the
-    right-hand side.  The coefficients come only from ident_coefficients, so
-    they are the same for every table.  Every pair a row touches is added to
-    `pairs`, also one whose coefficients sum to 0.
+    right-hand side.  Each row is the identity scaled by the D of
+    ident_numerators: its coefficients are Python ints, the same for every
+    table, and each right-hand side is one Fraction summed in integers.
+    Every pair a row touches is added to `pairs`, also one whose
+    coefficients sum to 0.
     """
     for k in range(1, grid_bound + 1):
         for l in range(1, grid_bound + 1):
             for m in range(1, grid_bound + 1):
                 x, y, z = 2 * k, 2 * l, 2 * m
                 for p in range(n + 1):
-                    left, right = ident_coefficients(n, p, x, y, z)
-                    coeffs: dict[Pair, Rat] = {}
+                    left, right, _ = ident_numerators(n, p, x, y, z)
+                    coeffs: dict[Pair, int] = {}
                     interior = []
-                    for r, c in left:
+                    for r, c in enumerate(left):
                         if 0 < r < n:
                             interior.append((-c, (r, x, y), (n - r, x + y + 2 * r, z)))
                         else:
                             pair = (x + y, z) if r == 0 else (x, y)
-                            coeffs[pair] = coeffs.get(pair, Fraction(0)) + c
-                    for s, c in right:
+                            coeffs[pair] = coeffs.get(pair, 0) + c
+                    for s, c in enumerate(right):
                         if 0 < s < n:
                             interior.append((c, (s, y, z), (n - s, x, y + z + 2 * s)))
                         else:
                             pair = (x, y + z) if s == 0 else (y, z)
-                            coeffs[pair] = coeffs.get(pair, Fraction(0)) - c
+                            coeffs[pair] = coeffs.get(pair, 0) - c
                     pairs.update(coeffs)
                     yield (
-                        {pair: v for pair, v in coeffs.items() if v != 0},
+                        {pair: v for pair, v in coeffs.items() if v},
                         tuple(
-                            sum((c * t.get(*a) * t.get(*b) for c, a, b in interior), Fraction(0))
+                            Fraction(*_ident_sum((c, t.get(*a), t.get(*b)) for c, a, b in interior))
                             for t in tables
                         ),
                     )
@@ -399,7 +404,10 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     past the nominal grid, as the boundary terms reach weights up to twice
     the grid).  Lower-level lookups go through `known` and raise
     MissingEntryError if the table is too small.  The matrix does not depend
-    on `known`; only the right-hand side does.
+    on `known`; only the right-hand side does.  Each row is its identity
+    scaled by the D of ident_numerators, so the coefficients are integers;
+    the reduced echelon form, and with it every solution, rank and null
+    basis, is the same as for the unscaled identities.
     """
     if n < 1:
         raise ValueError("systems are built for levels n >= 1")

@@ -14,12 +14,14 @@ with x, y the weights of the graded parts.  Three coefficient kinds:
 
 The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
-ways of bracketing a triple product; ident_coefficients is their one
-definition, shared by ident_residual and the coefficient solver.  The version
-implemented carries the multinomial factors C(n, r), C(n, s) on the interior
-terms; free_assoc_residual expands both bracketings completely in the free
-triple-product model (rclab.rep vectors) and is the independent oracle for
-that reduction.
+ways of bracketing a triple product; ident_numerators is their one
+definition, as integer numerators over one common denominator D, shared by
+ident_residual and the coefficient solver (ident_coefficients is its Fraction
+view).  Each identity is summed in Python ints, and ident_residual builds one
+Fraction at the end.  The version implemented carries the multinomial factors
+C(n, r), C(n, s) on the interior terms; free_assoc_residual expands both
+bracketings completely in the free triple-product model (rclab.rep vectors)
+and is the independent oracle for that reduction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 from . import rep
 from .exactcore import Rat, RatLike, binom, pochhammer, rat
@@ -217,19 +221,20 @@ def assoc_residual(
 # ---------------------------------------------------------------------------
 
 
-def ident_coefficients(
-    n: int, p: int, x: int, y: int, z: int
-) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
-    """The coefficients of the degree-n, index-p associativity identity.
+def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int], list[int], int]:
+    """The degree-n, index-p associativity identity as integers over one denominator.
 
-    x, y, z are the (integer) weights.  Returns (left, right): the pairs
-    (r, c_r), 0 <= r <= n-p, and (s, c_s), 0 <= s <= p, of the identity
+    x, y, z are the (integer) weights.  Returns (left, right, D) for the identity
 
       sum_r c_r A_r(x,y) A_{n-r}(x+y+2r, z) = sum_s c_s A_s(y,z) A_{n-s}(x, y+z+2s)
 
-    with c_r = C(n,r) C(n-r,p) / [(x+y+2r)_{n-p-r} (z)_p (x)_r]
-    and  c_s = C(n,s) C(n-s,n-p) / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s].
-    Each coefficient is one Fraction of two exact integer products.
+    with c_r = left[r] / D, 0 <= r <= n-p, and c_s = right[s] / D, 0 <= s <= p:
+
+      c_r = C(n,r) C(n-r,p) / [(x+y+2r)_{n-p-r} (z)_p (x)_r]
+      c_s = C(n,s) C(n-s,n-p) / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s].
+
+    D is the lcm of the rising-factorial denominators, so every numerator is
+    an exact Python int.  This is the one definition of the coefficients.
     """
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
@@ -237,17 +242,49 @@ def ident_coefficients(
     def rising(a: int, length: int) -> int:
         return math.prod(range(a, a + length))
 
-    left = [
-        (r, Fraction(math.comb(n, r) * math.comb(n - r, p),
-                     rising(x + y + 2 * r, n - p - r) * rising(z, p) * rising(x, r)))
-        for r in range(n - p + 1)
-    ]
-    right = [
-        (s, Fraction(math.comb(n, s) * math.comb(n - s, n - p),
-                     rising(x, n - p) * rising(y + z + 2 * s, p - s) * rising(z, s)))
-        for s in range(p + 1)
-    ]
-    return left, right
+    # (c, its denominator) pairs; (x)_r and (z)_s are running products
+    zp, xnp = rising(z, p), rising(x, n - p)
+    left, xr = [], 1
+    for r in range(n - p + 1):
+        left.append((math.comb(n, r) * math.comb(n - r, p), rising(x + y + 2 * r, n - p - r) * zp * xr))
+        xr *= x + r
+    right, zs = [], 1
+    for s in range(p + 1):
+        right.append((math.comb(n, s) * math.comb(n - s, n - p), xnp * rising(y + z + 2 * s, p - s) * zs))
+        zs *= z + s
+    d = math.lcm(*(den for _, den in left), *(den for _, den in right))
+    return [c * (d // den) for c, den in left], [c * (d // den) for c, den in right], d
+
+
+def ident_coefficients(
+    n: int, p: int, x: int, y: int, z: int
+) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
+    """ident_numerators as Fractions: (left, right), the pairs (r, c_r) and (s, c_s)."""
+    left, right, d = ident_numerators(n, p, x, y, z)
+    return (
+        [(r, Fraction(c, d)) for r, c in enumerate(left)],
+        [(s, Fraction(c, d)) for s, c in enumerate(right)],
+    )
+
+
+def _ident_sum(terms: Iterable[tuple[int, Rat, Rat]]) -> tuple[int, int]:
+    """sum c * u * v over (int c, rational u, rational v), as (numerator, denominator).
+
+    Sums in Python ints over a running common denominator.  A term whose
+    denominator equals it is added as is; any other term moves it to the lcm
+    of the two.  The pair is not reduced.
+    """
+    num, den = 0, 1
+    for c, u, v in terms:
+        tnum = c * u.numerator * v.numerator
+        tden = u.denominator * v.denominator
+        if tden == den:
+            num += tnum
+        else:
+            g = math.gcd(den, tden)
+            num = num * (tden // g) + tnum * (den // g)
+            den = den // g * tden
+    return num, den
 
 
 def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
@@ -255,16 +292,20 @@ def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
 
     k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
     the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
-    (see ident_coefficients).  Returns LHS - RHS; the table must cover every
-    referenced pair.
+    (see ident_numerators).  Returns LHS - RHS as a Fraction; the table must
+    cover every referenced pair.  The sum runs in integers and the one
+    Fraction is built at the end.
     """
     x, y, z = 2 * k, 2 * l, 2 * m
-    left, right = ident_coefficients(n, p, x, y, z)
-    lhs = sum((c * atable.get(r, x, y) * atable.get(n - r, x + y + 2 * r, z) for r, c in left),
-              Fraction(0))
-    rhs = sum((c * atable.get(s, y, z) * atable.get(n - s, x, y + z + 2 * s) for s, c in right),
-              Fraction(0))
-    return lhs - rhs
+    left, right, d = ident_numerators(n, p, x, y, z)
+    get = atable.get
+    num, den = _ident_sum(
+        chain(
+            ((c, get(r, x, y), get(n - r, x + y + 2 * r, z)) for r, c in enumerate(left)),
+            ((-c, get(s, y, z), get(n - s, x, y + z + 2 * s)) for s, c in enumerate(right)),
+        )
+    )
+    return Fraction(num, den * d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rclab
 from rclab import coeffsolve
 from rclab.cli import main
 
@@ -289,3 +294,17 @@ def test_a_suite_that_raises_fails_as_a_record(capsys, monkeypatch):
     (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == "fine/error"]
     assert rec["status"] == "fail" and rec["exception"] == "AssertionError"
     assert "closed form disagrees" in rec["message"]
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # the read end is closed before the report is written, so every write fails
+    src = str(Path(rclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rclab.cli", "verify", "kappa-c", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

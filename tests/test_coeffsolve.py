@@ -295,9 +295,12 @@ def test_chain_levels_eliminate_as_the_reference(monkeypatch):
     checked = []
 
     def both(rows, width):
+        # the level rows carry int coefficients; the reference divides by its
+        # pivot entry, so it gets the same values as Fractions
         rows = list(rows)
         got = eliminate(iter(rows), width)
-        _same_echelon(got, _reference_eliminate(iter(rows), width))
+        as_fractions = [({c: F(v) for c, v in coeffs.items()}, rhs) for coeffs, rhs in rows]
+        _same_echelon(got, _reference_eliminate(iter(as_fractions), width))
         checked.append(width)
         return got
 

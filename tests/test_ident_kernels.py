@@ -1,0 +1,162 @@
+"""The integer identity kernels against the Fraction kernels they replaced.
+
+reference_ident_residual and reference_ident_rows are starprod.ident_residual
+and coeffsolve._ident_rows as they were before the identities were summed in
+integers, kept verbatim as oracles: every coefficient is a Fraction and every
+sum a Fraction sum.
+"""
+
+import functools
+from fractions import Fraction
+from fractions import Fraction as F
+from typing import Iterator, Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rclab import coeffsolve
+from rclab.coeffsolve import ATable, Pair, a2_family, chain_solve_many, eliminate, level_echelon
+from rclab.exactcore import Rat, pochhammer
+from rclab.starprod import ident_coefficients, ident_residual
+
+
+def reference_ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
+    """Residual of the degree-n, index-p associativity identity at (k, l, m).
+
+    k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
+    the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
+    (see ident_coefficients).  Returns LHS - RHS; the table must cover every
+    referenced pair.
+    """
+    x, y, z = 2 * k, 2 * l, 2 * m
+    left, right = ident_coefficients(n, p, x, y, z)
+    lhs = sum((c * atable.get(r, x, y) * atable.get(n - r, x + y + 2 * r, z) for r, c in left),
+              Fraction(0))
+    rhs = sum((c * atable.get(s, y, z) * atable.get(n - s, x, y + z + 2 * s) for s, c in right),
+              Fraction(0))
+    return lhs - rhs
+
+
+def reference_ident_rows(
+    n: int, grid_bound: int, tables: Sequence[ATable], pairs: set[Pair]
+) -> Iterator[tuple[dict[Pair, Rat], tuple[Rat, ...]]]:
+    """The level-n identity rows in order, one right-hand side per table.
+
+    One row per (k, l, m, p): (nonzero coefficients by level-n pair, values).
+    Since A_0 = 1, the level-n unknowns are the end terms of each identity
+    sum; the interior terms are known, read from each table, and move to the
+    right-hand side.  The coefficients come only from ident_coefficients, so
+    they are the same for every table.  Every pair a row touches is added to
+    `pairs`, also one whose coefficients sum to 0.
+    """
+    for k in range(1, grid_bound + 1):
+        for l in range(1, grid_bound + 1):
+            for m in range(1, grid_bound + 1):
+                x, y, z = 2 * k, 2 * l, 2 * m
+                for p in range(n + 1):
+                    left, right = ident_coefficients(n, p, x, y, z)
+                    coeffs: dict[Pair, Rat] = {}
+                    interior = []
+                    for r, c in left:
+                        if 0 < r < n:
+                            interior.append((-c, (r, x, y), (n - r, x + y + 2 * r, z)))
+                        else:
+                            pair = (x + y, z) if r == 0 else (x, y)
+                            coeffs[pair] = coeffs.get(pair, Fraction(0)) + c
+                    for s, c in right:
+                        if 0 < s < n:
+                            interior.append((c, (s, y, z), (n - s, x, y + z + 2 * s)))
+                        else:
+                            pair = (x, y + z) if s == 0 else (y, z)
+                            coeffs[pair] = coeffs.get(pair, Fraction(0)) - c
+                    pairs.update(coeffs)
+                    yield (
+                        {pair: v for pair, v in coeffs.items() if v != 0},
+                        tuple(
+                            sum((c * t.get(*a) * t.get(*b) for c, a, b in interior), Fraction(0))
+                            for t in tables
+                        ),
+                    )
+
+
+@functools.cache
+def _chain_tables() -> tuple[ATable, ...]:
+    """Levels 3 and 4 solved from the level-2 family, at three c values."""
+    return tuple(chain_solve_many([F(0), F(-5, 4), F(7, 5)], 4))
+
+
+def _planted(c: Rat) -> ATable:
+    """A wrong level-2 family (the quoted one, half the particular part) under
+    the constant-coefficient levels, so its residuals do not vanish."""
+    fam = a2_family(c)
+
+    def fill(n: int, x: int, y: int) -> Rat:
+        return fam(x, y) if n == 2 else pochhammer(x, n) * pochhammer(y, n)
+
+    return ATable(5, 40, filler=fill, name=f"planted(c={c})")
+
+
+_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+_TABLES = st.one_of(
+    st.builds(ATable.eholzer, st.just(5), st.just(40)),
+    _RATIONALS.map(lambda kappa: ATable.from_kappa(kappa, 5, 40)),
+    st.integers(0, 2).map(lambda i: _chain_tables()[i]),
+    _RATIONALS.map(_planted),
+)
+
+
+@st.composite
+def _residual_cases(draw):
+    table = draw(_TABLES)
+    n = draw(st.integers(0, table.max_n))
+    return (table, *(draw(st.integers(1, 4)) for _ in range(3)), n, draw(st.integers(0, n)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_residual_cases())
+def test_ident_residual_matches_fraction_oracle(case):
+    table, *args = case
+    got = ident_residual(table, *args)
+    assert type(got) is Fraction
+    assert got == reference_ident_residual(table, *args)
+
+
+def test_ident_residual_sweep_matches_fraction_oracle():
+    tables = [ATable.eholzer(4, 40), ATable.from_kappa(F(-7, 3), 4, 40), _chain_tables()[2], _planted(F(3, 2))]
+    nonzero = {}
+    for table in tables:
+        for n in range(5):
+            for p in range(n + 1):
+                for k, l, m in ((1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2), (4, 3, 1)):
+                    got = ident_residual(table, k, l, m, n, p)
+                    assert type(got) is Fraction and got == reference_ident_residual(table, k, l, m, n, p)
+                    nonzero[table.name] = nonzero.get(table.name, 0) + (got != 0)
+    # only the planted family breaks the identities, and it does at every level >= 2
+    assert [nonzero[t.name] for t in tables[:3]] == [0, 0, 0]
+    assert nonzero[tables[3].name] > 0
+
+
+@st.composite
+def _level_cases(draw):
+    return draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.lists(_TABLES, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_level_cases())
+def test_level_echelon_matches_eliminating_the_oracle_rows(case):
+    n, grid, tables = case
+    keys, got = level_echelon(n, grid, tables)
+    pairs: set[Pair] = set()
+    want = eliminate(reference_ident_rows(n, grid, tables, pairs), len(tables))
+    assert keys == sorted(pairs)
+    assert got.pivots == want.pivots
+    assert got.certificates == want.certificates
+    # each integer row is its oracle row times one positive scale, the D of the identity
+    rows = list(coeffsolve._ident_rows(n, grid, tables, set()))
+    reference = list(reference_ident_rows(n, grid, tables, set()))
+    assert len(rows) == len(reference)
+    for (coeffs, rhs), (ref_coeffs, ref_rhs) in zip(rows, reference):
+        assert all(type(v) is int for v in coeffs.values()) and coeffs.keys() == ref_coeffs.keys()
+        assert all(type(v) is Fraction for v in rhs) and all(not v for v, w in zip(rhs, ref_rhs) if not w)
+        scales = {v / ref_coeffs[key] for key, v in coeffs.items()} | {v / w for v, w in zip(rhs, ref_rhs) if w}
+        assert len(scales) <= 1 and all(scale > 0 for scale in scales)

@@ -1,0 +1,65 @@
+"""Planted defects: each must turn its suite's verdict into a failing record.
+
+A defect is patched at every binding of the function it replaces, since the
+modules import names such as `cmz_coeff` by name and a patch on the defining
+module alone would miss those call sites.  Each case runs `verify <suite>
+--json` and asserts exit 1, the named records failing and nothing on stderr.
+"""
+
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+
+from rclab import coeffsolve, starprod
+from rclab.cli import main
+
+
+def _patch_every_binding(monkeypatch, original, replacement) -> int:
+    """Rebind every rclab module attribute that is `original`; returns the count."""
+    modules = [m for name, m in sys.modules.items() if name == "rclab" or name.startswith("rclab.")]
+    bound = 0
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+                bound += 1
+    return bound
+
+
+_cmz = starprod.cmz_coeff
+
+
+def _cmz_scaled_at_four(kappa, k, l, n):
+    value = _cmz(kappa, k, l, n)
+    return 2 * value if n == 4 else value
+
+
+def _assoc_family_wrong_c_term(c):
+    # the c-term over x + y + 2 instead of x + y + 1 is not a kernel direction
+    c = Fraction(c)
+    return lambda x, y: Fraction(x * (x + 1) * y * (y + 1)) + c * Fraction(x * y, x + y + 2)
+
+
+DEFECTS = [
+    pytest.param(
+        starprod.cmz_coeff, _cmz_scaled_at_four, "ident",
+        ["ident/kappa-1over2", "ident/kappa-3over2", "ident/kappa-2", "ident/kappa-5over2"],
+        id="cmz_coeff-scaled-at-n4",
+    ),
+    pytest.param(
+        coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve-unique/error"],
+        id="a2_family_assoc-wrong-c-term",
+    ),
+]
+
+
+@pytest.mark.parametrize("original,replacement,suite,failing", DEFECTS)
+def test_planted_defect_fails_its_suite(capsys, monkeypatch, original, replacement, suite, failing):
+    assert _patch_every_binding(monkeypatch, original, replacement) >= 2
+    code = main(["verify", suite, "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    statuses = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
+    assert all(statuses[name] == "fail" for name in failing), statuses
