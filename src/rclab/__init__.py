@@ -68,7 +68,6 @@ from .coeffsolve import (
     kappa_c_report,
     kappa_to_c,
     solve,
-    verify_symmetry_and_zero,
 )
 from .uniq import (
     IsobaricPoly,
@@ -76,7 +75,6 @@ from .uniq import (
     fine_det3,
     form_to_isobaric,
     isobaric_gcd,
-    lowest_q_identity,
     p3_build,
     rc_uniqueness_check,
 )

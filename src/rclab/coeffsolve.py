@@ -20,27 +20,22 @@ The coefficients of a level-n identity system come only from
 ident_numerators, so its matrix does not depend on the lower-level table;
 only the right-hand side does.  Each row is its identity scaled by the
 common denominator D, so the matrix entries are Python ints and each
-right-hand side is one Fraction, summed in integers.  One eliminator
-(eliminate) reduces a matrix once for any number of right-hand-side columns:
-solve is its one-column case, and level_echelon eliminates a level-n system
-once for any number of tables (chain_solve_many, solved_table and `rc-lab
-solve an` all go through it), computing each row's columns as the row is
-eliminated.  The eliminator is a fraction-free Gauss-Jordan over Python
-ints: rows are scaled to integers, every stored pivot row is kept fully
-reduced and primitive (content divided out), and Fractions are built only at
-the end, when each pivot row is divided by its pivot.  Its result is the
-reduced row echelon form, which is unique, so no reduction order can change
-it.
+right-hand side is one Fraction, summed in integers.  The systems go through
+the one sparse eliminator of rclab.exactcore (eliminate): solve is its
+one-column case, and level_echelon eliminates a level-n system once for any
+number of tables (chain_solve_many and `rc-lab solve an` both go through
+it), computing each row's columns as the row is eliminated.  The degree in c
+is read off Newton's divided differences of the sampled values, with no
+expansion into monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .exactcore import Rat, RatLike, binom, pochhammer, rat
+from .exactcore import Echelon, Rat, RatLike, SolveResult, binom, eliminate, pochhammer, rat
 from .starprod import _ident_sum, cmz_coeff, ident_numerators
 
 
@@ -54,6 +49,7 @@ Pair = tuple[int, int]
 class ATable:
     """Values A_n(x, y) on even-weight pairs, with levels 0 and 1 built in.
 
+    Levels 0 and 1 are the ints 1 and x*y; every other level is a Rat.
     Storage is an explicit dict; an optional filler closure makes the table
     total (used for closed-form families).  Lookups outside both raise
     MissingEntryError naming the missing entry.
@@ -73,11 +69,11 @@ class ATable:
         self.filler = filler
         self.name = name
 
-    def get(self, n: int, x: int, y: int) -> Rat:
+    def get(self, n: int, x: int, y: int) -> Rat | int:
         if n == 0:
-            return Fraction(1)
+            return 1
         if n == 1:
-            return Fraction(x * y)
+            return x * y
         key = (n, x, y)
         if key in self.values:
             return self.values[key]
@@ -91,13 +87,15 @@ class ATable:
         self.values[(n, x, y)] = rat(v)
 
     @staticmethod
-    def from_kappa(kappa: RatLike, max_n: int, grid_bound: int, gauge: RatLike = Fraction(-4)) -> ATable:
-        """Closed-form induced table A_n(x,y) = gauge^n t_n^kappa (x)_n (y)_n."""
+    def from_kappa(kappa: RatLike, max_n: int, grid_bound: int) -> ATable:
+        """Closed-form induced table A_n(x,y) = (-4)^n t_n^kappa (x)_n (y)_n.
+
+        The gauge -4 is the one that gives the built-in A_1 = x*y.
+        """
         kappa = rat(kappa)
-        gauge = rat(gauge)
 
         def fill(n: int, x: int, y: int) -> Rat:
-            return gauge**n * cmz_coeff(kappa, Fraction(x, 2), Fraction(y, 2), n) * pochhammer(
+            return (-4) ** n * cmz_coeff(kappa, Fraction(x, 2), Fraction(y, 2), n) * pochhammer(
                 x, n
             ) * pochhammer(y, n)
 
@@ -204,143 +202,6 @@ class LinSystem:
         self.rows.append(({i: v for i, v in values.items() if v}, rat(rhs)))
 
 
-@dataclass
-class SolveResult:
-    consistent: bool
-    rank: int
-    nullity: int
-    solution: list[Rat] | None  # particular solution, free variables set to 0
-    null_basis: list[list[Rat]]
-    certificate_row: int | None  # witness row index when inconsistent
-
-
-class Echelon:
-    """Reduced row echelon form of one matrix with several right-hand sides.
-
-    pivots maps each pivot column key to its normalized, fully reduced row and
-    that row's right-hand-side values, one per column; certificates holds,
-    per right-hand-side column, the index of the first row that reduced to
-    0 = nonzero (None when that column is consistent).
-    """
-
-    def __init__(self, pivots: dict, certificates: list[int | None]):
-        self.pivots: dict[object, tuple[dict[object, Rat], list[Rat]]] = pivots
-        self.certificates = certificates
-
-    def result(self, keys: Sequence, j: int = 0) -> SolveResult:
-        """The solution for right-hand side j over the ordered column keys."""
-        rank = len(self.pivots)
-        nullity = len(keys) - rank
-        if self.certificates[j] is not None:
-            return SolveResult(False, rank, nullity, None, [], self.certificates[j])
-        zero = Fraction(0)
-        solution = [self.pivots[key][1][j] if key in self.pivots else zero for key in keys]
-        position = {key: i for i, key in enumerate(keys)}
-        null_basis = []
-        for free in keys:
-            if free in self.pivots:
-                continue
-            vec = [zero] * len(keys)
-            vec[position[free]] = Fraction(1)
-            for col, (prow, _) in self.pivots.items():
-                if free in prow:
-                    vec[position[col]] = -prow[free]
-            null_basis.append(vec)
-        return SolveResult(True, rank, nullity, solution, null_basis, None)
-
-
-def _clear(row: dict, rhs: list[int], prow: dict, prhs: list[int], col) -> list[int]:
-    """Clear column col from row: row = b*row - a*prow in place, over the
-    integers, with a/b = row[col]/prow[col] in lowest terms; returns
-    b*rhs - a*prhs."""
-    a, b = row[col], prow[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if b != 1:
-        for c in row:
-            row[c] *= b
-    for c, v in prow.items():
-        nv = row.get(c, 0) - a * v
-        if nv:
-            row[c] = nv
-        else:
-            del row[c]
-    return [b * r - a * p for r, p in zip(rhs, prhs)]
-
-
-def _primitive(row: dict, rhs: list[int]) -> list[int]:
-    """Divide row (in place) and rhs by their content; returns the new rhs."""
-    g = gcd(*row.values(), *rhs)
-    if g != 1:
-        for c in row:
-            row[c] //= g
-        rhs = [r // g for r in rhs]
-    return rhs
-
-
-def _integer_rref(
-    rows: Iterable[tuple[dict, Sequence[Rat]]], width: int
-) -> tuple[dict[object, tuple[dict[object, int], list[int]]], list[int | None]]:
-    """eliminate's integer pass: primitive, fully reduced pivot rows and certificates."""
-    pivots: dict = {}
-    certificates: list[int | None] = [None] * width
-    for idx, (coeffs, rhs) in enumerate(rows):
-        d = lcm(*(v.denominator for v in coeffs.values()), *(v.denominator for v in rhs))
-        row = {c: v.numerator * (d // v.denominator) for c, v in coeffs.items()}
-        r = [v.numerator * (d // v.denominator) for v in rhs]
-        # pivot rows have no entry in another pivot column, so each reduction
-        # clears one column and leaves the row's other pivot columns alone
-        for col in [c for c in row if c in pivots]:
-            r = _clear(row, r, *pivots[col], col)
-        if not row:
-            for j, v in enumerate(r):
-                if v and certificates[j] is None:
-                    certificates[j] = idx
-            continue
-        r = _primitive(row, r)
-        lead = min(row)
-        for col, (prow, pr) in pivots.items():
-            if lead in prow:
-                pivots[col] = (prow, _primitive(prow, _clear(prow, pr, row, r, lead)))
-        pivots[lead] = (row, r)
-    return pivots, certificates
-
-
-def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon:
-    """Exact sparse reduced row echelon over the rationals, row by row.
-
-    Each row is (coefficients by column key, `width` right-hand-side values)
-    with no zero coefficients; keys are any totally ordered values, and the
-    smallest key of a row is its pivot candidate.  Rows are consumed one at a
-    time, so a generator can compute each row as it is eliminated.  The matrix
-    is eliminated once for every right-hand side.
-
-    The elimination is a fraction-free Gauss-Jordan over Python ints.  Each
-    row is scaled to integers by the lcm of its denominators (right-hand side
-    included) and reduced once against each pivot column it touches, by
-    b*row - a*prow with a/b the entry ratio in lowest terms.  A row that does
-    not vanish is divided by its content and becomes a pivot row at its
-    smallest key; that column is then cleared from the earlier pivot rows,
-    which are divided by their content in turn.  So every pivot row is kept
-    fully reduced: its pivot is its smallest key and it has no entry in any
-    other pivot column.  A new row therefore never cascades through the
-    stored rows, and no back-substitution is needed.  Fractions are built
-    only at the end, dividing each row by its pivot entry.  That gives the
-    reduced row echelon form of the matrix, which is unique, so the result
-    does not depend on the order of the reductions.  The certificate of a
-    column is the first row that reduces to 0 = nonzero, a property of the
-    row prefix.  The caller's rows are not modified.
-    """
-    pivots, certificates = _integer_rref(rows, width)
-    return Echelon(
-        {
-            col: ({c: Fraction(v, row[col]) for c, v in row.items()}, [Fraction(v, row[col]) for v in r])
-            for col, (row, r) in pivots.items()
-        },
-        certificates,
-    )
-
-
 def solve(sys: LinSystem) -> SolveResult:
     """Exact reduced row echelon over the rationals: eliminate with one column."""
     ech = eliminate(((coeffs, (rhs,)) for coeffs, rhs in sys.rows), 1)
@@ -433,13 +294,11 @@ def level_echelon(n: int, grid_bound: int, tables: Sequence[ATable]) -> tuple[li
     return sorted(pairs), ech
 
 
-def extended(
-    known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult, require_unique: bool = True
-) -> ATable:
+def extended(known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult) -> ATable:
     """`known` plus the level-n solution over `pairs`; raises unless it is one."""
     if not res.consistent:
         raise ValueError(f"level-{n} system inconsistent (row {res.certificate_row})")
-    if require_unique and res.nullity != 0:
+    if res.nullity != 0:
         raise ValueError(f"level-{n} system has nullity {res.nullity}, expected 0")
     out = ATable(
         max(n, known.max_n),
@@ -451,15 +310,6 @@ def extended(
     for pair, v in zip(pairs, res.solution):
         out.set(n, pair[0], pair[1], v)
     return out
-
-
-def solved_table(
-    n: int, grid_bound: int, known: ATable, require_unique: bool = True
-) -> tuple[ATable, SolveResult]:
-    """Solve the level-n system and return `known` extended with the solution."""
-    pairs, ech = level_echelon(n, grid_bound, [known])
-    res = ech.result(pairs)
-    return extended(known, n, pairs, res, require_unique), res
 
 
 def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) -> list[ATable]:
@@ -497,43 +347,23 @@ def chain_solve(c: RatLike, upto_n: int, final_grid: int = 4) -> ATable:
     return chain_solve_many([c], upto_n, final_grid)[0]
 
 
-def interpolate(points: Sequence[tuple[Rat, Rat]]) -> list[Rat]:
-    """Exact polynomial interpolation; coefficients lowest-degree first.
+def interpolant_degree(xs: Sequence[RatLike], ys: Sequence[RatLike]) -> int:
+    """Degree of the least-degree polynomial through the points (xs[i], ys[i]).
 
-    Returns the least-degree polynomial through every point (Newton divided
-    differences over all points, trailing zeros trimmed), then re-evaluates it
-    at each point as a check of the expansion.  With k points the degree is at
-    most k - 1, so a curve of higher degree aliases to a lower one: pass at
-    least one point more than the largest degree to be detected.
+    The i-th Newton divided difference is the coefficient of the i-th Newton
+    basis polynomial, which is monic of degree i, so the degree is the index
+    of the last nonzero one (0 when every value is 0).  With k points the
+    degree is at most k - 1, so a curve of higher degree aliases to a lower
+    one: pass at least one point more than the largest degree to be detected.
     """
-    if not points:
-        raise ValueError("need at least one sample")
-    xs = [rat(p[0]) for p in points]
-    ys = [rat(p[1]) for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("sample abscissae must be distinct")
-    # Newton's divided differences over all points, then trim
-    coeffs = list(ys)
+    xs = [rat(x) for x in xs]
+    if not xs or len(set(xs)) != len(xs):
+        raise ValueError("need one or more samples at distinct abscissae")
+    dd = [rat(y) for y in ys]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    # expand to monomial basis
-    poly = [Fraction(0)] * len(xs)
-    for i in reversed(range(len(xs))):
-        # poly = poly * (x - xs[i]) + coeffs[i]
-        shifted = [Fraction(0)] + poly[:-1]
-        poly = [shifted[d] - (xs[i] * poly[d] if d < len(poly) else 0) for d in range(len(poly))]
-        poly[0] += coeffs[i]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    # consistency: all points must evaluate exactly
-    for xv, yv in zip(xs, ys):
-        acc = Fraction(0)
-        for d in reversed(range(len(poly))):
-            acc = acc * xv + poly[d]
-        if acc != yv:
-            raise ValueError("inconsistent interpolation data")
-    return poly
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    return max((i for i, d in enumerate(dd) if d), default=0)
 
 
 def degree_in_c(n: int, pair: Pair, c_samples: Sequence[RatLike]) -> int:
@@ -550,12 +380,11 @@ def degree_in_c(n: int, pair: Pair, c_samples: Sequence[RatLike]) -> int:
         vals = [a2_family_assoc(c)(pair[0], pair[1]) for c in cs]
     else:
         vals = [table.get(n, pair[0], pair[1]) for table in chain_solve_many(cs, n)]
-    poly = interpolate(list(zip(cs, vals)))
-    return len(poly) - 1
+    return interpolant_degree(cs, vals)
 
 
 # ---------------------------------------------------------------------------
-# Determinant certificate and table sanity
+# Determinant certificate
 # ---------------------------------------------------------------------------
 
 
@@ -592,32 +421,3 @@ def det2x2_lemma(n: int, k: int, l: int, m: int) -> Rat:
     if value != det2x2_direct(n, k, l, m):
         raise AssertionError("closed form disagrees with the direct determinant")
     return value
-
-
-def verify_symmetry_and_zero(table: ATable, n: int, grid_bound: int | None = None) -> bool:
-    """Symmetry A_n(x,y) = A_n(y,x) on the grid, plus the weight-0 extension.
-
-    The weight-0 column is determined by the degenerate p = 0 identity; once
-    A_1(x, 0) = 0, that recursion forces every higher extension to vanish, so
-    the computed extension is checked to be exactly 0 for every grid x.
-    """
-    bound = grid_bound if grid_bound is not None else table.grid_bound
-    for a in range(1, bound + 1):
-        for b in range(1, bound + 1):
-            if table.get(n, 2 * a, 2 * b) != table.get(n, 2 * b, 2 * a):
-                return False
-    # extension recursion: ext_r(x) multiplies known A_(n-r)(x+2r, z) terms
-    ext: dict[int, Rat] = {1: Fraction(0)}
-    for r in range(2, n + 1):
-        x = 2  # any grid weight; z-independence below guards the arbitrary pick
-        z = 2
-        acc = Fraction(0)
-        for j in range(1, r):
-            acc += (
-                binom(r, j)
-                * ext[j]
-                * table.get(r - j, x + 2 * j, z)
-                / (pochhammer(x + 2 * j, r - j) * pochhammer(x, j))
-            )
-        ext[r] = -pochhammer(x, r) * acc
-    return ext[n] == 0

@@ -21,6 +21,15 @@ Python ints over the argument's numerator and denominator and build one
 Fraction at the end.  Both are memoized without bound: the identity systems
 ask for a few hundred distinct values some hundred thousand times.
 
+One sparse eliminator serves every linear system downstream: eliminate
+reduces a matrix once for any number of right-hand-side columns, and
+Echelon.result reads off one column's SolveResult.  It is a fraction-free
+Gauss-Jordan over Python ints: rows are scaled to integers, every stored
+pivot row is kept fully reduced and primitive (content divided out), and
+Fractions are built only at the end, when each pivot row is divided by its
+pivot.  Its result is the reduced row echelon form, which is unique, so no
+reduction order can change it.
+
 All values are immutable after construction and all operations are pure,
 which is what makes sharing a memoized result between callers safe.
 """
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -566,3 +576,145 @@ class MPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+# ---------------------------------------------------------------------------
+# Exact sparse linear algebra
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SolveResult:
+    consistent: bool
+    rank: int
+    nullity: int
+    solution: list[Rat] | None  # particular solution, free variables set to 0
+    null_basis: list[list[Rat]]
+    certificate_row: int | None  # witness row index when inconsistent
+
+
+class Echelon:
+    """Reduced row echelon form of one matrix with several right-hand sides.
+
+    pivots maps each pivot column key to its normalized, fully reduced row and
+    that row's right-hand-side values, one per column; certificates holds,
+    per right-hand-side column, the index of the first row that reduced to
+    0 = nonzero (None when that column is consistent).
+    """
+
+    def __init__(self, pivots: dict, certificates: list[int | None]):
+        self.pivots: dict[object, tuple[dict[object, Rat], list[Rat]]] = pivots
+        self.certificates = certificates
+
+    def result(self, keys: Sequence, j: int = 0) -> SolveResult:
+        """The solution for right-hand side j over the ordered column keys."""
+        rank = len(self.pivots)
+        nullity = len(keys) - rank
+        if self.certificates[j] is not None:
+            return SolveResult(False, rank, nullity, None, [], self.certificates[j])
+        zero = Fraction(0)
+        solution = [self.pivots[key][1][j] if key in self.pivots else zero for key in keys]
+        position = {key: i for i, key in enumerate(keys)}
+        null_basis = []
+        for free in keys:
+            if free in self.pivots:
+                continue
+            vec = [zero] * len(keys)
+            vec[position[free]] = Fraction(1)
+            for col, (prow, _) in self.pivots.items():
+                if free in prow:
+                    vec[position[col]] = -prow[free]
+            null_basis.append(vec)
+        return SolveResult(True, rank, nullity, solution, null_basis, None)
+
+
+def _clear(row: dict, rhs: list[int], prow: dict, prhs: list[int], col) -> list[int]:
+    """Clear column col from row: row = b*row - a*prow in place, over the
+    integers, with a/b = row[col]/prow[col] in lowest terms; returns
+    b*rhs - a*prhs."""
+    a, b = row[col], prow[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for c in row:
+            row[c] *= b
+    for c, v in prow.items():
+        nv = row.get(c, 0) - a * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    return [b * r - a * p for r, p in zip(rhs, prhs)]
+
+
+def _primitive(row: dict, rhs: list[int]) -> list[int]:
+    """Divide row (in place) and rhs by their content; returns the new rhs."""
+    g = math.gcd(*row.values(), *rhs)
+    if g != 1:
+        for c in row:
+            row[c] //= g
+        rhs = [r // g for r in rhs]
+    return rhs
+
+
+def _integer_rref(
+    rows: Iterable[tuple[dict, Sequence[Rat]]], width: int
+) -> tuple[dict[object, tuple[dict[object, int], list[int]]], list[int | None]]:
+    """eliminate's integer pass: primitive, fully reduced pivot rows and certificates."""
+    pivots: dict = {}
+    certificates: list[int | None] = [None] * width
+    for idx, (coeffs, rhs) in enumerate(rows):
+        d = math.lcm(*(v.denominator for v in coeffs.values()), *(v.denominator for v in rhs))
+        row = {c: v.numerator * (d // v.denominator) for c, v in coeffs.items()}
+        r = [v.numerator * (d // v.denominator) for v in rhs]
+        # pivot rows have no entry in another pivot column, so each reduction
+        # clears one column and leaves the row's other pivot columns alone
+        for col in [c for c in row if c in pivots]:
+            r = _clear(row, r, *pivots[col], col)
+        if not row:
+            for j, v in enumerate(r):
+                if v and certificates[j] is None:
+                    certificates[j] = idx
+            continue
+        r = _primitive(row, r)
+        lead = min(row)
+        for col, (prow, pr) in pivots.items():
+            if lead in prow:
+                pivots[col] = (prow, _primitive(prow, _clear(prow, pr, row, r, lead)))
+        pivots[lead] = (row, r)
+    return pivots, certificates
+
+
+def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon:
+    """Exact sparse reduced row echelon over the rationals, row by row.
+
+    Each row is (coefficients by column key, `width` right-hand-side values)
+    with no zero coefficients; keys are any totally ordered values, and the
+    smallest key of a row is its pivot candidate.  Rows are consumed one at a
+    time, so a generator can compute each row as it is eliminated.  The matrix
+    is eliminated once for every right-hand side.
+
+    The elimination is a fraction-free Gauss-Jordan over Python ints.  Each
+    row is scaled to integers by the lcm of its denominators (right-hand side
+    included) and reduced once against each pivot column it touches, by
+    b*row - a*prow with a/b the entry ratio in lowest terms.  A row that does
+    not vanish is divided by its content and becomes a pivot row at its
+    smallest key; that column is then cleared from the earlier pivot rows,
+    which are divided by their content in turn.  So every pivot row is kept
+    fully reduced: its pivot is its smallest key and it has no entry in any
+    other pivot column.  A new row therefore never cascades through the
+    stored rows, and no back-substitution is needed.  Fractions are built
+    only at the end, dividing each row by its pivot entry.  That gives the
+    reduced row echelon form of the matrix, which is unique, so the result
+    does not depend on the order of the reductions.  The certificate of a
+    column is the first row that reduces to 0 = nonzero, a property of the
+    row prefix.  The caller's rows are not modified.
+    """
+    pivots, certificates = _integer_rref(rows, width)
+    return Echelon(
+        {
+            col: ({c: Fraction(v, row[col]) for c, v in row.items()}, [Fraction(v, row[col]) for v in r])
+            for col, (row, r) in pivots.items()
+        },
+        certificates,
+    )

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .coeffsolve import eliminate
-from .exactcore import Rat, RatLike, binom, pochhammer, rat
+from .exactcore import Rat, RatLike, binom, eliminate, pochhammer, rat
 from .forms import ModularForm
 from .nearlyholo import NearlyHoloForm, dtil_power, lower as nh_lower, shimura_pow
 

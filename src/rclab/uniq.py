@@ -44,8 +44,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .coeffsolve import eliminate
-from .exactcore import MPoly, QSeries, Rat, RatLike, binom, rat
+from .exactcore import MPoly, QSeries, Rat, RatLike, binom, eliminate
 from .forms import GradedForm, ModularForm, eisenstein
 from .nearlyholo import rc_bracket
 from .starprod import rc_series
@@ -91,14 +90,6 @@ def lowest_q_mpoly(n: int) -> MPoly:
         term = _pochhammer_mpoly(2 * k + q, n - q) * _pochhammer_mpoly(2 * l + 2 * m + n - q, q)
         side2 = side2 + c * term * r.pow(q) * (s + t).pow(n - q)
     return side1 - side2
-
-
-def lowest_q_identity(
-    n: int, k: RatLike, l: RatLike, m: RatLike, r: RatLike, s: RatLike, t: RatLike
-) -> Rat:
-    """Numeric evaluation of lowest_q_mpoly(n)."""
-    vals = dict(zip(_KLMRST, (rat(k), rat(l), rat(m), rat(r), rat(s), rat(t))))
-    return lowest_q_mpoly(n).evaluate(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +166,13 @@ def p3_build() -> MPoly:
     return out
 
 
-def p3_substituted() -> MPoly:
-    """p3_build with the positive-parameter direction substituted in.
+def _substitute_direction(p3: MPoly) -> MPoly:
+    """p3_build's polynomial with the positive-parameter direction substituted in.
 
     r -> (3k+m)(k+l+m) + (k+m),  t -> (k+3m)(k+l+m) + (k+m); because the
     cleared residual is (r,t)-homogeneous of degree 3 the scale parameter
     only contributes a cubic overall factor, which is dropped.
     """
-    return _substitute_direction(p3_build())
-
-
-def _substitute_direction(p3: MPoly) -> MPoly:
     k, l, m = MPoly.variables(("k", "l", "m"))
     r_img = (3 * k + m) * (k + l + m) + (k + m)
     t_img = (k + 3 * m) * (k + l + m) + (k + m)
@@ -328,7 +315,6 @@ def p3_certify_report() -> dict:
         "coeff_l2_m8": substituted.coeff_of_monomial(l=2, m=8),
         "inner_diff": poly_diff_report(inner, p3_reference_inner()),
         "substituted_diff": poly_diff_report(substituted, p3_reference_substituted()),
-        "term_count": len(substituted.terms),
     }
 
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclab import coeffsolve
+from rclab import coeffsolve, exactcore
 from rclab.coeffsolve import (
     ATable,
-    Echelon,
     LinSystem,
     MissingEntryError,
     a2_family,
@@ -19,24 +18,22 @@ from rclab.coeffsolve import (
     degree_in_c,
     det2x2_direct,
     det2x2_lemma,
-    eliminate,
     extended,
     induced_c_from_kappa,
-    interpolate,
+    interpolant_degree,
     kappa_c_report,
     kappa_to_c,
+    level_echelon,
     solve,
-    solved_table,
-    verify_symmetry_and_zero,
 )
-from rclab.exactcore import pochhammer
+from rclab.exactcore import Echelon, eliminate, pochhammer, rat
 from rclab.starprod import ident_residual
 
 
 def test_atable_builtin_levels_and_missing():
     t = ATable(3, 4)
-    assert t.get(0, 2, 8) == 1
-    assert t.get(1, 4, 6) == 24
+    assert t.get(0, 2, 8) == 1 and type(t.get(0, 2, 8)) is int
+    assert t.get(1, 4, 6) == 24 and type(t.get(1, 4, 6)) is int
     with pytest.raises(MissingEntryError):
         t.get(2, 4, 6)
     t.set(2, 4, 6, F(7, 2))
@@ -278,7 +275,7 @@ def test_eliminate_matches_reference_eliminator(system):
     assert rows == snapshot  # solve(sys) may run twice on one system
     _same_echelon(got, _reference_eliminate(iter(rows), width))
     # the stored integer rows are primitive and fully reduced
-    pivots, _ = coeffsolve._integer_rref(iter(rows), width)
+    pivots, _ = exactcore._integer_rref(iter(rows), width)
     for col, (row, r) in pivots.items():
         assert gcd(*row.values(), *r) == 1
         assert min(row) == col and not (set(row) - {col}) & set(pivots)
@@ -374,14 +371,16 @@ def test_higher_levels_unique_on_grid_six(n):
 
 def test_solved_table_satisfies_identities():
     known = ATable.eholzer(2, 40)
-    table, res = solved_table(3, 4, known)
+    pairs, ech = level_echelon(3, 4, [known])
+    res = ech.result(pairs)
     assert res.nullity == 0
+    table = extended(known, 3, pairs, res)
     for k in range(1, 4):
         for l in range(1, 4):
             for m in range(1, 4):
                 for p in range(4):
                     assert ident_residual(table, k, l, m, 3, p) == 0
-    assert verify_symmetry_and_zero(table, 3, 4)
+    assert all(table.get(3, 2 * a, 2 * b) == table.get(3, 2 * b, 2 * a) for a in range(1, 5) for b in range(1, 5))
 
 
 def test_chain_solve_matches_induced_chains():
@@ -417,15 +416,83 @@ def test_grid_too_small_raises():
         build_ident_system(3, 4, known)
 
 
-def test_interpolate():
-    pts = [(0, F(3)), (1, F(6)), (2, F(11)), (3, F(18))]
-    assert interpolate(pts) == [F(3), F(2), F(1)]  # 3 + 2c + c^2
+def test_interpolant_degree():
+    assert interpolant_degree([0, 1, 2, 3], [F(3), F(6), F(11), F(18)]) == 2  # 3 + 2c + c^2
+    assert interpolant_degree([F(1, 2)], [F(0)]) == 0
     # d + 1 samples of a degree d + 1 curve alias to a lower degree; d + 2 show it
-    cubic = [(x, F(x**3 - x)) for x in range(5)]
-    assert len(interpolate(cubic[:3])) - 1 == 2
-    assert len(interpolate(cubic[:4])) - 1 == 3
+    cubic = [F(x**3 - x) for x in range(5)]
+    assert interpolant_degree(range(3), cubic[:3]) == 2
+    assert interpolant_degree(range(4), cubic[:4]) == 3
     with pytest.raises(ValueError):
-        interpolate([(0, F(0)), (1, F(1)), (2, F(3)), (0, F(5))])
+        interpolant_degree([0, 1, 2, 0], [F(0), F(1), F(3), F(5)])
+    with pytest.raises(ValueError):
+        interpolant_degree([], [])
+
+
+# The interpolation degree_in_c used before it read the degree off the divided
+# differences, kept verbatim as the oracle for interpolant_degree.
+def reference_interpolate(points):
+    """Exact polynomial interpolation; coefficients lowest-degree first.
+
+    Returns the least-degree polynomial through every point (Newton divided
+    differences over all points, trailing zeros trimmed), then re-evaluates it
+    at each point as a check of the expansion.  With k points the degree is at
+    most k - 1, so a curve of higher degree aliases to a lower one: pass at
+    least one point more than the largest degree to be detected.
+    """
+    if not points:
+        raise ValueError("need at least one sample")
+    xs = [rat(p[0]) for p in points]
+    ys = [rat(p[1]) for p in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("sample abscissae must be distinct")
+    # Newton's divided differences over all points, then trim
+    coeffs = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    # expand to monomial basis
+    poly = [F(0)] * len(xs)
+    for i in reversed(range(len(xs))):
+        # poly = poly * (x - xs[i]) + coeffs[i]
+        shifted = [F(0)] + poly[:-1]
+        poly = [shifted[d] - (xs[i] * poly[d] if d < len(poly) else 0) for d in range(len(poly))]
+        poly[0] += coeffs[i]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    # consistency: all points must evaluate exactly
+    for xv, yv in zip(xs, ys):
+        acc = F(0)
+        for d in reversed(range(len(poly))):
+            acc = acc * xv + poly[d]
+        if acc != yv:
+            raise ValueError("inconsistent interpolation data")
+    return poly
+
+
+_RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def _samples(draw):
+    """(xs, ys): 1-7 distinct rational abscissae; values random, all zero, or on a low-degree curve."""
+    xs = draw(st.lists(_RATIONALS, min_size=1, max_size=7, unique=True))
+    kind = draw(st.sampled_from(["random", "zero", "curve"]))
+    if kind == "random":
+        ys = [draw(_RATIONALS) for _ in xs]
+    elif kind == "zero":
+        ys = [F(0)] * len(xs)
+    else:
+        coeffs = draw(st.lists(_RATIONALS, min_size=1, max_size=len(xs)))
+        ys = [sum((c * x**d for d, c in enumerate(coeffs)), F(0)) for x in xs]
+    return xs, ys
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_samples())
+def test_interpolant_degree_matches_reference_interpolation(samples):
+    xs, ys = samples
+    assert interpolant_degree(xs, ys) == len(reference_interpolate(list(zip(xs, ys)))) - 1
 
 
 @pytest.mark.parametrize("n,deg", [(2, 1), (3, 1), (4, 2)])

@@ -19,13 +19,10 @@ from rclab.uniq import (
     fine_det3_mpoly,
     form_to_isobaric,
     isobaric_gcd,
-    lowest_q_identity,
     lowest_q_mpoly,
     p3_build,
     p3_reference_inner,
-    p3_reference_substituted,
     p3_certify_report,
-    p3_substituted,
     random_uniqueness_search,
     rc_uniqueness_check,
     weight_basis,
@@ -81,7 +78,7 @@ def test_lowest_q_degree_two_factorization():
     C = lambda K, L, M: (3 * K + M) * (K + L + M) + (K + M)
     for K, L, M, R, T in ((1, 1, 1, 2, 3), (2, 1, 3, 1, 5), (1, 2, 1, 4, 1)):
         S = F(L * (R + T), K + M)
-        got = lowest_q_identity(2, K, L, M, R, S, T)
+        got = lowest_q_mpoly(2).evaluate(dict(zip("klmrst", (K, L, M, R, S, T))))
         want = F(2 * L, (K + M) ** 2) * (R + T) * (A(K, L, M) * R - C(K, L, M) * T)
         assert got == want
 
@@ -93,7 +90,7 @@ def test_lowest_q_degree_two_root_direction():
         for mu in (1, 2, F(1, 3)):
             T, R = mu * A(K, L, M), mu * C(K, L, M)
             S = F(L * (R + T), K + M)
-            assert lowest_q_identity(2, K, L, M, R, S, T) == 0
+            assert lowest_q_mpoly(2).evaluate(dict(zip("klmrst", (K, L, M, R, S, T)))) == 0
             # the third component of the direction: s = mu*l*(4(k+l+m)+2)
             assert S == mu * L * (4 * (K + L + M) + 2)
 
@@ -129,15 +126,6 @@ def test_p3_inner_spot_coefficients():
     ))
     for spot in (dict(k=1, l=2, m=1, r=2), dict(k=2, l=1, m=1, r=2)):
         assert built.coeff_of_monomial(**spot) == ref.coeff_of_monomial(**spot)
-
-
-def test_p3_substituted_positive_and_spot_values():
-    sub = p3_substituted()
-    ok, witness = sub.all_coeffs_positive()
-    assert ok and witness is None
-    assert sub.coeff_of_monomial(k=5, l=1) == 48
-    assert sub.coeff_of_monomial(l=2, m=8) == 1536
-    assert sub == p3_reference_substituted()
 
 
 def test_p3_certify_report():
