@@ -11,6 +11,7 @@ reader that closes stdout early gets exit 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -381,16 +382,28 @@ def suite_kappa_c(s: Suite, printed: bool = False) -> None:
         )
 
 
+def _det2x2_failure(n: int, k: int, l: int, m: int) -> str | None:
+    """Why det2x2_lemma fails at (n, k, l, m): its own assertion, or a value >= 0."""
+    try:
+        return None if coeffsolve.det2x2_lemma(n, k, l, m) < 0 else "determinant not negative"
+    except AssertionError as exc:
+        return str(exc)
+
+
 def suite_fine(s: Suite, grid: int = 5, n_max: int = 6) -> None:
     n_max = max(3, n_max)  # the lemma starts at n = 3; record the n actually checked
-    ok2 = all(
-        coeffsolve.det2x2_lemma(n, k, l, m) < 0
-        for n in range(3, n_max + 1)
-        for k in range(1, grid + 1)
-        for l in range(1, grid + 1)
-        for m in range(1, grid + 1)
+    points = itertools.product(range(3, n_max + 1), *[range(1, grid + 1)] * 3)
+    witness = next(
+        ({"n": n, "k": k, "l": l, "m": m, "reason": why}
+         for n, k, l, m in points if (why := _det2x2_failure(n, k, l, m))),
+        None,
     )
-    s.check("fine/det2x2-closed-form-negative", ok2, {"n_max": n_max, "grid": grid})
+    s.check(
+        "fine/det2x2-closed-form-negative",
+        witness is None,
+        {"n_max": n_max, "grid": grid},
+        **({} if witness is None else {"witness": witness}),
+    )
     ok3 = all(
         uniq.fine_det3(k, l, m) < 0
         for k in range(1, 7)

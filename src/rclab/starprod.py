@@ -12,6 +12,11 @@ with x, y the weights of the graded parts.  Three coefficient kinds:
                is normalized to A_1(x, y) = x y
   table        coeff = A_n(x, y) / ((x)_n (y)_n) from an explicit A-table
 
+cmz_coeff is the one evaluator of t_n^kappa, behind both
+StarCoefficients.coefficient and ATable.from_kappa.  Its j-sum runs in Python
+ints over falling products, with the kappa-only factor of each term cached
+per (kappa, j), and it builds one Fraction at the end.
+
 The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
 ways of bracketing a triple product; ident_numerators is their one
@@ -26,6 +31,7 @@ and is the independent oracle for that reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +39,26 @@ from itertools import chain
 from typing import Iterable
 
 from . import rep
-from .exactcore import Rat, RatLike, binom, pochhammer, rat
+from .exactcore import Rat, RatLike, pochhammer, rat
 from .forms import GradedForm
 from .nearlyholo import rc_bracket
 
 
 class PoleError(ValueError):
     """A coefficient denominator vanished for the requested parameters."""
+
+
+@functools.lru_cache(maxsize=None)
+def _cmz_kappa_factor(kp: int, kq: int, j: int) -> tuple[int, int]:
+    """j!^3 C(-1/2, j) C(kappa-3/2, j) C(1/2-kappa, j) at kappa = kp/kq, as (num, den) ints.
+
+    C(p/q, j) j! is the falling product prod_{i<j} (p - i*q) over q^j; here
+    the three arguments are -1/2, (2kp - 3kq)/(2kq) and (kq - 2kp)/(2kq).
+    """
+    num = 1
+    for p, q in ((-1, 2), (2 * kp - 3 * kq, 2 * kq), (kq - 2 * kp, 2 * kq)):
+        num *= math.prod(range(p, p - j * q, -q))
+    return num, (8 * kq * kq) ** j
 
 
 def cmz_coeff(kappa: RatLike, k: RatLike, l: RatLike, n: int) -> Rat:
@@ -51,27 +70,36 @@ def cmz_coeff(kappa: RatLike, k: RatLike, l: RatLike, n: int) -> Rat:
 
     k, l are the half-weights of the two factors.  Raises PoleError when a
     denominator binomial vanishes (never for positive integer k, l).
+
+    Computed in Python ints.  The j!^3 of the numerator and denominator
+    binomials cancel, leaving falling products prod_{i<j} (p - i*q) / q^j:
+    the kappa-only numerator is cached per (kappa, j), and the denominator's
+    three falling products run along j.  The j-sum is kept over a running
+    common denominator, and (-1/4)^n goes into the one Fraction built at the end.
     """
     kappa, k, l = rat(kappa), rat(k), rat(l)
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = Fraction(0)
+    kp, kq, lp, lq = k.numerator, k.denominator, l.numerator, l.denominator
+    # the denominator arguments -k-1/2 = p1/q1, -l-1/2 = p2/q2, n+k+l-3/2 = p3/q3 (not reduced)
+    p1, q1 = -2 * kp - kq, 2 * kq
+    p2, q2 = -2 * lp - lq, 2 * lq
+    p3, q3 = 2 * (n * kq * lq + kp * lq + lp * kq) - 3 * kq * lq, 2 * kq * lq
+    q = q1 * q2 * q3
+    num, den = 0, 1
+    fall, qj = 1, 1  # the product of the three falling products at j, and q^j
     for j in range(n // 2 + 1):
-        top = binom(n, 2 * j)
-        if top == 0:
-            continue
-        num = binom(Fraction(-1, 2), j) * binom(kappa - Fraction(3, 2), j) * binom(
-            Fraction(1, 2) - kappa, j
-        )
-        den = (
-            binom(-k - Fraction(1, 2), j)
-            * binom(-l - Fraction(1, 2), j)
-            * binom(n + k + l - Fraction(3, 2), j)
-        )
-        if den == 0:
+        if j:
+            i = j - 1
+            fall *= (p1 - i * q1) * (p2 - i * q2) * (p3 - i * q3)
+            qj *= q
+        if fall == 0:
             raise PoleError(f"t_{n}^{kappa}({k},{l}): denominator binomial vanishes at j={j}")
-        total += top * num / den
-    return Fraction(-1, 4) ** n * total
+        knum, kden = _cmz_kappa_factor(kappa.numerator, kappa.denominator, j)
+        tnum, tden = math.comb(n, 2 * j) * knum * qj, kden * fall
+        g = math.gcd(den, tden)
+        num, den = num * (tden // g) + tnum * (den // g), den // g * tden
+    return Fraction((-1) ** n * num, 4**n * den)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,12 @@ def test_config_file_and_flag_override(tmp_path, capsys):
          "8990c63575a6f11d50fc0bfb200f2e5a6b43b404b4ef35ae004e9e3c05aacaa7"),
         ("solve an --n 1 --grid 3 --json",
          "1d669c0f78e60dc5fe59618705aa14e71729f64a4e0253a0a0faddfaa2175c89"),
+        # no verify suite runs a cmz star product (assoc is eholzer-only): the
+        # README example at kappa = 1/2 and a generic kappa
+        ("star --kind cmz --kappa 1/2 --f E4 --g E6 --order 4 --prec 20 --json",
+         "b367c5e1023c282bc892fa7b98297ed4209a79aafc598a44b11acaffce08684e"),
+        ("star --kind cmz --kappa 7/3 --f E4 --g E6 --order 4 --prec 20 --json",
+         "98fc5aa498f543f39c7c9dc2a9546aabcb80bd99afa9510fa6fdad4346bb2499"),
     ],
 )
 def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
@@ -287,13 +293,14 @@ def test_kappa_c_fails_when_the_level2_coordinate_is_rescaled(capsys, monkeypatc
 
 
 def test_a_suite_that_raises_fails_as_a_record(capsys, monkeypatch):
-    direct = coeffsolve.det2x2_direct
-    monkeypatch.setattr(coeffsolve, "det2x2_direct", lambda *a: 2 * direct(*a))
+    # a disagreeing determinant is a failed record with a witness (see
+    # test_planted_defects); a crash inside the suite is a `fine/error` record
+    monkeypatch.setattr(coeffsolve, "det2x2_direct", lambda *a: 1 // 0)
     code, out = run(capsys, "verify", "fine", "--json")
     assert code == 1 and capsys.readouterr().err == ""
     (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == "fine/error"]
-    assert rec["status"] == "fail" and rec["exception"] == "AssertionError"
-    assert "closed form disagrees" in rec["message"]
+    assert rec["status"] == "fail" and rec["exception"] == "ZeroDivisionError"
+    assert rec["message"] == "integer division or modulo by zero"
 
 
 def test_a_closed_stdout_exits_one_without_a_traceback():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from rclab import coeffsolve, starprod
+from rclab import coeffsolve, exactcore, starprod
 from rclab.cli import main
 
 
@@ -30,12 +30,25 @@ def _patch_every_binding(monkeypatch, original, replacement) -> int:
 
 
 _cmz = starprod.cmz_coeff
+_pochhammer = exactcore.pochhammer
 _assoc_family = coeffsolve.a2_family_assoc
 
 
 def _cmz_scaled_at_four(kappa, k, l, n):
     value = _cmz(kappa, k, l, n)
     return 2 * value if n == 4 else value
+
+
+def _cmz_shifted_at_two(kappa, k, l, n):
+    # n = 2 is the first order with a j = 1 term in the cmz sum
+    value = _cmz(kappa, k, l, n)
+    return value + Fraction(1, 64) if n == 2 else value
+
+
+def _pochhammer_doubled_at_five(a, n):
+    # det2x2_direct reads (.)_{n-1} and the closed form (.)_{n-2}: they first disagree at n = 6
+    value = _pochhammer(a, n)
+    return 2 * value if n == 5 else value
 
 
 def _assoc_family_wrong_c_term(c):
@@ -58,6 +71,15 @@ DEFECTS = [
         id="cmz_coeff-scaled-at-n4",
     ),
     pytest.param(
+        starprod.cmz_coeff, _cmz_shifted_at_two, "kappa-c",
+        ["kappa-c/1over2/fit", "kappa-c/3over2/fit", "kappa-c/2/fit", "kappa-c/5over2/fit"],
+        id="cmz_coeff-shifted-at-n2",
+    ),
+    pytest.param(
+        exactcore.pochhammer, _pochhammer_doubled_at_five, "fine", ["fine/det2x2-closed-form-negative"],
+        id="pochhammer-doubled-at-n5",
+    ),
+    pytest.param(
         coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve-unique/error"],
         id="a2_family_assoc-wrong-c-term",
     ),
@@ -76,3 +98,12 @@ def test_planted_defect_fails_its_suite(capsys, monkeypatch, original, replaceme
     assert code == 1 and captured.err == ""
     statuses = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
     assert {name for name, status in statuses.items() if status != "pass"} == set(failing), statuses
+
+
+def test_fine_failure_names_the_first_disagreeing_point(capsys, monkeypatch):
+    _patch_every_binding(monkeypatch, exactcore.pochhammer, _pochhammer_doubled_at_five)
+    assert main(["verify", "fine", "--json"]) == 1
+    (rec,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] == "fail"]
+    assert rec["witness"] == {
+        "n": 6, "k": 1, "l": 1, "m": 1, "reason": "closed form disagrees with the direct determinant",
+    }

@@ -3,9 +3,11 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rclab.coeffsolve import ATable, a2_family_assoc
-from rclab.exactcore import QSeries, Rat, binom, pochhammer
+from rclab.exactcore import QSeries, Rat, binom, pochhammer, rat
 from rclab.forms import GradedForm, ModularForm
 from rclab.nearlyholo import rc_bracket
 from rclab.starprod import (
@@ -43,6 +45,62 @@ def test_cmz_eholzer_reduction():
 def test_cmz_pole_error():
     with pytest.raises(PoleError):
         cmz_coeff(1, F(-1, 2), 1, 2)
+
+
+def reference_cmz_coeff(kappa, k, l, n):
+    # the per-term Fraction sum that cmz_coeff used before its int kernel
+    kappa, k, l = rat(kappa), rat(k), rat(l)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    total = Fraction(0)
+    for j in range(n // 2 + 1):
+        top = binom(n, 2 * j)
+        if top == 0:
+            continue
+        num = binom(Fraction(-1, 2), j) * binom(kappa - Fraction(3, 2), j) * binom(
+            Fraction(1, 2) - kappa, j
+        )
+        den = (
+            binom(-k - Fraction(1, 2), j)
+            * binom(-l - Fraction(1, 2), j)
+            * binom(n + k + l - Fraction(3, 2), j)
+        )
+        if den == 0:
+            raise PoleError(f"t_{n}^{kappa}({k},{l}): denominator binomial vanishes at j={j}")
+        total += top * num / den
+    return Fraction(-1, 4) ** n * total
+
+
+def _cmz_outcome(f, *args):
+    try:
+        return f(*args)
+    except PoleError as exc:
+        return PoleError, str(exc)  # the message names the j of the vanishing denominator
+
+
+_KAPPAS = st.one_of(
+    st.sampled_from([F(1, 2), F(3, 2), 0, 1, 2, F(7, 3)]),
+    st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 7])),
+    st.builds(F, st.integers(-10**9, 10**9), st.sampled_from([997, 10**6 + 3, 2**61 - 1])),
+)
+_HALF_INTEGERS = st.integers(-10, 14).map(lambda t: F(t, 2))  # integer and half-integer
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_KAPPAS, _HALF_INTEGERS, st.one_of(_HALF_INTEGERS, st.builds(F, st.integers(-9, 9), st.just(3))),
+       st.integers(0, 8))
+@example(F(1, 2), F(-1, 2), 1, 2)  # C(-k-1/2, 1) = 0
+@example(F(7, 3), F(1, 2), -1, 2)  # n+k+l-3/2 = 0: pole at j = 1
+@example(F(7, 3), F(1, 2), -2, 4)  # n+k+l-3/2 = 1: pole at j = 2
+@example(F(3, 2), F(1, 2), F(1, 2), 8)
+@example(F(123456789, 2**61 - 1), 5, F(7, 2), 8)
+def test_cmz_coeff_matches_fraction_oracle(kappa, k, l, n):
+    got, want = _cmz_outcome(cmz_coeff, kappa, k, l, n), _cmz_outcome(reference_cmz_coeff, kappa, k, l, n)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert type(got) is F
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cmz_coeff(kappa, k, l, -1 - n)
 
 
 def test_coefficient_dispatch():
