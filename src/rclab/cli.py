@@ -371,6 +371,7 @@ def suite_kappa_c(s: Suite, printed: bool = False) -> None:
                 repc["fit_consistent"] and repc["fit_matches_formula"],
                 {"grid": s.cfg.grid_bound},
                 c_fit=str(repc["c_fit"]),
+                **({} if repc["fit_witness"] is None else {"witness": repc["fit_witness"]}),
             )
         # printed asserts the quoted constant as-is; by default its mismatch is the verdict
         s.check(
@@ -434,12 +435,14 @@ def suite_p3(s: Suite) -> None:
         k5_l=str(repp["coeff_k5_l"]),
         l2_m8=str(repp["coeff_l2_m8"]),
     )
+    remainder = repp["division_remainder"]
     s.check(
         "p3/reference-diff-within-recorded-damage",
-        len(repp["inner_diff"]) == 0 and len(repp["substituted_diff"]) == 0,
+        remainder is None and repp["inner_diff"] == [] and repp["substituted_diff"] == [],
         {},
         inner_diff=repp["inner_diff"],
         substituted_diff=repp["substituted_diff"],
+        **({} if remainder is None else {"witness": remainder}),
     )
 
 

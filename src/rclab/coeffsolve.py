@@ -162,24 +162,29 @@ def kappa_c_report(kappa: RatLike, grid_bound: int = 4) -> dict:
     quoted constant with the fitted one in that coordinate.  Nothing is
     auto-corrected; the mismatch (present for every rational kappa, since
     5 kappa^2 - 12 kappa + 6 has no rational root) is returned as data.
+    fit_witness is None for a constant fit, else the first grid point in loop
+    order whose fitted c differs from the first point's, with both values.
     """
     kappa = rat(kappa)
     c_quoted = kappa_to_c(kappa)
     table = ATable.from_kappa(kappa, 2, grid_bound)
     base, unit = a2_family_assoc(0), a2_family_assoc(1)
-    fits = {
-        (table.get(2, x, y) - base(x, y)) / (unit(x, y) - base(x, y))
+    fits = [
+        (x, y, (table.get(2, x, y) - base(x, y)) / (unit(x, y) - base(x, y)))
         for x in range(2, 2 * grid_bound + 1, 2)
         for y in range(2, 2 * grid_bound + 1, 2)
-    }
-    fit_consistent = len(fits) == 1
-    c_fit = next(iter(fits)) if fit_consistent else None
+    ]
+    first = fits[0][2]
+    witness = next(({"x": x, "y": y, "c": c, "c_first": first} for x, y, c in fits if c != first), None)
+    fit_consistent = witness is None
+    c_fit = first if fit_consistent else None
     return {
         "kappa": kappa,
         "c_quoted": c_quoted,
         "quoted_family_matches_induced": c_quoted == c_fit,
         "c_fit": c_fit,
         "fit_consistent": fit_consistent,
+        "fit_witness": witness,
         "c_fit_formula": induced_c_from_kappa(kappa),
         "fit_matches_formula": fit_consistent and c_fit == induced_c_from_kappa(kappa),
     }
@@ -195,10 +200,11 @@ class LinSystem:
     """Sparse exact system: rows are (coefficient dict over variable indices, rhs)."""
 
     variables: list
-    rows: list[tuple[dict[int, Rat], Rat]] = field(default_factory=list)
+    rows: list[tuple[dict[int, int | Rat], Rat]] = field(default_factory=list)
 
     def add_row(self, coeffs: dict[int, RatLike], rhs: RatLike) -> None:
-        values = {i: rat(c) for i, c in coeffs.items()}
+        # int coefficients stay ints: the eliminator scales every row to ints anyway
+        values = {i: c if isinstance(c, int) else rat(c) for i, c in coeffs.items()}
         self.rows.append(({i: v for i, v in values.items() if v}, rat(rhs)))
 
 

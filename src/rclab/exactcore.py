@@ -13,8 +13,11 @@ Everything downstream works over these three carriers:
              one exact big-int multiply (Kronecker substitution); Fractions
              are made only where a caller reads coefficients
   MPoly   -- a sparse polynomial over an ordered variable list, exponent
-             vector -> Rat, with no zero coefficients stored; substitute
-             computes each power of each image once per call
+             vector -> Rat, with no zero coefficients stored; a product
+             convolves int numerators over each operand's lcm denominator,
+             evaluate sums in ints with one Fraction at the end, and
+             substitute multiplies each group of terms that share their
+             mapped exponents once by the image powers, each computed once
 
 The scalar combinatorics, binom and pochhammer, take their whole product in
 Python ints over the argument's numerator and denominator and build one
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -330,6 +334,20 @@ def _pack(nums: Sequence[int], nbytes: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(terms: Mapping[tuple[int, ...], Rat]) -> tuple[dict[tuple[int, ...], int], int]:
+    """terms as Python-int numerators over the lcm of their denominators."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+class NotDivisibleError(ValueError):
+    """MPoly.div_exact's failure; term is the first remainder (exponent, coefficient)."""
+
+    def __init__(self, exp: tuple[int, ...], coeff: Rat):
+        super().__init__("not exactly divisible")
+        self.term = (exp, coeff)
+
+
 class MPoly:
     """Sparse polynomial over an ordered tuple of named variables.
 
@@ -418,30 +436,30 @@ class MPoly:
             c = rat(other)
             return self._like({e: c * v for e, v in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Rat] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return self._like(out)
+        a, da = _scaled(self.terms)
+        b, db = _scaled(other.terms)
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        d = da * db
+        return self._like({e: Fraction(c, d) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def pow(self, e: int) -> MPoly:
         if e < 0:
             raise ValueError("negative powers are not defined")
-        out = self._like({(0,) * len(self.vars): 1})
+        out = None  # no multiplication by one, no square past the top bit
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return self._like({(0,) * len(self.vars): 1}) if out is None else out
 
     __pow__ = pow
 
@@ -480,8 +498,9 @@ class MPoly:
         """Replace variables by polynomials over a common superset variable list.
 
         Unmapped variables must exist in the target variable list and are
-        carried over unchanged.  Each power of an image is computed once per
-        call and shared by every term that needs it.
+        carried over unchanged.  Terms are grouped by their mapped exponents;
+        each group, its unmapped exponents moved to their target positions,
+        is multiplied once by its image powers, each computed once per call.
         """
         targets = list(mapping.values())
         if not targets:
@@ -493,39 +512,52 @@ class MPoly:
         for name in mapping:
             if name not in self.vars:
                 raise KeyError(f"unknown variable {name!r}; have {self.vars}")
-        images: list[MPoly] = []
         for name in self.vars:
-            if name in mapping:
-                images.append(mapping[name])
-            else:
-                if name not in tvars:
-                    raise KeyError(f"variable {name!r} missing from target variables {tvars}")
-                images.append(MPoly.var(tvars, name))
+            if name not in mapping and name not in tvars:
+                raise KeyError(f"variable {name!r} missing from target variables {tvars}")
+        mapped = [i for i, name in enumerate(self.vars) if name in mapping]
+        carried = [(i, tvars.index(name)) for i, name in enumerate(self.vars) if name not in mapping]
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], Rat]] = {}
+        for exp, c in self.terms.items():
+            texp = [0] * len(tvars)
+            for i, j in carried:
+                texp[j] = exp[i]
+            groups.setdefault(tuple(exp[i] for i in mapped), {})[tuple(texp)] = c
         powers: dict[tuple[int, int], MPoly] = {}
         out: dict[tuple[int, ...], Rat] = {}
-        for exp, c in self.terms.items():
-            term = MPoly.const(tvars, c)
-            for i, e in enumerate(exp):
+        for key, terms in groups.items():
+            part = MPoly(tvars, terms)
+            for i, e in zip(mapped, key):
                 if e:
                     if (i, e) not in powers:
-                        powers[i, e] = images[i].pow(e)
-                    term = term * powers[i, e]
-            for te, tc in term.terms.items():
-                out[te] = out.get(te, Fraction(0)) + tc
+                        powers[i, e] = mapping[self.vars[i]].pow(e)
+                    part = part * powers[i, e]
+            for te, tc in part.terms.items():
+                out[te] = out.get(te, 0) + tc
         return MPoly(tvars, out)
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
-        out = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for name, e in zip(self.vars, exp):
-                if e:
-                    v *= rat(values[name]) ** e
-            out += v
-        return out
+        """The value at a rational point; KeyError names a used variable not given.
+
+        Summed in ints: a value p/q contributes p^e q^(top - e), top its
+        variable's largest exponent, each computed once; one Fraction at the end.
+        """
+        tops = [max(exp[i] for exp in self.terms) if self.terms else 0 for i in range(len(self.vars))]
+        used = [(i, rat(values[name]), tops[i]) for i, name in enumerate(self.vars) if tops[i]]
+        nums, d = _scaled(self.terms)
+        powers: dict[tuple[int, int], int] = {}
+        total = 0
+        for exp, c in nums.items():
+            for i, v, top in used:
+                e = exp[i]
+                if (i, e) not in powers:
+                    powers[i, e] = v.numerator**e * v.denominator ** (top - e)
+                c *= powers[i, e]
+            total += c
+        return Fraction(total, d * math.prod(v.denominator**top for _, v, top in used))
 
     def div_exact(self, d: MPoly) -> MPoly:
-        """Exact quotient self / d; raises ValueError if d does not divide."""
+        """Exact quotient self / d; raises NotDivisibleError if d does not divide."""
         self._check(d)
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -537,7 +569,7 @@ class MPoly:
             e = max(rem)
             diff = tuple(a - b for a, b in zip(e, lead))
             if any(x < 0 for x in diff):
-                raise ValueError("not exactly divisible")
+                raise NotDivisibleError(e, rem[e])
             c = rem[e] / lc
             quot[diff] = quot.get(diff, Fraction(0)) + c
             for de, dc in d.terms.items():

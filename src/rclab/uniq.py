@@ -44,7 +44,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .exactcore import MPoly, QSeries, Rat, RatLike, binom, eliminate
+from .exactcore import MPoly, NotDivisibleError, QSeries, Rat, RatLike, binom, eliminate
 from .forms import GradedForm, ModularForm, eisenstein
 from .nearlyholo import rc_bracket
 from .starprod import rc_series
@@ -144,26 +144,14 @@ def p3_build() -> MPoly:
     """The cleared degree-3 residual, derived (never transcribed).
 
     Take the n = 3 lowest-degree residual, substitute s = l(r+t)/(k+m), and
-    clear the denominator by (k+m)^3.  The result is a polynomial in
-    (k, l, m, r, t), homogeneous of degree 3 in (r, t) and divisible by
-    4 l (r + t).
+    clear the denominator by (k+m)^3.  The residual is homogeneous of degree
+    3 in (r, s, t), so that is the one polynomial substitution r -> (k+m) r,
+    s -> l (r+t), t -> (k+m) t.  The result is a polynomial in
+    (k, l, m, r, t), homogeneous of degree 3 in (r, t) (_substitute_direction
+    checks this) and divisible by 4 l (r + t).
     """
-    r3 = lowest_q_mpoly(3)
     k, l, m, r, t = MPoly.variables(_KLMRT)
-    km = k + m
-    lrt = l * (r + t)
-    out = MPoly.zero(_KLMRT)
-    # group by the power of s and clear (k+m)^3 exactly
-    by_s: dict[int, dict[tuple[int, ...], Rat]] = {}
-    s_idx = _KLMRST.index("s")
-    for exp, c in r3.terms.items():
-        d = exp[s_idx]
-        reduced = tuple(e for i, e in enumerate(exp) if i != s_idx)
-        by_s.setdefault(d, {})[reduced] = by_s.setdefault(d, {}).get(reduced, Fraction(0)) + c
-    for d, terms in by_s.items():
-        part = MPoly(_KLMRT, terms)
-        out = out + part * lrt.pow(d) * km.pow(3 - d)
-    return out
+    return lowest_q_mpoly(3).substitute({"r": (k + m) * r, "s": l * (r + t), "t": (k + m) * t})
 
 
 def _substitute_direction(p3: MPoly) -> MPoly:
@@ -186,7 +174,7 @@ def _substitute_direction(p3: MPoly) -> MPoly:
 def _parse_poly(text: str, vars: tuple[str, ...]) -> MPoly:
     """Parse '+ 48 k^5 l - 3 m t^2'-style monomial lists."""
     text = text.replace("\n", " ")
-    out = MPoly.zero(vars)
+    terms: dict[tuple[int, ...], Rat] = {}
     for chunk in text.replace("-", "+-").split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -207,8 +195,8 @@ def _parse_poly(text: str, vars: tuple[str, ...]) -> MPoly:
                 exp[vars.index(name)] += int(p)
             else:
                 exp[vars.index(piece)] += 1
-        out = out + MPoly(vars, {tuple(exp): sign * coeff})
-    return out
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + sign * coeff
+    return MPoly(vars, terms)
 
 
 # Independent computer-algebra expansion of the inner factor (the quantity
@@ -281,6 +269,10 @@ def p3_reference_substituted() -> MPoly:
     return _parse_poly(_REFERENCE_SUBSTITUTED, ("k", "l", "m"))
 
 
+def _monomial_name(vars: tuple[str, ...], exp: tuple[int, ...]) -> str:
+    return "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(vars, exp) if e) or "1"
+
+
 def poly_diff_report(built: MPoly, reference: MPoly) -> list[dict]:
     """Monomial-by-monomial comparison; one record per disagreeing monomial."""
     diffs = []
@@ -288,10 +280,7 @@ def poly_diff_report(built: MPoly, reference: MPoly) -> list[dict]:
         b = built.terms.get(exp, Fraction(0))
         r = reference.terms.get(exp, Fraction(0))
         if b != r:
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(built.vars, exp) if e
-            ) or "1"
-            diffs.append({"monomial": mono, "derived": str(b), "reference": str(r)})
+            diffs.append({"monomial": _monomial_name(built.vars, exp), "derived": str(b), "reference": str(r)})
     return diffs
 
 
@@ -300,12 +289,17 @@ def p3_certify_report() -> dict:
 
     The derived polynomial is ground truth; the report records whether every
     substituted coefficient is positive, spot values for the first and last
-    published monomials, and the full monomial diffs.
+    published monomials, and the full monomial diffs.  If 4 l (r + t) does
+    not divide, division_remainder names the first remainder term and
+    inner_diff is None.
     """
     built = p3_build()
     k, l, m, r, t = MPoly.variables(_KLMRT)
-    divisor = 4 * l * (r + t)
-    inner = built.div_exact(divisor)
+    try:
+        inner, remainder = built.div_exact(4 * l * (r + t)), None
+    except NotDivisibleError as exc:
+        (exp, c), inner = exc.term, None
+        remainder = {"monomial": _monomial_name(_KLMRT, exp), "coefficient": c}
     substituted = _substitute_direction(built)
     positive, witness = substituted.all_coeffs_positive()
     return {
@@ -313,7 +307,8 @@ def p3_certify_report() -> dict:
         "positivity_witness": None if witness is None else str(witness),
         "coeff_k5_l": substituted.coeff_of_monomial(k=5, l=1),
         "coeff_l2_m8": substituted.coeff_of_monomial(l=2, m=8),
-        "inner_diff": poly_diff_report(inner, p3_reference_inner()),
+        "division_remainder": remainder,
+        "inner_diff": None if inner is None else poly_diff_report(inner, p3_reference_inner()),
         "substituted_diff": poly_diff_report(substituted, p3_reference_substituted()),
     }
 

@@ -284,8 +284,12 @@ def test_eliminate_matches_reference_eliminator(system):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_grid_six_systems_eliminate_as_the_reference(n):
     sys = build_ident_system(n, 6, ATable.eholzer(n - 1, 40))
+    # add_row keeps the int coefficients; the reference divides by its pivot
+    # entry, so it gets the same values as Fractions
+    assert all(type(v) is int for coeffs, _ in sys.rows for v in coeffs.values())
     rows = [(coeffs, (rhs,)) for coeffs, rhs in sys.rows]
-    _same_echelon(eliminate(iter(rows), 1), _reference_eliminate(iter(rows), 1))
+    as_fractions = [({c: F(v) for c, v in coeffs.items()}, rhs) for coeffs, rhs in rows]
+    _same_echelon(eliminate(iter(rows), 1), _reference_eliminate(iter(as_fractions), 1))
 
 
 def test_chain_levels_eliminate_as_the_reference(monkeypatch):

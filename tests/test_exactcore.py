@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rclab.exactcore import MPoly, QSeries, binom, pochhammer
+from rclab.exactcore import MPoly, NotDivisibleError, QSeries, binom, pochhammer, rat
 
 
 def sigma(n, power):
@@ -463,3 +463,189 @@ def test_mpoly_json_round_trips(p):
     obj = json.loads(json.dumps(p.to_json_obj()))
     back = MPoly.from_json_obj(_VARS, obj)
     assert back == p and back.to_json_obj() == obj
+
+
+class ReferenceMPoly(MPoly):
+    """MPoly with the Fraction kernels it had before they summed in ints.
+
+    __mul__, pow, substitute and evaluate are the old bodies verbatim, except
+    that annotations are dropped, Fraction is spelled F and MPoly names this
+    class, so every product an oracle makes is an old product too.
+    """
+
+    __slots__ = ()
+
+    def _like(self, terms):
+        return ReferenceMPoly(self.vars, terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, MPoly):
+            c = rat(other)
+            return self._like({e: c * v for e, v in self.terms.items()})
+        self._check(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                s = out.get(e, F(0)) + c1 * c2
+                if s == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def pow(self, e):
+        if e < 0:
+            raise ValueError("negative powers are not defined")
+        out = self._like({(0,) * len(self.vars): 1})
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def substitute(self, mapping):
+        targets = list(mapping.values())
+        if not targets:
+            return self
+        tvars = targets[0].vars
+        for p in targets:
+            if p.vars != tvars:
+                raise ValueError("all substitution images must share one variable list")
+        for name in mapping:
+            if name not in self.vars:
+                raise KeyError(f"unknown variable {name!r}; have {self.vars}")
+        images = []
+        for name in self.vars:
+            if name in mapping:
+                images.append(mapping[name])
+            else:
+                if name not in tvars:
+                    raise KeyError(f"variable {name!r} missing from target variables {tvars}")
+                images.append(ReferenceMPoly.var(tvars, name))
+        powers = {}
+        out = {}
+        for exp, c in self.terms.items():
+            term = ReferenceMPoly.const(tvars, c)
+            for i, e in enumerate(exp):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i].pow(e)
+                    term = term * powers[i, e]
+            for te, tc in term.terms.items():
+                out[te] = out.get(te, F(0)) + tc
+        return ReferenceMPoly(tvars, out)
+
+    def evaluate(self, values):
+        out = F(0)
+        for exp, c in self.terms.items():
+            v = c
+            for name, e in zip(self.vars, exp):
+                if e:
+                    v *= rat(values[name]) ** e
+            out += v
+        return out
+
+    @staticmethod
+    def const(vars, c):
+        return ReferenceMPoly(vars, {(0,) * len(vars): rat(c)})
+
+    @staticmethod
+    def var(vars, name):
+        return ReferenceMPoly(vars, MPoly.var(vars, name).terms)
+
+
+def _ref(p):
+    return ReferenceMPoly(p.vars, p.terms)
+
+
+# numerators up to 2^70 over denominators whose lcm varies from term to term
+_MIXED_COEFFS = st.builds(
+    F,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35, 2**61 - 1]),
+)
+
+
+def _mixed_mpolys(vars=_VARS, max_terms=6, max_exp=3):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    terms = st.dictionaries(exps, _MIXED_COEFFS, max_size=max_terms)
+    constants = st.builds(lambda c: {(0,) * len(vars): c}, _MIXED_COEFFS)
+    return st.one_of(terms, constants, st.just({})).map(lambda t: MPoly(vars, t))
+
+
+def _same(got, want):
+    assert type(got) is MPoly and got.vars == want.vars and got.terms == want.terms
+    assert all(type(c) is F and c != 0 for c in got.terms.values())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_mpolys(), _mixed_mpolys(), st.integers(0, 4), _MIXED_COEFFS)
+@example(MPoly.zero(_VARS), MPoly.const(_VARS, F(3, 4)), 0, F(0))
+@example(MPoly(_VARS, {(1, 0, 0): F(1, 2), (0, 1, 0): F(-1, 3)}), MPoly.const(_VARS, 6), 3, F(-5, 7))
+def test_mpoly_mul_and_pow_match_fraction_oracle(a, b, e, c):
+    _same(a * b, _ref(a) * _ref(b))
+    _same(a.pow(e), _ref(a).pow(e))
+    _same(a * c, _ref(a) * c)
+    _same(c * a, c * _ref(a))
+
+
+@st.composite
+def _substitutions(draw):
+    """(p, mapping): every variable mapped, none of the used ones, or any subset."""
+    mode = draw(st.sampled_from(["all", "none-used", "some"]))
+    if mode == "all":
+        tvars, keys = ("u", "v"), _VARS
+    else:
+        tvars = _TARGET
+        keys = ("z",) if mode == "none-used" else draw(st.sets(st.sampled_from(_VARS), min_size=1))
+    p = draw(_mixed_mpolys(max_terms=8))
+    if mode == "none-used":
+        p = MPoly(_VARS, {(x, y, 0): c for (x, y, _), c in p.terms.items()})
+    images = st.one_of(_mixed_mpolys(tvars, max_terms=3, max_exp=2), st.just(MPoly.zero(tvars)))
+    return p, {name: draw(images) for name in keys}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_substitutions())
+def test_mpoly_substitute_matches_fraction_oracle(case):
+    p, mapping = case
+    want = _ref(p).substitute({name: _ref(img) for name, img in mapping.items()})
+    _same(p.substitute(mapping), want)
+
+
+_POINT_VALUES = st.one_of(
+    st.integers(-5, 5), st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**20)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_mpolys(max_exp=5), st.fixed_dictionaries({v: _POINT_VALUES for v in _VARS}), st.sampled_from(_VARS))
+@example(MPoly.zero(_VARS), {}, "x")
+@example(MPoly.const(_VARS, F(-7, 3)), {}, "y")
+def test_mpoly_evaluate_matches_fraction_oracle(p, point, dropped):
+    got = p.evaluate(point)
+    assert type(got) is F and got == _ref(p).evaluate(point)
+    partial = {name: v for name, v in point.items() if name != dropped}
+    if any(exp[_VARS.index(dropped)] for exp in p.terms):
+        # a used variable that is not given: the same KeyError, naming it
+        with pytest.raises(KeyError) as want:
+            _ref(p).evaluate(partial)
+        with pytest.raises(KeyError) as got_err:
+            p.evaluate(partial)
+        assert got_err.value.args == want.value.args == (dropped,)
+    else:
+        assert p.evaluate(partial) == got
+
+
+def test_div_exact_names_the_first_remainder_term():
+    x, y = MPoly.variables(("x", "y"))
+    with pytest.raises(NotDivisibleError, match="not exactly divisible") as exc:
+        (x * x * y + 3 * y - 2).div_exact(x + y)
+    # x^2 y - (x + y) x y = -x y^2, and -x y^2 + (x + y) y^2 = y^3: the first remainder
+    assert exc.value.term == ((0, 3), F(1))

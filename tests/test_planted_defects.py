@@ -31,6 +31,7 @@ def _patch_every_binding(monkeypatch, original, replacement) -> int:
 
 _cmz = starprod.cmz_coeff
 _pochhammer = exactcore.pochhammer
+_binom = exactcore.binom
 _assoc_family = coeffsolve.a2_family_assoc
 
 
@@ -49,6 +50,12 @@ def _pochhammer_doubled_at_five(a, n):
     # det2x2_direct reads (.)_{n-1} and the closed form (.)_{n-2}: they first disagree at n = 6
     value = _pochhammer(a, n)
     return 2 * value if n == 5 else value
+
+
+def _binom_doubled_at_two(a, b):
+    # C(3, 2) in the n = 3 lowest-q residual: p3_build is then not divisible by 4 l (r + t)
+    value = _binom(a, b)
+    return 2 * value if b == 2 else value
 
 
 def _assoc_family_wrong_c_term(c):
@@ -80,6 +87,11 @@ DEFECTS = [
         id="pochhammer-doubled-at-n5",
     ),
     pytest.param(
+        exactcore.binom, _binom_doubled_at_two, "p3",
+        ["p3/reference-diff-within-recorded-damage", "p3/spot-coefficients", "p3/substituted-all-positive"],
+        id="binom-doubled-at-j2",
+    ),
+    pytest.param(
         coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve-unique/error"],
         id="a2_family_assoc-wrong-c-term",
     ),
@@ -106,4 +118,31 @@ def test_fine_failure_names_the_first_disagreeing_point(capsys, monkeypatch):
     (rec,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] == "fail"]
     assert rec["witness"] == {
         "n": 6, "k": 1, "l": 1, "m": 1, "reason": "closed form disagrees with the direct determinant",
+    }
+
+
+def test_p3_failure_names_the_first_remainder_term(capsys, monkeypatch):
+    _patch_every_binding(monkeypatch, exactcore.binom, _binom_doubled_at_two)
+    assert main(["verify", "p3", "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    rec = checks["p3/reference-diff-within-recorded-damage"]
+    assert rec["status"] == "fail" and rec["inner_diff"] is None
+    assert rec["witness"] == {"monomial": "k^4*l^2*t^3", "coefficient": "-24"}
+    # the records that do not need the quotient are still evaluated, with their own witnesses
+    assert checks["p3/spot-coefficients"]["k5_l"] == "72"
+    assert checks["p3/substituted-all-positive"]["witness"] == "((3, 6, 2), Fraction(-960, 1))"
+
+
+def test_kappa_c_failure_names_the_first_inconsistent_grid_point(capsys, monkeypatch):
+    _patch_every_binding(monkeypatch, starprod.cmz_coeff, _cmz_shifted_at_two)
+    assert main(["verify", "kappa-c", "--json"]) == 1
+    witnesses = {
+        c["name"]: c["witness"] for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] == "fail"
+    }
+    # the first fit is at (x, y) = (2, 2); (2, 4) is the next point in loop order
+    assert witnesses == {
+        "kappa-c/1over2/fit": {"x": 2, "y": 4, "c": "105/4", "c_first": "45/4"},
+        "kappa-c/3over2/fit": {"x": 2, "y": 4, "c": "105/4", "c_first": "45/4"},
+        "kappa-c/2/fit": {"x": 2, "y": 4, "c": "117/4", "c_first": "57/4"},
+        "kappa-c/5over2/fit": {"x": 2, "y": 4, "c": "137/4", "c_first": "77/4"},
     }

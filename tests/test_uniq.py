@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ from rclab.uniq import (
     _bracket_term,
     _graded,
     _random_coords,
+    _substitute_direction,
     bracket_shift_residual,
     fine_det3,
     fine_det3_mpoly,
@@ -133,8 +136,24 @@ def test_p3_certify_report():
     assert rep["substituted_all_positive"] and rep["positivity_witness"] is None
     assert rep["coeff_k5_l"] == 48
     assert rep["coeff_l2_m8"] == 1536
+    assert rep["division_remainder"] is None
     assert len(rep["inner_diff"]) == 0
     assert len(rep["substituted_diff"]) == 0
+
+
+def _digest(p):
+    return hashlib.sha256(json.dumps(p.to_json_obj(), sort_keys=True).encode()).hexdigest()
+
+
+def test_symbolic_certificates_are_pinned_whole():
+    # SHA-256 of each to_json_obj(), recorded with the Fraction MPoly kernels:
+    # every coefficient of every polynomial, not only the verdicts read off them
+    p3 = p3_build()
+    assert (p3.vars, len(p3.terms)) == (("k", "l", "m", "r", "t"), 96)
+    assert _digest(p3) == "c903a67e65472a2193105f2b1b9bfeb8d618746c040eba3512d121886fecd57e"
+    assert _digest(_substitute_direction(p3)) == "e7f3e82045238c6391e55eaccf77e63e9dc90076085d46c9ee6e115433a4d491"
+    assert _digest(fine_det3_mpoly()) == "f09977cc4f00bc1b0d0eb7fd2ef1626074e4b6efdb93c810dd8f1ac7d48a0934"
+    assert _digest(lowest_q_mpoly(3)) == "905bf2aed0cda7d086e64bb392871573870a845cdf2d7375b8e6428ff04835ea"
 
 
 def test_fine_det3_values_and_signs():
@@ -210,7 +229,7 @@ def test_isobaric_arithmetic_keeps_its_type():
     g4, g6 = IsobaricPoly({(1, 0): 1}), IsobaricPoly({(0, 1): 1})
     assert (g4 * g6).weight() == 10
     assert (g4 * 2).to_form(6) == eisenstein_form(4, 6).scale(2)
-    for p in (g4 + g6, g4 - g6, 1 - g4, -g4, 3 * g6, g4.pow(2)):
+    for p in (g4 + g6, g4 - g6, 1 - g4, -g4, 3 * g6, g4.pow(0), g4.pow(1), g4.pow(2)):
         assert type(p) is IsobaricPoly
     assert type(g4.substitute({"g4": MPoly.var(("g4", "g6"), "g6")})) is MPoly
 
