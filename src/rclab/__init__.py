@@ -50,7 +50,6 @@ from .starprod import (
     assoc_residual,
     cmz_coeff,
     free_assoc_residual,
-    ident_coefficients,
     ident_numerators,
     ident_residual,
     rc_series,
@@ -59,10 +58,8 @@ from .starprod import (
 from .coeffsolve import (
     ATable,
     LinSystem,
-    a2_family,
     a2_family_assoc,
     build_ident_system,
-    chain_solve,
     degree_in_c,
     det2x2_lemma,
     kappa_c_report,

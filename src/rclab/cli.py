@@ -141,11 +141,7 @@ def emit(report: dict, as_json: bool) -> None:
 
 
 def _catalogue(prec: int) -> dict:
-    return {
-        "E4": forms.eisenstein_form(4, prec),
-        "E6": forms.eisenstein_form(6, prec),
-        "Delta": forms.delta(prec),
-    }
+    return {name: form_by_name(name, prec) for name in ("E4", "E6", "Delta")}
 
 
 def suite_forms(s: Suite) -> None:
@@ -325,6 +321,15 @@ def suite_assoc(s: Suite) -> None:
     s.check("assoc/eholzer-free-model", free_ok, {"order": order})
 
 
+def _inconsistency(n: int, grid: int, res) -> dict:
+    """The witness of a level-n record whose system is inconsistent: its first contradictory row."""
+    if res.consistent:
+        return {}
+    row = res.certificate_row
+    k, l, m, p = list(coeffsolve.ident_row_points(n, grid))[row]
+    return {"witness": {"level": n, "certificate_row": row, "k": k, "l": l, "m": m, "p": p}}
+
+
 def suite_solve_unique(s: Suite, grid: int = 6) -> None:
     known = coeffsolve.ATable.eholzer(1, 4 * grid + 12)
     sys2 = coeffsolve.build_ident_system(2, grid, known)
@@ -344,6 +349,7 @@ def suite_solve_unique(s: Suite, grid: int = 6) -> None:
         res2.consistent and res2.nullity == 1 and kernel_ok,
         {"grid": grid},
         nullity=res2.nullity,
+        **_inconsistency(2, grid, res2),
     )
     table = coeffsolve.ATable.eholzer(5, 4 * grid + 12)
     for n in (3, 4, 5):
@@ -354,11 +360,16 @@ def suite_solve_unique(s: Suite, grid: int = 6) -> None:
             resn.consistent and resn.nullity == 0,
             {"grid": grid},
             nullity=resn.nullity,
+            **_inconsistency(n, grid, resn),
         )
     # n + 2 samples, one more than the degree bound n: with n + 1 a degree
     # above n would alias to a lower one instead of failing the check
-    degs = [coeffsolve.degree_in_c(n, (4, 4), list(range(n + 2))) for n in (2, 3, 4)]
-    s.check("solve/degree-in-c", degs == [1, 1, 2], {"pair": [4, 4]}, degrees=degs)
+    try:
+        degs = [coeffsolve.degree_in_c(n, (4, 4), list(range(n + 2))) for n in (2, 3, 4)]
+    except ValueError as exc:  # a chain level that is not uniquely solved
+        s.check("solve/degree-in-c", False, {"pair": [4, 4]}, witness=str(exc))
+    else:
+        s.check("solve/degree-in-c", degs == [1, 1, 2], {"pair": [4, 4]}, degrees=degs)
 
 
 def suite_kappa_c(s: Suite, printed: bool = False) -> None:
@@ -487,12 +498,18 @@ def _form(name: str, prec: int):
         raise UsageError(f"{name}: {exc}") from None
 
 
+def _output(args: argparse.Namespace, obj, text) -> None:
+    """A computation's result: obj as one JSON line under --json, else text."""
+    if args.json:
+        _print_json(obj)
+    else:
+        print(text)
+
+
 def cmd_form(args: argparse.Namespace) -> int:
     f = _form(args.name, args.prec)
-    if args.json:
-        _print_json({"name": args.name, "weight": f.weight, "series": f.series.to_json_obj()})
-    else:
-        print(f"{args.name} (weight {f.weight}): {f.series}")
+    obj = {"name": args.name, "weight": f.weight, "series": f.series.to_json_obj()}
+    _output(args, obj, f"{args.name} (weight {f.weight}): {f.series}")
     return 0
 
 
@@ -500,16 +517,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     f = _form(args.f, args.prec)
     g = _form(args.g, args.prec)
     b = nearlyholo.rc_bracket(f, g, args.n)
-    if args.json:
-        _print_json({
-            "f": args.f,
-            "g": args.g,
-            "n": args.n,
-            "weight": b.weight,
-            "series": b.series.to_json_obj(),
-        })
-    else:
-        print(f"[{args.f}, {args.g}]_{args.n} (weight {b.weight}): {b.series}")
+    obj = {"f": args.f, "g": args.g, "n": args.n, "weight": b.weight, "series": b.series.to_json_obj()}
+    _output(args, obj, f"[{args.f}, {args.g}]_{args.n} (weight {b.weight}): {b.series}")
     return 0
 
 
@@ -527,17 +536,9 @@ def cmd_star(args: argparse.Namespace) -> int:
     f = GradedForm.from_form(_form(args.f, args.prec))
     g = GradedForm.from_form(_form(args.g, args.prec))
     series = starprod.star_product(f, g, coeffs, args.order)
-    if args.json:
-        _print_json({
-            "f": args.f,
-            "g": args.g,
-            "kind": args.kind,
-            "kappa": args.kappa,
-            "order": args.order,
-            "series": series.to_json_obj(),
-        })
-    else:
-        print(series)
+    obj = {"f": args.f, "g": args.g, "kind": args.kind, "kappa": args.kappa, "order": args.order,
+           "series": series.to_json_obj()}
+    _output(args, obj, series)
     return 0
 
 
@@ -552,17 +553,14 @@ def cmd_rep(args: argparse.Namespace) -> int:
         rows = [_kernel_row(n) for n in range(args.n_max + 1)]
         obj = {"checks": rows, "ok": all(r["ok"] for r in rows)}
         text = [f"n={r['n']}: slice {r['slice_dim']}, kernel {r['kernel_dim']}" for r in rows]
-    if args.json:
-        _print_json(obj)
-    else:
-        print("\n".join(text))
+    _output(args, obj, "\n".join(text))
     return 0 if obj["ok"] else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     c = rat(args.c)
     n = args.n
-    known = coeffsolve.chain_solve(c, n - 1, args.grid + 1)
+    (known,) = coeffsolve.chain_solve_many([c], n - 1, args.grid + 1)
     pairs, ech = coeffsolve.level_echelon(n, args.grid, [known])
     res = ech.result(pairs)
     table = None
@@ -591,10 +589,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "residual_nonzero_count": residual_nonzero,
         "sample_values": samples,
     }
-    if args.json:
-        _print_json(obj)
-    else:
-        print(obj)
+    _output(args, obj, obj)
     return 0 if res.consistent and not residual_nonzero else 1
 
 

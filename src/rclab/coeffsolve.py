@@ -31,6 +31,7 @@ expansion into monomials.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -109,30 +110,14 @@ class ATable:
         return ATable(max_n, grid_bound, filler=fill, name="eholzer")
 
 
-def a2_family(c: RatLike) -> Callable[[int, int], Rat]:
-    """The quoted one-parameter level-2 family:
-
-        A_2(x, y) = x(x+1) y(y+1) / 2 + c * x*y / (x+y+1).
-
-    Its kernel direction x*y/(x+y+1) is correct, but the particular part is
-    half of an associativity-compatible one; use a2_family_assoc for chain
-    solving.
-    """
-    c = rat(c)
-
-    def f(x: int, y: int) -> Rat:
-        return Fraction(x * (x + 1) * y * (y + 1), 2) + c * Fraction(x * y, x + y + 1)
-
-    return f
-
-
 def a2_family_assoc(c: RatLike) -> Callable[[int, int], Rat]:
     """Level-2 family whose members satisfy the degree-2 identities:
 
         A_2(x, y) = x(x+1) y(y+1) + c * x*y / (x+y+1)
 
     (c = 0 is the all-ones normalized product; the induced classical family
-    sits at c = 4*kappa^2 - 8*kappa + 3).
+    sits at c = 4*kappa^2 - 8*kappa + 3).  The quoted family has the same
+    kernel direction but half this particular part, and is not associative.
     """
     c = rat(c)
 
@@ -197,12 +182,12 @@ def kappa_c_report(kappa: RatLike, grid_bound: int = 4) -> dict:
 
 @dataclass
 class LinSystem:
-    """Sparse exact system: rows are (coefficient dict over variable indices, rhs)."""
+    """Sparse exact system: rows are (coefficient dict keyed by the variables, rhs)."""
 
     variables: list
-    rows: list[tuple[dict[int, int | Rat], Rat]] = field(default_factory=list)
+    rows: list[tuple[dict, Rat]] = field(default_factory=list)
 
-    def add_row(self, coeffs: dict[int, RatLike], rhs: RatLike) -> None:
+    def add_row(self, coeffs: dict, rhs: RatLike) -> None:
         # int coefficients stay ints: the eliminator scales every row to ints anyway
         values = {i: c if isinstance(c, int) else rat(c) for i, c in coeffs.items()}
         self.rows.append(({i: v for i, v in values.items() if v}, rat(rhs)))
@@ -211,12 +196,17 @@ class LinSystem:
 def solve(sys: LinSystem) -> SolveResult:
     """Exact reduced row echelon over the rationals: eliminate with one column."""
     ech = eliminate(((coeffs, (rhs,)) for coeffs, rhs in sys.rows), 1)
-    return ech.result(range(len(sys.variables)))
+    return ech.result(sys.variables)
 
 
 # ---------------------------------------------------------------------------
 # The identity systems on the A-values
 # ---------------------------------------------------------------------------
+
+
+def ident_row_points(n: int, grid_bound: int) -> Iterator[tuple[int, int, int, int]]:
+    """The (k, l, m, p) of each level-n identity row, in row order (p innermost)."""
+    return itertools.product(*[range(1, grid_bound + 1)] * 3, range(n + 1))
 
 
 def _ident_rows(
@@ -233,43 +223,40 @@ def _ident_rows(
     Every pair a row touches is added to `pairs`, also one whose
     coefficients sum to 0.
     """
-    for k in range(1, grid_bound + 1):
-        for l in range(1, grid_bound + 1):
-            for m in range(1, grid_bound + 1):
-                x, y, z = 2 * k, 2 * l, 2 * m
-                for p in range(n + 1):
-                    left, right, _ = ident_numerators(n, p, x, y, z)
-                    coeffs: dict[Pair, int] = {}
-                    interior = []
-                    for r, c in enumerate(left):
-                        if 0 < r < n:
-                            interior.append((-c, (r, x, y), (n - r, x + y + 2 * r, z)))
-                        else:
-                            pair = (x + y, z) if r == 0 else (x, y)
-                            coeffs[pair] = coeffs.get(pair, 0) + c
-                    for s, c in enumerate(right):
-                        if 0 < s < n:
-                            interior.append((c, (s, y, z), (n - s, x, y + z + 2 * s)))
-                        else:
-                            pair = (x, y + z) if s == 0 else (y, z)
-                            coeffs[pair] = coeffs.get(pair, 0) - c
-                    pairs.update(coeffs)
-                    yield (
-                        {pair: v for pair, v in coeffs.items() if v},
-                        tuple(
-                            Fraction(*_ident_sum((c, t.get(*a), t.get(*b)) for c, a, b in interior))
-                            for t in tables
-                        ),
-                    )
+    for k, l, m, p in ident_row_points(n, grid_bound):
+        x, y, z = 2 * k, 2 * l, 2 * m
+        left, right, _ = ident_numerators(n, p, x, y, z)
+        coeffs: dict[Pair, int] = {}
+        interior = []
+        for r, c in enumerate(left):
+            if 0 < r < n:
+                interior.append((-c, (r, x, y), (n - r, x + y + 2 * r, z)))
+            else:
+                pair = (x + y, z) if r == 0 else (x, y)
+                coeffs[pair] = coeffs.get(pair, 0) + c
+        for s, c in enumerate(right):
+            if 0 < s < n:
+                interior.append((c, (s, y, z), (n - s, x, y + z + 2 * s)))
+            else:
+                pair = (x, y + z) if s == 0 else (y, z)
+                coeffs[pair] = coeffs.get(pair, 0) - c
+        pairs.update(coeffs)
+        yield (
+            {pair: v for pair, v in coeffs.items() if v},
+            tuple(
+                Fraction(*_ident_sum((c, t.get(*a), t.get(*b)) for c, a, b in interior))
+                for t in tables
+            ),
+        )
 
 
 def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     """Linear system for the level-n values from all identities on the grid.
 
-    One row per (k, l, m, p) with 1 <= k, l, m <= grid_bound and 0 <= p <= n.
-    The unknown set is every level-n pair any row touches (this auto-enlarges
-    past the nominal grid, as the boundary terms reach weights up to twice
-    the grid).  Lower-level lookups go through `known` and raise
+    One row per (k, l, m, p) of ident_row_points, in that order, with
+    1 <= k, l, m <= grid_bound and 0 <= p <= n.  The variables are the sorted
+    level-n pairs the rows touch (this auto-enlarges past the nominal grid,
+    as the boundary terms reach weights up to twice the grid).  Lower-level lookups go through `known` and raise
     MissingEntryError if the table is too small.  The matrix does not depend
     on `known`; only the right-hand side does.  Each row is its identity
     scaled by the D of ident_numerators, so the coefficients are integers;
@@ -279,13 +266,8 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     if n < 1:
         raise ValueError("systems are built for levels n >= 1")
     pairs: set[Pair] = set()
-    staged = list(_ident_rows(n, grid_bound, [known], pairs))
-    variables = sorted(pairs)
-    index = {pair: i for i, pair in enumerate(variables)}
-    sys = LinSystem(variables)
-    for coeffs, (rhs,) in staged:
-        sys.add_row({index[pair]: c for pair, c in coeffs.items()}, rhs)
-    return sys
+    rows = [(coeffs, rhs) for coeffs, (rhs,) in _ident_rows(n, grid_bound, [known], pairs)]
+    return LinSystem(sorted(pairs), rows)
 
 
 def level_echelon(n: int, grid_bound: int, tables: Sequence[ATable]) -> tuple[list[Pair], Echelon]:
@@ -319,10 +301,12 @@ def extended(known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult) -> 
 
 
 def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) -> list[ATable]:
-    """chain_solve for every c in cs, eliminating each level's matrix once.
+    """Solve levels 3..upto_n for every c in cs, seeding A_2 from a2_family_assoc(c).
 
-    The level-j matrix does not depend on c, so each level is one
-    level_echelon whose right-hand-side columns are the c values' tables.
+    Level j is solved on grid final_grid + (upto_n - j), so each level covers
+    every pair the next level's rows reference.  The level-j matrix does not
+    depend on c: each level is one level_echelon with one right-hand side per
+    c.  Raises unless every level is uniquely determined.
     """
     base_bound = final_grid + max(0, upto_n - 2)
 
@@ -341,16 +325,6 @@ def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) ->
         keys, ech = level_echelon(j, final_grid + (upto_n - j), tables)
         tables = [extended(t, j, keys, ech.result(keys, i)) for i, t in enumerate(tables)]
     return tables
-
-
-def chain_solve(c: RatLike, upto_n: int, final_grid: int = 4) -> ATable:
-    """Solve levels 3..upto_n on shrinking grids, seeding level 2 from the family.
-
-    Level j is solved on grid final_grid + (upto_n - j) so each level covers
-    every pair the next level's rows reference.  Raises if any level fails to
-    be uniquely determined.
-    """
-    return chain_solve_many([c], upto_n, final_grid)[0]
 
 
 def interpolant_degree(xs: Sequence[RatLike], ys: Sequence[RatLike]) -> int:

@@ -150,10 +150,6 @@ class QSeries:
         c = rat(c)
         return _canonical(prec, (c.numerator,) + (0,) * (prec - 1), c.denominator)
 
-    @staticmethod
-    def q(prec: int) -> QSeries:
-        return QSeries.from_coeffs([0, 1], prec)
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -21,12 +21,12 @@ The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
 ways of bracketing a triple product; ident_numerators is their one
 definition, as integer numerators over one common denominator D, shared by
-ident_residual and the coefficient solver (ident_coefficients is its Fraction
-view).  Each identity is summed in Python ints, and ident_residual builds one
-Fraction at the end.  The version implemented carries the multinomial factors
-C(n, r), C(n, s) on the interior terms; free_assoc_residual expands both
-bracketings completely in the free triple-product model (rclab.rep vectors)
-and is the independent oracle for that reduction.
+ident_residual and the coefficient solver.  Each identity is summed in Python
+ints, and ident_residual builds one Fraction at the end.  The version
+implemented carries the multinomial factors C(n, r), C(n, s) on the interior
+terms; free_assoc_residual expands both bracketings completely in the free
+triple-product model (rclab.rep vectors) and is the independent oracle for
+that reduction.
 """
 
 from __future__ import annotations
@@ -144,16 +144,17 @@ class StarCoefficients:
 
 @dataclass(frozen=True)
 class HbarSeries:
-    """Truncated hbar-expansion with GradedForm coefficients (orders 0..order)."""
+    """Truncated hbar-expansion with GradedForm coefficients (orders 0..order).
+
+    The constructor rejects any other number of terms.
+    """
 
     order: int
     terms: tuple[GradedForm, ...]
 
-    @staticmethod
-    def make(order: int, terms: list[GradedForm]) -> HbarSeries:
-        if len(terms) != order + 1:
+    def __post_init__(self) -> None:
+        if len(self.terms) != self.order + 1:
             raise ValueError("need exactly order+1 terms")
-        return HbarSeries(order, tuple(terms))
 
     @staticmethod
     def from_graded(f: GradedForm, order: int) -> HbarSeries:
@@ -165,23 +166,9 @@ class HbarSeries:
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.terms)
 
-    def __add__(self, other: HbarSeries) -> HbarSeries:
-        order = min(self.order, other.order)
-        return HbarSeries(order, tuple(self.terms[i] + other.terms[i] for i in range(order + 1)))
-
     def __sub__(self, other: HbarSeries) -> HbarSeries:
         order = min(self.order, other.order)
         return HbarSeries(order, tuple(self.terms[i] - other.terms[i] for i in range(order + 1)))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HbarSeries)
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.terms, other.terms))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.terms))
 
     def to_json_obj(self) -> dict:
         return {"order": self.order, "terms": [t.to_json_obj() for t in self.terms]}
@@ -210,7 +197,7 @@ def star_product(f: GradedForm, g: GradedForm, coeffs: StarCoefficients, order: 
                 if c != 0:
                     acc = acc + GradedForm.from_form(b.scale(c))
         terms.append(acc)
-    return HbarSeries.make(order, terms)
+    return HbarSeries(order, tuple(terms))
 
 
 def star_hbar(u: HbarSeries, v: HbarSeries, coeffs: StarCoefficients, order: int) -> HbarSeries:
@@ -225,7 +212,7 @@ def star_hbar(u: HbarSeries, v: HbarSeries, coeffs: StarCoefficients, order: int
             partial = star_product(u.terms[a], v.terms[b], coeffs, order - a - b)
             for n in range(partial.order + 1):
                 terms[a + b + n] = terms[a + b + n] + partial.terms[n]
-    return HbarSeries.make(order, terms)
+    return HbarSeries(order, tuple(terms))
 
 
 def rc_series(f: GradedForm, g: GradedForm, order: int) -> HbarSeries:
@@ -282,17 +269,6 @@ def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int],
         zs *= z + s
     d = math.lcm(*(den for _, den in left), *(den for _, den in right))
     return [c * (d // den) for c, den in left], [c * (d // den) for c, den in right], d
-
-
-def ident_coefficients(
-    n: int, p: int, x: int, y: int, z: int
-) -> tuple[list[tuple[int, Rat]], list[tuple[int, Rat]]]:
-    """ident_numerators as Fractions: (left, right), the pairs (r, c_r) and (s, c_s)."""
-    left, right, d = ident_numerators(n, p, x, y, z)
-    return (
-        [(r, Fraction(c, d)) for r, c in enumerate(left)],
-        [(s, Fraction(c, d)) for s, c in enumerate(right)],
-    )
 
 
 def _ident_sum(terms: Iterable[tuple[int, Rat, Rat]]) -> tuple[int, int]:

@@ -10,10 +10,8 @@ from rclab.coeffsolve import (
     ATable,
     LinSystem,
     MissingEntryError,
-    a2_family,
     a2_family_assoc,
     build_ident_system,
-    chain_solve,
     chain_solve_many,
     degree_in_c,
     det2x2_direct,
@@ -28,6 +26,11 @@ from rclab.coeffsolve import (
 )
 from rclab.exactcore import Echelon, eliminate, pochhammer, rat
 from rclab.starprod import ident_residual
+
+
+def a2_family(c):
+    """The quoted level-2 family A_2(x, y) = x(x+1) y(y+1) / 2 + c x y / (x+y+1)."""
+    return lambda x, y: F(x * (x + 1) * y * (y + 1), 2) + rat(c) * F(x * y, x + y + 1)
 
 
 def test_atable_builtin_levels_and_missing():
@@ -312,7 +315,7 @@ def test_chain_levels_eliminate_as_the_reference(monkeypatch):
 
 def _reference_chain(c, upto_n, final_grid=4):
     # a separate chain per c value, one build_ident_system + solve per level:
-    # chain_solve as it was before each level was eliminated once for several c
+    # the chain as it was before each level was eliminated once for several c
     fam = a2_family_assoc(c)
     table = ATable(2, final_grid + upto_n - 2, filler=lambda n, x, y: fam(x, y), name="ref")
     for j in range(3, upto_n + 1):
@@ -389,10 +392,10 @@ def test_solved_table_satisfies_identities():
 
 def test_chain_solve_matches_induced_chains():
     # c = 0 is the constant-coefficient chain; c = 3 the kappa = 2 chain
-    t0 = chain_solve(F(0), 4)
+    (t0,) = chain_solve_many([F(0)], 4)
     eh = ATable.eholzer(4, 40)
     assert all(t0.get(n, x, y) == eh.get(n, x, y) for n in (3, 4) for x in (2, 6) for y in (4, 8))
-    t3 = chain_solve(F(3), 3)
+    (t3,) = chain_solve_many([F(3)], 3)
     ind = ATable.from_kappa(2, 3, 40)
     assert all(t3.get(3, x, y) == ind.get(3, x, y) for x in (2, 4, 8) for y in (2, 6))
 
@@ -405,7 +408,7 @@ def test_chain_solved_table_is_associative():
     from rclab.starprod import StarCoefficients, assoc_residual, free_assoc_residual
 
     c = F(7, 5)
-    table = chain_solve(c, 3)
+    (table,) = chain_solve_many([c], 3)
     coeffs = StarCoefficients.from_table(table)
     assert free_assoc_residual((2, 2, 2), coeffs, 3) == {}
     prec = 12

@@ -108,7 +108,7 @@ def test_qs_mul_eisenstein_square_oracle():
 def test_qs_derive():
     const = QSeries.constant(7, 5)
     assert const.derive().is_zero()
-    q = QSeries.q(5)
+    q = QSeries.from_coeffs([0, 1], 5)
     assert q.derive() == q
     e4 = QSeries.from_coeffs([1, 240 * sigma(1, 3), 240 * sigma(2, 3)])
     assert e4.derive().coeffs == (F(0), F(240), F(4320))

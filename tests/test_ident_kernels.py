@@ -15,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclab import coeffsolve
-from rclab.coeffsolve import ATable, Pair, a2_family, chain_solve_many, eliminate, level_echelon
+from rclab.coeffsolve import ATable, Pair, chain_solve_many, eliminate, level_echelon
 from rclab.exactcore import Rat, pochhammer
-from rclab.starprod import ident_coefficients, ident_residual
+from rclab.starprod import ident_numerators, ident_residual
+
+
+def ident_coefficients(n: int, p: int, x: int, y: int, z: int):
+    """ident_numerators as Fractions: (left, right), the pairs (r, c_r) and (s, c_s)."""
+    left, right, d = ident_numerators(n, p, x, y, z)
+    return [(r, F(c, d)) for r, c in enumerate(left)], [(s, F(c, d)) for s, c in enumerate(right)]
 
 
 def reference_ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
@@ -88,10 +94,11 @@ def _chain_tables() -> tuple[ATable, ...]:
 def _planted(c: Rat) -> ATable:
     """A wrong level-2 family (the quoted one, half the particular part) under
     the constant-coefficient levels, so its residuals do not vanish."""
-    fam = a2_family(c)
 
     def fill(n: int, x: int, y: int) -> Rat:
-        return fam(x, y) if n == 2 else pochhammer(x, n) * pochhammer(y, n)
+        if n == 2:
+            return F(x * (x + 1) * y * (y + 1), 2) + c * F(x * y, x + y + 1)
+        return pochhammer(x, n) * pochhammer(y, n)
 
     return ATable(5, 40, filler=fill, name=f"planted(c={c})")
 

@@ -2,9 +2,9 @@
 
 A defect is patched at every binding of the function it replaces, since the
 modules import names such as `cmz_coeff` by name and a patch on the defining
-module alone would miss those call sites.  Each case runs `verify <suite>
---json` and asserts exit 1, exactly the named records failing and nothing on
-stderr.
+module alone would miss those call sites; a static method is patched on its
+class.  Each case runs `verify <suite> --json` and asserts exit 1, exactly the
+named records failing and nothing on stderr.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from rclab import coeffsolve, exactcore, starprod
 from rclab.cli import main
+from rclab.coeffsolve import ATable
 
 
 def _patch_every_binding(monkeypatch, original, replacement) -> int:
@@ -33,6 +34,7 @@ _cmz = starprod.cmz_coeff
 _pochhammer = exactcore.pochhammer
 _binom = exactcore.binom
 _assoc_family = coeffsolve.a2_family_assoc
+_ident_numerators = starprod.ident_numerators
 
 
 def _cmz_scaled_at_four(kappa, k, l, n):
@@ -71,6 +73,14 @@ def _assoc_family_c_plus_c_squared(c):
     return _assoc_family(c + c * c)
 
 
+def _ident_left1_doubled_from_three(n, p, x, y, z):
+    # the r = 1 coefficient of the left bracketing, doubled wherever it exists at n >= 3
+    left, right, d = _ident_numerators(n, p, x, y, z)
+    if n >= 3 and len(left) > 1:
+        left = [left[0], 2 * left[1], *left[2:]]
+    return left, right, d
+
+
 DEFECTS = [
     pytest.param(
         starprod.cmz_coeff, _cmz_scaled_at_four, "ident",
@@ -92,12 +102,17 @@ DEFECTS = [
         id="binom-doubled-at-j2",
     ),
     pytest.param(
-        coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve-unique/error"],
+        coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve/degree-in-c"],
         id="a2_family_assoc-wrong-c-term",
     ),
     pytest.param(
         coeffsolve.a2_family_assoc, _assoc_family_c_plus_c_squared, "solve-unique", ["solve/degree-in-c"],
         id="a2_family_assoc-c-plus-c-squared",
+    ),
+    pytest.param(
+        starprod.ident_numerators, _ident_left1_doubled_from_three, "solve-unique",
+        ["solve/level3-unique", "solve/level4-unique", "solve/level5-unique", "solve/degree-in-c"],
+        id="ident_numerators-left1-doubled-from-n3",
     ),
 ]
 
@@ -146,3 +161,33 @@ def test_kappa_c_failure_names_the_first_inconsistent_grid_point(capsys, monkeyp
         "kappa-c/2/fit": {"x": 2, "y": 4, "c": "117/4", "c_first": "57/4"},
         "kappa-c/5over2/fit": {"x": 2, "y": 4, "c": "137/4", "c_first": "77/4"},
     }
+
+
+def test_solve_unique_failures_name_the_contradictory_row(capsys, monkeypatch):
+    _patch_every_binding(monkeypatch, starprod.ident_numerators, _ident_left1_doubled_from_three)
+    assert main(["verify", "solve-unique", "--json"]) == 1
+    witnesses = {
+        c["name"]: c["witness"] for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] == "fail"
+    }
+    # rows run over k, l, m, p with p innermost: row 3 is (1, 1, 1, 3)
+    assert witnesses == {
+        **{f"solve/level{n}-unique": {"level": n, "certificate_row": 3, "k": 1, "l": 1, "m": 1, "p": 3}
+           for n in (3, 4, 5)},
+        "solve/degree-in-c": "level-3 system inconsistent (row 3)",
+    }
+
+
+def test_assoc_fails_for_the_quoted_level_two_family(capsys, monkeypatch):
+    # the quoted A_2 at c = 0 is half of (x)_2 (y)_2; every other level is the
+    # constant-coefficient one, so the product is associative only below hbar^2
+    quoted = ATable(0, 0, filler=lambda n, x, y: (
+        exactcore.pochhammer(x, n) * exactcore.pochhammer(y, n) / (2 if n == 2 else 1)))
+    monkeypatch.setattr(starprod.StarCoefficients, "eholzer",
+                        staticmethod(lambda: starprod.StarCoefficients.from_table(quoted)))
+    code = main(["verify", "assoc", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    statuses = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
+    assert {name for name, status in statuses.items() if status != "pass"} == {
+        "assoc/eholzer/E4-E4-E6", "assoc/eholzer/E4-E6-Delta", "assoc/eholzer-free-model",
+    }, statuses

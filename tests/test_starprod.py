@@ -10,14 +10,16 @@ from rclab.coeffsolve import ATable, a2_family_assoc
 from rclab.exactcore import QSeries, Rat, binom, pochhammer, rat
 from rclab.forms import GradedForm, ModularForm
 from rclab.nearlyholo import rc_bracket
+from rclab.rep import Vector
 from rclab.starprod import (
     HbarSeries,
     PoleError,
     StarCoefficients,
+    _free_bracketing,
     assoc_residual,
     cmz_coeff,
     free_assoc_residual,
-    ident_coefficients,
+    ident_numerators,
     ident_residual,
     rc_series,
     star_product,
@@ -169,9 +171,7 @@ def test_rc_series_bilinearity(catalogue):
     assert rc_bracket(e4, e4, 1).is_zero()
     assert s.term(1).weights() == [12]
     assert s.term(1).parts[12].series == rc_bracket(e6, e4, 1).series
-    assert rc_series(f.scale(5), g, 2) == HbarSeries.make(
-        2, [t.scale(5) for t in s.terms]
-    )
+    assert rc_series(f.scale(5), g, 2) == HbarSeries(2, tuple(t.scale(5) for t in s.terms))
 
 
 def test_assoc_residual_order_zero(catalogue):
@@ -235,19 +235,19 @@ def test_ident_coefficients_match_binom_pochhammer_expression():
             for x in weights:
                 for y in weights:
                     for z in weights:
-                        left, right = ident_coefficients(n, p, x, y, z)
-                        assert left == [
-                            (r, binom(n, r) * binom(n - r, p)
-                             / (pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r)))
+                        left, right, d = ident_numerators(n, p, x, y, z)
+                        assert [F(c, d) for c in left] == [
+                            binom(n, r) * binom(n - r, p)
+                            / (pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r))
                             for r in range(n - p + 1)
                         ]
-                        assert right == [
-                            (s, binom(n, s) * binom(n - s, n - p)
-                             / (pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s)))
+                        assert [F(c, d) for c in right] == [
+                            binom(n, s) * binom(n - s, n - p)
+                            / (pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s))
                             for s in range(p + 1)
                         ]
     with pytest.raises(ValueError):
-        ident_coefficients(2, 3, 2, 2, 2)
+        ident_numerators(2, 3, 2, 2, 2)
 
 
 def test_ident_residual_published_variant_diverges():
@@ -426,9 +426,25 @@ def test_free_model_matches_dict_reference():
     assert nonzero >= 20  # the planted tables make the comparison see nonzero residuals
 
 
+def test_free_bracketings_absolute_values():
+    # each bracketing on its own: an error common to both cancels in free_assoc_residual
+    eh = StarCoefficients.eholzer()
+    for w in ((2, 2, 2), (4, 6, 12)):
+        for inner_left in (True, False):
+            assert _free_bracketing(w, eh, 0, inner_left) == Vector.basis(w, (0, 0, 0))
+    # order 1 by hand: level 1 of the pair product at weights (a, b) is
+    # a b (f dtil g - dtil f g), and dtil of a weight-(a + b) product is
+    # (a dtil f g + b f dtil g) / (a + b); either bracketing of (x, y, z) gives
+    # 1 + (x+y) z dtil h - x (y+z) dtil f + y (x-z) dtil g
+    w = (2, 4, 6)
+    want = Vector.make(w, {(0, 0, 0): 1, (0, 0, 1): 36, (1, 0, 0): -20, (0, 1, 0): -16})
+    for inner_left in (True, False):
+        assert _free_bracketing(w, eh, 1, inner_left) == want
+
+
 def test_hbar_series_shapes(catalogue):
     f = GradedForm.from_form(catalogue["E4"].truncate(8))
     s = HbarSeries.from_graded(f, 2)
     assert s.order == 2 and s.term(0) == f and s.term(2).is_zero()
     with pytest.raises(ValueError):
-        HbarSeries.make(2, [f])
+        HbarSeries(2, (f,))
