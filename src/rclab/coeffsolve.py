@@ -32,11 +32,12 @@ expansion into monomials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .exactcore import Echelon, Rat, RatLike, SolveResult, binom, eliminate, pochhammer, rat
+from .exactcore import Echelon, Rat, RatLike, SolveResult, eliminate, pochhammer, rat
 from .starprod import _ident_sum, cmz_coeff, ident_numerators
 
 
@@ -368,14 +369,24 @@ def degree_in_c(n: int, pair: Pair, c_samples: Sequence[RatLike]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _poch(a: int, n: int) -> int:
+    """pochhammer at an integer a, as an int."""
+    return pochhammer(a, n).numerator
+
+
 def det2x2_direct(n: int, k: int, l: int, m: int) -> Rat:
-    """Direct determinant of the p = 1, 2 unknown-coefficient matrix."""
+    """Direct determinant of the p = 1, 2 unknown-coefficient matrix.
+
+    With a_p = C(n,p) / [(x+y)_(n-p) (z)_p] and b_p = C(n,p) / [(x)_(n-p) (y+z)_p],
+    this is a_1 b_2 - a_2 b_1, summed over the product of the four
+    denominators in Python ints.
+    """
     x, y, z = 2 * k, 2 * l, 2 * m
-    a1 = binom(n, 1) / (pochhammer(x + y, n - 1) * pochhammer(z, 1))
-    b1 = binom(n, 1) / (pochhammer(x, n - 1) * pochhammer(y + z, 1))
-    a2 = binom(n, 2) / (pochhammer(x + y, n - 2) * pochhammer(z, 2))
-    b2 = binom(n, 2) / (pochhammer(x, n - 2) * pochhammer(y + z, 2))
-    return a1 * b2 - a2 * b1
+    da1 = _poch(x + y, n - 1) * _poch(z, 1)
+    db1 = _poch(x, n - 1) * _poch(y + z, 1)
+    da2 = _poch(x + y, n - 2) * _poch(z, 2)
+    db2 = _poch(x, n - 2) * _poch(y + z, 2)
+    return Fraction(n * math.comb(n, 2) * (da2 * db1 - da1 * db2), da1 * db1 * da2 * db2)
 
 
 def det2x2_lemma(n: int, k: int, l: int, m: int) -> Rat:
@@ -383,18 +394,18 @@ def det2x2_lemma(n: int, k: int, l: int, m: int) -> Rat:
 
     C(n,1) C(n,2) / [(x+y)_(n-2) z (x)_(n-2) (y+z)]
       * (-y^2 - y(x+z+n-1)) / [(x+y+n-2)(y+z+1)(z+1)(x+n-2)]
+
+    The numerator and the denominator are Python ints; one Fraction is built.
     """
     if n < 3:
         raise ValueError("the elimination step needs n >= 3")
     if min(k, l, m) < 1:
         raise ValueError("k, l, m must be >= 1")
     x, y, z = 2 * k, 2 * l, 2 * m
-    value = (
-        binom(n, 1)
-        * binom(n, 2)
-        / (pochhammer(x + y, n - 2) * z * pochhammer(x, n - 2) * (y + z))
-        * Fraction(-y * y - y * (x + z + n - 1))
-        / ((x + y + n - 2) * (y + z + 1) * (z + 1) * (x + n - 2))
+    value = Fraction(
+        n * math.comb(n, 2) * (-y * y - y * (x + z + n - 1)),
+        _poch(x + y, n - 2) * z * _poch(x, n - 2) * (y + z)
+        * (x + y + n - 2) * (y + z + 1) * (z + 1) * (x + n - 2),
     )
     if value == 0:
         raise AssertionError("determinant unexpectedly zero")

@@ -207,19 +207,22 @@ def zagier_sequence(f: ModularForm, phi: ModularForm, r_max: int) -> list[Modula
     return seq
 
 
+def _chain_bracket(fs: list[ModularForm], gs: list[ModularForm], n: int, prec: int) -> ModularForm:
+    """sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) f_r g_(n-r) from chains f_0.., g_0.. of length > n."""
+    x, y = fs[0].weight, gs[0].weight
+    a = [fr.series.truncate(prec) for fr in fs[: n + 1]]
+    b = [gr.series.truncate(prec) for gr in gs[: n + 1]]
+    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, a, b, QSeries.zero(prec)))
+
+
 def canonical_rc(f: ModularForm, g: ModularForm, n: int, phi: ModularForm) -> ModularForm:
     """Bracket built from the inductive chains instead of q-derivatives.
 
     sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) f_r g_(n-r).  Whether this equals
     rc_bracket depends on the choice of phi; see verify_canonical_rc.
     """
-    x, y = f.weight, g.weight
-    fs = zagier_sequence(f, phi, n)
-    gs = zagier_sequence(g, phi, n)
     prec = min(f.prec, g.prec, phi.prec)
-    a = [fr.series.truncate(prec) for fr in fs]
-    b = [gr.series.truncate(prec) for gr in gs]
-    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, a, b, QSeries.zero(prec)))
+    return _chain_bracket(zagier_sequence(f, phi, n), zagier_sequence(g, phi, n), n, prec)
 
 
 def verify_canonical_rc(
@@ -228,11 +231,15 @@ def verify_canonical_rc(
     """Compare canonical_rc against rc_bracket for n <= n_max.
 
     Returns {"ok": bool, "failures": [(n, first bad power, residual coeff)]}.
-    No renormalization is attempted; a mismatch is surfaced as data.
+    No renormalization is attempted; a mismatch is surfaced as data.  The
+    chains of f and g are built once, up to n_max, and each degree reads
+    their prefixes.
     """
+    prec = min(f.prec, g.prec, phi.prec)
+    fs, gs = zagier_sequence(f, phi, n_max), zagier_sequence(g, phi, n_max)
     failures = []
     for n in range(n_max + 1):
-        lhs = canonical_rc(f, g, n, phi)
+        lhs = _chain_bracket(fs, gs, n, prec)
         rhs = rc_bracket(f, g, n).truncate(lhs.prec)
         diff = lhs.series - rhs.series
         if not diff.is_zero():
@@ -252,13 +259,14 @@ def verify_der_identity(f: ModularForm, m: int) -> bool:
         raise ValueError("m must be >= 0")
     w = f.weight
     prec = f.prec
-    base = NearlyHoloForm.from_modular(f)
+    chain = [NearlyHoloForm.from_modular(f)]  # X^0 f .. X^m f
+    for _ in range(m):
+        chain.append(shimura_X(chain[-1]))
     rhs = NearlyHoloForm.zero(w + 2 * m, prec)
     for r in range(m + 1):
-        term = shimura_pow(base, m - r)
         coeff = binom(w + m - 1, r) / math.factorial(m - r)
         # multiply by Y^r: shift the Y-polynomial up by r
-        shifted = [QSeries.zero(prec)] * r + [s for s in term.ypoly]
+        shifted = [QSeries.zero(prec)] * r + [s for s in chain[m - r].ypoly]
         rhs = rhs + NearlyHoloForm.make(w + 2 * m, shifted).scale(coeff)
     rhs = rhs.scale(math.factorial(m))
     dm = f.series

@@ -21,8 +21,9 @@ The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
 ways of bracketing a triple product; ident_numerators is their one
 definition, as integer numerators over one common denominator D, shared by
-ident_residual and the coefficient solver.  Each identity is summed in Python
-ints, and ident_residual builds one Fraction at the end.  The version
+ident_residuals and the coefficient solver.  ident_residuals evaluates one
+identity for any number of A-tables from one set of numerators; each sum
+runs in Python ints and builds one Fraction at the end.  The version
 implemented carries the multinomial factors C(n, r), C(n, s) on the interior
 terms; free_assoc_residual expands both bracketings completely in the free
 triple-product model (rclab.rep vectors) and is the independent oracle for
@@ -291,25 +292,34 @@ def _ident_sum(terms: Iterable[tuple[int, Rat, Rat]]) -> tuple[int, int]:
     return num, den
 
 
-def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
-    """Residual of the degree-n, index-p associativity identity at (k, l, m).
+def ident_residuals(tables, k: int, l: int, m: int, n: int, p: int) -> list[Rat]:
+    """Residuals of the degree-n, index-p associativity identity at (k, l, m), one per table.
 
     k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
     the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
-    (see ident_numerators).  Returns LHS - RHS as a Fraction; the table must
-    cover every referenced pair.  The sum runs in integers and the one
-    Fraction is built at the end.
+    (see ident_numerators).  Returns LHS - RHS as a Fraction for each table;
+    every table must cover every referenced pair.  The numerators are
+    computed once for all tables, each sum runs in integers and one Fraction
+    is built per table at the end.
     """
     x, y, z = 2 * k, 2 * l, 2 * m
     left, right, d = ident_numerators(n, p, x, y, z)
-    get = atable.get
-    num, den = _ident_sum(
-        chain(
-            ((c, get(r, x, y), get(n - r, x + y + 2 * r, z)) for r, c in enumerate(left)),
-            ((-c, get(s, y, z), get(n - s, x, y + z + 2 * s)) for s, c in enumerate(right)),
+    out = []
+    for table in tables:
+        get = table.get
+        num, den = _ident_sum(
+            chain(
+                ((c, get(r, x, y), get(n - r, x + y + 2 * r, z)) for r, c in enumerate(left)),
+                ((-c, get(s, y, z), get(n - s, x, y + z + 2 * s)) for s, c in enumerate(right)),
+            )
         )
-    )
-    return Fraction(num, den * d)
+        out.append(Fraction(num, den * d))
+    return out
+
+
+def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
+    """ident_residuals for the one table `atable`."""
+    return ident_residuals((atable,), k, l, m, n, p)[0]
 
 
 # ---------------------------------------------------------------------------

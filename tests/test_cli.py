@@ -150,7 +150,8 @@ def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
 
 
 # SHA-256 of stdout for the suites whose exact objects are derived once per
-# call or per process (the det3 polynomial, the p3 substitution, the c chain)
+# call or per process (the det3 polynomial, the p3 substitution, the c chain,
+# the kappa tables of one residual sweep, the raising and Zagier chains)
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -160,11 +161,22 @@ def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
          "3c60937e78915b2081b738a4e9d779d4ca591a6ba728ab858614e425b3acd0ba"),
         ("verify solve-unique --json",
          "efe663ddf586c497c6ef0823062058035497dc24588fd624eb487112b81b779f"),
+        ("verify ident --json",
+         "eb039463471e8948fd61a4cc8d272e6759053a45beec8799549f3345499e63e6"),
+        ("verify ident --kappa 7/3 --n-max 3 --grid 3 --json",
+         "b6cb417395e3dc87fa736e06dda6b0633ecd448bc46ea52fbd4e189428ac546a"),
+        ("verify canonical --json",
+         "522f96812780e4c960c7f5ea9c8961804162619ce39f9b6c1d13132b87f47ddd"),
+        # the quoted element alone fails with its witnesses: exit 1
+        ("verify canonical --phi-sign plus --json",
+         "a167419515142672e16d9967ba22bcac405dadaddd71c955f3f88af0447bbef7"),
+        ("verify der --json",
+         "f5dcb6eda190653f24668ca6f8826ef1098d22bbe518b9e532cb072481f4bfb7"),
     ],
 )
 def test_verify_suite_json_outputs_are_byte_identical(capsys, argv, digest):
     code, out = run(capsys, *argv.split())
-    assert code == 0
+    assert code == (0 if json.loads(out)["ok"] else 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -185,8 +197,8 @@ def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
         ("combi --n-max 1 --prec 8", "combi/holomorphic-and-equal/E4-E6", {"n_max": 1, "prec": 8}),
         ("canonical --n-max 2 --prec 12", "canonical/corrected-element/E4-E6",
          {"n_max": 2, "prec": 12, "phi": "-E4/144"}),
-        ("ident --n-max 1 --grid-bound 2 --kappa 1/2", "ident/kappa-1over2", {"n_max": 1, "grid": 2}),
-        ("ident --n-max 0 --grid 3 --kappa 1/2", "ident/kappa-1over2", {"n_max": 0, "grid": 3}),
+        ("ident --n-max 2 --grid-bound 2 --kappa 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 2}),
+        ("ident --n-max 2 --grid 3 --kappa 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 3}),
         ("fine --n-max 4 --grid 2 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 4, "grid": 2}),
         ("fine --grid 3 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 6, "grid": 3}),
         ("solve-unique --grid 2", "solve/level3-unique", {"grid": 2}),
@@ -250,6 +262,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "assoc", "--hbar-order", "-1"],
         ["verify", "uniqueness", "--order", "-1"],
         ["verify", "ident", "--n-max", "-1"],
+        ["verify", "ident", "--n-max", "0"],
+        ["verify", "ident", "--n-max", "1"],
+        ["verify", "der", "--n-max", "0"],
         ["rep", "kernel-dims", "--n-max", "-1"],
         ["rep", "casimir", "--weight", "4", "--n-max", "-1"],
         ["rep", "casimir", "--weight", "3"],

@@ -1,3 +1,6 @@
+import itertools
+import sys
+from fractions import Fraction
 from fractions import Fraction as F
 from math import gcd
 
@@ -24,7 +27,7 @@ from rclab.coeffsolve import (
     level_echelon,
     solve,
 )
-from rclab.exactcore import Echelon, eliminate, pochhammer, rat
+from rclab.exactcore import Echelon, binom, eliminate, pochhammer, rat
 from rclab.starprod import ident_residual
 
 
@@ -524,6 +527,73 @@ def test_det2x2_closed_form():
                     assert v < 0
     with pytest.raises(ValueError):
         det2x2_lemma(2, 1, 1, 1)
+
+
+# det2x2_direct and det2x2_lemma as they were before they summed in ints,
+# kept verbatim as oracles
+
+
+def fraction_det2x2_direct(n: int, k: int, l: int, m: int):
+    """Direct determinant of the p = 1, 2 unknown-coefficient matrix."""
+    x, y, z = 2 * k, 2 * l, 2 * m
+    a1 = binom(n, 1) / (pochhammer(x + y, n - 1) * pochhammer(z, 1))
+    b1 = binom(n, 1) / (pochhammer(x, n - 1) * pochhammer(y + z, 1))
+    a2 = binom(n, 2) / (pochhammer(x + y, n - 2) * pochhammer(z, 2))
+    b2 = binom(n, 2) / (pochhammer(x, n - 2) * pochhammer(y + z, 2))
+    return a1 * b2 - a2 * b1
+
+
+def fraction_det2x2_lemma(n: int, k: int, l: int, m: int):
+    if n < 3:
+        raise ValueError("the elimination step needs n >= 3")
+    if min(k, l, m) < 1:
+        raise ValueError("k, l, m must be >= 1")
+    x, y, z = 2 * k, 2 * l, 2 * m
+    value = (
+        binom(n, 1)
+        * binom(n, 2)
+        / (pochhammer(x + y, n - 2) * z * pochhammer(x, n - 2) * (y + z))
+        * Fraction(-y * y - y * (x + z + n - 1))
+        / ((x + y + n - 2) * (y + z + 1) * (z + 1) * (x + n - 2))
+    )
+    if value == 0:
+        raise AssertionError("determinant unexpectedly zero")
+    if value != fraction_det2x2_direct(n, k, l, m):
+        raise AssertionError("closed form disagrees with the direct determinant")
+    return value
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args) with its type, or the message of the AssertionError it raises."""
+    try:
+        value = fn(*args)
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
+    return type(value), value
+
+
+_pochhammer = pochhammer
+
+
+def _pochhammer_doubled_at_five(a, n):
+    value = _pochhammer(a, n)
+    return 2 * value if n == 5 else value
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_det2x2_matches_the_fraction_oracle(monkeypatch, planted):
+    # every n in 3..10 and k, l, m in 1..7; planted, the lemma fails at n = 6 and 7,
+    # the two n whose determinants read a length-5 pochhammer (as n - 1 or n - 2)
+    if planted:
+        for module in (coeffsolve, sys.modules[__name__]):
+            monkeypatch.setattr(module, "pochhammer", _pochhammer_doubled_at_five)
+    failures = 0
+    for point in itertools.product(range(3, 11), *[range(1, 8)] * 3):
+        got = _outcome(det2x2_lemma, *point)
+        assert got == _outcome(fraction_det2x2_lemma, *point), point
+        assert _outcome(det2x2_direct, *point) == _outcome(fraction_det2x2_direct, *point), point
+        failures += got[0] == "AssertionError"
+    assert failures == (2 * 7**3 if planted else 0)
 
 
 def test_kappa_to_c_values():

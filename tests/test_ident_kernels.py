@@ -3,12 +3,15 @@
 reference_ident_residual and reference_ident_rows are starprod.ident_residual
 and coeffsolve._ident_rows as they were before the identities were summed in
 integers, kept verbatim as oracles: every coefficient is a Fraction and every
-sum a Fraction sum.
+sum a Fraction sum.  single_table_ident_residual is the integer
+starprod.ident_residual as it was before ident_residuals evaluated one
+identity for several tables, kept verbatim as the oracle of that sweep.
 """
 
 import functools
 from fractions import Fraction
 from fractions import Fraction as F
+from itertools import chain
 from typing import Iterator, Sequence
 
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from rclab import coeffsolve
 from rclab.coeffsolve import ATable, Pair, chain_solve_many, eliminate, level_echelon
 from rclab.exactcore import Rat, pochhammer
-from rclab.starprod import ident_numerators, ident_residual
+from rclab.starprod import _ident_sum, ident_numerators, ident_residual, ident_residuals
 
 
 def ident_coefficients(n: int, p: int, x: int, y: int, z: int):
@@ -41,6 +44,27 @@ def reference_ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> 
     rhs = sum((c * atable.get(s, y, z) * atable.get(n - s, x, y + z + 2 * s) for s, c in right),
               Fraction(0))
     return lhs - rhs
+
+
+def single_table_ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
+    """Residual of the degree-n, index-p associativity identity at (k, l, m).
+
+    k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
+    the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
+    (see ident_numerators).  Returns LHS - RHS as a Fraction; the table must
+    cover every referenced pair.  The sum runs in integers and the one
+    Fraction is built at the end.
+    """
+    x, y, z = 2 * k, 2 * l, 2 * m
+    left, right, d = ident_numerators(n, p, x, y, z)
+    get = atable.get
+    num, den = _ident_sum(
+        chain(
+            ((c, get(r, x, y), get(n - r, x + y + 2 * r, z)) for r, c in enumerate(left)),
+            ((-c, get(s, y, z), get(n - s, x, y + z + 2 * s)) for s, c in enumerate(right)),
+        )
+    )
+    return Fraction(num, den * d)
 
 
 def reference_ident_rows(
@@ -141,6 +165,24 @@ def test_ident_residual_sweep_matches_fraction_oracle():
     # only the planted family breaks the identities, and it does at every level >= 2
     assert [nonzero[t.name] for t in tables[:3]] == [0, 0, 0]
     assert nonzero[tables[3].name] > 0
+
+
+@st.composite
+def _sweep_cases(draw):
+    tables = draw(st.lists(_TABLES, min_size=1, max_size=4))
+    n = draw(st.integers(0, min(t.max_n for t in tables)))
+    return (tables, *(draw(st.integers(1, 4)) for _ in range(3)), n, draw(st.integers(0, n)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_sweep_cases())
+def test_ident_residuals_match_the_per_table_residual(case):
+    tables, *args = case
+    got = ident_residuals(tables, *args)
+    assert all(type(r) is Fraction for r in got)
+    assert got == [single_table_ident_residual(t, *args) for t in tables]
+    assert got == [reference_ident_residual(t, *args) for t in tables]
+    assert [ident_residual(t, *args) for t in tables] == got
 
 
 @st.composite

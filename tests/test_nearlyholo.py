@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_planted_defects import _shimura_X_y_term_off_by_one
 
-from rclab.exactcore import QSeries
+from rclab import nearlyholo
+from rclab.exactcore import QSeries, binom
 from rclab.forms import ModularForm, delta, eisenstein, phi_zagier
 from rclab.nearlyholo import (
     NearlyHoloForm,
+    _bracket_sum,
     canonical_rc,
     combi_bracket,
     lower,
@@ -205,3 +209,83 @@ def test_nearlyholo_prec_and_trim():
     assert f.prec == 3 and f.is_holomorphic()
     with pytest.raises(ValueError):
         NearlyHoloForm.make(4, [])
+
+
+# canonical_rc, verify_canonical_rc and verify_der_identity as they were
+# before the chains were built once per call, kept verbatim as oracles.
+
+
+def per_degree_canonical_rc(f: ModularForm, g: ModularForm, n: int, phi: ModularForm) -> ModularForm:
+    x, y = f.weight, g.weight
+    fs = zagier_sequence(f, phi, n)
+    gs = zagier_sequence(g, phi, n)
+    prec = min(f.prec, g.prec, phi.prec)
+    a = [fr.series.truncate(prec) for fr in fs]
+    b = [gr.series.truncate(prec) for gr in gs]
+    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, a, b, QSeries.zero(prec)))
+
+
+def per_degree_verify_canonical_rc(f: ModularForm, g: ModularForm, n_max: int, phi: ModularForm) -> dict:
+    failures = []
+    for n in range(n_max + 1):
+        lhs = per_degree_canonical_rc(f, g, n, phi)
+        rhs = rc_bracket(f, g, n).truncate(lhs.prec)
+        diff = lhs.series - rhs.series
+        if not diff.is_zero():
+            v = diff.valuation()
+            failures.append((n, v, diff.coeff(v)))
+    return {"ok": not failures, "failures": failures}
+
+
+def per_order_verify_der_identity(f: ModularForm, m: int) -> bool:
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    w = f.weight
+    prec = f.prec
+    base = NearlyHoloForm.from_modular(f)
+    rhs = NearlyHoloForm.zero(w + 2 * m, prec)
+    for r in range(m + 1):
+        term = shimura_pow(base, m - r)
+        coeff = binom(w + m - 1, r) / math.factorial(m - r)
+        # multiply by Y^r: shift the Y-polynomial up by r
+        shifted = [QSeries.zero(prec)] * r + [s for s in term.ypoly]
+        rhs = rhs + NearlyHoloForm.make(w + 2 * m, shifted).scale(coeff)
+    rhs = rhs.scale(math.factorial(m))
+    dm = f.series
+    for _ in range(m):
+        dm = dm.derive()
+    lhs = NearlyHoloForm.make(w + 2 * m, [dm])
+    return lhs == rhs
+
+
+_GENERATORS = st.sampled_from(["E4", "E6", "Delta"])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_canonical_rc_matches_the_per_degree_chains(catalogue, data):
+    # generators or isobaric combinations, at unequal precisions, for both signs of phi
+    forms = [
+        data.draw(st.one_of(_GENERATORS.map(catalogue.get), st.sampled_from([4, 6, 8]).flatmap(_isobaric_forms)))
+        for _ in range(2)
+    ]
+    f, g = (h.truncate(min(h.prec, data.draw(st.integers(6, 14)))) for h in forms)
+    phi = phi_zagier(data.draw(st.integers(6, 14))).scale(data.draw(st.sampled_from([1, -1])))
+    n_max = data.draw(st.integers(0, 7))
+    got = verify_canonical_rc(f, g, n_max, phi)
+    assert got == per_degree_verify_canonical_rc(f, g, n_max, phi)
+    n = data.draw(st.integers(0, n_max))
+    assert canonical_rc(f, g, n, phi) == per_degree_canonical_rc(f, g, n, phi)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_der_identity_matches_the_per_order_powers(catalogue, data):
+    f = data.draw(st.one_of(_GENERATORS.map(catalogue.get), st.sampled_from([4, 6, 10]).flatmap(_isobaric_forms)))
+    f = f.truncate(min(f.prec, data.draw(st.integers(4, 12))))
+    m = data.draw(st.integers(0, 7))
+    assert verify_der_identity(f, m) is per_order_verify_der_identity(f, m) is True
+    with pytest.MonkeyPatch.context() as mp:
+        # a raising operator wrong from X^2 on: both versions must see it the same way
+        mp.setattr(nearlyholo, "shimura_X", _shimura_X_y_term_off_by_one)
+        assert verify_der_identity(f, m) is per_order_verify_der_identity(f, m)

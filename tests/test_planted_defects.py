@@ -13,9 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from rclab import coeffsolve, exactcore, starprod
+from rclab import coeffsolve, exactcore, nearlyholo, starprod
 from rclab.cli import main
 from rclab.coeffsolve import ATable
+from rclab.exactcore import QSeries
+from rclab.forms import ModularForm
+from rclab.nearlyholo import NearlyHoloForm
 
 
 def _patch_every_binding(monkeypatch, original, replacement) -> int:
@@ -35,6 +38,8 @@ _pochhammer = exactcore.pochhammer
 _binom = exactcore.binom
 _assoc_family = coeffsolve.a2_family_assoc
 _ident_numerators = starprod.ident_numerators
+_ramanujan_X = nearlyholo.ramanujan_X
+_shimura_X = nearlyholo.shimura_X
 
 
 def _cmz_scaled_at_four(kappa, k, l, n):
@@ -81,6 +86,20 @@ def _ident_left1_doubled_from_three(n, p, x, y, z):
     return left, right, d
 
 
+def _ramanujan_X_off_by_f_from_ten(f):
+    # X f + f/2 once the chain reaches weight 10: f_r is then not modular, for either phi
+    out = _ramanujan_X(f)
+    return ModularForm(out.weight, out.series + f.series.scale(Fraction(1, 2))) if f.weight >= 10 else out
+
+
+def _shimura_X_y_term_off_by_one(F):
+    # (j - w) c_j Y^(j+1) becomes (j - w - 1) c_j Y^(j+1) for j >= 1, so only X^2 and above are wrong
+    out = _shimura_X(F)
+    if len(F.ypoly) == 1:
+        return out
+    return out - NearlyHoloForm.make(F.weight + 2, [QSeries.zero(F.prec)] * 2 + list(F.ypoly[1:]))
+
+
 DEFECTS = [
     pytest.param(
         starprod.cmz_coeff, _cmz_scaled_at_four, "ident",
@@ -113,6 +132,16 @@ DEFECTS = [
         starprod.ident_numerators, _ident_left1_doubled_from_three, "solve-unique",
         ["solve/level3-unique", "solve/level4-unique", "solve/level5-unique", "solve/degree-in-c"],
         id="ident_numerators-left1-doubled-from-n3",
+    ),
+    pytest.param(
+        nearlyholo.ramanujan_X, _ramanujan_X_off_by_f_from_ten, "canonical",
+        ["canonical/corrected-element/E4-E6", "canonical/corrected-element/E4-Delta",
+         "canonical/corrected-element/E6-Delta"],
+        id="ramanujan_X-off-by-f-from-weight10",
+    ),
+    pytest.param(
+        nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "der", ["der/E4", "der/E6", "der/Delta"],
+        id="shimura_X-y-term-off-by-one",
     ),
 ]
 
