@@ -578,7 +578,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ]
     samples = None
     if table is not None:  # a small grid does not solve every sample entry
-        samples = {f"A_{n}({x},{y})": str(table.values[n, x, y])
+        samples = {f"A_{n}({x},{y})": str(table.get(n, x, y))
                    for x in (2, 4) for y in (2, 4, 6) if (n, x, y) in table.values}
     obj = {
         "n": n,

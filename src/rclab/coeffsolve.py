@@ -16,12 +16,15 @@ them exactly, and packages the structural facts about the solution set:
     c = 4*kappa^2 - 8*kappa + 3 (kappa_c_report records how this differs
     from the historically quoted constant).
 
+An ATable stores each value as a reduced (numerator, denominator) int pair.
 The coefficients of a level-n identity system come only from
-ident_numerators, so its matrix does not depend on the lower-level table;
-only the right-hand side does.  Each row is its identity scaled by the
-common denominator D, so the matrix entries are Python ints and each
-right-hand side is one Fraction, summed in integers.  The systems go through
-the one sparse eliminator of rclab.exactcore (eliminate): solve is its
+ident_numerators, so up to a positive scale of each row its matrix does not
+depend on the lower-level table; only the right-hand side does, summed from
+the table's pairs by rclab.starprod.table_sum.  Each row is its identity
+scaled by the common denominator D and by the lcm of its right-hand-side
+denominators, so its entries and right-hand sides are Python ints, with no
+Fraction between the table and the eliminator.  The systems go through the
+one sparse eliminator of rclab.exactcore (eliminate): solve is its
 one-column case, and level_echelon eliminates a level-n system once for any
 number of tables (chain_solve_many and `rc-lab solve an` both go through
 it), computing each row's columns as the row is eliminated.  The degree in c
@@ -38,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exactcore import Echelon, Rat, RatLike, SolveResult, eliminate, pochhammer, rat
-from .starprod import _ident_sum, cmz_coeff, ident_numerators
+from .starprod import cmz_coeff, ident_numerators, table_sum
 
 
 class MissingEntryError(KeyError):
@@ -51,42 +54,53 @@ Pair = tuple[int, int]
 class ATable:
     """Values A_n(x, y) on even-weight pairs, with levels 0 and 1 built in.
 
-    Levels 0 and 1 are the ints 1 and x*y; every other level is a Rat.
-    Storage is an explicit dict; an optional filler closure makes the table
-    total (used for closed-form families).  Lookups outside both raise
-    MissingEntryError naming the missing entry.
+    `values` is the one store: (n, x, y) -> A_n(x, y) as its reduced
+    (numerator, denominator) int pair, so the identity kernels read it with
+    one dict lookup and no Fraction.  Levels 0 and 1 (the ints 1 and x*y)
+    and, through an optional filler closure (used for closed-form families),
+    every other level are stored on first lookup, so a filler runs once per
+    key.  A lookup that neither covers raises MissingEntryError naming the
+    missing entry.  get returns an int at levels 0 and 1 and a Rat above.
     """
 
     def __init__(
         self,
         max_n: int,
         grid_bound: int,
-        values: dict[tuple[int, int, int], Rat] | None = None,
+        values: dict[tuple[int, int, int], tuple[int, int]] | None = None,
         filler: Callable[[int, int, int], Rat] | None = None,
         name: str = "table",
     ):
         self.max_n = max_n
         self.grid_bound = grid_bound
-        self.values: dict[tuple[int, int, int], Rat] = dict(values or {})
+        self.values: dict[tuple[int, int, int], tuple[int, int]] = dict(values or {})
         self.filler = filler
         self.name = name
 
-    def get(self, n: int, x: int, y: int) -> Rat | int:
-        if n == 0:
-            return 1
-        if n == 1:
-            return x * y
-        key = (n, x, y)
-        if key in self.values:
-            return self.values[key]
-        if self.filler is not None:
-            v = rat(self.filler(n, x, y))
+    def entry(self, key: tuple[int, int, int]) -> tuple[int, int]:
+        """A_n(x, y) at key = (n, x, y) as (numerator, denominator), stored on first lookup."""
+        v = self.values.get(key)
+        if v is None:
+            n, x, y = key
+            if n == 0:
+                v = (1, 1)
+            elif n == 1:
+                v = (x * y, 1)
+            elif self.filler is not None:
+                f = rat(self.filler(n, x, y))
+                v = (f.numerator, f.denominator)
+            else:
+                raise MissingEntryError(f"{self.name}: no entry for A_{n}({x}, {y})")
             self.values[key] = v
-            return v
-        raise MissingEntryError(f"{self.name}: no entry for A_{n}({x}, {y})")
+        return v
+
+    def get(self, n: int, x: int, y: int) -> Rat | int:
+        num, den = self.entry((n, x, y))
+        return num if n in (0, 1) else Fraction(num, den)
 
     def set(self, n: int, x: int, y: int, v: RatLike) -> None:
-        self.values[(n, x, y)] = rat(v)
+        v = rat(v)
+        self.values[(n, x, y)] = (v.numerator, v.denominator)
 
     @staticmethod
     def from_kappa(kappa: RatLike, max_n: int, grid_bound: int) -> ATable:
@@ -186,7 +200,7 @@ class LinSystem:
     """Sparse exact system: rows are (coefficient dict keyed by the variables, rhs)."""
 
     variables: list
-    rows: list[tuple[dict, Rat]] = field(default_factory=list)
+    rows: list[tuple[dict, Rat | int]] = field(default_factory=list)
 
     def add_row(self, coeffs: dict, rhs: RatLike) -> None:
         # int coefficients stay ints: the eliminator scales every row to ints anyway
@@ -212,17 +226,17 @@ def ident_row_points(n: int, grid_bound: int) -> Iterator[tuple[int, int, int, i
 
 def _ident_rows(
     n: int, grid_bound: int, tables: Sequence[ATable], pairs: set[Pair]
-) -> Iterator[tuple[dict[Pair, int], tuple[Rat, ...]]]:
+) -> Iterator[tuple[dict[Pair, int], tuple[int, ...]]]:
     """The level-n identity rows in order, one right-hand side per table.
 
     One row per (k, l, m, p): (nonzero coefficients by level-n pair, values).
     Since A_0 = 1, the level-n unknowns are the end terms of each identity
-    sum; the interior terms are known, read from each table, and move to the
-    right-hand side.  Each row is the identity scaled by the D of
-    ident_numerators: its coefficients are Python ints, the same for every
-    table, and each right-hand side is one Fraction summed in integers.
-    Every pair a row touches is added to `pairs`, also one whose
-    coefficients sum to 0.
+    sum; the interior terms are known, read from each table by table_sum, and
+    move to the right-hand side.  Each row is the identity scaled by the D of
+    ident_numerators and by L, the lcm of its right-hand-side denominators,
+    so its coefficients and right-hand sides are Python ints; the matrix is
+    the same for every table up to the scale L of each row.  Every pair a row
+    touches is added to `pairs`, also one whose coefficients sum to 0.
     """
     for k, l, m, p in ident_row_points(n, grid_bound):
         x, y, z = 2 * k, 2 * l, 2 * m
@@ -242,12 +256,11 @@ def _ident_rows(
                 pair = (x, y + z) if s == 0 else (y, z)
                 coeffs[pair] = coeffs.get(pair, 0) - c
         pairs.update(coeffs)
+        sums = [table_sum(interior, t) for t in tables]
+        scale = math.lcm(*(den for _, den in sums))
         yield (
-            {pair: v for pair, v in coeffs.items() if v},
-            tuple(
-                Fraction(*_ident_sum((c, t.get(*a), t.get(*b)) for c, a, b in interior))
-                for t in tables
-            ),
+            {pair: v * scale for pair, v in coeffs.items() if v},
+            tuple(num * (scale // den) for num, den in sums),
         )
 
 
@@ -257,12 +270,14 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     One row per (k, l, m, p) of ident_row_points, in that order, with
     1 <= k, l, m <= grid_bound and 0 <= p <= n.  The variables are the sorted
     level-n pairs the rows touch (this auto-enlarges past the nominal grid,
-    as the boundary terms reach weights up to twice the grid).  Lower-level lookups go through `known` and raise
-    MissingEntryError if the table is too small.  The matrix does not depend
+    as the boundary terms reach weights up to twice the grid).  Lower-level
+    lookups go through `known` and raise MissingEntryError if the table is
+    too small.  Up to a positive scale of each row the matrix does not depend
     on `known`; only the right-hand side does.  Each row is its identity
-    scaled by the D of ident_numerators, so the coefficients are integers;
-    the reduced echelon form, and with it every solution, rank and null
-    basis, is the same as for the unscaled identities.
+    scaled by the D of ident_numerators and by the lcm of its right-hand-side
+    denominators, so the coefficients and right-hand sides are integers; the
+    reduced echelon form, and with it every solution, rank and null basis, is
+    the same as for the unscaled identities.
     """
     if n < 1:
         raise ValueError("systems are built for levels n >= 1")

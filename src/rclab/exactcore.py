@@ -393,9 +393,17 @@ class MPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _like(self, terms: Mapping[tuple[int, ...], RatLike]) -> MPoly:
-        """A polynomial of this one's type over its variables; ring results go through it."""
-        return MPoly(self.vars, terms)
+    def _like(self, terms: Mapping[tuple[int, ...], Rat]) -> MPoly:
+        """A polynomial of this one's type over its variables; ring results go through it.
+
+        The ring kernels make only valid exponent vectors and Rat
+        coefficients, so they are not validated again; zero coefficients
+        (a scalar product by 0 makes them) are dropped.
+        """
+        out = object.__new__(type(self))
+        out.vars = self.vars
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     def _check(self, other: MPoly) -> None:
         if self.vars != other.vars:
@@ -455,7 +463,7 @@ class MPoly:
             e >>= 1
             if e:
                 base = base * base
-        return self._like({(0,) * len(self.vars): 1}) if out is None else out
+        return self._like({(0,) * len(self.vars): Fraction(1)}) if out is None else out
 
     __pow__ = pow
 

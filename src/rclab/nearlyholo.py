@@ -14,6 +14,7 @@ module a finite exact computation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,11 +183,16 @@ def rc_bracket(f: ModularForm, g: ModularForm, n: int) -> ModularForm:
     return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, df, dg, QSeries.zero(prec)))
 
 
+@functools.lru_cache(maxsize=None)
+def _e2(prec: int) -> QSeries:
+    """E2 to prec coefficients, built once per precision for ramanujan_X."""
+    return eisenstein(2, prec)
+
+
 def ramanujan_X(f: ModularForm) -> ModularForm:
     """The derivation Df - (weight/2) * (E2/6) * f, raising the weight by 2."""
     k2 = Fraction(f.weight, 2)
-    e2 = eisenstein(2, f.prec)
-    series = f.series.derive() - (e2 * f.series).scale(k2 / 6)
+    series = f.series.derive() - (_e2(f.prec) * f.series).scale(k2 / 6)
     return ModularForm(f.weight + 2, series)
 
 

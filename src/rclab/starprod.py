@@ -21,9 +21,11 @@ The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
 ways of bracketing a triple product; ident_numerators is their one
 definition, as integer numerators over one common denominator D, shared by
-ident_residuals and the coefficient solver.  ident_residuals evaluates one
-identity for any number of A-tables from one set of numerators; each sum
-runs in Python ints and builds one Fraction at the end.  The version
+ident_residuals and the coefficient solver.  table_sum is their one sum
+kernel: it reads an A-table's reduced (numerator, denominator) int pairs by
+key and sums in Python ints, for ident_residuals and for the solver's rows
+alike.  ident_residuals evaluates one identity for any number of A-tables
+from one set of numerators and builds one Fraction per table.  The version
 implemented carries the multinomial factors C(n, r), C(n, s) on the interior
 terms; free_assoc_residual expands both bracketings completely in the free
 triple-product model (rclab.rep vectors) and is the independent oracle for
@@ -36,7 +38,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 from . import rep
@@ -237,6 +238,15 @@ def assoc_residual(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _multinomials(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """C(n,r) C(n-r,p) for r = 0..n-p and C(n,s) C(n-s,n-p) for s = 0..p."""
+    return (
+        tuple(math.comb(n, r) * math.comb(n - r, p) for r in range(n - p + 1)),
+        tuple(math.comb(n, s) * math.comb(n - s, n - p) for s in range(p + 1)),
+    )
+
+
 def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int], list[int], int]:
     """The degree-n, index-p associativity identity as integers over one denominator.
 
@@ -251,43 +261,47 @@ def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int],
 
     D is the lcm of the rising-factorial denominators, so every numerator is
     an exact Python int.  This is the one definition of the coefficients.
+    The weights must be >= 1.  The multinomials depend on (n, p) alone and
+    are cached per (n, p).
     """
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-
-    def rising(a: int, length: int) -> int:
-        return math.prod(range(a, a + length))
-
-    # (c, its denominator) pairs; (x)_r and (z)_s are running products
-    zp, xnp = rising(z, p), rising(x, n - p)
-    left, xr = [], 1
-    for r in range(n - p + 1):
-        left.append((math.comb(n, r) * math.comb(n - r, p), rising(x + y + 2 * r, n - p - r) * zp * xr))
-        xr *= x + r
-    right, zs = [], 1
-    for s in range(p + 1):
-        right.append((math.comb(n, s) * math.comb(n - s, n - p), xnp * rising(y + z + 2 * s, p - s) * zs))
-        zs *= z + s
-    d = math.lcm(*(den for _, den in left), *(den for _, den in right))
-    return [c * (d // den) for c, den in left], [c * (d // den) for c, den in right], d
+    if min(x, y, z) < 1:
+        raise ValueError(f"weights must be >= 1, got ({x}, {y}, {z})")
+    cl, cr = _multinomials(n, p)
+    # the denominators of c_r and c_s, with (a)_j = perm(a + j - 1, j) for a >= 1
+    perm = math.perm
+    zp, xnp = perm(z + p - 1, p), perm(x + n - p - 1, n - p)
+    dl = [zp * perm(x + y + n - p + r - 1, n - p - r) * perm(x + r - 1, r) for r in range(n - p + 1)]
+    dr = [xnp * perm(y + z + p + s - 1, p - s) * perm(z + s - 1, s) for s in range(p + 1)]
+    d = math.lcm(*dl, *dr)
+    return [c * (d // e) for c, e in zip(cl, dl)], [c * (d // e) for c, e in zip(cr, dr)], d
 
 
-def _ident_sum(terms: Iterable[tuple[int, Rat, Rat]]) -> tuple[int, int]:
-    """sum c * u * v over (int c, rational u, rational v), as (numerator, denominator).
+Key = tuple[int, int, int]
 
-    Sums in Python ints over a running common denominator.  A term whose
-    denominator equals it is added as is; any other term moves it to the lcm
+
+def table_sum(terms: Iterable[tuple[int, Key, Key]], table) -> tuple[int, int]:
+    """sum c * A(a) * A(b) over (int c, key a, key b) of one A-table, as (numerator, denominator).
+
+    A key is (n, x, y).  Each value is read from the table's store of reduced
+    (numerator, denominator) int pairs with one dict lookup; a miss goes
+    through table.entry, which fills it or raises MissingEntryError.  The sum
+    runs in Python ints over a running common denominator: a term whose
+    denominator equals it is added as is, any other term moves it to the lcm
     of the two.  The pair is not reduced.
     """
+    store, entry = table.values, table.entry
     num, den = 0, 1
-    for c, u, v in terms:
-        tnum = c * u.numerator * v.numerator
-        tden = u.denominator * v.denominator
+    for c, a, b in terms:
+        an, ad = store.get(a) or entry(a)
+        bn, bd = store.get(b) or entry(b)
+        tden = ad * bd
         if tden == den:
-            num += tnum
+            num += c * an * bn
         else:
             g = math.gcd(den, tden)
-            num = num * (tden // g) + tnum * (den // g)
+            num = num * (tden // g) + c * an * bn * (den // g)
             den = den // g * tden
     return num, den
 
@@ -297,22 +311,18 @@ def ident_residuals(tables, k: int, l: int, m: int, n: int, p: int) -> list[Rat]
 
     k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
     the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
-    (see ident_numerators).  Returns LHS - RHS as a Fraction for each table;
-    every table must cover every referenced pair.  The numerators are
-    computed once for all tables, each sum runs in integers and one Fraction
-    is built per table at the end.
+    (see ident_numerators).  Returns LHS - RHS as a Fraction for each A-table
+    (rclab.coeffsolve.ATable); every table must cover every referenced pair.
+    The numerators and the keyed terms are built once for all tables, each
+    table_sum runs in integers and one Fraction is built per table at the end.
     """
     x, y, z = 2 * k, 2 * l, 2 * m
     left, right, d = ident_numerators(n, p, x, y, z)
+    terms = [(c, (r, x, y), (n - r, x + y + 2 * r, z)) for r, c in enumerate(left)]
+    terms += [(-c, (s, y, z), (n - s, x, y + z + 2 * s)) for s, c in enumerate(right)]
     out = []
     for table in tables:
-        get = table.get
-        num, den = _ident_sum(
-            chain(
-                ((c, get(r, x, y), get(n - r, x + y + 2 * r, z)) for r, c in enumerate(left)),
-                ((-c, get(s, y, z), get(n - s, x, y + z + 2 * s)) for s, c in enumerate(right)),
-            )
-        )
+        num, den = table_sum(terms, table)
         out.append(Fraction(num, den * d))
     return out
 

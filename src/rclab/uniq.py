@@ -329,9 +329,6 @@ class IsobaricPoly(MPoly):
     def __init__(self, terms: dict[tuple[int, int], RatLike] | None = None):
         super().__init__(("g4", "g6"), terms)
 
-    def _like(self, terms: dict[tuple[int, int], RatLike]) -> IsobaricPoly:
-        return IsobaricPoly(terms)
-
     def weight(self) -> int | None:
         """Common weight 4a + 6b of the monomials, or None if mixed/zero."""
         ws = {4 * a + 6 * b for a, b in self.terms}

@@ -6,13 +6,15 @@ starts recomputing shared objects again fails here, not only in a timing.
 """
 
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 from test_planted_defects import _patch_every_binding
 
-from rclab import nearlyholo, starprod
+from rclab import forms, nearlyholo, starprod
 from rclab.cli import main
+from rclab.coeffsolve import ATable
 
 
 @pytest.mark.parametrize(
@@ -24,9 +26,12 @@ from rclab.cli import main
         ("canonical", nearlyholo.zagier_sequence, 12),
         # X^1..X^m f once per m: 3 forms x (1 + 2 + 3 + 4 + 5)
         ("der", nearlyholo.shimura_X, 45),
+        # E2 once for the chains' one precision, E4 for the catalogue and for phi, E6 once
+        ("canonical", forms.eisenstein, 4),
     ],
 )
 def test_suite_builds_each_object_once(monkeypatch, suite, function, calls):
+    nearlyholo._e2.cache_clear()  # so that the count does not depend on the tests run before
     count = 0
 
     def counted(*args, **kwargs):
@@ -38,3 +43,27 @@ def test_suite_builds_each_object_once(monkeypatch, suite, function, calls):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", suite, "--json"]) == 0
     assert count == calls
+
+
+@pytest.mark.parametrize("suite", ["solve-unique", "ident"])
+def test_each_filler_runs_once_per_key(monkeypatch, suite):
+    # every filler handed to an ATable is wrapped once and counted per key;
+    # extended tables share their filler with the table they extend
+    fills = Counter()
+    init = ATable.__init__
+
+    def counting_init(self, max_n, grid_bound, values=None, filler=None, name="table"):
+        if filler is not None and not hasattr(filler, "counted"):
+            original = filler
+
+            def filler(n, x, y):
+                fills[original, (n, x, y)] += 1
+                return original(n, x, y)
+
+            filler.counted = True
+        init(self, max_n, grid_bound, values, filler, name)
+
+    monkeypatch.setattr(ATable, "__init__", counting_init)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", suite, "--json"]) == 0
+    assert fills and max(fills.values()) == 1

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rclab.exactcore import MPoly, NotDivisibleError, QSeries, binom, pochhammer, rat
+from rclab.uniq import IsobaricPoly
 
 
 def sigma(n, power):
@@ -390,6 +391,24 @@ def test_mpoly_ring_axioms(a, b, c, e):
     for _ in range(e):
         power = power * a
     assert a.pow(e) == power
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_mpolys(), _mpolys()),
+        st.tuples(*[_mpolys(("g4", "g6")).map(lambda p: IsobaricPoly(p.terms))] * 2),
+    ),
+    st.one_of(st.just(0), _MPOLY_COEFFS),
+    st.integers(0, 3),
+)
+def test_mpoly_ring_results_pass_the_validating_constructor(ab, c, e):
+    # ring results skip the exponent checks of MPoly.__init__: each must be
+    # exactly what the validating constructor builds from its terms
+    a, b = ab
+    for r in (a + b, a - b, -a, a * b, a * c, c * a, a + c, c - a, a.pow(e)):
+        assert type(r) is type(a) and r == MPoly(a.vars, r.terms)
+        assert all(type(v) is F for v in r.terms.values())
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

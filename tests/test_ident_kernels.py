@@ -5,22 +5,28 @@ and coeffsolve._ident_rows as they were before the identities were summed in
 integers, kept verbatim as oracles: every coefficient is a Fraction and every
 sum a Fraction sum.  single_table_ident_residual is the integer
 starprod.ident_residual as it was before ident_residuals evaluated one
-identity for several tables, kept verbatim as the oracle of that sweep.
+identity for several tables, kept verbatim as the oracle of that sweep, and
+_ident_sum is the sum it ran over (int, Fraction, Fraction) triples read
+through ATable.get, kept verbatim as the oracle of starprod.table_sum, which
+reads the table's int pairs by key.  reference_get is ATable.get as it was
+when the table stored Fractions.
 """
 
 import functools
+import math
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclab import coeffsolve
-from rclab.coeffsolve import ATable, Pair, chain_solve_many, eliminate, level_echelon
-from rclab.exactcore import Rat, pochhammer
-from rclab.starprod import _ident_sum, ident_numerators, ident_residual, ident_residuals
+from rclab.coeffsolve import ATable, MissingEntryError, Pair, chain_solve_many, eliminate, level_echelon
+from rclab.exactcore import Rat, pochhammer, rat
+from rclab.starprod import ident_numerators, ident_residual, ident_residuals, table_sum
 
 
 def ident_coefficients(n: int, p: int, x: int, y: int, z: int):
@@ -44,6 +50,37 @@ def reference_ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> 
     rhs = sum((c * atable.get(s, y, z) * atable.get(n - s, x, y + z + 2 * s) for s, c in right),
               Fraction(0))
     return lhs - rhs
+
+
+def _ident_sum(terms: Iterable[tuple[int, Rat, Rat]]) -> tuple[int, int]:
+    """sum c * u * v over (int c, rational u, rational v), as (numerator, denominator).
+
+    Sums in Python ints over a running common denominator.  A term whose
+    denominator equals it is added as is; any other term moves it to the lcm
+    of the two.  The pair is not reduced.
+    """
+    num, den = 0, 1
+    for c, u, v in terms:
+        tnum = c * u.numerator * v.numerator
+        tden = u.denominator * v.denominator
+        if tden == den:
+            num += tnum
+        else:
+            g = math.gcd(den, tden)
+            num = num * (tden // g) + tnum * (den // g)
+            den = den // g * tden
+    return num, den
+
+
+def reference_get(filler, name: str, n: int, x: int, y: int) -> Rat | int:
+    """ATable.get, as it was when the table stored Fractions, on an entry not stored yet."""
+    if n == 0:
+        return 1
+    if n == 1:
+        return x * y
+    if filler is not None:
+        return rat(filler(n, x, y))
+    raise MissingEntryError(f"{name}: no entry for A_{n}({x}, {y})")
 
 
 def single_table_ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
@@ -206,6 +243,57 @@ def test_level_echelon_matches_eliminating_the_oracle_rows(case):
     assert len(rows) == len(reference)
     for (coeffs, rhs), (ref_coeffs, ref_rhs) in zip(rows, reference):
         assert all(type(v) is int for v in coeffs.values()) and coeffs.keys() == ref_coeffs.keys()
-        assert all(type(v) is Fraction for v in rhs) and all(not v for v, w in zip(rhs, ref_rhs) if not w)
+        assert all(type(v) is int for v in rhs) and all(not v for v, w in zip(rhs, ref_rhs) if not w)
         scales = {v / ref_coeffs[key] for key, v in coeffs.items()} | {v / w for v, w in zip(rhs, ref_rhs) if w}
         assert len(scales) <= 1 and all(scale > 0 for scale in scales)
+
+
+def _keys(table: ATable, solved: bool = True):
+    """Keys (n, x, y) the table covers: every level its filler covers (up to 2
+    for a chain), and with `solved` the levels a chain solved."""
+    top = 2 if table.name.startswith("chain") else table.max_n
+    filled = st.tuples(st.integers(0, top), *[st.integers(1, 10).map(lambda k: 2 * k)] * 2)
+    keys = sorted(key for key in table.values if key[0] > top) if solved else []
+    return st.one_of(filled, st.sampled_from(keys)) if keys else filled
+
+
+@st.composite
+def _sum_cases(draw):
+    table = draw(_TABLES)
+    keys = _keys(table)
+    return table, draw(st.lists(st.tuples(st.integers(-10**6, 10**6), keys, keys), max_size=8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_sum_cases())
+def test_table_sum_matches_the_fraction_triple_sum(case):
+    # levels 0 and 1 read back as ints and the others as Fractions, so the
+    # oracle sees both kinds of entry; the pairs agree exactly, unreduced
+    table, terms = case
+    want = _ident_sum((c, table.get(*a), table.get(*b)) for c, a, b in terms)
+    assert table_sum(terms, table) == want
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_TABLES.flatmap(lambda t: st.tuples(st.just(t), _keys(t, solved=False))))
+def test_get_returns_the_values_and_types_of_the_fraction_table(case):
+    table, (n, x, y) = case
+    want = reference_get(table.filler, table.name, n, x, y)
+    for _ in range(2):  # the first lookup may fill the entry, the second reads it back
+        got = table.get(n, x, y)
+        assert type(got) is type(want) and got == want
+    assert table.entry((n, x, y)) == (got.numerator, got.denominator)
+
+
+def test_a_missing_entry_raises_the_same_message():
+    tiny, chained = ATable(2, 3, values={}, name="tiny"), _chain_tables()[0]
+    for table, key in ((tiny, (2, 4, 6)), (chained, (5, 2, 2)), (chained, (3, 200, 2))):
+        with pytest.raises(MissingEntryError) as want:
+            reference_get(table.filler, table.name, *key)
+        for read in (lambda: table.get(*key), lambda: table_sum([(1, (0, 2, 2), key)], table)):
+            with pytest.raises(MissingEntryError) as got:
+                read()
+            assert str(got.value) == str(want.value)
+    # the first term of the n = 2, p = 0 identity at (1, 1, 1) reads A_0(2, 2) A_2(4, 2)
+    with pytest.raises(MissingEntryError, match=r"^'tiny: no entry for A_2\(4, 2\)'$"):
+        ident_residual(tiny, 1, 1, 1, 2, 0)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from rclab import coeffsolve, exactcore, nearlyholo, starprod
+from rclab import coeffsolve, exactcore, forms, nearlyholo, rep, starprod
 from rclab.cli import main
 from rclab.coeffsolve import ATable
 from rclab.exactcore import QSeries
@@ -40,6 +40,8 @@ _assoc_family = coeffsolve.a2_family_assoc
 _ident_numerators = starprod.ident_numerators
 _ramanujan_X = nearlyholo.ramanujan_X
 _shimura_X = nearlyholo.shimura_X
+_delta = forms.delta
+_casimir_eigenvalue = rep.casimir_eigenvalue
 
 
 def _cmz_scaled_at_four(kappa, k, l, n):
@@ -100,6 +102,16 @@ def _shimura_X_y_term_off_by_one(F):
     return out - NearlyHoloForm.make(F.weight + 2, [QSeries.zero(F.prec)] * 2 + list(F.ypoly[1:]))
 
 
+def _delta_wrong_at_q3(prec):
+    # tau(3) = 252 read as 253: only the discriminant relation compares Delta's coefficients
+    out = _delta(prec)
+    return ModularForm(12, out.series + QSeries.from_coeffs([0, 0, 0, 1], prec))
+
+
+def _casimir_eigenvalue_off_by_one(w):
+    return _casimir_eigenvalue(w) + 1
+
+
 DEFECTS = [
     pytest.param(
         starprod.cmz_coeff, _cmz_scaled_at_four, "ident",
@@ -142,6 +154,15 @@ DEFECTS = [
     pytest.param(
         nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "der", ["der/E4", "der/E6", "der/Delta"],
         id="shimura_X-y-term-off-by-one",
+    ),
+    pytest.param(
+        forms.delta, _delta_wrong_at_q3, "forms", ["forms/discriminant-relation"],
+        id="delta-wrong-at-q3",
+    ),
+    pytest.param(
+        rep.casimir_eigenvalue, _casimir_eigenvalue_off_by_one, "casimir",
+        ["casimir/weight-2", "casimir/weight-4", "casimir/weight-6", "casimir/weight-12"],
+        id="casimir_eigenvalue-off-by-one",
     ),
 ]
 

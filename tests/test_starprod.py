@@ -248,6 +248,8 @@ def test_ident_coefficients_match_binom_pochhammer_expression():
                         ]
     with pytest.raises(ValueError):
         ident_numerators(2, 3, 2, 2, 2)
+    with pytest.raises(ValueError, match="weights must be >= 1"):
+        ident_numerators(2, 1, 2, 0, 2)
 
 
 def test_ident_residual_published_variant_diverges():
