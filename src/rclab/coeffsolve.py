@@ -203,9 +203,9 @@ class LinSystem:
     rows: list[tuple[dict, Rat | int]] = field(default_factory=list)
 
     def add_row(self, coeffs: dict, rhs: RatLike) -> None:
-        # int coefficients stay ints: the eliminator scales every row to ints anyway
+        # ints stay ints, so that an all-int row reaches the eliminator as it is
         values = {i: c if isinstance(c, int) else rat(c) for i, c in coeffs.items()}
-        self.rows.append(({i: v for i, v in values.items() if v}, rat(rhs)))
+        self.rows.append(({i: v for i, v in values.items() if v}, rhs if isinstance(rhs, int) else rat(rhs)))
 
 
 def solve(sys: LinSystem) -> SolveResult:

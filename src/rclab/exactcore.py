@@ -27,11 +27,12 @@ ask for a few hundred distinct values some hundred thousand times.
 One sparse eliminator serves every linear system downstream: eliminate
 reduces a matrix once for any number of right-hand-side columns, and
 Echelon.result reads off one column's SolveResult.  It is a fraction-free
-Gauss-Jordan over Python ints: rows are scaled to integers, every stored
-pivot row is kept fully reduced and primitive (content divided out), and
-Fractions are built only at the end, when each pivot row is divided by its
-pivot.  Its result is the reduced row echelon form, which is unique, so no
-reduction order can change it.
+Gauss-Jordan over Python ints: a row of ints is used as given (the identity
+systems arrive that way), a row that holds a Fraction is first scaled to
+integers, every stored pivot row is kept fully reduced and primitive
+(content divided out), and Fractions are built only at the end, when each
+pivot row is divided by its pivot.  Its result is the reduced row echelon
+form, which is unique, so no reduction order can change it.
 
 All values are immutable after construction and all operations are pure,
 which is what makes sharing a memoized result between callers safe.
@@ -667,20 +668,21 @@ class Echelon:
 def _clear(row: dict, rhs: list[int], prow: dict, prhs: list[int], col) -> list[int]:
     """Clear column col from row: row = b*row - a*prow in place, over the
     integers, with a/b = row[col]/prow[col] in lowest terms; returns
-    b*rhs - a*prhs."""
+    b*rhs - a*prhs.  A row that prow divides (b = 1) is not rescaled."""
     a, b = row[col], prow[col]
     g = math.gcd(a, b)
     a, b = a // g, b // g
     if b != 1:
         for c in row:
             row[c] *= b
+        rhs = [b * v for v in rhs]
     for c, v in prow.items():
         nv = row.get(c, 0) - a * v
         if nv:
             row[c] = nv
         else:
             del row[c]
-    return [b * r - a * p for r, p in zip(rhs, prhs)]
+    return [v - a * p for v, p in zip(rhs, prhs)]
 
 
 def _primitive(row: dict, rhs: list[int]) -> list[int]:
@@ -693,20 +695,45 @@ def _primitive(row: dict, rhs: list[int]) -> list[int]:
     return rhs
 
 
+def _scaled_row(coeffs: Mapping, rhs: Sequence[Rat]) -> tuple[dict, list[int]]:
+    """A row that holds a Fraction, times the lcm of its denominators, as new int containers."""
+    d = math.lcm(*(v.denominator for v in coeffs.values()), *(v.denominator for v in rhs))
+    return (
+        {c: v.numerator * (d // v.denominator) for c, v in coeffs.items()},
+        [v.numerator * (d // v.denominator) for v in rhs],
+    )
+
+
 def _integer_rref(
-    rows: Iterable[tuple[dict, Sequence[Rat]]], width: int
+    rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int
 ) -> tuple[dict[object, tuple[dict[object, int], list[int]]], list[int | None]]:
     """eliminate's integer pass: primitive, fully reduced pivot rows and certificates."""
     pivots: dict = {}
     certificates: list[int | None] = [None] * width
     for idx, (coeffs, rhs) in enumerate(rows):
-        d = math.lcm(*(v.denominator for v in coeffs.values()), *(v.denominator for v in rhs))
-        row = {c: v.numerator * (d // v.denominator) for c, v in coeffs.items()}
-        r = [v.numerator * (d // v.denominator) for v in rhs]
+        if {*map(type, coeffs.values()), *map(type, rhs)} == {int}:
+            row, r = dict(coeffs), list(rhs)
+        else:
+            row, r = _scaled_row(coeffs, rhs)
         # pivot rows have no entry in another pivot column, so each reduction
-        # clears one column and leaves the row's other pivot columns alone
+        # clears one column and leaves the row's other pivot columns alone;
+        # this is _clear, inlined, as it runs once per (row, pivot column)
         for col in [c for c in row if c in pivots]:
-            r = _clear(row, r, *pivots[col], col)
+            prow, pr = pivots[col]
+            a, b = row[col], prow[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                for c in row:
+                    row[c] *= b
+                r = [b * v for v in r]
+            for c, v in prow.items():
+                nv = row.get(c, 0) - a * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+            r = [v - a * p for v, p in zip(r, pr)]
         if not row:
             for j, v in enumerate(r):
                 if v and certificates[j] is None:
@@ -721,7 +748,7 @@ def _integer_rref(
     return pivots, certificates
 
 
-def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon:
+def eliminate(rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int) -> Echelon:
     """Exact sparse reduced row echelon over the rationals, row by row.
 
     Each row is (coefficients by column key, `width` right-hand-side values)
@@ -730,21 +757,23 @@ def eliminate(rows: Iterable[tuple[dict, Sequence[Rat]]], width: int) -> Echelon
     time, so a generator can compute each row as it is eliminated.  The matrix
     is eliminated once for every right-hand side.
 
-    The elimination is a fraction-free Gauss-Jordan over Python ints.  Each
-    row is scaled to integers by the lcm of its denominators (right-hand side
-    included) and reduced once against each pivot column it touches, by
-    b*row - a*prow with a/b the entry ratio in lowest terms.  A row that does
-    not vanish is divided by its content and becomes a pivot row at its
-    smallest key; that column is then cleared from the earlier pivot rows,
-    which are divided by their content in turn.  So every pivot row is kept
-    fully reduced: its pivot is its smallest key and it has no entry in any
-    other pivot column.  A new row therefore never cascades through the
-    stored rows, and no back-substitution is needed.  Fractions are built
-    only at the end, dividing each row by its pivot entry.  That gives the
-    reduced row echelon form of the matrix, which is unique, so the result
-    does not depend on the order of the reductions.  The certificate of a
-    column is the first row that reduces to 0 = nonzero, a property of the
-    row prefix.  The caller's rows are not modified.
+    The elimination is a fraction-free Gauss-Jordan over Python ints.  A row
+    whose entries (right-hand side included) are all ints is used as given; a
+    row that holds a Fraction is scaled to integers by the lcm of its
+    denominators.  Each row is reduced once against each pivot column it
+    touches, by b*row - a*prow with a/b the entry ratio in lowest terms (no
+    rescaling when b = 1).  A row that does not vanish is divided by its
+    content and becomes a pivot row at its smallest key; that column is then
+    cleared from the earlier pivot rows, which are divided by their content
+    in turn.  So every pivot row is kept fully reduced: its pivot is its
+    smallest key and it has no entry in any other pivot column.  A new row
+    therefore never cascades through the stored rows, and no
+    back-substitution is needed.  Fractions are built only at the end,
+    dividing each row by its pivot entry.  That gives the reduced row echelon
+    form of the matrix, which is unique, so the result does not depend on the
+    order of the reductions.  The certificate of a column is the first row
+    that reduces to 0 = nonzero, a property of the row prefix.  The caller's
+    rows are not modified.
     """
     pivots, certificates = _integer_rref(rows, width)
     return Echelon(

@@ -29,7 +29,9 @@ from one set of numerators and builds one Fraction per table.  The version
 implemented carries the multinomial factors C(n, r), C(n, s) on the interior
 terms; free_assoc_residual expands both bracketings completely in the free
 triple-product model (rclab.rep vectors) and is the independent oracle for
-that reduction.
+that reduction.  Every level of a pair product there is one rational scalar
+times an integer vector, and raising keeps it integral, so each pair of
+inner and outer levels is summed in Python ints and scaled once per key.
 """
 
 from __future__ import annotations
@@ -337,10 +339,24 @@ def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _pair_level(x: int, y: int, n: int, coeffs: StarCoefficients) -> rep.Vector:
-    """Level n of the pair star product, coefficient(n, x, y) [f, g]_n, in the dtil basis."""
-    c = coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n)
-    return rep.lowest_weight_tensor(x, y, n).scale(c)
+def _level_scale(x: int, y: int, n: int, coeffs: StarCoefficients) -> Rat:
+    """The scalar of level n of the pair star product at weights (x, y) in the dtil basis.
+
+    Level n is coefficient(n, x, y) [f, g]_n, which is this scalar,
+    coefficient(n, x, y) (x)_n (y)_n / n!, times the integer vector
+    sum_r (-1)^r C(n, r) dtil^r f (x) dtil^(n-r) g (see rep.lowest_weight_tensor).
+    """
+    return coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n) / math.factorial(n)
+
+
+def _raise_pair(vec: dict[tuple[int, int], int], x: int, y: int) -> dict[tuple[int, int], int]:
+    """rep.act_raise on integer coefficients at weights (x, y):
+    dtil^a (x) dtil^b -> (x+a) dtil^(a+1) (x) dtil^b + (y+b) dtil^a (x) dtil^(b+1)."""
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), c in vec.items():
+        out[a + 1, b] = out.get((a + 1, b), 0) + (x + a) * c
+        out[a, b + 1] = out.get((a, b + 1), 0) + (y + b) * c
+    return out
 
 
 def _free_bracketing(
@@ -348,28 +364,42 @@ def _free_bracketing(
 ) -> rep.Vector:
     """(f*g)*h (inner_left) or f*(g*h) in the free triple model, in the dtil basis.
 
-    Each level of the inner pair is a lowest-weight vector of weight
-    w = (its two weights) + 2 n1; the outer bracket's term dtil^s of it is
-    act_raise applied s times, divided by (w)_s.  The hbar-degree of a key
-    (a, b, c) is a + b + c.
+    Level n1 of the inner pair is the scalar s1 = _level_scale(.., n1) times
+    an integer lowest-weight vector of weight w = (its two weights) + 2 n1.
+    The outer bracket's term dtil^s of it is act_raise applied s times,
+    divided by (w)_s; raising keeps the vector integral.  So each block
+    (n1, n2) is summed in Python ints with every outer term put over (w)_n2,
+    which every (w)_s with s <= n2 divides, and each key of the block is then
+    scaled once by s1 s2 / (w)_n2.  The hbar-degree of a key (a, b, c) is
+    a + b + c.
     """
     x, y, z = weights
     pair = (x, y) if inner_left else (y, z)
-    inners = [_pair_level(*pair, n1, coeffs) for n1 in range(order + 1)]
+    inner_scales = [_level_scale(*pair, n1, coeffs) for n1 in range(order + 1)]
     out: dict[tuple[int, ...], Rat] = {}
-    for n1, inner in enumerate(inners):
+    for n1, s1 in enumerate(inner_scales):
         w = sum(pair) + 2 * n1
         outer = (w, z) if inner_left else (x, w)
-        raised = [inner]
+        raised = [{(r, n1 - r): (-1) ** r * math.comb(n1, r) for r in range(n1 + 1)}]
         for n2 in range(order - n1 + 1):
-            for key, o in _pair_level(*outer, n2, coeffs).support:
-                s, t = key if inner_left else key[::-1]
+            s2 = _level_scale(*outer, n2, coeffs)
+            if not s2:
+                # a vanishing level, as at weight 0 where (w)_n2 may vanish too, adds nothing
+                continue
+            scale = s1 * s2 / pochhammer(w, n2)
+            block: dict[tuple[int, ...], int] = {}
+            for i in range(n2 + 1):
+                # the outer vector's term (-1)^i C(n2, i) at (i, n2 - i) raises the inner one s times
+                s, t = (i, n2 - i) if inner_left else (n2 - i, i)
                 while len(raised) <= s:
-                    raised.append(rep.act_raise(raised[-1]))
-                o = o / pochhammer(w, s)
-                for ab, c in raised[s].support:
+                    raised.append(_raise_pair(raised[-1], *pair))
+                # times (w)_n2 / (w)_s = (w + s)_(n2 - s)
+                o = (-1) ** i * math.comb(n2, i) * math.prod(range(w + s, w + n2))
+                for ab, c in raised[s].items():
                     k = ab + (t,) if inner_left else (t,) + ab
-                    out[k] = out.get(k, 0) + o * c
+                    block[k] = block.get(k, 0) + o * c
+            for k, v in block.items():
+                out[k] = out.get(k, 0) + scale * v
     return rep.Vector.make(weights, out)
 
 

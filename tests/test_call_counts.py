@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import pytest
 from test_planted_defects import _patch_every_binding
 
-from rclab import forms, nearlyholo, starprod
+from rclab import exactcore, forms, nearlyholo, starprod
 from rclab.cli import main
 from rclab.coeffsolve import ATable
 
@@ -67,3 +67,21 @@ def test_each_filler_runs_once_per_key(monkeypatch, suite):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", suite, "--json"]) == 0
     assert fills and max(fills.values()) == 1
+
+
+@pytest.mark.parametrize("suite,scaled", [("solve-unique", False), ("triple", True)])
+def test_only_rows_holding_a_fraction_are_scaled(monkeypatch, suite, scaled):
+    # the identity rows reach the eliminator as ints and are used as given;
+    # the lowering rows of triple_kernel_dim hold Fractions
+    count = 0
+    scaled_row = exactcore._scaled_row
+
+    def counted(coeffs, rhs):
+        nonlocal count
+        count += 1
+        return scaled_row(coeffs, rhs)
+
+    monkeypatch.setattr(exactcore, "_scaled_row", counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", suite, "--json"]) == 0
+    assert (count > 0) == scaled

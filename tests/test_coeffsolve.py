@@ -2,7 +2,7 @@ import itertools
 import sys
 from fractions import Fraction
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +100,26 @@ def test_solve_basics():
     sys.add_row({0: F(1)}, 2)
     res = solve(sys)
     assert not res.consistent and res.certificate_row == 1
+
+
+def test_add_row_keeps_ints(monkeypatch):
+    sys = LinSystem([0, 1])
+    sys.add_row({0: 2, 1: F(3, 2)}, 3)
+    sys.add_row({0: 1, 1: 0}, F(1, 2))
+    sys.add_row({1: 4}, "5/3")
+    sys.add_row({0: 6, 1: -4}, 10)
+    assert [(coeffs, rhs) for coeffs, rhs in sys.rows] == [
+        ({0: 2, 1: F(3, 2)}, 3), ({0: 1}, F(1, 2)), ({1: 4}, F(5, 3)), ({0: 6, 1: -4}, 10)
+    ]
+    assert [type(rhs) for _, rhs in sys.rows] == [int, F, F, int]
+    assert [type(v) for coeffs, _ in sys.rows for v in coeffs.values()] == [int, F, int, int, int, int]
+    # only the rows that hold a Fraction are scaled; the last one is used as given
+    scaled = []
+    scaled_row = exactcore._scaled_row
+    monkeypatch.setattr(exactcore, "_scaled_row", lambda c, r: scaled.append(dict(c)) or scaled_row(c, r))
+    res = solve(sys)
+    assert scaled == [{0: 2, 1: F(3, 2)}, {0: 1}, {1: 4}]
+    assert not res.consistent and res.certificate_row == 2
 
 
 _ENTRIES = st.one_of(
@@ -283,6 +303,44 @@ def test_eliminate_matches_reference_eliminator(system):
     # the stored integer rows are primitive and fully reduced
     pivots, _ = exactcore._integer_rref(iter(rows), width)
     for col, (row, r) in pivots.items():
+        assert gcd(*row.values(), *r) == 1
+        assert min(row) == col and not (set(row) - {col}) & set(pivots)
+
+
+@st.composite
+def _int_and_mixed_systems(draw):
+    """_keyed_systems with every row, or a drawn subset, as Python ints.
+
+    An int row is its rational row times the lcm of its denominators and a
+    drawn factor, so it need not be primitive and may change sign.
+    """
+    rows, width = draw(_keyed_systems())
+    n = len(rows)
+    flags = [True] * n if draw(st.booleans()) else draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    out = []
+    for (coeffs, rhs), as_int in zip(rows, flags):
+        if as_int:
+            d = lcm(*(v.denominator for v in [*coeffs.values(), *rhs])) * draw(st.sampled_from([1, 2, -3, 6]))
+            coeffs, rhs = {c: int(v * d) for c, v in coeffs.items()}, [int(v * d) for v in rhs]
+        out.append((coeffs, rhs))
+    return out, width
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_int_and_mixed_systems())
+def test_eliminate_takes_int_rows_as_given(system):
+    rows, width = system
+    snapshot = [(dict(coeffs), list(rhs)) for coeffs, rhs in rows]
+    types = [[type(v) for v in [*coeffs.values(), *rhs]] for coeffs, rhs in rows]
+    got = eliminate(iter(rows), width)
+    # the int rows are used as they are, but never modified
+    assert rows == snapshot
+    assert [[type(v) for v in [*coeffs.values(), *rhs]] for coeffs, rhs in rows] == types
+    as_fractions = [({c: F(v) for c, v in coeffs.items()}, [F(v) for v in rhs]) for coeffs, rhs in rows]
+    _same_echelon(got, _reference_eliminate(iter(as_fractions), width))
+    pivots, _ = exactcore._integer_rref(iter(rows), width)
+    for col, (row, r) in pivots.items():
+        assert all(type(v) is int for v in [*row.values(), *r])
         assert gcd(*row.values(), *r) == 1
         assert min(row) == col and not (set(row) - {col}) & set(pivots)
 

@@ -8,6 +8,7 @@ named records failing and nothing on stderr.
 """
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ _ramanujan_X = nearlyholo.ramanujan_X
 _shimura_X = nearlyholo.shimura_X
 _delta = forms.delta
 _casimir_eigenvalue = rep.casimir_eigenvalue
+_lowest_weight_tensor = rep.lowest_weight_tensor
 
 
 def _cmz_scaled_at_four(kappa, k, l, n):
@@ -112,6 +114,24 @@ def _casimir_eigenvalue_off_by_one(w):
     return _casimir_eigenvalue(w) + 1
 
 
+def _lowest_weight_tensor_times_n_factorial(x, y, n):
+    # without the 1/n!: act_lower still kills it, so only the realization sees the scale
+    return _lowest_weight_tensor(x, y, n).scale(math.factorial(n))
+
+
+def _lowest_weight_tensor_r1_doubled(x, y, n):
+    # the r = 1 term doubled from n = 2 on: no longer a lowest-weight vector
+    v = _lowest_weight_tensor(x, y, n).as_dict()
+    if n >= 2:
+        v[(1, n - 1)] *= 2
+    return rep.Vector.make((x, y), v)
+
+
+def _act_lower_doubled_from_two(v):
+    # phi_n -> -2n phi_(n-1) for n >= 2: the kernel dimensions are kept, the preimage formula fails
+    return rep._slotwise(v, -1, lambda w, n: -n if n < 2 else -2 * n)
+
+
 DEFECTS = [
     pytest.param(
         starprod.cmz_coeff, _cmz_scaled_at_four, "ident",
@@ -163,6 +183,20 @@ DEFECTS = [
         rep.casimir_eigenvalue, _casimir_eigenvalue_off_by_one, "casimir",
         ["casimir/weight-2", "casimir/weight-4", "casimir/weight-6", "casimir/weight-12"],
         id="casimir_eigenvalue-off-by-one",
+    ),
+    pytest.param(
+        rep.lowest_weight_tensor, _lowest_weight_tensor_times_n_factorial, "propasso",
+        ["propasso/realization-E4-E6"],
+        id="lowest_weight_tensor-times-n-factorial",
+    ),
+    pytest.param(
+        rep.lowest_weight_tensor, _lowest_weight_tensor_r1_doubled, "propasso",
+        ["propasso/tensor-kernel", "propasso/realization-E4-E6"],
+        id="lowest_weight_tensor-r1-doubled-from-n2",
+    ),
+    pytest.param(
+        rep.act_lower, _act_lower_doubled_from_two, "triple", ["triple/preimage-formula"],
+        id="act_lower-doubled-from-index2",
     ),
 ]
 
