@@ -716,24 +716,9 @@ def _integer_rref(
         else:
             row, r = _scaled_row(coeffs, rhs)
         # pivot rows have no entry in another pivot column, so each reduction
-        # clears one column and leaves the row's other pivot columns alone;
-        # this is _clear, inlined, as it runs once per (row, pivot column)
+        # clears one column and leaves the row's other pivot columns alone
         for col in [c for c in row if c in pivots]:
-            prow, pr = pivots[col]
-            a, b = row[col], prow[col]
-            g = math.gcd(a, b)
-            a, b = a // g, b // g
-            if b != 1:
-                for c in row:
-                    row[c] *= b
-                r = [b * v for v in r]
-            for c, v in prow.items():
-                nv = row.get(c, 0) - a * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
-            r = [v - a * p for v, p in zip(r, pr)]
+            r = _clear(row, r, *pivots[col], col)
         if not row:
             for j, v in enumerate(r):
                 if v and certificates[j] is None:

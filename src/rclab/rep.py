@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .exactcore import Rat, RatLike, binom, eliminate, pochhammer, rat
 from .forms import ModularForm
@@ -80,20 +80,38 @@ class Vector:
         return Vector.make(self.weights, {k: c * v for k, v in self.support})
 
 
-def _slotwise(v: Vector, step: int, factor: Callable[[int, int], int]) -> Vector:
-    """Sum over the slots of factor(w, n) times the key with that slot's n moved by step."""
-    out: dict[Key, Rat] = {}
-    for key, c in v.support:
-        for i, (w, n) in enumerate(zip(v.weights, key)):
+def _slotwise_coeffs(
+    weights: tuple[int, ...],
+    items: Iterable[tuple[Key, RatLike]],
+    step: int,
+    factor: Callable[[int, int], int],
+) -> dict[Key, RatLike]:
+    """Sum over the slots of factor(w, n) times the key with that slot's n moved by step.
+
+    On bare (key, coefficient) pairs: int coefficients give int coefficients,
+    and zero sums are kept.
+    """
+    out: dict[Key, RatLike] = {}
+    for key, c in items:
+        for i, (w, n) in enumerate(zip(weights, key)):
             f = factor(w, n)
             if f:
                 k = key[:i] + (n + step,) + key[i + 1 :]
                 out[k] = out.get(k, 0) + f * c
-    return Vector.make(v.weights, out)
+    return out
+
+
+def _slotwise(v: Vector, step: int, factor: Callable[[int, int], int]) -> Vector:
+    return Vector.make(v.weights, _slotwise_coeffs(v.weights, v.support, step, factor))
+
+
+def raise_coeffs(weights: tuple[int, ...], coeffs: dict[Key, int]) -> dict[Key, int]:
+    """act_raise on a dict of integer coefficients, which stay integers."""
+    return _slotwise_coeffs(weights, coeffs.items(), 1, lambda w, n: w + n)
 
 
 def act_raise(v: Vector) -> Vector:
-    return _slotwise(v, 1, lambda w, n: w + n)
+    return Vector.make(v.weights, raise_coeffs(v.weights, v.as_dict()))
 
 
 def act_lower(v: Vector) -> Vector:
@@ -124,17 +142,22 @@ def casimir_eigenvalue(lowest_weight: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
+def lowest_weight_coeffs(n: int) -> dict[Key, int]:
+    """n! lowest_weight_tensor(x, y, n) as integers: (r, n - r) -> (-1)^r C(n, r)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return {(r, n - r): (-1) ** r * math.comb(n, r) for r in range(n + 1)}
+
+
 def lowest_weight_tensor(x: int, y: int, n: int) -> Vector:
     """(1/n!) sum_r (-1)^r C(n, r) dtil^r f (x) dtil^(n-r) g.
 
     Killed by act_lower; its concrete realization is the degree-n bracket
     divided by (x)_n (y)_n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    coeffs = lowest_weight_coeffs(n)
     fact = Fraction(1, math.factorial(n))
-    support = {(r, n - r): fact * (-1) ** r * binom(n, r) for r in range(n + 1)}
-    return Vector.make((x, y), support)
+    return Vector.make((x, y), {k: fact * c for k, c in coeffs.items()})
 
 
 def realize_and_multiply(v: Vector, f: ModularForm, g: ModularForm) -> NearlyHoloForm:

@@ -344,19 +344,9 @@ def _level_scale(x: int, y: int, n: int, coeffs: StarCoefficients) -> Rat:
 
     Level n is coefficient(n, x, y) [f, g]_n, which is this scalar,
     coefficient(n, x, y) (x)_n (y)_n / n!, times the integer vector
-    sum_r (-1)^r C(n, r) dtil^r f (x) dtil^(n-r) g (see rep.lowest_weight_tensor).
+    rep.lowest_weight_coeffs(n).
     """
     return coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n) / math.factorial(n)
-
-
-def _raise_pair(vec: dict[tuple[int, int], int], x: int, y: int) -> dict[tuple[int, int], int]:
-    """rep.act_raise on integer coefficients at weights (x, y):
-    dtil^a (x) dtil^b -> (x+a) dtil^(a+1) (x) dtil^b + (y+b) dtil^a (x) dtil^(b+1)."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), c in vec.items():
-        out[a + 1, b] = out.get((a + 1, b), 0) + (x + a) * c
-        out[a, b + 1] = out.get((a, b + 1), 0) + (y + b) * c
-    return out
 
 
 def _free_bracketing(
@@ -380,7 +370,7 @@ def _free_bracketing(
     for n1, s1 in enumerate(inner_scales):
         w = sum(pair) + 2 * n1
         outer = (w, z) if inner_left else (x, w)
-        raised = [{(r, n1 - r): (-1) ** r * math.comb(n1, r) for r in range(n1 + 1)}]
+        raised = [rep.lowest_weight_coeffs(n1)]
         for n2 in range(order - n1 + 1):
             s2 = _level_scale(*outer, n2, coeffs)
             if not s2:
@@ -388,13 +378,12 @@ def _free_bracketing(
                 continue
             scale = s1 * s2 / pochhammer(w, n2)
             block: dict[tuple[int, ...], int] = {}
-            for i in range(n2 + 1):
-                # the outer vector's term (-1)^i C(n2, i) at (i, n2 - i) raises the inner one s times
-                s, t = (i, n2 - i) if inner_left else (n2 - i, i)
+            for key, o in rep.lowest_weight_coeffs(n2).items():
+                s, t = key if inner_left else key[::-1]
                 while len(raised) <= s:
-                    raised.append(_raise_pair(raised[-1], *pair))
+                    raised.append(rep.raise_coeffs(pair, raised[-1]))
                 # times (w)_n2 / (w)_s = (w + s)_(n2 - s)
-                o = (-1) ** i * math.comb(n2, i) * math.prod(range(w + s, w + n2))
+                o *= math.prod(range(w + s, w + n2))
                 for ab, c in raised[s].items():
                     k = ab + (t,) if inner_left else (t,) + ab
                     block[k] = block.get(k, 0) + o * c

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rclab import rep
 from rclab.coeffsolve import ATable, a2_family_assoc
 from rclab.exactcore import QSeries, Rat, binom, pochhammer, rat
 from rclab.forms import GradedForm, ModularForm
@@ -327,28 +326,27 @@ def _raise_pair(level: dict[tuple[int, int], Rat], x: int, y: int) -> dict[tuple
     return out
 
 
-def reference_free_assoc_residual(
+def reference_free_bracketings(
     weights: tuple[int, int, int], coeffs: StarCoefficients, order: int
-) -> dict[tuple[int, tuple[int, int, int]], Rat]:
-    """Fully expand (f*g)*h - f*(g*h) in the free triple basis.
+) -> tuple[dict[tuple[int, int, int], Rat], dict[tuple[int, int, int], Rat]]:
+    """Fully expand (f*g)*h and f*(g*h) in the free triple basis.
 
-    Keys are (hbar-degree, (a, b, c)) for the basis element
-    dtil^a f dtil^b g dtil^c h; an associative coefficient family gives the
-    empty dict.  This expansion never uses the reduced identities, so it is
-    an independent check on them.
+    Keys are (a, b, c) for the basis element X^a f X^b g X^c h,
+    with zero coefficients dropped.  This expansion never uses the reduced
+    identities, so it is an independent check on them.
     """
     x, y, z = weights
-    resid: dict[tuple[int, tuple[int, int, int]], Rat] = {}
+    left: dict[tuple[int, int, int], Rat] = {}
+    right: dict[tuple[int, int, int], Rat] = {}
 
-    def add(n: int, key: tuple[int, int, int], c: Rat) -> None:
+    def add(out: dict, key: tuple[int, int, int], c: Rat) -> None:
         if c == 0:
             return
-        k = (n, key)
-        v = resid.get(k, Fraction(0)) + c
+        v = out.get(key, Fraction(0)) + c
         if v == 0:
-            resid.pop(k, None)
+            out.pop(key, None)
         else:
-            resid[k] = v
+            out[key] = v
 
     # (f*g)*h
     fg = _pair_star_free(x, y, coeffs, order)
@@ -356,6 +354,8 @@ def reference_free_assoc_residual(
         w_mid = x + y + 2 * n1
         for n2 in range(order - n1 + 1):
             c2 = coeffs.coefficient(n2, w_mid, z) * pochhammer(w_mid, n2) * pochhammer(z, n2)
+            if c2 == 0:
+                continue  # a vanishing level adds nothing; at weight 0, (w_mid)_s vanishes too
             fact = Fraction(1)
             for i in range(1, n2 + 1):
                 fact /= i
@@ -366,16 +366,18 @@ def reference_free_assoc_residual(
                 )
                 if outer != 0:
                     for (a, b), c in raised.items():
-                        add(n1 + n2, (a, b, n2 - s), outer * c / (pochhammer(x, a) * pochhammer(y, b)))
+                        add(left, (a, b, n2 - s), outer * c / (pochhammer(x, a) * pochhammer(y, b)))
                 if s < n2:
                     raised = _raise_pair(raised, x, y)
 
-    # f*(g*h), subtracted
+    # f*(g*h)
     gh = _pair_star_free(y, z, coeffs, order)
     for n1, level in gh.items():
         w_mid = y + z + 2 * n1
         for n2 in range(order - n1 + 1):
             c2 = coeffs.coefficient(n2, x, w_mid) * pochhammer(x, n2) * pochhammer(w_mid, n2)
+            if c2 == 0:
+                continue
             fact = Fraction(1)
             for i in range(1, n2 + 1):
                 fact /= i
@@ -386,15 +388,20 @@ def reference_free_assoc_residual(
                 ) / pochhammer(x, n2 - s)
                 if outer != 0:
                     for (b, c_idx), c in raised.items():
-                        add(
-                            n1 + n2,
-                            (n2 - s, b, c_idx),
-                            -outer * c / (pochhammer(y, b) * pochhammer(z, c_idx)),
-                        )
+                        add(right, (n2 - s, b, c_idx), outer * c / (pochhammer(y, b) * pochhammer(z, c_idx)))
                 if s < n2:
                     raised = _raise_pair(raised, y, z)
 
-    return resid
+    return left, right
+
+
+def reference_free_assoc_residual(
+    weights: tuple[int, int, int], coeffs: StarCoefficients, order: int
+) -> dict[tuple[int, tuple[int, int, int]], Rat]:
+    """(f*g)*h - f*(g*h) from reference_free_bracketings, keyed (hbar-degree, (a, b, c))."""
+    left, right = reference_free_bracketings(weights, coeffs, order)
+    resid = {(sum(k), k): left.get(k, 0) - right.get(k, 0) for k in left.keys() | right.keys()}
+    return {k: v for k, v in resid.items() if v}
 
 
 def _free_model_cases():
@@ -417,6 +424,8 @@ def _free_model_cases():
                 pochhammer(x, n) * pochhammer(y, n) * (factor if n == level else 1)))
             coeffs = StarCoefficients.from_table(table, gauge=rng.choice((1, -4)))
         cases.append((weights, coeffs, order))
+    # weight 0: the outer level and (w)_s vanish together
+    cases += [((0, 0, 2), StarCoefficients.eholzer(), 3), ((2, 1, 0), StarCoefficients.eholzer(), 3)]
     return cases
 
 
@@ -426,6 +435,12 @@ def test_free_model_matches_dict_reference():
         got = free_assoc_residual(weights, coeffs, order)
         assert got == reference_free_assoc_residual(weights, coeffs, order), (weights, coeffs, order)
         nonzero += bool(got)
+        # each bracketing on its own, so that an error common to both cannot cancel
+        x, y, z = weights
+        for inner_left, want in zip((True, False), reference_free_bracketings(weights, coeffs, order)):
+            got = _free_bracketing(weights, coeffs, order, inner_left).support
+            assert {(a, b, c): v / (pochhammer(x, a) * pochhammer(y, b) * pochhammer(z, c))
+                    for (a, b, c), v in got} == want
     assert nonzero >= 20  # the planted tables make the comparison see nonzero residuals
 
 
@@ -443,111 +458,6 @@ def test_free_bracketings_absolute_values():
     want = Vector.make(w, {(0, 0, 0): 1, (0, 0, 1): 36, (1, 0, 0): -20, (0, 1, 0): -16})
     for inner_left in (True, False):
         assert _free_bracketing(w, eh, 1, inner_left) == want
-
-
-# The free model as it was before each block was summed in ints: one Fraction
-# product per pair of terms.  Kept verbatim as the oracle for
-# _free_bracketing and free_assoc_residual.
-
-
-def _fraction_pair_level(x: int, y: int, n: int, coeffs: StarCoefficients) -> rep.Vector:
-    """Level n of the pair star product, coefficient(n, x, y) [f, g]_n, in the dtil basis."""
-    c = coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n)
-    return rep.lowest_weight_tensor(x, y, n).scale(c)
-
-
-def _fraction_free_bracketing(
-    weights: tuple[int, int, int], coeffs: StarCoefficients, order: int, inner_left: bool
-) -> rep.Vector:
-    """(f*g)*h (inner_left) or f*(g*h) in the free triple model, in the dtil basis.
-
-    Each level of the inner pair is a lowest-weight vector of weight
-    w = (its two weights) + 2 n1; the outer bracket's term dtil^s of it is
-    act_raise applied s times, divided by (w)_s.  The hbar-degree of a key
-    (a, b, c) is a + b + c.
-    """
-    x, y, z = weights
-    pair = (x, y) if inner_left else (y, z)
-    inners = [_fraction_pair_level(*pair, n1, coeffs) for n1 in range(order + 1)]
-    out: dict[tuple[int, ...], Rat] = {}
-    for n1, inner in enumerate(inners):
-        w = sum(pair) + 2 * n1
-        outer = (w, z) if inner_left else (x, w)
-        raised = [inner]
-        for n2 in range(order - n1 + 1):
-            for key, o in _fraction_pair_level(*outer, n2, coeffs).support:
-                s, t = key if inner_left else key[::-1]
-                while len(raised) <= s:
-                    raised.append(rep.act_raise(raised[-1]))
-                o = o / pochhammer(w, s)
-                for ab, c in raised[s].support:
-                    k = ab + (t,) if inner_left else (t,) + ab
-                    out[k] = out.get(k, 0) + o * c
-    return rep.Vector.make(weights, out)
-
-
-def fraction_free_assoc_residual(
-    weights: tuple[int, int, int], coeffs: StarCoefficients, order: int
-) -> dict[tuple[int, tuple[int, int, int]], Rat]:
-    """Fully expand (f*g)*h - f*(g*h) in the free triple basis.
-
-    Keys are (hbar-degree, (a, b, c)) for the basis element
-    X^a f X^b g X^c h; an associative coefficient family gives the empty
-    dict.  This expansion never uses the reduced identities, so it is an
-    independent check on them.
-    """
-    x, y, z = weights
-    left, right = (_fraction_free_bracketing(weights, coeffs, order, first) for first in (True, False))
-    return {
-        (a + b + c, (a, b, c)): v / (pochhammer(x, a) * pochhammer(y, b) * pochhammer(z, c))
-        for (a, b, c), v in (left - right).support
-    }
-
-
-@st.composite
-def _free_model_inputs(draw):
-    """(weights, coeffs, order): cmz at a drawn kappa and gauge, eholzer, or a
-    table of the constant-coefficient family with one entry, (n0, x, y) with
-    1 <= n0 <= order, scaled by a factor other than 1, so that its residual
-    is nonzero."""
-    weights, order = draw(st.tuples(*[st.integers(1, 18)] * 3)), draw(st.integers(0, 4))
-    kind = draw(st.sampled_from(["cmz", "eholzer", "table"]))
-    if kind == "cmz":
-        kappa = F(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
-        coeffs = StarCoefficients.cmz(kappa, gauge=draw(st.sampled_from([F(-4), F(1), F(2, 3)])))
-    elif kind == "eholzer":
-        coeffs = StarCoefficients.eholzer()
-    else:
-        x, y, _ = weights
-        planted = {}
-        if order:
-            n0 = draw(st.integers(1, order))
-            factor = F(draw(st.sampled_from([-3, -1, 2, 5])), draw(st.sampled_from([1, 3, 4])))
-            v = pochhammer(x, n0) * pochhammer(y, n0) * factor
-            planted[(n0, x, y)] = (v.numerator, v.denominator)
-        table = ATable(order, 0, values=planted, filler=lambda n, x, y: pochhammer(x, n) * pochhammer(y, n))
-        coeffs = StarCoefficients.from_table(table, gauge=draw(st.sampled_from([F(1), F(-4)])))
-    return weights, coeffs, order
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(_free_model_inputs())
-# weight 0: (w)_n2 vanishes together with the outer level at n1 = 0
-@example(((0, 0, 2), StarCoefficients.eholzer(), 3))
-@example(((2, 1, 0), StarCoefficients.eholzer(), 3))
-def test_free_model_matches_the_fraction_oracle(inputs):
-    weights, coeffs, order = inputs
-    got = free_assoc_residual(weights, coeffs, order)
-    assert got == fraction_free_assoc_residual(weights, coeffs, order)
-    for inner_left in (True, False):
-        assert _free_bracketing(weights, coeffs, order, inner_left) == _fraction_free_bracketing(
-            weights, coeffs, order, inner_left)
-    if coeffs.kind == "table" and order:
-        # the scaled entry leaves a nonzero hbar^n0 part: a multiple of [f, g]_n0 h,
-        # less f [g, h]_n0 when x = y = z
-        assert got and all(type(v) is F for v in got.values())
-    else:
-        assert got == {}
 
 
 def test_hbar_series_shapes(catalogue):
