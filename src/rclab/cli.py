@@ -188,6 +188,9 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both") -> None:
 
 
 def suite_combi(s: Suite, n_max: int = 5) -> None:
+    if n_max < 1:
+        # [f, g]_0 = f g reads no raising operator: a shorter run checks nothing
+        raise UsageError(f"--n-max must be >= 1 for the combi suite, got {n_max}")
     prec = s.cfg.prec
     cat = _catalogue(prec)
     for a, b in [("E4", "E6"), ("E4", "Delta")]:
@@ -303,6 +306,9 @@ def suite_ident(s: Suite, n_max: int = 5, grid: int | None = None) -> None:
 def suite_assoc(s: Suite) -> None:
     prec = s.cfg.prec
     order = s.cfg.hbar_order
+    if order < 1:
+        # at hbar^0 both bracketings are the undeformed product: nothing is checked
+        raise UsageError(f"hbar_order must be >= 1 for the assoc suite, got {order}")
     cat = _catalogue(prec)
     eh = starprod.StarCoefficients.eholzer()
     for names in [("E4", "E4", "E6"), ("E4", "E6", "Delta")]:
@@ -459,9 +465,12 @@ def suite_p3(s: Suite) -> None:
 def suite_uniqueness(s: Suite, seeds: int = 200, order: int = 3) -> None:
     prec = min(s.cfg.prec, 15)
     stats = uniq.random_uniqueness_search(seeds, order=order, prec=prec, seed0=s.cfg.seed)
+    # every third trial is a rescaling, which must be recovered; a drawn pair can
+    # be one too (one of the 1,000 trials from seed 9000 is), so >= and not ==
+    rescalings = len(range(0, seeds, 3))
     s.check(
         "uniqueness/no-counterexamples",
-        stats["counterexamples"] == 0 and stats["recovered_constants"] > 0,
+        stats["counterexamples"] == 0 and stats["recovered_constants"] >= rescalings,
         {"seeds": seeds, "order": order, "prec": prec},
         **stats,
     )

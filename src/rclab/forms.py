@@ -8,6 +8,7 @@ construction.  All q-expansions are exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +22,9 @@ def sigma(n: int, power: int) -> int:
     return sum(d**power for d in range(1, n + 1) if n % d == 0)
 
 
+@functools.lru_cache(maxsize=None)
 def eisenstein(weight: int, prec: int) -> QSeries:
-    """E2, E4 or E6 normalized with constant term 1.
+    """E2, E4 or E6 normalized with constant term 1, built once per (weight, prec).
 
     E2 = 1 - 24 sum sigma_1(n) q^n, E4 = 1 + 240 sum sigma_3(n) q^n,
     E6 = 1 - 504 sum sigma_5(n) q^n.

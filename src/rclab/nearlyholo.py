@@ -14,7 +14,6 @@ module a finite exact computation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,18 +135,24 @@ def lower(F: NearlyHoloForm) -> NearlyHoloForm:
     return NearlyHoloForm.make(F.weight - 2, parts or [QSeries.zero(prec)])
 
 
-def shimura_pow(F: NearlyHoloForm, n: int) -> NearlyHoloForm:
-    for _ in range(n):
-        F = shimura_X(F)
-    return F
+def raising_chain(F: NearlyHoloForm, top: int) -> list[NearlyHoloForm]:
+    """X^0 F .. X^top F, one shimura_X per step."""
+    chain = [F]
+    for _ in range(top):
+        chain.append(shimura_X(chain[-1]))
+    return chain
 
 
-def dtil_power(f: ModularForm, r: int) -> NearlyHoloForm:
-    """Normalized raising chain: X^r f / (weight)_r, the phi_r basis element."""
-    denom = pochhammer(f.weight, r)
-    if denom == 0:
-        raise ValueError(f"normalized raising undefined: ({f.weight})_{r} = 0")
-    return shimura_pow(NearlyHoloForm.from_modular(f), r).scale(1 / denom)
+def dtil_chain(F: NearlyHoloForm | ModularForm, top: int) -> list[NearlyHoloForm]:
+    """dtil^r F = X^r F / (weight)_r for r = 0..top, the phi_r basis, dividing by weight + r per step."""
+    if isinstance(F, ModularForm):
+        F = NearlyHoloForm.from_modular(F)
+    if pochhammer(F.weight, top) == 0:
+        raise ValueError(f"normalized raising undefined: ({F.weight})_{top} = 0")
+    chain = [F]
+    for r in range(top):
+        chain.append(shimura_X(chain[-1]).scale(Fraction(1, F.weight + r)))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +188,10 @@ def rc_bracket(f: ModularForm, g: ModularForm, n: int) -> ModularForm:
     return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, df, dg, QSeries.zero(prec)))
 
 
-@functools.lru_cache(maxsize=None)
-def _e2(prec: int) -> QSeries:
-    """E2 to prec coefficients, built once per precision for ramanujan_X."""
-    return eisenstein(2, prec)
-
-
 def ramanujan_X(f: ModularForm) -> ModularForm:
     """The derivation Df - (weight/2) * (E2/6) * f, raising the weight by 2."""
     k2 = Fraction(f.weight, 2)
-    series = f.series.derive() - (_e2(f.prec) * f.series).scale(k2 / 6)
+    series = f.series.derive() - (eisenstein(2, f.prec) * f.series).scale(k2 / 6)
     return ModularForm(f.weight + 2, series)
 
 
@@ -265,9 +264,7 @@ def verify_der_identity(f: ModularForm, m: int) -> bool:
         raise ValueError("m must be >= 0")
     w = f.weight
     prec = f.prec
-    chain = [NearlyHoloForm.from_modular(f)]  # X^0 f .. X^m f
-    for _ in range(m):
-        chain.append(shimura_X(chain[-1]))
+    chain = raising_chain(NearlyHoloForm.from_modular(f), m)
     rhs = NearlyHoloForm.zero(w + 2 * m, prec)
     for r in range(m + 1):
         coeff = binom(w + m - 1, r) / math.factorial(m - r)
@@ -292,13 +289,8 @@ def combi_bracket(f: ModularForm, g: ModularForm, n: int) -> NearlyHoloForm:
     """
     x, y = f.weight, g.weight
     prec = min(f.prec, g.prec)
-    bf = NearlyHoloForm.from_modular(f).truncate(prec)
-    bg = NearlyHoloForm.from_modular(g).truncate(prec)
-    xf = [bf]
-    xg = [bg]
-    for _ in range(n):
-        xf.append(shimura_X(xf[-1]))
-        xg.append(shimura_X(xg[-1]))
+    xf = raising_chain(NearlyHoloForm.from_modular(f).truncate(prec), n)
+    xg = raising_chain(NearlyHoloForm.from_modular(g).truncate(prec), n)
     out = _bracket_sum(n, x, y, xf, xg, NearlyHoloForm.zero(x + y + 2 * n, prec))
     if not out.is_holomorphic():
         raise AssertionError(f"combi bracket picked up Y-terms at n={n}")

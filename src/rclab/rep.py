@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 
 from .exactcore import Rat, RatLike, binom, eliminate, pochhammer, rat
 from .forms import ModularForm
-from .nearlyholo import NearlyHoloForm, dtil_power, lower as nh_lower, shimura_pow
+from .nearlyholo import NearlyHoloForm, dtil_chain, lower as nh_lower
 
 Key = tuple[int, ...]
 
@@ -47,7 +47,7 @@ class Vector:
 
     @staticmethod
     def make(weights: tuple[int, ...], support: dict[Key, RatLike]) -> Vector:
-        clean = {k: rat(c) for k, c in support.items() if rat(c) != 0}
+        clean = {k: q for k, c in support.items() if (q := rat(c)) != 0}
         if any(len(k) != len(weights) for k in clean):
             raise ValueError(f"indices must have one entry per factor of {tuple(weights)}")
         if any(min(k) < 0 for k in clean):
@@ -160,30 +160,24 @@ def lowest_weight_tensor(x: int, y: int, n: int) -> Vector:
     return Vector.make((x, y), {k: fact * c for k, c in coeffs.items()})
 
 
-def realize_and_multiply(v: Vector, f: ModularForm, g: ModularForm) -> NearlyHoloForm:
+def realize_and_multiply(
+    v: Vector, f: ModularForm | NearlyHoloForm, g: ModularForm | NearlyHoloForm
+) -> NearlyHoloForm:
     """Send dtil^r f (x) dtil^s g to the product of the realized factors.
 
-    dtil^r is realized as X^r / (weight)_r on each factor.  On the vector
-    lowest_weight_tensor(x, y, n) this lands exactly on
-    rc_bracket(f, g, n) / ((x)_n (y)_n).
+    dtil^r is realized as X^r / (weight)_r on each factor, read from one
+    normalized chain per factor.  On the vector lowest_weight_tensor(x, y, n)
+    this lands exactly on rc_bracket(f, g, n) / ((x)_n (y)_n).
     """
     if v.weights != (f.weight, g.weight):
         raise ValueError(f"vector weights {v.weights} do not match forms ({f.weight}, {g.weight})")
-    prec = min(f.prec, g.prec)
-    n_max = max((r + s for (r, s), _ in v.support), default=0)
-    total = NearlyHoloForm.zero(sum(v.weights) + 2 * n_max, prec)
-    fr_cache: dict[int, NearlyHoloForm] = {}
-    gs_cache: dict[int, NearlyHoloForm] = {}
+    keys = [key for key, _ in v.support] or [(0, 0)]
+    fs = dtil_chain(f, max(r for r, _ in keys))
+    gs = dtil_chain(g, max(s for _, s in keys))
+    # every term has the weight of the first: adding one of another total degree raises ValueError
+    total = NearlyHoloForm.zero(sum(v.weights) + 2 * sum(keys[0]), min(f.prec, g.prec))
     for (r, s), c in v.support:
-        if r not in fr_cache:
-            fr_cache[r] = dtil_power(f, r)
-        if s not in gs_cache:
-            gs_cache[s] = dtil_power(g, s)
-        term = (fr_cache[r] * gs_cache[s]).scale(c)
-        # pad the weight: all terms of a lowest-weight combination share r+s
-        if term.weight != total.weight:
-            raise ValueError("tensor vector mixes total degrees; realization is weight-ambiguous")
-        total = total + term
+        total = total + (fs[r] * gs[s]).scale(c)
     return total
 
 
@@ -245,34 +239,24 @@ def xi_vector_concrete(
 ) -> NearlyHoloForm:
     """Concrete lowest-weight vector xi_(n,p) in the three-factor space.
 
-    With w = sum_r (-1)^r C(n-p, r) dtil^(n-p-r) f * dtil^r g (a holomorphic
-    lowest-weight realization of total degree n-p and weight B = x+y+2(n-p)),
+    With x, y, z the weights of f, g, h and nu = n - p, the pair (f, g) gives
+    the holomorphic lowest-weight vector of weight B = x + y + 2 nu
 
-      xi_(n,p) = sum_s (-1)^s C(p, s) [X^s w / (B)_s] * dtil^(p-s) h.
+      w = (-1)^nu nu! realize(lowest_weight_tensor(x, y, nu), f, g),
 
-    The alternating inner signs and the Pochhammer base B are what make
-    lower(xi) = 0 an exact identity for every n, p and all weights.
+    and xi is the one of degree p in the pair (w, h):
+
+      xi_(n,p) = p! realize(lowest_weight_tensor(B, z, p), w, h)
+               = sum_s (-1)^s C(p, s) [X^s w / (B)_s] * dtil^(p-s) h,
+
+    so lower(xi) = 0 is an exact identity for every n, p and all weights.
     """
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    x, y = f.weight, g.weight
     nu = n - p
-    prec = min(f.prec, g.prec, h.prec)
-    inner = None
-    for r in range(nu + 1):
-        term = (dtil_power(f, nu - r) * dtil_power(g, r)).scale((-1) ** r * binom(nu, r))
-        inner = term if inner is None else inner + term
-    inner = inner.truncate(prec)
-    base = x + y + 2 * nu
-    out = None
-    xs = inner
-    for s in range(p + 1):
-        coeff = (-1) ** s * binom(p, s) / pochhammer(base, s)
-        term = (xs * dtil_power(h, p - s).truncate(prec)).scale(coeff)
-        out = term if out is None else out + term
-        if s < p:
-            xs = shimura_pow(xs, 1)
-    return out
+    w = realize_and_multiply(lowest_weight_tensor(f.weight, g.weight, nu), f, g)
+    w = w.scale((-1) ** nu * math.factorial(nu))
+    return realize_and_multiply(lowest_weight_tensor(w.weight, h.weight, p), w, h).scale(math.factorial(p))
 
 
 def verify_xi_lowest_weight(

@@ -26,12 +26,14 @@ from rclab.coeffsolve import ATable
         ("canonical", nearlyholo.zagier_sequence, 12),
         # X^1..X^m f once per m: 3 forms x (1 + 2 + 3 + 4 + 5)
         ("der", nearlyholo.shimura_X, 45),
-        # E2 once for the chains' one precision, E4 for the catalogue and for phi, E6 once
-        ("canonical", forms.eisenstein, 4),
+        # one normalized chain per factor: per (E4, E6) realization 2n raises for n <= 4
+        ("propasso", nearlyholo.shimura_X, 20),
+        # the xi-kernel checks: per triple and (n, p), nu raises of each of f and g, then p of
+        # each of w and h, so 2n per (n, p), 40 per triple for n <= 3
+        ("triple", nearlyholo.shimura_X, 80),
     ],
 )
 def test_suite_builds_each_object_once(monkeypatch, suite, function, calls):
-    nearlyholo._e2.cache_clear()  # so that the count does not depend on the tests run before
     count = 0
 
     def counted(*args, **kwargs):
@@ -43,6 +45,22 @@ def test_suite_builds_each_object_once(monkeypatch, suite, function, calls):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", suite, "--json"]) == 0
     assert count == calls
+
+
+@pytest.mark.parametrize(
+    "suite,builds",
+    [
+        # E2 for the chains' one precision, E4 for the catalogue and for phi, E6 once
+        ("canonical", 3),
+        # E2, E4 and E6 at prec 20; E4 and E6 at the 15 of triple and uniqueness and the 14 of fine
+        ("all", 7),
+    ],
+)
+def test_suite_builds_each_eisenstein_series_once(suite, builds):
+    forms.eisenstein.cache_clear()  # so that the count does not depend on the tests run before
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", suite, "--json"]) == 0
+    assert forms.eisenstein.cache_info().misses == builds
 
 
 @pytest.mark.parametrize("suite", ["solve-unique", "ident"])

@@ -233,6 +233,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     (tmp_path / "kappa.cfg").write_text("kappa_samples = 1/0\n")
     (tmp_path / "grid.cfg").write_text("grid_bound = 0\n")
     (tmp_path / "empty.cfg").write_text("kappa_samples =\n")
+    (tmp_path / "order.cfg").write_text("hbar_order = 0\n")
     for argv in (
         ["bogus-command"],
         ["verify", "not-a-suite"],
@@ -260,6 +261,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "kappa-c", "--config", str(tmp_path / "grid.cfg")],
         ["verify", "ident", "--config", str(tmp_path / "empty.cfg")],
         ["verify", "assoc", "--hbar-order", "-1"],
+        ["verify", "assoc", "--hbar-order", "0"],
+        ["verify", "all", "--hbar-order", "0"],
+        ["verify", "assoc", "--config", str(tmp_path / "order.cfg")],
+        ["verify", "combi", "--n-max", "0"],
         ["verify", "uniqueness", "--order", "-1"],
         ["verify", "ident", "--n-max", "-1"],
         ["verify", "ident", "--n-max", "0"],

@@ -8,23 +8,43 @@ from hypothesis import strategies as st
 from test_planted_defects import _shimura_X_y_term_off_by_one
 
 from rclab import nearlyholo
-from rclab.exactcore import QSeries, binom
+from rclab.exactcore import QSeries, binom, pochhammer
 from rclab.forms import ModularForm, delta, eisenstein, phi_zagier
 from rclab.nearlyholo import (
     NearlyHoloForm,
     _bracket_sum,
     canonical_rc,
     combi_bracket,
+    dtil_chain,
     lower,
+    raising_chain,
     ramanujan_X,
     rc_bracket,
     shimura_X,
-    shimura_pow,
     verify_canonical_rc,
     verify_der_identity,
     zagier_sequence,
 )
 from rclab.uniq import IsobaricPoly, weight_basis
+
+
+# shimura_pow and dtil_power as they were before one raising chain replaced
+# them, kept as oracles.  The raise is looked up on the module, as it was,
+# so that a raise patched there reaches the oracle too.
+
+
+def shimura_pow(F: NearlyHoloForm, n: int) -> NearlyHoloForm:
+    for _ in range(n):
+        F = nearlyholo.shimura_X(F)
+    return F
+
+
+def dtil_power(f: ModularForm, r: int) -> NearlyHoloForm:
+    """Normalized raising chain: X^r f / (weight)_r, the phi_r basis element."""
+    denom = pochhammer(f.weight, r)
+    if denom == 0:
+        raise ValueError(f"normalized raising undefined: ({f.weight})_{r} = 0")
+    return shimura_pow(NearlyHoloForm.from_modular(f), r).scale(1 / denom)
 
 
 def test_bracket_degree_zero_is_product(catalogue):
@@ -146,7 +166,7 @@ def test_shimura_raise_on_holomorphic(catalogue):
 def test_shimura_double_application(catalogue):
     f = catalogue["E6"]
     w = 6
-    x2 = shimura_pow(NearlyHoloForm.from_modular(f), 2)
+    x2 = raising_chain(NearlyHoloForm.from_modular(f), 2)[2]
     d2 = f.series.derive().derive()
     assert x2.ypoly[0] == d2
     assert x2.ypoly[1] == f.series.derive().scale(-(2 * w + 2))
@@ -158,11 +178,33 @@ def test_lower_basics(catalogue):
     holo = NearlyHoloForm.from_modular(f)
     assert lower(holo).is_zero()
     assert lower(shimura_X(holo)) == holo.scale(-4)
+    chain = raising_chain(holo, 5)
     for n in range(1, 6):
         w = 4
-        xn = shimura_pow(holo, n)
-        want = shimura_pow(holo, n - 1).scale(-n * (w + n - 1))
-        assert lower(xn) == want
+        assert lower(chain[n]) == chain[n - 1].scale(-n * (w + n - 1))
+
+
+@pytest.mark.parametrize("name", ["E4", "E6", "Delta"])
+def test_raising_chains_match_the_powers(catalogue, name):
+    f = catalogue[name].truncate(14)
+    holo = NearlyHoloForm.from_modular(f)
+    assert raising_chain(holo, 6) == [shimura_pow(holo, r) for r in range(7)]
+    assert raising_chain(holo, 0) == [holo]
+    assert dtil_chain(f, 6) == [dtil_power(f, r) for r in range(7)]
+    # a nearly-holomorphic start is normalized by its own weight
+    x2 = raising_chain(holo, 2)[2]
+    want = [y.scale(1 / pochhammer(f.weight + 4, r)) for r, y in enumerate(raising_chain(x2, 3))]
+    assert dtil_chain(x2, 3) == want
+
+
+def test_normalized_chain_of_weight_zero_raises():
+    const = ModularForm(0, QSeries.constant(1, 8))
+    assert dtil_chain(const, 0) == [NearlyHoloForm.from_modular(const)]
+    for top in (1, 3):
+        with pytest.raises(ValueError, match=r"\(0\)_%d = 0" % top):
+            dtil_chain(const, top)
+        with pytest.raises(ValueError, match=r"\(0\)_%d = 0" % top):
+            dtil_power(const, top)
 
 
 def test_lower_raise_commutator_is_weight():

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from rclab import coeffsolve, exactcore, forms, nearlyholo, rep, starprod
+from rclab import coeffsolve, exactcore, forms, nearlyholo, rep, starprod, uniq
 from rclab.cli import main
 from rclab.coeffsolve import ATable
-from rclab.exactcore import QSeries
+from rclab.exactcore import MPoly, QSeries
 from rclab.forms import ModularForm
 from rclab.nearlyholo import NearlyHoloForm
 
@@ -44,6 +44,7 @@ _shimura_X = nearlyholo.shimura_X
 _delta = forms.delta
 _casimir_eigenvalue = rep.casimir_eigenvalue
 _lowest_weight_tensor = rep.lowest_weight_tensor
+_bracket_term = uniq._bracket_term
 
 
 def _cmz_scaled_at_four(kappa, k, l, n):
@@ -127,6 +128,15 @@ def _lowest_weight_tensor_r1_doubled(x, y, n):
     return rep.Vector.make((x, y), v)
 
 
+def _bracket_term_weighted_c_plus_d(f, g, n, prec):
+    # each monomial pair [m_f, m_g]_n weighted by c + d instead of c d, that is
+    # [f, 1_g]_n + [1_f, g]_n with 1_p the sum of p's monomials: no longer bilinear
+    def ones(p):
+        return MPoly(p.vars, dict.fromkeys(p.terms, 1))
+
+    return _bracket_term(f, ones(g), n, prec) + _bracket_term(ones(f), g, n, prec)
+
+
 def _act_lower_doubled_from_two(v):
     # phi_n -> -2n phi_(n-1) for n >= 2: the kernel dimensions are kept, the preimage formula fails
     return rep._slotwise(v, -1, lambda w, n: -n if n < 2 else -2 * n)
@@ -176,6 +186,11 @@ DEFECTS = [
         id="shimura_X-y-term-off-by-one",
     ),
     pytest.param(
+        nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "combi",
+        ["combi/holomorphic-and-equal/E4-E6", "combi/holomorphic-and-equal/E4-Delta"],
+        id="shimura_X-y-term-off-by-one-combi",
+    ),
+    pytest.param(
         forms.delta, _delta_wrong_at_q3, "forms", ["forms/discriminant-relation"],
         id="delta-wrong-at-q3",
     ),
@@ -209,6 +224,18 @@ def test_planted_defect_fails_its_suite(capsys, monkeypatch, original, replaceme
     assert code == 1 and captured.err == ""
     statuses = {c["name"]: c["status"] for c in json.loads(captured.out)["checks"]}
     assert {name for name, status in statuses.items() if status != "pass"} == set(failing), statuses
+
+
+def test_uniqueness_fails_when_the_bracket_terms_are_not_bilinear(capsys, monkeypatch):
+    # _bracket_term is private to uniq, so its one binding is every binding
+    assert _patch_every_binding(monkeypatch, uniq._bracket_term, _bracket_term_weighted_c_plus_d) == 1
+    code = main(["verify", "uniqueness", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    (rec,) = json.loads(captured.out)["checks"]
+    assert rec["name"] == "uniqueness/no-counterexamples" and rec["status"] == "fail"
+    # no pair it finds equal is a counterexample: only the 57 rescalings it loses show the defect
+    assert (rec["equal_pairs"], rec["recovered_constants"], rec["counterexamples"]) == (10, 10, 0)
 
 
 def test_fine_failure_names_the_first_disagreeing_point(capsys, monkeypatch):

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from test_nearlyholo import dtil_power, shimura_pow
 
-from rclab.exactcore import pochhammer
-from rclab.nearlyholo import lower as nh_lower, rc_bracket
+from rclab.exactcore import QSeries, binom, pochhammer
+from rclab.forms import ModularForm
+from rclab.nearlyholo import NearlyHoloForm, lower as nh_lower, rc_bracket
 from rclab.rep import (
     Vector,
     act_lower,
@@ -150,6 +152,9 @@ def test_realization_matches_scaled_bracket(catalogue, n):
 def test_realization_weight_mismatch(catalogue):
     with pytest.raises(ValueError):
         realize_and_multiply(lowest_weight_tensor(4, 4, 1), catalogue["E4"], catalogue["E6"])
+    # terms of two total degrees have two weights
+    with pytest.raises(ValueError):
+        realize_and_multiply(Vector.make((4, 6), {(1, 0): 1, (1, 1): 1}), catalogue["E4"], catalogue["E6"])
 
 
 def test_act_lower_on_triple_basics():
@@ -209,3 +214,98 @@ def test_xi_rejects_bad_indices(catalogue):
     e4 = catalogue["E4"]
     with pytest.raises(ValueError):
         xi_vector_concrete(e4, e4, e4, 2, 3)
+
+
+# realize_and_multiply and xi_vector_concrete as they were before both read
+# one normalized chain per factor, kept verbatim as oracles.
+
+
+def per_power_realize_and_multiply(v: Vector, f: ModularForm, g: ModularForm) -> NearlyHoloForm:
+    if v.weights != (f.weight, g.weight):
+        raise ValueError(f"vector weights {v.weights} do not match forms ({f.weight}, {g.weight})")
+    prec = min(f.prec, g.prec)
+    n_max = max((r + s for (r, s), _ in v.support), default=0)
+    total = NearlyHoloForm.zero(sum(v.weights) + 2 * n_max, prec)
+    fr_cache: dict[int, NearlyHoloForm] = {}
+    gs_cache: dict[int, NearlyHoloForm] = {}
+    for (r, s), c in v.support:
+        if r not in fr_cache:
+            fr_cache[r] = dtil_power(f, r)
+        if s not in gs_cache:
+            gs_cache[s] = dtil_power(g, s)
+        term = (fr_cache[r] * gs_cache[s]).scale(c)
+        # pad the weight: all terms of a lowest-weight combination share r+s
+        if term.weight != total.weight:
+            raise ValueError("tensor vector mixes total degrees; realization is weight-ambiguous")
+        total = total + term
+    return total
+
+
+def per_power_xi_vector_concrete(
+    f: ModularForm, g: ModularForm, h: ModularForm, n: int, p: int
+) -> NearlyHoloForm:
+    if not 0 <= p <= n:
+        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
+    x, y = f.weight, g.weight
+    nu = n - p
+    prec = min(f.prec, g.prec, h.prec)
+    inner = None
+    for r in range(nu + 1):
+        term = (dtil_power(f, nu - r) * dtil_power(g, r)).scale((-1) ** r * binom(nu, r))
+        inner = term if inner is None else inner + term
+    inner = inner.truncate(prec)
+    base = x + y + 2 * nu
+    out = None
+    xs = inner
+    for s in range(p + 1):
+        coeff = (-1) ** s * binom(p, s) / pochhammer(base, s)
+        term = (xs * dtil_power(h, p - s).truncate(prec)).scale(coeff)
+        out = term if out is None else out + term
+        if s < p:
+            xs = shimura_pow(xs, 1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("E4", "E4", "E6"), ("E4", "E6", "Delta"), ("E6", "Delta", "E4"), ("Delta", "Delta", "Delta")],
+    ids="-".join,
+)
+def test_xi_matches_the_per_power_oracle(catalogue, names):
+    # unequal precisions, so that every truncation of the oracle is exercised
+    f, g, h = (catalogue[name].truncate(prec) for name, prec in zip(names, (14, 13, 15)))
+    for n in range(6):
+        for p in range(n + 1):
+            got, want = xi_vector_concrete(f, g, h, n, p), per_power_xi_vector_concrete(f, g, h, n, p)
+            assert got == want and str(got) == str(want), (n, p)
+
+
+@pytest.mark.parametrize("pair", [("E4", "E6"), ("E6", "Delta"), ("Delta", "E4")], ids="-".join)
+def test_realization_matches_the_per_power_oracle(catalogue, pair):
+    f, g = catalogue[pair[0]].truncate(16), catalogue[pair[1]].truncate(14)
+    for n in range(7):
+        v = lowest_weight_tensor(f.weight, g.weight, n)
+        assert realize_and_multiply(v, f, g) == per_power_realize_and_multiply(v, f, g)
+    # vectors that are not lowest-weight, one total degree each, and the zero vector
+    rng = random.Random(5)
+    for n in range(7):
+        keys = rng.sample(range(n + 1), rng.randint(0, n + 1))
+        coeffs = {(r, n - r): F(rng.randint(-9, 9), rng.randint(1, 4)) for r in keys}
+        v = Vector.make((f.weight, g.weight), coeffs)
+        assert realize_and_multiply(v, f, g) == per_power_realize_and_multiply(v, f, g)
+
+
+def test_weight_zero_factors_still_raise(catalogue):
+    const = ModularForm(0, QSeries.constant(1, 12))
+    e4 = catalogue["E4"].truncate(12)
+    for v, f, g in ((lowest_weight_tensor(0, 4, 1), const, e4), (lowest_weight_tensor(4, 0, 2), e4, const)):
+        for realize in (realize_and_multiply, per_power_realize_and_multiply):
+            with pytest.raises(ValueError):
+                realize(v, f, g)
+    # degree 0 reads no raise, so a weight-0 factor is fine there
+    v0 = lowest_weight_tensor(0, 4, 0)
+    assert realize_and_multiply(v0, const, e4) == per_power_realize_and_multiply(v0, const, e4)
+    for n, p in ((1, 0), (1, 1), (2, 1)):
+        for xi in (xi_vector_concrete, per_power_xi_vector_concrete):
+            with pytest.raises(ValueError):
+                xi(const, e4, const, n, p)
