@@ -70,8 +70,6 @@ from .uniq import (
     IsobaricPoly,
     bracket_shift_residual,
     fine_det3,
-    form_to_isobaric,
-    isobaric_gcd,
     p3_build,
     rc_uniqueness_check,
 )

@@ -157,10 +157,6 @@ def suite_forms(s: Suite) -> None:
 
 
 def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both") -> None:
-    if n_max < 2:
-        # the quoted +E4/144 element first differs at degree 2: a shorter run
-        # cannot reproduce the mismatch and would report a false FAIL
-        raise UsageError(f"--n-max must be >= 2 for the canonical suite, got {n_max}")
     prec = max(s.cfg.prec, 12)
     cat = _catalogue(prec)
     pairs = [("E4", "E6"), ("E4", "Delta"), ("E6", "Delta")]
@@ -188,9 +184,6 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both") -> None:
 
 
 def suite_combi(s: Suite, n_max: int = 5) -> None:
-    if n_max < 1:
-        # [f, g]_0 = f g reads no raising operator: a shorter run checks nothing
-        raise UsageError(f"--n-max must be >= 1 for the combi suite, got {n_max}")
     prec = s.cfg.prec
     cat = _catalogue(prec)
     for a, b in [("E4", "E6"), ("E4", "Delta")]:
@@ -204,9 +197,6 @@ def suite_combi(s: Suite, n_max: int = 5) -> None:
 
 
 def suite_der(s: Suite, n_max: int = 5) -> None:
-    if n_max < 1:
-        # D^0 f = f reads no raising operator: a shorter run checks nothing
-        raise UsageError(f"--n-max must be >= 1 for the der suite, got {n_max}")
     prec = max(s.cfg.prec, 12)
     cat = _catalogue(prec)
     for name, f in cat.items():
@@ -281,9 +271,6 @@ def suite_triple(s: Suite, n_max: int = 8, xi_n_max: int = 3) -> None:
 
 
 def suite_ident(s: Suite, n_max: int = 5, grid: int | None = None) -> None:
-    if n_max < 2:
-        # levels 0 and 1 are built into every table: a shorter run reads no kappa value
-        raise UsageError(f"--n-max must be >= 2 for the ident suite, got {n_max}")
     grid = grid if grid is not None else s.cfg.grid_bound
     kappas = s.cfg.kappa_samples
     tables = [coeffsolve.ATable.from_kappa(rat(k), n_max, 4 * grid + 2 * n_max) for k in kappas]
@@ -306,9 +293,6 @@ def suite_ident(s: Suite, n_max: int = 5, grid: int | None = None) -> None:
 def suite_assoc(s: Suite) -> None:
     prec = s.cfg.prec
     order = s.cfg.hbar_order
-    if order < 1:
-        # at hbar^0 both bracketings are the undeformed product: nothing is checked
-        raise UsageError(f"hbar_order must be >= 1 for the assoc suite, got {order}")
     cat = _catalogue(prec)
     eh = starprod.StarCoefficients.eholzer()
     for names in [("E4", "E4", "E6"), ("E4", "E6", "Delta")]:
@@ -531,8 +515,6 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_star(args: argparse.Namespace) -> int:
-    if args.kind not in ("eholzer", "cmz"):
-        raise UsageError(f"unknown coefficient kind {args.kind!r}")
     if args.kind == "cmz" and args.kappa is None:
         raise UsageError("--kappa is required for --kind cmz")
     if args.kind != "cmz" and args.kappa is not None:
@@ -618,25 +600,43 @@ SUITE_FLAGS = {
     "printed": ("kappa-c",),
 }
 
+# The least value of a setting for which a suite checks anything, and why; a
+# run below it is a usage error, found before any suite runs.  A suite flag
+# left out of the command line keeps the suite's default, which is above it.
+SUITE_FLOORS = {
+    # the quoted +E4/144 element first differs at degree 2: a shorter run
+    # cannot reproduce the mismatch and would report a false FAIL
+    ("canonical", "n_max"): 2,
+    # [f, g]_0 = f g reads no raising operator: a shorter run checks nothing
+    ("combi", "n_max"): 1,
+    # D^0 f = f reads no raising operator: a shorter run checks nothing
+    ("der", "n_max"): 1,
+    # levels 0 and 1 are built into every table: a shorter run reads no kappa value
+    ("ident", "n_max"): 2,
+    # at hbar^0 both bracketings are the undeformed product: nothing is checked
+    ("assoc", "hbar_order"): 1,
+}
+
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
     if args.kappa is not None:
         cfg.kappa_samples = (args.kappa,)
-    if args.kind is not None and args.kind != "cmz":
-        raise UsageError(f"only cmz coefficient tables are verified here, not {args.kind!r}")
     which = SUITE_ALIASES.get(args.suite, args.suite)
     names = list(SUITES) if which == "all" else [which]
     given = {flag: v for flag, v in vars(args).items() if flag in SUITE_FLAGS}
     for flag in given:
         if not set(names) & set(SUITE_FLAGS[flag]):
             raise UsageError(f"--{flag.replace('_', '-')} does not apply to the {args.suite} suite")
+    for (suite, setting), low in SUITE_FLOORS.items():
+        value = given.get(setting, getattr(cfg, setting, low))
+        if suite in names and value < low:
+            label = f"--{setting.replace('_', '-')}" if setting in SUITE_FLAGS else setting
+            raise UsageError(f"{label} must be >= {low} for the {suite} suite, got {value}")
     s = Suite(f"verify {args.suite}", cfg)
     for name in names:
         try:
             SUITES[name](s, **{flag: v for flag, v in given.items() if name in SUITE_FLAGS[flag]})
-        except UsageError:
-            raise
         except Exception as exc:  # a crash is a failed verdict, reported as a record
             s.check(f"{name}/error", False, exception=type(exc).__name__, message=str(exc))
     emit(s.report(), args.json)
@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("star", help="compute a deformed product")
-    p.add_argument("--kind", default="eholzer")
+    p.add_argument("--kind", choices=("eholzer", "cmz"), default="eholzer")
     p.add_argument("--kappa", type=_rational, default=None)
     p.add_argument("--f", type=_form_name, required=True)
     p.add_argument("--g", type=_form_name, required=True)
@@ -749,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated kappa sample list")
     p.add_argument("--kappa", type=_rational, default=None,
                    help="single kappa sample (overrides the list)")
-    p.add_argument("--kind", default=None, help="coefficient kind for the ident suite (cmz)")
+    p.add_argument("--kind", choices=("cmz",), default=None, help="coefficient kind for the ident suite")
     # the SUITE_FLAGS: absent unless given, so each suite keeps its own default
     unset = argparse.SUPPRESS
     p.add_argument("--grid", type=_int_at_least(1), default=unset)

@@ -119,15 +119,6 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[RatLike], prec: int | None = None) -> QSeries:
-        cs = [rat(c) for c in coeffs]
-        if prec is None:
-            prec = len(cs)
-        if len(cs) < prec:
-            cs += [Fraction(0)] * (prec - len(cs))
-        return QSeries(prec, tuple(cs[:prec]))
-
-    @staticmethod
     def from_numerators(nums: Sequence[int], den: int = 1) -> QSeries:
         """The series sum nums[i]/den q^i, prec = len(nums), with no Fraction built."""
         if not nums:
@@ -165,9 +156,6 @@ class QSeries:
         if not 0 <= i < self.prec:
             raise IndexError(f"coefficient q^{i} not known at prec {self.prec}")
         return Fraction(self.nums[i], self.den)
-
-    def __getitem__(self, i: int) -> Rat:
-        return self.coeff(i)
 
     def is_zero(self) -> bool:
         return not any(self.nums)

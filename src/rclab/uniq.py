@@ -15,10 +15,9 @@ The chain of facts certified here, at desk scale:
 The level-1 ring Q[E4, E6] is carried by MPoly, the one polynomial type:
 IsobaricPoly is an MPoly over the generators ("g4", "g6") that adds only its
 weight and its q-expansion (to_form); its ring operations return an
-IsobaricPoly.  Unique factorization in that ring is exercised by
-isobaric_gcd, a gcd on MPoly over any variables: a primitive
-pseudo-remainder sequence in the last variable, with contents taken one
-variable down.
+IsobaricPoly.  Unique factorization holds in Q[g4, g6] because it is a
+polynomial ring over a field (Gauss's lemma); the factorization argument
+rests on that fact, and nothing in rc-lab computes a gcd or a factorization.
 
 The search works in generator coordinates.  [., .]_n is bilinear, so each
 term [f, g]_n of a drawn pair is a sum of c_i d_j [m_i, m_j]_n over the
@@ -26,7 +25,7 @@ generator monomials m = E4^a E6^b, and the monomial brackets are memoized per
 (m_i, m_j, n, prec): at weights 4..16 and order 3 the table has at most
 9 * 9 * 4 entries per precision, filled once per process.  The generator
 monomials themselves are memoized per (a, b, prec) and shared with
-IsobaricPoly.to_form and form_to_isobaric.
+IsobaricPoly.to_form.
 
 The determinant and the cubic certificate do not depend on any point:
 fine_det3_mpoly is derived once per process and fine_det3 evaluates it, and
@@ -44,7 +43,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .exactcore import MPoly, NotDivisibleError, QSeries, Rat, RatLike, binom, eliminate
+from .exactcore import MPoly, NotDivisibleError, QSeries, Rat, RatLike, binom
 from .forms import GradedForm, ModularForm, eisenstein
 from .nearlyholo import rc_bracket
 from .starprod import rc_series
@@ -362,95 +361,6 @@ def weight_basis(weight: int) -> list[tuple[int, int]]:
         if rem % 4 == 0:
             out.append((rem // 4, b))
     return sorted(out)
-
-
-def form_to_isobaric(f: ModularForm) -> IsobaricPoly:
-    """Exact generator coordinates of a level-1 form, by matching q-expansions.
-
-    Requires prec >= dim of the weight space; raises ValueError when the
-    series is not a weight-w polynomial in the generators to the available
-    precision.
-    """
-    basis = weight_basis(f.weight)
-    if not basis:
-        if f.is_zero():
-            return IsobaricPoly({})
-        raise ValueError(f"no monomials of weight {f.weight}")
-    dim = len(basis)
-    if f.prec < dim:
-        raise ValueError(f"need prec >= {dim} to resolve weight {f.weight}, have {f.prec}")
-    prec = f.prec
-    columns = [_monomial(a, b, prec) for a, b in basis]
-    rows = (
-        ({j: v for j, v in enumerate(col.coeff(i) for col in columns) if v}, (f.series.coeff(i),))
-        for i in range(prec)
-    )
-    res = eliminate(rows, 1).result(range(dim))
-    if not res.consistent:
-        raise ValueError("series does not lie in the span of the generator monomials")
-    if res.nullity != 0:
-        raise ValueError("generator monomials unexpectedly dependent")
-    out = IsobaricPoly({basis[j]: res.solution[j] for j in range(dim)})
-    if out.to_form(prec).series != f.series:
-        raise ValueError("round-trip mismatch; input is not modular of this weight")
-    return out
-
-
-# -- gcd over Q[vars] ---------------------------------------------------------
-
-
-def _monic(p: MPoly) -> MPoly:
-    """p scaled to lex-leading coefficient 1; zero stays zero."""
-    return p * (1 / p.terms[max(p.terms)]) if p.terms else p
-
-
-def _lead(p: MPoly) -> tuple[int, MPoly]:
-    """Degree of nonzero p in its last variable, and the coefficient of that power."""
-    d = max(e[-1] for e in p.terms)
-    return d, MPoly(p.vars, {e[:-1] + (0,): c for e, c in p.terms.items() if e[-1] == d})
-
-
-def _primitive(p: MPoly) -> tuple[MPoly, MPoly]:
-    """(content, primitive part) of nonzero p as a polynomial in its last variable.
-
-    The content is the gcd of the coefficients, one variable down.
-    """
-    coeffs: dict[int, dict[tuple[int, ...], Rat]] = {}
-    for e, c in p.terms.items():
-        coeffs.setdefault(e[-1], {})[e[:-1]] = c
-    content = functools.reduce(isobaric_gcd, (MPoly(p.vars[:-1], t) for t in coeffs.values()))
-    return content, p.div_exact(_lift(content, p.vars))
-
-
-def _lift(c: MPoly, vars: tuple[str, ...]) -> MPoly:
-    """c, a polynomial in vars[:-1], as a polynomial in vars."""
-    return MPoly(vars, {e + (0,): v for e, v in c.terms.items()})
-
-
-def isobaric_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Gcd in Q[vars], normalized to lex-leading coefficient 1; gcd(0, 0) = 0.
-
-    The level-1 ring is Q[g4, g6] (IsobaricPoly).  The gcd is a primitive
-    pseudo-remainder sequence in the last variable, times the gcd of the two
-    contents, which this function computes one variable down.
-    """
-    p._check(q)
-    if p.is_zero() or q.is_zero():
-        return _monic(q if p.is_zero() else p)
-    if not p.vars:
-        return MPoly.const((), 1)
-    (cp, a), (cq, b) = _primitive(p), _primitive(q)
-    if _lead(a)[0] < _lead(b)[0]:
-        a, b = b, a
-    x = MPoly.var(p.vars, p.vars[-1])
-    while not b.is_zero():
-        db, lb = _lead(b)
-        r = a
-        while not r.is_zero() and _lead(r)[0] >= db:
-            dr, lr = _lead(r)
-            r = lb * r - lr * x.pow(dr - db) * b
-        a, b = b, (r if r.is_zero() else _primitive(r)[1])
-    return _monic(a * _lift(isobaric_gcd(cp, cq), p.vars))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
-from test_planted_defects import _patch_every_binding
+from oracles import _patch_every_binding
 
 from rclab import exactcore, forms, nearlyholo, starprod
 from rclab.cli import main

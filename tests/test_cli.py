@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rclab
-from rclab import coeffsolve
+from rclab import cli, coeffsolve
 from rclab.cli import main
 
 
@@ -288,6 +288,33 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("rc-lab"), err
+
+
+def test_no_suite_runs_before_a_usage_error(tmp_path, capsys, monkeypatch):
+    # every suite floor is checked before the first suite runs, not by the suite itself
+    calls = []
+
+    def counted(suite):
+        def run(*args, **kwargs):
+            calls.append(suite.__name__)
+            return suite(*args, **kwargs)
+
+        return run
+
+    for name, suite in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, counted(suite))
+    (tmp_path / "order.cfg").write_text("hbar_order = 0\n")
+    for argv in (
+        ["verify", "all", "--hbar-order", "0"],
+        ["verify", "all", "--n-max", "1"],
+        ["verify", "ident", "--n-max", "1"],
+        ["verify", "assoc", "--config", str(tmp_path / "order.cfg")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert calls == [], argv
 
 
 def _kappa_c_verdict(capsys):

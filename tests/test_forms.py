@@ -57,7 +57,7 @@ def test_delta_matches_product_of_series():
     for prec in (2, 3, 15, 30, 64):
         euler = QSeries.one(prec - 1)
         for n in range(1, prec - 1):
-            euler = euler * QSeries.from_coeffs([1] + [0] * (n - 1) + [-1], prec - 1)
+            euler = euler * QSeries.from_numerators([1] + [0] * (n - 1) + [-1] + [0] * (prec - 2 - n))
         assert delta(prec).series == euler.pow(24).shift(1)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_planted_defects import _shimura_X_y_term_off_by_one
+from oracles import _shimura_X_y_term_off_by_one, dtil_power, shimura_pow
 
 from rclab import nearlyholo
 from rclab.exactcore import QSeries, binom, pochhammer
@@ -26,25 +26,6 @@ from rclab.nearlyholo import (
     zagier_sequence,
 )
 from rclab.uniq import IsobaricPoly, weight_basis
-
-
-# shimura_pow and dtil_power as they were before one raising chain replaced
-# them, kept as oracles.  The raise is looked up on the module, as it was,
-# so that a raise patched there reaches the oracle too.
-
-
-def shimura_pow(F: NearlyHoloForm, n: int) -> NearlyHoloForm:
-    for _ in range(n):
-        F = nearlyholo.shimura_X(F)
-    return F
-
-
-def dtil_power(f: ModularForm, r: int) -> NearlyHoloForm:
-    """Normalized raising chain: X^r f / (weight)_r, the phi_r basis element."""
-    denom = pochhammer(f.weight, r)
-    if denom == 0:
-        raise ValueError(f"normalized raising undefined: ({f.weight})_{r} = 0")
-    return shimura_pow(NearlyHoloForm.from_modular(f), r).scale(1 / denom)
 
 
 def test_bracket_degree_zero_is_product(catalogue):
@@ -212,7 +193,7 @@ def test_lower_raise_commutator_is_weight():
     prec = 6
     for w in (0, 4, 10):
         parts = [
-            QSeries.from_coeffs([F(rng.randint(-5, 5)) for _ in range(prec)])
+            QSeries(prec, [F(rng.randint(-5, 5)) for _ in range(prec)])
             for _ in range(3)
         ]
         F_ = NearlyHoloForm.make(w, parts)
@@ -245,7 +226,7 @@ def test_combi_bracket_holomorphic_to_degree_five(catalogue, pair):
 
 
 def test_nearlyholo_prec_and_trim():
-    a = QSeries.from_coeffs([1, 2, 3], 3)
+    a = QSeries.from_numerators([1, 2, 3])
     b = QSeries.zero(5)
     f = NearlyHoloForm.make(4, [a, b])
     assert f.prec == 3 and f.is_holomorphic()

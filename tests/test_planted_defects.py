@@ -9,29 +9,16 @@ named records failing and nothing on stderr.
 
 import json
 import math
-import sys
 from fractions import Fraction
 
 import pytest
+from oracles import _patch_every_binding, _shimura_X_y_term_off_by_one
 
 from rclab import coeffsolve, exactcore, forms, nearlyholo, rep, starprod, uniq
 from rclab.cli import main
 from rclab.coeffsolve import ATable
 from rclab.exactcore import MPoly, QSeries
 from rclab.forms import ModularForm
-from rclab.nearlyholo import NearlyHoloForm
-
-
-def _patch_every_binding(monkeypatch, original, replacement) -> int:
-    """Rebind every rclab module attribute that is `original`; returns the count."""
-    modules = [m for name, m in sys.modules.items() if name == "rclab" or name.startswith("rclab.")]
-    bound = 0
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, replacement)
-                bound += 1
-    return bound
 
 
 _cmz = starprod.cmz_coeff
@@ -40,7 +27,6 @@ _binom = exactcore.binom
 _assoc_family = coeffsolve.a2_family_assoc
 _ident_numerators = starprod.ident_numerators
 _ramanujan_X = nearlyholo.ramanujan_X
-_shimura_X = nearlyholo.shimura_X
 _delta = forms.delta
 _casimir_eigenvalue = rep.casimir_eigenvalue
 _lowest_weight_tensor = rep.lowest_weight_tensor
@@ -97,18 +83,10 @@ def _ramanujan_X_off_by_f_from_ten(f):
     return ModularForm(out.weight, out.series + f.series.scale(Fraction(1, 2))) if f.weight >= 10 else out
 
 
-def _shimura_X_y_term_off_by_one(F):
-    # (j - w) c_j Y^(j+1) becomes (j - w - 1) c_j Y^(j+1) for j >= 1, so only X^2 and above are wrong
-    out = _shimura_X(F)
-    if len(F.ypoly) == 1:
-        return out
-    return out - NearlyHoloForm.make(F.weight + 2, [QSeries.zero(F.prec)] * 2 + list(F.ypoly[1:]))
-
-
 def _delta_wrong_at_q3(prec):
     # tau(3) = 252 read as 253: only the discriminant relation compares Delta's coefficients
     out = _delta(prec)
-    return ModularForm(12, out.series + QSeries.from_coeffs([0, 0, 0, 1], prec))
+    return ModularForm(12, out.series + QSeries.from_numerators([int(i == 3) for i in range(prec)]))
 
 
 def _casimir_eigenvalue_off_by_one(w):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from test_nearlyholo import dtil_power, shimura_pow
+from oracles import dtil_power, shimura_pow
 
 from rclab.exactcore import QSeries, binom, pochhammer
 from rclab.forms import ModularForm

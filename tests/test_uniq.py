@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclab.exactcore import MPoly, QSeries
-from rclab.forms import GradedForm, ModularForm, eisenstein_form
+from rclab.forms import GradedForm, ModularForm, delta, eisenstein_form
 from rclab.nearlyholo import rc_bracket
 from rclab.starprod import rc_series
 from rclab.uniq import (
@@ -20,8 +20,6 @@ from rclab.uniq import (
     bracket_shift_residual,
     fine_det3,
     fine_det3_mpoly,
-    form_to_isobaric,
-    isobaric_gcd,
     lowest_q_mpoly,
     p3_build,
     p3_reference_inner,
@@ -189,40 +187,16 @@ def test_weight_basis():
     assert weight_basis(2) == []
 
 
-def test_form_to_isobaric(catalogue):
-    d = catalogue["Delta"]
-    iso = form_to_isobaric(d)
-    assert iso.terms == {(3, 0): F(1, 1728), (0, 2): F(-1, 1728)}
-    assert iso.to_form(d.prec).series == d.series
-    e4 = catalogue["E4"]
-    assert form_to_isobaric(e4 * e4).terms == {(2, 0): F(1)}
-    assert form_to_isobaric(e4 * catalogue["E6"]).terms == {(1, 1): F(1)}
-
-
-_ISO_COEFFS = st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 5, 1728]))
-
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(
-    st.sampled_from([0, 4, 6, 8, 10, 12, 14, 18, 24, 30, 36]).flatmap(
-        lambda w: st.dictionaries(st.sampled_from(weight_basis(w)), _ISO_COEFFS, min_size=1)
-    ),
-    st.integers(0, 4),
-)
-def test_form_to_isobaric_round_trips(terms, extra):
-    # to_form, then form_to_isobaric, at the smallest resolving precision and above
-    p = IsobaricPoly(terms)
-    prec = len(weight_basis(p.weight())) + extra
-    assert form_to_isobaric(p.to_form(prec)).terms == p.terms
-
-
-def test_form_to_isobaric_rejects_non_modular():
-    fake = ModularForm(4, QSeries.from_coeffs([1, 1, 1, 1, 1, 1]))
-    with pytest.raises(ValueError):
-        form_to_isobaric(fake)
-    short = ModularForm(12, QSeries.one(1))
-    with pytest.raises(ValueError):
-        form_to_isobaric(short)
+def test_isobaric_to_form_matches_independent_forms(catalogue):
+    # each image is built without _monomial: delta's own product, and E4, E6 multiplied as forms
+    prec = 15
+    g4, g6 = IsobaricPoly({(1, 0): 1}), IsobaricPoly({(0, 1): 1})
+    e4, e6 = catalogue["E4"].truncate(prec), catalogue["E6"].truncate(prec)
+    assert ((g4.pow(3) - g6.pow(2)) * F(1, 1728)).to_form(prec) == delta(prec)
+    assert (g4 * g4).to_form(prec) == e4 * e4
+    assert (g4 * g6).to_form(prec) == e4 * e6
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        IsobaricPoly({(-1, 2): 1})
 
 
 def test_isobaric_arithmetic_keeps_its_type():
@@ -232,59 +206,6 @@ def test_isobaric_arithmetic_keeps_its_type():
     for p in (g4 + g6, g4 - g6, 1 - g4, -g4, 3 * g6, g4.pow(0), g4.pow(1), g4.pow(2)):
         assert type(p) is IsobaricPoly
     assert type(g4.substitute({"g4": MPoly.var(("g4", "g6"), "g6")})) is MPoly
-
-
-def test_isobaric_gcd():
-    g4 = IsobaricPoly({(1, 0): 1})
-    g6 = IsobaricPoly({(0, 1): 1})
-    assert isobaric_gcd(g4 * g4, g4 * g6) == g4
-    delta_iso = IsobaricPoly({(3, 0): F(1, 1728), (0, 2): F(-1, 1728)})
-    assert isobaric_gcd(delta_iso, g4) == IsobaricPoly({(0, 0): 1})
-    p = IsobaricPoly({(3, 0): 2, (0, 2): -2})
-    assert isobaric_gcd(p, p) == IsobaricPoly({(3, 0): 1, (0, 2): -1})
-    u = g4 * g4 * g4 - g6 * g6
-    assert isobaric_gcd(u * g4, u * g6) == IsobaricPoly({(3, 0): 1, (0, 2): -1})
-    # a common factor free of g6, in mixed weights
-    v = g4 * g4 + 1
-    assert isobaric_gcd(g6 * v, (g6 * g6 + g4) * v) == v
-    with pytest.raises(ValueError, match="exponents must be >= 0"):
-        IsobaricPoly({(-1, 2): 1})
-
-
-_GCD_COEFFS = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3, 2), F(5, 7)])
-
-
-@st.composite
-def _gcd_operands(draw, homogeneous):
-    """An IsobaricPoly of one drawn weight, or with free (mixed-weight) terms."""
-    if homogeneous:
-        basis = weight_basis(draw(st.sampled_from([0, 4, 6, 8, 10, 12, 14, 16, 18, 24])))
-    else:
-        da, db = draw(st.integers(0, 3)), draw(st.integers(0, 2))
-        basis = [(a, b) for a in range(da + 1) for b in range(db + 1)]
-    return IsobaricPoly({ab: draw(_GCD_COEFFS) for ab in basis})
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.booleans().flatmap(lambda h: st.tuples(*[_gcd_operands(h)] * 3)))
-def test_isobaric_gcd_matches_sympy(upq):
-    sympy = pytest.importorskip("sympy")
-    u, p, q = upq
-    g4, g6 = sympy.symbols("g4 g6")
-
-    def expr(poly):
-        return sum(sympy.Rational(c.numerator, c.denominator) * g4**a * g6**b
-                   for (a, b), c in poly.terms.items())
-
-    got = isobaric_gcd(u * p, u * q)
-    want = sympy.gcd(expr(u * p), expr(u * q))
-    if want == 0:
-        assert got.is_zero()
-    else:
-        # equal up to a nonzero constant
-        ratio = sympy.cancel(expr(got) / want)
-        assert ratio.is_Number and ratio != 0
-        assert got.terms[max(got.terms)] == 1
 
 
 def test_uniqueness_check_recovers_constant(catalogue):
