@@ -11,6 +11,7 @@ reader that closes stdout early gets exit 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
@@ -218,13 +219,15 @@ def _kernel_row(n: int) -> dict:
             "ok": ker == n + 1 and dim == (n + 1) * (n + 2) // 2}
 
 
-def suite_casimir(s: Suite, n_max: int = 10) -> None:
+def suite_casimir(s: Suite) -> None:
+    n_max = 10
     for w in (2, 4, 6, 12):
         ok = all(_casimir_ok(w, n) for n in range(n_max + 1))
         s.check(f"casimir/weight-{w}", ok, {"n_max": n_max, "eigenvalue": str(rep.casimir_eigenvalue(w))})
 
 
-def suite_propasso(s: Suite, n_kernel: int = 8, n_realize: int = 4) -> None:
+def suite_propasso(s: Suite) -> None:
+    n_kernel, n_realize = 8, 4
     prec = s.cfg.prec
     cat = _catalogue(prec)
     ok = all(
@@ -246,7 +249,8 @@ def suite_propasso(s: Suite, n_kernel: int = 8, n_realize: int = 4) -> None:
     s.check("propasso/realization-E4-E6", ok, {"n_max": n_realize, "prec": prec})
 
 
-def suite_triple(s: Suite, n_max: int = 8, xi_n_max: int = 3) -> None:
+def suite_triple(s: Suite) -> None:
+    n_max, xi_n_max = 8, 3
     dims_ok = all(_kernel_row(n)["ok"] for n in range(n_max + 1))
     s.check("triple/kernel-dimensions", dims_ok, {"n_max": n_max})
     pre_ok = True
@@ -263,7 +267,7 @@ def suite_triple(s: Suite, n_max: int = 8, xi_n_max: int = 3) -> None:
     for names in triples:
         f, g, h = (cat[x] for x in names)
         ok = all(
-            rep.verify_xi_lowest_weight(f, g, h, n, p)
+            nearlyholo.lower(rep.xi_vector_concrete(f, g, h, n, p)).is_zero()
             for n in range(xi_n_max + 1)
             for p in range(n + 1)
         )
@@ -515,18 +519,14 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_star(args: argparse.Namespace) -> int:
-    if args.kind == "cmz" and args.kappa is None:
-        raise UsageError("--kappa is required for --kind cmz")
-    if args.kind != "cmz" and args.kappa is not None:
-        raise UsageError(f"--kappa applies only to --kind cmz, not {args.kind!r}")
-    if args.kind == "cmz":
-        coeffs = starprod.StarCoefficients.cmz(rat(args.kappa))
+    if args.kappa is None:
+        kind, coeffs = "eholzer", starprod.StarCoefficients.eholzer()
     else:
-        coeffs = starprod.StarCoefficients.eholzer()
+        kind, coeffs = "cmz", starprod.StarCoefficients.cmz(rat(args.kappa))
     f = GradedForm.from_form(_form(args.f, args.prec))
     g = GradedForm.from_form(_form(args.g, args.prec))
     series = starprod.star_product(f, g, coeffs, args.order)
-    obj = {"f": args.f, "g": args.g, "kind": args.kind, "kappa": args.kappa, "order": args.order,
+    obj = {"f": args.f, "g": args.g, "kind": kind, "kappa": args.kappa, "order": args.order,
            "series": series.to_json_obj()}
     _output(args, obj, series)
     return 0
@@ -586,19 +586,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if res.consistent and not residual_nonzero else 1
 
 
-SUITE_ALIASES = {"cmz-unique": "solve-unique"}
+def _suite_flags() -> dict[str, tuple[str, ...]]:
+    flags: dict[str, tuple[str, ...]] = {}
+    for name, suite in SUITES.items():
+        for flag in list(inspect.signature(suite).parameters)[1:]:
+            flags[flag] = flags.get(flag, ()) + (name,)
+    return flags
+
 
 # Each suite flag of `verify`, and the suites that take it as a keyword of the
-# same name.  A flag left out of the command line leaves the suite's default;
-# a flag that reaches none of the suites being run is a usage error.
-SUITE_FLAGS = {
-    "n_max": ("canonical", "combi", "der", "ident", "fine"),
-    "grid": ("ident", "solve-unique", "fine"),
-    "seeds": ("uniqueness",),
-    "order": ("uniqueness",),
-    "phi_sign": ("canonical",),
-    "printed": ("kappa-c",),
-}
+# same name, read off their signatures.  A flag left out of the command line
+# leaves the suite's default; a flag that reaches none of the suites being run
+# is a usage error.
+SUITE_FLAGS = _suite_flags()
 
 # The least value of a setting for which a suite checks anything, and why; a
 # run below it is a usage error, found before any suite runs.  A suite flag
@@ -620,10 +620,7 @@ SUITE_FLOORS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
-    if args.kappa is not None:
-        cfg.kappa_samples = (args.kappa,)
-    which = SUITE_ALIASES.get(args.suite, args.suite)
-    names = list(SUITES) if which == "all" else [which]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     given = {flag: v for flag, v in vars(args).items() if flag in SUITE_FLAGS}
     for flag in given:
         if not set(names) & set(SUITE_FLAGS[flag]):
@@ -709,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("star", help="compute a deformed product")
-    p.add_argument("--kind", choices=("eholzer", "cmz"), default="eholzer")
-    p.add_argument("--kappa", type=_rational, default=None)
+    p.add_argument("--kappa", type=_rational, default=None, help="use cmz(kappa), not eholzer")
     p.add_argument("--f", type=_form_name, required=True)
     p.add_argument("--g", type=_form_name, required=True)
     p.add_argument("--order", type=_int_at_least(0), default=4)
@@ -739,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=(*SUITES, *SUITE_ALIASES, "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--config", default=None)
     p.add_argument("--prec", type=_int_at_least(2), default=None)
     p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=None)
@@ -747,9 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--kappas", type=_rational_list, default=None,
                    help="comma-separated kappa sample list")
-    p.add_argument("--kappa", type=_rational, default=None,
-                   help="single kappa sample (overrides the list)")
-    p.add_argument("--kind", choices=("cmz",), default=None, help="coefficient kind for the ident suite")
     # the SUITE_FLAGS: absent unless given, so each suite keeps its own default
     unset = argparse.SUPPRESS
     p.add_argument("--grid", type=_int_at_least(1), default=unset)
@@ -771,7 +764,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--c", "--kappa") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in ("--c", "--kappa", "--kappas") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

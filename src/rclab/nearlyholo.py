@@ -89,16 +89,6 @@ class NearlyHoloForm:
                 out[i + j] = out[i + j] + a.truncate(prec) * b.truncate(prec)
         return NearlyHoloForm.make(self.weight + other.weight, out)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NearlyHoloForm)
-            and self.weight == other.weight
-            and self.ypoly == other.ypoly
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.ypoly))
-
     def truncate(self, prec: int) -> NearlyHoloForm:
         return NearlyHoloForm.make(self.weight, [s.truncate(prec) for s in self.ypoly])
 

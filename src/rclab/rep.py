@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 
 from .exactcore import Rat, RatLike, binom, eliminate, pochhammer, rat
 from .forms import ModularForm
-from .nearlyholo import NearlyHoloForm, dtil_chain, lower as nh_lower
+from .nearlyholo import NearlyHoloForm, dtil_chain
 
 Key = tuple[int, ...]
 
@@ -257,9 +257,3 @@ def xi_vector_concrete(
     w = realize_and_multiply(lowest_weight_tensor(f.weight, g.weight, nu), f, g)
     w = w.scale((-1) ** nu * math.factorial(nu))
     return realize_and_multiply(lowest_weight_tensor(w.weight, h.weight, p), w, h).scale(math.factorial(p))
-
-
-def verify_xi_lowest_weight(
-    f: ModularForm, g: ModularForm, h: ModularForm, n: int, p: int
-) -> bool:
-    return nh_lower(xi_vector_concrete(f, g, h, n, p)).is_zero()

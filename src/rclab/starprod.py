@@ -164,9 +164,6 @@ class HbarSeries:
     def from_graded(f: GradedForm, order: int) -> HbarSeries:
         return HbarSeries(order, (f,) + tuple(GradedForm.zero() for _ in range(order)))
 
-    def term(self, n: int) -> GradedForm:
-        return self.terms[n]
-
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.terms)
 

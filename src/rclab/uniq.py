@@ -447,7 +447,7 @@ def _monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: in
 
 
 def _bracket_term(f: MPoly, g: MPoly, n: int, prec: int) -> GradedForm:
-    """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).term(n).
+    """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).terms[n].
 
     By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
     terms c m_f of f and d m_g of g, grouped by weight; zero parts drop out.

@@ -113,8 +113,9 @@ def test_criterion_03_derivative_expansion():
 
 def test_criterion_04_casimir_scalar():
     weights = (2, 4, 6, 12)
-    recs = _run("casimir", n_max=10)
-    ok = _all_pass(recs, [f"casimir/weight-{w}" for w in weights])
+    recs = _run("casimir")
+    names = [f"casimir/weight-{w}" for w in weights]
+    ok = _all_pass(recs, names) and all(recs[n]["params"]["n_max"] == 10 for n in names)
     ok = ok and all(casimir_eigenvalue(w) == 4 * (w // 2) * (w // 2 - 1) for w in weights)
     assert _report(4, "casimir scalar 4k(k-1), n <= 10", ok)
 
@@ -137,13 +138,14 @@ def test_criterion_05_lowest_weight_vectors_and_realization():
 
 
 def test_criterion_06_triple_space_dimensions_and_xi():
-    recs = _run("triple", RunConfig(prec=15), n_max=8, xi_n_max=3)
-    ok = _all_pass(recs, [
-        "triple/kernel-dimensions",
-        "triple/preimage-formula",
-        "triple/xi-kernel/E4-E4-E6",
-        "triple/xi-kernel/E4-E6-Delta",
-    ])
+    recs = _run("triple", RunConfig(prec=15))
+    params = {
+        "triple/kernel-dimensions": {"n_max": 8},
+        "triple/preimage-formula": {"n_max": 5},
+        "triple/xi-kernel/E4-E4-E6": {"n_max": 3, "prec": 15},
+        "triple/xi-kernel/E4-E6-Delta": {"n_max": 3, "prec": 15},
+    }
+    ok = _all_pass(recs, params) and all(recs[n]["params"] == p for n, p in params.items())
     assert _report(6, "triple-space dimensions and concrete kernel vectors", ok)
 
 

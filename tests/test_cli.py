@@ -51,7 +51,7 @@ def test_bracket_antisymmetry_prints_zero(capsys):
 
 def test_star_subcommand(capsys):
     code, out = run(
-        capsys, "star", "--kind", "cmz", "--kappa", "1/2", "--f", "E4", "--g", "E6",
+        capsys, "star", "--kappa", "1/2", "--f", "E4", "--g", "E6",
         "--order", "2", "--prec", "6", "--json",
     )
     assert code == 0
@@ -137,10 +137,13 @@ def test_config_file_and_flag_override(tmp_path, capsys):
          "1d669c0f78e60dc5fe59618705aa14e71729f64a4e0253a0a0faddfaa2175c89"),
         # no verify suite runs a cmz star product (assoc is eholzer-only): the
         # README example at kappa = 1/2 and a generic kappa
-        ("star --kind cmz --kappa 1/2 --f E4 --g E6 --order 4 --prec 20 --json",
+        ("star --kappa 1/2 --f E4 --g E6 --order 4 --prec 20 --json",
          "b367c5e1023c282bc892fa7b98297ed4209a79aafc598a44b11acaffce08684e"),
-        ("star --kind cmz --kappa 7/3 --f E4 --g E6 --order 4 --prec 20 --json",
+        ("star --kappa 7/3 --f E4 --g E6 --order 4 --prec 20 --json",
          "98fc5aa498f543f39c7c9dc2a9546aabcb80bd99afa9510fa6fdad4346bb2499"),
+        # without --kappa the product is eholzer's, reported as "kind": "eholzer"
+        ("star --f E4 --g E6 --order 4 --prec 20 --json",
+         "0819f47c21c724756a67767781cbb17f4be24d1fd0a5e0fd356266a20a4c99c3"),
     ],
 )
 def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
@@ -163,7 +166,7 @@ def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
          "efe663ddf586c497c6ef0823062058035497dc24588fd624eb487112b81b779f"),
         ("verify ident --json",
          "eb039463471e8948fd61a4cc8d272e6759053a45beec8799549f3345499e63e6"),
-        ("verify ident --kappa 7/3 --n-max 3 --grid 3 --json",
+        ("verify ident --kappas 7/3 --n-max 3 --grid 3 --json",
          "b6cb417395e3dc87fa736e06dda6b0633ecd448bc46ea52fbd4e189428ac546a"),
         ("verify canonical --json",
          "522f96812780e4c960c7f5ea9c8961804162619ce39f9b6c1d13132b87f47ddd"),
@@ -197,12 +200,11 @@ def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
         ("combi --n-max 1 --prec 8", "combi/holomorphic-and-equal/E4-E6", {"n_max": 1, "prec": 8}),
         ("canonical --n-max 2 --prec 12", "canonical/corrected-element/E4-E6",
          {"n_max": 2, "prec": 12, "phi": "-E4/144"}),
-        ("ident --n-max 2 --grid-bound 2 --kappa 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 2}),
-        ("ident --n-max 2 --grid 3 --kappa 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 3}),
+        ("ident --n-max 2 --grid-bound 2 --kappas 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 2}),
+        ("ident --n-max 2 --grid 3 --kappas 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 3}),
         ("fine --n-max 4 --grid 2 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 4, "grid": 2}),
         ("fine --grid 3 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 6, "grid": 3}),
         ("solve-unique --grid 2", "solve/level3-unique", {"grid": 2}),
-        ("cmz-unique --grid 2", "solve/level3-unique", {"grid": 2}),
         ("uniqueness --seeds 3 --order 2 --prec 12", "uniqueness/no-counterexamples",
          {"seeds": 3, "order": 2, "prec": 12}),
         ("uniqueness --seeds 3 --prec 40", "uniqueness/no-counterexamples",
@@ -253,7 +255,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["solve", "an", "--n", "2", "--grid", "0"],
         ["solve", "an", "--n", "0"],
         ["verify", "ident", "--grid", "0"],
-        ["verify", "p3", "--kappa", "abc"],
+        ["verify", "p3", "--kappas", "abc"],
         ["verify", "forms", "--config", str(tmp_path / "missing.cfg")],
         ["verify", "forms", "--config", str(tmp_path / "prec.cfg")],
         ["verify", "forms", "--config", str(tmp_path / "key.cfg")],
@@ -282,12 +284,37 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "kappa-c", "--grid-bound", "0"],
         ["verify", "casimir", "--n-max", "3"],
         ["verify", "ident", "--seeds", "5"],
+        # solve-unique has no alias, ident reads no kind, and --kappa alone picks the star family
+        ["verify", "cmz-unique"],
+        ["verify", "ident", "--kind", "cmz"],
+        ["star", "--kind", "cmz", "--kappa", "1/2", "--f", "E4", "--g", "E6"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("rc-lab"), err
+
+
+def test_a_negative_first_kappa_reaches_ident(capsys):
+    code, out = run(capsys, "verify", "ident", "--kappas", "-1/2,3/2", "--json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names == ["ident/kappa--1over2", "ident/kappa-3over2"]
+
+
+def test_readme_command_lines_parse():
+    # every documented `rc-lab ...` example must parse; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("rc-lab ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(cli._merge_negative_values(line.split()[1:]))
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_no_suite_runs_before_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -123,13 +123,13 @@ def test_star_product_terms(catalogue):
     g = GradedForm.from_form(catalogue["E6"].truncate(prec))
     eh = StarCoefficients.eholzer()
     s = star_product(f, g, eh, 3)
-    assert s.term(0) == GradedForm.from_form(rc_bracket(catalogue["E4"], catalogue["E6"], 0).truncate(prec))
+    assert s.terms[0] == GradedForm.from_form(rc_bracket(catalogue["E4"], catalogue["E6"], 0).truncate(prec))
     for n in range(4):
         want = rc_bracket(catalogue["E4"], catalogue["E6"], n).truncate(prec)
-        assert s.term(n) == GradedForm.from_form(want)
+        assert s.terms[n] == GradedForm.from_form(want)
     cm = star_product(f, g, StarCoefficients.cmz(F(1, 2)), 1)
-    assert cm.term(1) == s.term(1)  # t_1 * gauge = 1
-    assert cm.term(0) == s.term(0)
+    assert cm.terms[1] == s.terms[1]  # t_1 * gauge = 1
+    assert cm.terms[0] == s.terms[0]
 
 
 def test_brackets_with_constants_vanish(catalogue):
@@ -153,9 +153,9 @@ def test_star_product_allows_constant_parts_outside_cmz(catalogue):
         StarCoefficients.from_table(ATable.eholzer(3, 30)),
     ):
         s = star_product(f, g, coeffs, 2)
-        assert s.term(0) == GradedForm.from_form(e6) + GradedForm.from_form(e4 * e6)
+        assert s.terms[0] == GradedForm.from_form(e6) + GradedForm.from_form(e4 * e6)
         for n in (1, 2):
-            assert s.term(n) == GradedForm.from_form(rc_bracket(e4, e6, n))
+            assert s.terms[n] == GradedForm.from_form(rc_bracket(e4, e6, n))
     with pytest.raises(PoleError):
         star_product(f, g, StarCoefficients.cmz(F(1, 2)), 1)
 
@@ -169,8 +169,8 @@ def test_rc_series_bilinearity(catalogue):
     s = rc_series(f, g, 2)
     # [E4, E4]_1 vanishes, so the hbar^1 term is pure weight 12
     assert rc_bracket(e4, e4, 1).is_zero()
-    assert s.term(1).weights() == [12]
-    assert s.term(1).parts[12].series == rc_bracket(e6, e4, 1).series
+    assert s.terms[1].weights() == [12]
+    assert s.terms[1].parts[12].series == rc_bracket(e6, e4, 1).series
     assert rc_series(f.scale(5), g, 2) == HbarSeries(2, tuple(t.scale(5) for t in s.terms))
 
 
@@ -463,6 +463,6 @@ def test_free_bracketings_absolute_values():
 def test_hbar_series_shapes(catalogue):
     f = GradedForm.from_form(catalogue["E4"].truncate(8))
     s = HbarSeries.from_graded(f, 2)
-    assert s.order == 2 and s.term(0) == f and s.term(2).is_zero()
+    assert s.order == 2 and s.terms[0] == f and s.terms[2].is_zero()
     with pytest.raises(ValueError):
         HbarSeries(2, (f,))

@@ -335,5 +335,5 @@ def _graded_coords(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_graded_coords(), _graded_coords(), st.integers(0, 4), st.sampled_from([3, 8, 12]))
 def test_bracket_term_matches_rc_series(f, g, n, prec):
-    want = rc_series(_graded(f, prec), _graded(g, prec), n).term(n)
+    want = rc_series(_graded(f, prec), _graded(g, prec), n).terms[n]
     assert _bracket_term(f, g, n, prec) == want
