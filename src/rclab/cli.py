@@ -641,7 +641,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports every usage error as one line on stderr and exits 2."""
+    """Reports every usage error as one line on stderr and exits 2; a prefix is not a flag."""
+
+    def __init__(self, **kwargs):  # add_parser builds every subparser from this class too
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")

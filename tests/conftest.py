@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from rclab.forms import delta, eisenstein_form
+
+# One profile makes every property test derandomized and untimed; each @settings names only max_examples.
+settings.register_profile("rclab", derandomize=True, deadline=None)
+settings.load_profile("rclab")
 
 
 @pytest.fixture(scope="session")

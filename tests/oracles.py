@@ -1,13 +1,14 @@
 """Helpers shared by the test modules, so that no test module imports another.
 
-Oracles kept from earlier implementations, a planted defect that more than
-one module plants, and the patch that reaches every binding of a function.
+Oracles kept from earlier implementations, the quoted level-2 family, shared
+planted defects and the patch that reaches every binding of a function.
 """
 
 import sys
+from fractions import Fraction as F
 
 from rclab import nearlyholo
-from rclab.exactcore import QSeries, pochhammer
+from rclab.exactcore import QSeries, pochhammer, rat
 from rclab.forms import ModularForm
 from rclab.nearlyholo import NearlyHoloForm
 
@@ -22,6 +23,21 @@ def _patch_every_binding(monkeypatch, original, replacement) -> int:
                 monkeypatch.setattr(module, attr, replacement)
                 bound += 1
     return bound
+
+
+def a2_family(c):
+    """The quoted level-2 family A_2(x, y) = x(x+1) y(y+1) / 2 + c x y / (x+y+1)."""
+    return lambda x, y: F(x * (x + 1) * y * (y + 1), 2) + rat(c) * F(x * y, x + y + 1)
+
+
+def sigma_oracle(n, power):
+    return sum(d**power for d in range(1, n + 1) if n % d == 0)
+
+
+def _pochhammer_doubled_at_five(a, n):
+    # det2x2_direct reads (.)_{n-1} and the closed form (.)_{n-2}: they first disagree at n = 6
+    value = pochhammer(a, n)
+    return 2 * value if n == 5 else value
 
 
 _shimura_X = nearlyholo.shimura_X

@@ -288,6 +288,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "cmz-unique"],
         ["verify", "ident", "--kind", "cmz"],
         ["star", "--kind", "cmz", "--kappa", "1/2", "--f", "E4", "--g", "E6"],
+        # a prefix of a flag is not a second spelling of it
+        ["verify", "ident", "--kappa", "3/2"],
+        ["verify", "uniqueness", "--ord", "2"],
+        ["star", "--kap", "1/2", "--f", "E4", "--g", "E6"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from fractions import Fraction
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _pochhammer_doubled_at_five, a2_family
 
 from rclab import coeffsolve, exactcore
 from rclab.coeffsolve import (
@@ -29,11 +31,6 @@ from rclab.coeffsolve import (
 )
 from rclab.exactcore import Echelon, binom, eliminate, pochhammer, rat
 from rclab.starprod import ident_residual
-
-
-def a2_family(c):
-    """The quoted level-2 family A_2(x, y) = x(x+1) y(y+1) / 2 + c x y / (x+y+1)."""
-    return lambda x, y: F(x * (x + 1) * y * (y + 1), 2) + rat(c) * F(x * y, x + y + 1)
 
 
 def test_atable_builtin_levels_and_missing():
@@ -114,29 +111,30 @@ def test_add_row_keeps_ints(monkeypatch):
     assert solve(sys).consistent and scaled == [{1: F(1, 2)}]
 
 
-_ENTRIES = st.one_of(
-    st.just(F(0)), st.integers(-4, 4).flatmap(lambda p: st.sampled_from([F(p), F(p, 3)]))
-)
+def _entry(rng):
+    return F(rng.randint(-4, 4), rng.choice((1, 3))) if rng.random() < 0.5 else F(0)
 
 
-@st.composite
-def _systems(draw):
-    """(matrix, rhs) with up to 6 rows and unknowns; half the rhs lie in the column space."""
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    a = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
-    if draw(st.booleans()):
-        x = [draw(_ENTRIES) for _ in range(ncols)]
-        b = [sum((r * v for r, v in zip(row, x)), F(0)) for row in a]
-    else:
-        b = [draw(_ENTRIES) for _ in range(nrows)]
-    return a, b
+def _column(rng, rows, keys):
+    if rng.random() < 0.5:
+        x = {k: _entry(rng) for k in keys}
+        return [sum((v * x[k] for k, v in row.items()), F(0)) for row in rows]
+    return [_entry(rng) for _ in rows]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(_systems())
-def test_solve_matches_sympy_rank_and_nullspace(ab):
+def _dense_case(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    a = [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [dict(enumerate(row)) for row in a]
+    return a, [_column(rng, rows, range(ncols)) for _ in range(rng.randint(1, 4))]
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32).map(_dense_case))
+def test_solve_matches_sympy_rank_and_nullspace(case):
     sympy = pytest.importorskip("sympy")
-    a, b = ab
+    a, (b, *_) = case
     ncols = len(a[0])
     sys = LinSystem(list(range(ncols)))
     for row, rhs in zip(a, b):
@@ -163,23 +161,8 @@ def test_solve_matches_sympy_rank_and_nullspace(ab):
             assert sympy.Matrix.hstack(head, sympy.Matrix(b[:k])).rank() == head.rank()
 
 
-@st.composite
-def _multi_column_systems(draw):
-    """(matrix, columns): 1-4 right-hand sides, each in the column space or not."""
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    a = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
-    columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            x = [draw(_ENTRIES) for _ in range(ncols)]
-            columns.append([sum((r * v for r, v in zip(row, x)), F(0)) for row in a])
-        else:
-            columns.append([draw(_ENTRIES) for _ in range(nrows)])
-    return a, columns
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(_multi_column_systems())
+@settings(max_examples=150)
+@given(st.integers(0, 2**32).map(_dense_case))
 def test_multi_column_elimination_matches_per_column_solve(system):
     a, columns = system
     ncols = len(a[0])
@@ -252,74 +235,39 @@ def _same_echelon(got, want):
     )
 
 
-_NONZERO = st.builds(F, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 5, 7]))
-
-
-@st.composite
-def _keyed_systems(draw):
+def _keyed_case(seed):
     """(rows, width): sparse rows over tuple keys, up to about 12x12, 1-4 columns.
 
-    Half the draws are chain-shaped: each row touches keys i and i + 1, in a
+    Half the cases are chain-shaped: each row touches keys i and i + 1, in a
     drawn order, plus up to four repeated supports; these made the old
-    eliminator fill in.  Each column lies in the column space or not.
+    eliminator fill in.  Each column lies in the column space or not.  The
+    rows are all Fractions, all ints or a drawn mix, in equal shares; an int
+    row is its rational row times the lcm of its denominators and a drawn
+    factor, so it need not be primitive and may change sign.
     """
-    keys = sorted(
-        draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), min_size=2, max_size=12, unique=True))
-    )
-    if draw(st.booleans()):
+    rng = random.Random(seed)
+    keys = sorted(rng.sample([(i, j) for i in range(4) for j in range(6)], rng.randint(2, 12)))
+    if rng.random() < 0.5:
         chain = [keys[i : i + 2] for i in range(len(keys) - 1)]
-        supports = draw(st.permutations(chain)) + draw(st.lists(st.sampled_from(chain), max_size=4))
+        supports = rng.sample(chain, len(chain)) + rng.choices(chain, k=rng.randint(0, 4))
     else:
-        supports = draw(
-            st.lists(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True), min_size=1, max_size=12)
-        )
-    a = [{k: draw(_NONZERO) for k in support} for support in supports]
-    columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            x = {k: draw(_ENTRIES) for k in keys}
-            columns.append([sum((v * x[k] for k, v in row.items()), F(0)) for row in a])
-        else:
-            columns.append([draw(_ENTRIES) for _ in a])
-    return [(row, [col[i] for col in columns]) for i, row in enumerate(a)], len(columns)
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(_keyed_systems())
-def test_eliminate_matches_reference_eliminator(system):
-    rows, width = system
-    snapshot = [(dict(coeffs), list(rhs)) for coeffs, rhs in rows]
-    got = eliminate(iter(rows), width)
-    assert rows == snapshot  # solve(sys) may run twice on one system
-    _same_echelon(got, _reference_eliminate(iter(rows), width))
-    # the stored integer rows are primitive and fully reduced
-    pivots, _ = exactcore._integer_rref(iter(rows), width)
-    for col, (row, r) in pivots.items():
-        assert gcd(*row.values(), *r) == 1
-        assert min(row) == col and not (set(row) - {col}) & set(pivots)
-
-
-@st.composite
-def _int_and_mixed_systems(draw):
-    """_keyed_systems with every row, or a drawn subset, as Python ints.
-
-    An int row is its rational row times the lcm of its denominators and a
-    drawn factor, so it need not be primitive and may change sign.
-    """
-    rows, width = draw(_keyed_systems())
-    n = len(rows)
-    flags = [True] * n if draw(st.booleans()) else draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    out = []
-    for (coeffs, rhs), as_int in zip(rows, flags):
-        if as_int:
-            d = lcm(*(v.denominator for v in [*coeffs.values(), *rhs])) * draw(st.sampled_from([1, 2, -3, 6]))
+        supports = [rng.sample(keys, rng.randint(1, min(4, len(keys)))) for _ in range(rng.randint(1, 12))]
+    a = [{k: F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 2, 3, 5, 7))) for k in support}
+         for support in supports]
+    columns = [_column(rng, a, keys) for _ in range(rng.randint(1, 4))]
+    int_share = rng.choice((0, 1, rng.random()))
+    rows = []
+    for i, coeffs in enumerate(a):
+        rhs = [col[i] for col in columns]
+        if rng.random() < int_share:
+            d = lcm(*(v.denominator for v in [*coeffs.values(), *rhs])) * rng.choice((1, 2, -3, 6))
             coeffs, rhs = {c: int(v * d) for c, v in coeffs.items()}, [int(v * d) for v in rhs]
-        out.append((coeffs, rhs))
-    return out, width
+        rows.append((coeffs, rhs))
+    return rows, len(columns)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(_int_and_mixed_systems())
+@settings(max_examples=400)
+@given(st.integers(0, 2**32).map(_keyed_case))
 def test_eliminate_takes_int_rows_as_given(system):
     rows, width = system
     snapshot = [(dict(coeffs), list(rhs)) for coeffs, rhs in rows]
@@ -530,26 +478,21 @@ def reference_interpolate(points):
     return poly
 
 
-_RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+def _rational(rng):
+    return F(rng.randint(-12, 12), rng.randint(1, 6))
 
 
-@st.composite
-def _samples(draw):
+def _samples_case(seed):
     """(xs, ys): 1-7 distinct rational abscissae; values random, all zero, or on a low-degree curve."""
-    xs = draw(st.lists(_RATIONALS, min_size=1, max_size=7, unique=True))
-    kind = draw(st.sampled_from(["random", "zero", "curve"]))
-    if kind == "random":
-        ys = [draw(_RATIONALS) for _ in xs]
-    elif kind == "zero":
-        ys = [F(0)] * len(xs)
-    else:
-        coeffs = draw(st.lists(_RATIONALS, min_size=1, max_size=len(xs)))
-        ys = [sum((c * x**d for d, c in enumerate(coeffs)), F(0)) for x in xs]
-    return xs, ys
+    rng = random.Random(seed)
+    xs = list(dict.fromkeys(_rational(rng) for _ in range(rng.randint(1, 7))))
+    curve = [_rational(rng) for _ in range(rng.randint(1, len(xs)))]
+    on_curve = [sum((c * x**d for d, c in enumerate(curve)), F(0)) for x in xs]
+    return xs, rng.choice(([_rational(rng) for _ in xs], [F(0)] * len(xs), on_curve))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_samples())
+@settings(max_examples=300)
+@given(st.integers(0, 2**32).map(_samples_case))
 def test_interpolant_degree_matches_reference_interpolation(samples):
     xs, ys = samples
     assert interpolant_degree(xs, ys) == len(reference_interpolate(list(zip(xs, ys)))) - 1
@@ -620,14 +563,6 @@ def _outcome(fn, *args):
     except AssertionError as exc:
         return "AssertionError", str(exc)
     return type(value), value
-
-
-_pochhammer = pochhammer
-
-
-def _pochhammer_doubled_at_five(a, n):
-    value = _pochhammer(a, n)
-    return 2 * value if n == 5 else value
 
 
 @pytest.mark.parametrize("planted", [False, True])

@@ -7,13 +7,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import sigma_oracle
 
 from rclab.exactcore import MPoly, NotDivisibleError, QSeries, binom, pochhammer, rat
 from rclab.uniq import IsobaricPoly
-
-
-def sigma(n, power):
-    return sum(d**power for d in range(1, n + 1) if n % d == 0)
 
 
 def test_scalar_helpers():
@@ -48,16 +45,22 @@ def _binom_oracle(a, b):
     return num / math.factorial(b)
 
 
-_RATIONALS = st.sampled_from([1, 2, 3, 7]).flatmap(
-    lambda d: st.integers(-40 * d, 40 * d).map(lambda p: F(p, d)))
-_SCALAR_ARGS = st.one_of(st.integers(-40, 40), _RATIONALS, _RATIONALS.map(str))
+def _rational(rng):
+    d = rng.choice((1, 2, 3, 7))
+    return F(rng.randint(-40 * d, 40 * d), d)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(_SCALAR_ARGS, st.integers(-2, 14))
-@example("-1/2", 14)
-@example(0, 0)
-def test_binom_pochhammer_match_fraction_oracles(a, k):
+def _scalar_case(seed):
+    rng = random.Random(seed)
+    return rng.choice((rng.randint(-40, 40), _rational(rng), str(_rational(rng)))), rng.randint(-2, 14)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2**32).map(_scalar_case))
+@example(("-1/2", 14))
+@example((0, 0))
+def test_binom_pochhammer_match_fraction_oracles(case):
+    a, k = case
     got = binom(a, k)
     assert type(got) is F and got == _binom_oracle(a, k)
     if k >= 0:
@@ -101,7 +104,7 @@ def test_qs_mul():
 
 def test_qs_mul_eisenstein_square_oracle():
     # E4*E4 to q^2 from the divisor-sum convolution
-    e4 = QSeries.from_numerators([1, 240 * sigma(1, 3), 240 * sigma(2, 3)])
+    e4 = QSeries.from_numerators([1, 240 * sigma_oracle(1, 3), 240 * sigma_oracle(2, 3)])
     prod = e4 * e4
     assert prod.coeffs == (F(1), F(480), F(61920))
 
@@ -111,7 +114,7 @@ def test_qs_derive():
     assert const.derive().is_zero()
     q = QSeries.from_numerators([0, 1, 0, 0, 0])
     assert q.derive() == q
-    e4 = QSeries.from_numerators([1, 240 * sigma(1, 3), 240 * sigma(2, 3)])
+    e4 = QSeries.from_numerators([1, 240 * sigma_oracle(1, 3), 240 * sigma_oracle(2, 3)])
     assert e4.derive().coeffs == (F(0), F(240), F(4320))
     assert e4.derive().prec == e4.prec
 
@@ -190,31 +193,33 @@ class _FractionQSeries:
         return {"prec": self.prec, "coeffs": [str(x) for x in self.coeffs]}
 
 
-def _sparse_series(max_prec, max_abs):
-    """Zero-heavy series: a few nonzero coefficients over mixed denominators."""
-    coeff = st.builds(
-        F, st.integers(-max_abs, max_abs).filter(bool), st.sampled_from((1, 2, 7, 144, 691))
-    )
-
-    @st.composite
-    def build(draw):
-        prec = draw(st.integers(1, max_prec))
-        nonzero = draw(st.dictionaries(st.integers(0, prec - 1), coeff, max_size=12))
-        return QSeries(prec, tuple(nonzero.get(i, F(0)) for i in range(prec)))
-
-    return build()
+def _sparse_series(rng, max_prec, max_abs):
+    """Zero-heavy series: up to 12 nonzero coefficients over mixed denominators, numerators
+    of every size up to max_abs (max_abs shifted right by a drawn bit count bounds each)."""
+    prec = rng.randint(1, max_prec)
+    nonzero = {}
+    for _ in range(rng.randint(0, 12)):
+        num = rng.choice((-1, 1)) * rng.randint(1, max_abs >> rng.randrange(max_abs.bit_length()))
+        nonzero[rng.randrange(prec)] = F(num, rng.choice((1, 2, 7, 144, 691)))
+    return QSeries(prec, tuple(nonzero.get(i, F(0)) for i in range(prec)))
 
 
 _BIG = 2**201 - 1  # widest 201-bit numerator
 _FULL = QSeries(160, (F(_BIG),) * 160)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(_sparse_series(160, _BIG), _sparse_series(160, _BIG))
-@example(QSeries.zero(160), _FULL)
-@example(_FULL, _FULL)  # every Cauchy sum at its largest magnitude
-@example(-_FULL, _FULL.truncate(159))
-def test_qs_mul_matches_fraction_oracle(a, b):
+def _series_pair(seed, max_prec, max_abs):
+    rng = random.Random(seed)
+    return _sparse_series(rng, max_prec, max_abs), _sparse_series(rng, max_prec, max_abs)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32).map(lambda seed: _series_pair(seed, 160, _BIG)))
+@example((QSeries.zero(160), _FULL))
+@example((_FULL, _FULL))  # every Cauchy sum at its largest magnitude
+@example((-_FULL, _FULL.truncate(159)))
+def test_qs_mul_matches_fraction_oracle(case):
+    a, b = case
     got = a * b
     assert got.prec == min(a.prec, b.prec)
     assert got.coeffs == _schoolbook_mul(a, b).coeffs
@@ -222,8 +227,8 @@ def test_qs_mul_matches_fraction_oracle(a, b):
 
 
 # 64-bit numerators keep the oracle's fifth powers within the time budget
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(_sparse_series(160, 2**64))
+@settings(max_examples=40)
+@given(st.integers(0, 2**32).map(lambda seed: _sparse_series(random.Random(seed), 160, 2**64)))
 def test_qs_pow_matches_repeated_oracle_products(a):
     want = QSeries.one(a.prec)
     for e in range(6):
@@ -252,23 +257,30 @@ _OPS = {
     "truncate": lambda a, b, c, e: a.truncate(max(1, a.prec - e)),
     "shift": lambda a, b, c, e: a.shift(e),
 }
-_COEFF_LISTS = st.lists(
-    st.one_of(st.just(F(0)), st.builds(F, st.integers(-10**6, 10**6),
-                                       st.sampled_from((1, 2, 3, 7, 144, 691)))),
-    min_size=1, max_size=30)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(st.sampled_from(sorted(_OPS)), _COEFF_LISTS, _COEFF_LISTS,
-       st.one_of(st.just(F(0)), _RATIONALS), st.integers(0, 4))
-@example("mul", [F(0)] * 6, [F(1, 2)] * 6, F(1), 0)  # the zero series
-@example("scale", [F(1, 3), F(2)], [F(1)], F(0), 0)  # zero scale
-@example("add", [F(1, 2)], [F(1, 3)], F(1), 0)  # prec 1
-@example("add", [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)], F(1), 0)  # denominators cancel to 1
-@example("sub", [F(1, 7)] * 5, [F(1, 7), F(-1, 7), F(0)], F(1), 0)  # min(prec) is 3
-@example("derive", [F(5), F(1, 2), F(1, 4)], [F(1)], F(1), 0)  # 1/2 and 2/4 become integers
-@example("truncate", [F(1), F(1, 691)], [F(1)], F(1), 1)  # the denominator leaves with q^1
-def test_qs_kernels_match_fraction_tuple_oracle(op, xs, ys, c, e):
+def _coeff_list(rng):
+    return [F(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 7, 144, 691))) if rng.random() < 0.5 else F(0)
+            for _ in range(rng.randint(1, 30))]
+
+
+def _kernel_case(seed):
+    rng = random.Random(seed)
+    op, xs, ys = rng.choice(sorted(_OPS)), _coeff_list(rng), _coeff_list(rng)
+    return op, xs, ys, rng.choice((F(0), _rational(rng))), rng.randint(0, 4)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2**32).map(_kernel_case))
+@example(("mul", [F(0)] * 6, [F(1, 2)] * 6, F(1), 0))  # the zero series
+@example(("scale", [F(1, 3), F(2)], [F(1)], F(0), 0))  # zero scale
+@example(("add", [F(1, 2)], [F(1, 3)], F(1), 0))  # prec 1
+@example(("add", [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)], F(1), 0))  # denominators cancel to 1
+@example(("sub", [F(1, 7)] * 5, [F(1, 7), F(-1, 7), F(0)], F(1), 0))  # min(prec) is 3
+@example(("derive", [F(5), F(1, 2), F(1, 4)], [F(1)], F(1), 0))  # 1/2 and 2/4 become integers
+@example(("truncate", [F(1), F(1, 691)], [F(1)], F(1), 1))  # the denominator leaves with q^1
+def test_qs_kernels_match_fraction_tuple_oracle(case):
+    op, xs, ys, c, e = case
     a, b = QSeries(len(xs), tuple(xs)), QSeries(len(ys), tuple(ys))
     for s in (a, b):
         _assert_canonical(s)
@@ -283,9 +295,16 @@ def test_qs_kernels_match_fraction_tuple_oracle(op, xs, ys, c, e):
     assert rebuilt == got and hash(rebuilt) == hash(got)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(_COEFF_LISTS, _COEFF_LISTS, _RATIONALS.filter(bool))
-def test_qs_equal_series_hash_equal_whatever_built_them(xs, ys, c):
+def _hash_case(seed):
+    """(xs, ys, c): two coefficient lists and a nonzero scale."""
+    rng = random.Random(seed)
+    return _coeff_list(rng), _coeff_list(rng), _rational(rng) or F(1, 7)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32).map(_hash_case))
+def test_qs_equal_series_hash_equal_whatever_built_them(case):
+    xs, ys, c = case
     a, b = QSeries(len(xs), tuple(xs)), QSeries(len(ys), tuple(ys))
     for left, right in (
         ((a * b).derive(), a.derive() * b + a * b.derive()),
@@ -316,16 +335,17 @@ def test_qs_json_roundtrip():
     assert QSeries.from_json_obj(obj) == a
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(_sparse_series(40, _BIG))
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(lambda seed: _sparse_series(random.Random(seed), 40, _BIG)))
 def test_qs_json_round_trips(a):
     obj = json.loads(json.dumps(a.to_json_obj()))
     assert QSeries.from_json_obj(obj) == a
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(_sparse_series(40, 10**6), _sparse_series(40, 10**6))
-def test_qs_derive_leibniz_rule(a, b):
+@settings(max_examples=80)
+@given(st.integers(0, 2**32).map(lambda seed: _series_pair(seed, 40, 10**6)))
+def test_qs_derive_leibniz_rule(case):
+    a, b = case
     # D = q d/dq is a derivation, at the smaller precision of mixed operands
     got = (a * b).derive()
     assert got == a.derive() * b + a * b.derive()
@@ -367,17 +387,26 @@ def test_mpoly_positivity_witness():
 
 
 _VARS = ("x", "y", "z")
-_MPOLY_COEFFS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
-def _mpolys(vars=_VARS, max_terms=5, max_exp=3):
-    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
-    return st.dictionaries(exps, _MPOLY_COEFFS, max_size=max_terms).map(lambda t: MPoly(vars, t))
+def _small_coeff(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(_mpolys(), _mpolys(), _mpolys(), st.integers(0, 3))
-def test_mpoly_ring_axioms(a, b, c, e):
+def _mpoly(rng, vars=_VARS, max_terms=5, max_exp=3, coeff=_small_coeff):
+    terms = {tuple(rng.randint(0, max_exp) for _ in vars): coeff(rng) for _ in range(rng.randint(0, max_terms))}
+    return MPoly(vars, terms)
+
+
+def _ring_case(seed):
+    rng = random.Random(seed)
+    return _mpoly(rng), _mpoly(rng), _mpoly(rng), rng.randint(0, 3)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(_ring_case))
+def test_mpoly_ring_axioms(case):
+    a, b, c, e = case
     zero, one = MPoly.zero(_VARS), MPoly.const(_VARS, 1)
     assert (a * b) * c == a * (b * c)
     assert (a + b) + c == a + (b + c)
@@ -391,27 +420,30 @@ def test_mpoly_ring_axioms(a, b, c, e):
     assert a.pow(e) == power
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(
-    st.one_of(
-        st.tuples(_mpolys(), _mpolys()),
-        st.tuples(*[_mpolys(("g4", "g6")).map(lambda p: IsobaricPoly(p.terms))] * 2),
-    ),
-    st.one_of(st.just(0), _MPOLY_COEFFS),
-    st.integers(0, 3),
-)
-def test_mpoly_ring_results_pass_the_validating_constructor(ab, c, e):
+def _ring_result_case(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        a, b = _mpoly(rng), _mpoly(rng)
+    else:
+        a, b = (IsobaricPoly(_mpoly(rng, ("g4", "g6")).terms) for _ in range(2))
+    return a, b, 0 if rng.random() < 0.5 else _small_coeff(rng), rng.randint(0, 3)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32).map(_ring_result_case))
+def test_mpoly_ring_results_pass_the_validating_constructor(case):
     # ring results skip the exponent checks of MPoly.__init__: each must be
     # exactly what the validating constructor builds from its terms
-    a, b = ab
+    a, b, c, e = case
     for r in (a + b, a - b, -a, a * b, a * c, c * a, a + c, c - a, a.pow(e)):
         assert type(r) is type(a) and r == MPoly(a.vars, r.terms)
         assert all(type(v) is F for v in r.terms.values())
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(_mpolys(), _mpolys())
-def test_mpoly_div_exact_round_trips(a, b):
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(_ring_case))
+def test_mpoly_div_exact_round_trips(case):
+    a, b, _, _ = case
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.div_exact(b)
@@ -423,31 +455,7 @@ def test_mpoly_div_exact_round_trips(a, b):
             (a * b + 1).div_exact(b)
 
 
-def _substitute_oracle(p, mapping):
-    # MPoly.substitute before it shared each image power across terms:
-    # one pow per (term, variable) and a fresh sum per term
-    tvars = next(iter(mapping.values())).vars
-    images = [mapping[n] if n in mapping else MPoly.var(tvars, n) for n in p.vars]
-    out = MPoly.zero(tvars)
-    for exp, c in p.terms.items():
-        term = MPoly.const(tvars, c)
-        for img, e in zip(images, exp):
-            if e:
-                term = term * img.pow(e)
-        out = out + term
-    return out
-
-
 _TARGET = ("x", "y", "z", "w")
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(
-    _mpolys(max_terms=8),
-    st.dictionaries(st.sampled_from(_VARS), _mpolys(_TARGET, max_terms=3, max_exp=2), min_size=1),
-)
-def test_mpoly_substitute_matches_termwise_oracle(p, mapping):
-    assert p.substitute(mapping) == _substitute_oracle(p, mapping)
 
 
 def test_mpoly_div_exact():
@@ -474,8 +482,8 @@ def test_mpoly_rejects_negative_exponents():
     assert MPoly(("x",), {(-1,): 0}).is_zero()  # zero terms are dropped unchecked
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(_mpolys(max_terms=8, max_exp=5))
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(lambda seed: _mpoly(random.Random(seed), max_terms=8, max_exp=5)))
 def test_mpoly_json_round_trips(p):
     obj = json.loads(json.dumps(p.to_json_obj()))
     back = MPoly.from_json_obj(_VARS, obj)
@@ -580,19 +588,15 @@ def _ref(p):
     return ReferenceMPoly(p.vars, p.terms)
 
 
-# numerators up to 2^70 over denominators whose lcm varies from term to term
-_MIXED_COEFFS = st.builds(
-    F,
-    st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)),
-    st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35, 2**61 - 1]),
-)
+def _mixed_coeff(rng):
+    """Numerators up to 2^70 over denominators whose lcm varies from term to term."""
+    num = rng.randint(-9, 9) if rng.random() < 0.5 else rng.randint(-(2**70), 2**70)
+    return F(num, rng.choice((1, 2, 3, 4, 6, 7, 9, 12, 35, 2**61 - 1)))
 
 
-def _mixed_mpolys(vars=_VARS, max_terms=6, max_exp=3):
-    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
-    terms = st.dictionaries(exps, _MIXED_COEFFS, max_size=max_terms)
-    constants = st.builds(lambda c: {(0,) * len(vars): c}, _MIXED_COEFFS)
-    return st.one_of(terms, constants, st.just({})).map(lambda t: MPoly(vars, t))
+def _mixed_mpoly(rng, vars=_VARS, max_terms=6, max_exp=3):
+    return rng.choice((_mpoly(rng, vars, max_terms, max_exp, _mixed_coeff),
+                       MPoly(vars, {(0,) * len(vars): _mixed_coeff(rng)}), MPoly.zero(vars)))
 
 
 def _same(got, want):
@@ -600,52 +604,60 @@ def _same(got, want):
     assert all(type(c) is F and c != 0 for c in got.terms.values())
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_mixed_mpolys(), _mixed_mpolys(), st.integers(0, 4), _MIXED_COEFFS)
-@example(MPoly.zero(_VARS), MPoly.const(_VARS, F(3, 4)), 0, F(0))
-@example(MPoly(_VARS, {(1, 0, 0): F(1, 2), (0, 1, 0): F(-1, 3)}), MPoly.const(_VARS, 6), 3, F(-5, 7))
-def test_mpoly_mul_and_pow_match_fraction_oracle(a, b, e, c):
+def _mixed_product_case(seed):
+    rng = random.Random(seed)
+    return _mixed_mpoly(rng), _mixed_mpoly(rng), rng.randint(0, 4), _mixed_coeff(rng)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32).map(_mixed_product_case))
+@example((MPoly.zero(_VARS), MPoly.const(_VARS, F(3, 4)), 0, F(0)))
+@example((MPoly(_VARS, {(1, 0, 0): F(1, 2), (0, 1, 0): F(-1, 3)}), MPoly.const(_VARS, 6), 3, F(-5, 7)))
+def test_mpoly_mul_and_pow_match_fraction_oracle(case):
+    a, b, e, c = case
     _same(a * b, _ref(a) * _ref(b))
     _same(a.pow(e), _ref(a).pow(e))
     _same(a * c, _ref(a) * c)
     _same(c * a, c * _ref(a))
 
 
-@st.composite
-def _substitutions(draw):
-    """(p, mapping): every variable mapped, none of the used ones, or any subset."""
-    mode = draw(st.sampled_from(["all", "none-used", "some"]))
+def _substitution_case(seed):
+    """(p, mapping): every variable mapped, none of the used ones, or any subset; half the images are zero."""
+    rng = random.Random(seed)
+    mode = rng.choice(("all", "none-used", "some"))
     if mode == "all":
         tvars, keys = ("u", "v"), _VARS
     else:
         tvars = _TARGET
-        keys = ("z",) if mode == "none-used" else draw(st.sets(st.sampled_from(_VARS), min_size=1))
-    p = draw(_mixed_mpolys(max_terms=8))
+        keys = ("z",) if mode == "none-used" else rng.sample(_VARS, rng.randint(1, 3))
+    p = _mixed_mpoly(rng, max_terms=8)
     if mode == "none-used":
         p = MPoly(_VARS, {(x, y, 0): c for (x, y, _), c in p.terms.items()})
-    images = st.one_of(_mixed_mpolys(tvars, max_terms=3, max_exp=2), st.just(MPoly.zero(tvars)))
-    return p, {name: draw(images) for name in keys}
+    images = [_mixed_mpoly(rng, tvars, max_terms=3, max_exp=2) for _ in keys]
+    return p, {name: rng.choice((img, MPoly.zero(tvars))) for name, img in zip(keys, images)}
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_substitutions())
+@settings(max_examples=360)
+@given(st.integers(0, 2**32).map(_substitution_case))
 def test_mpoly_substitute_matches_fraction_oracle(case):
     p, mapping = case
     want = _ref(p).substitute({name: _ref(img) for name, img in mapping.items()})
     _same(p.substitute(mapping), want)
 
 
-_POINT_VALUES = st.one_of(
-    st.integers(-5, 5), st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**20)),
-    st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(1, 9)),
-)
+def _evaluation_case(seed):
+    rng = random.Random(seed)
+    point = {name: rng.choice((rng.randint(-5, 5), F(rng.randint(-(2**40), 2**40), rng.randint(1, 2**20)),
+                               f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}")) for name in _VARS}
+    return _mixed_mpoly(rng, max_exp=5), point, rng.choice(_VARS)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_mixed_mpolys(max_exp=5), st.fixed_dictionaries({v: _POINT_VALUES for v in _VARS}), st.sampled_from(_VARS))
-@example(MPoly.zero(_VARS), {}, "x")
-@example(MPoly.const(_VARS, F(-7, 3)), {}, "y")
-def test_mpoly_evaluate_matches_fraction_oracle(p, point, dropped):
+@settings(max_examples=300)
+@given(st.integers(0, 2**32).map(_evaluation_case))
+@example((MPoly.zero(_VARS), {}, "x"))
+@example((MPoly.const(_VARS, F(-7, 3)), {}, "y"))
+def test_mpoly_evaluate_matches_fraction_oracle(case):
+    p, point, dropped = case
     got = p.evaluate(point)
     assert type(got) is F and got == _ref(p).evaluate(point)
     partial = {name: v for name, v in point.items() if name != dropped}

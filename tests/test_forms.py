@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import sigma_oracle
 
 from rclab.exactcore import QSeries
 from rclab.forms import (
@@ -14,10 +15,6 @@ from rclab.forms import (
     phi_zagier,
     sigma,
 )
-
-
-def sigma_oracle(n, power):
-    return sum(d**power for d in range(1, n + 1) if n % d == 0)
 
 
 def test_eisenstein_normalization_and_coefficients():

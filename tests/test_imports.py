@@ -47,31 +47,62 @@ UNCALLED_ALLOWED = {
 }
 
 
-def _public_definitions():
-    """(qualified name, name) of each public module function and class method."""
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+def _public_definitions(sources):
+    """(qualified name, name, kind) of each public module function, class method and property."""
+    for source in sources:
+        for node in ast.parse(source).body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
             for fn in members:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_"):
-                    yield prefix + fn.name, fn.name
+                    prop = any(getattr(d, "id", None) == "property" for d in fn.decorator_list)
+                    yield prefix + fn.name, fn.name, "property" if prop else "method" if prefix else "function"
 
 
-def _referenced_names():
-    """Every Name and Attribute in rclab (less __init__) and bench; strings and docstrings do not count."""
-    paths = [p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"] + sorted(BENCH_DIR.glob("*.py"))
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+def _uncalled(defining, referencing):
+    """The public definitions no code in `referencing` reaches: a function or property by any reference
+    to its name, a method only by a call (`x.m(...)`) or a read off a class name (`Cls.m`, as in
+    bench/tracing.py's `uq.IsobaricPoly.to_form`), so a data attribute of its name does not hide it."""
+    definitions = list(_public_definitions(defining))
+    classes = {qual.partition(".")[0] for qual, _, kind in definitions if kind != "function"}
+    names, called = set(), set()
+    for node in (node for source in referencing for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if getattr(node.value, "id", getattr(node.value, "attr", None)) in classes:
+                called.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    return {qual for qual, name, kind in definitions if name not in (called if kind == "method" else names)}
 
 
 def test_every_public_function_has_a_caller():
-    referenced = _referenced_names()
-    uncalled = {qual for qual, name in _public_definitions() if name not in referenced}
-    assert uncalled == set(UNCALLED_ALLOWED)
+    package = [p.read_text() for p in PACKAGE_DIR.glob("*.py")]
+    callers = [p.read_text() for p in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")] if p.name != "__init__.py"]
+    assert _uncalled(package, callers) == set(UNCALLED_ALLOWED)
+
+
+def test_a_data_attribute_of_the_same_name_is_not_a_call():
+    # exc.term reads an attribute, so the method term has no caller
+    defining = """
+class HbarSeries:
+    def term(self, n): ...
+    def scale(self, c): ...
+    def to_form(self): ...
+    @property
+    def order(self): ...
+"""
+    referencing = "exc.term, series.scale(2), series.order, uq.HbarSeries.to_form"
+    assert _uncalled([defining], [referencing]) == {"HbarSeries.term"}
+
+
+def test_no_test_module_imports_another():
+    # test modules share helpers through tests/oracles.py alone
+    imports = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports += [(path.name, getattr(node, "module", None) or alias.name) for alias in node.names]
+    assert [(path, module) for path, module in imports if module.rpartition(".")[2].startswith("test_")] == []

@@ -9,7 +9,7 @@ from oracles import _shimura_X_y_term_off_by_one, dtil_power, shimura_pow
 
 from rclab import nearlyholo
 from rclab.exactcore import QSeries, binom, pochhammer
-from rclab.forms import ModularForm, delta, eisenstein, phi_zagier
+from rclab.forms import ModularForm, delta, eisenstein, form_by_name, phi_zagier
 from rclab.nearlyholo import (
     NearlyHoloForm,
     _bracket_sum,
@@ -47,27 +47,30 @@ def test_bracket_e4_e6_degree_one(catalogue):
     assert b.series == delta(30).series.scale(-3456)
 
 
-_SCALARS = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+def _scalar(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 5))
 
 
-@st.composite
-def _isobaric_forms(draw, weight, prec=8):
-    coeffs = {ab: draw(_SCALARS) for ab in weight_basis(weight)}
+def _isobaric_form(rng, weight, prec=8):
+    coeffs = {ab: _scalar(rng) for ab in weight_basis(weight)}
     if not any(coeffs.values()):
         coeffs[weight_basis(weight)[0]] = F(1)
     return IsobaricPoly(coeffs).to_form(prec)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.data())
-def test_bracket_bilinearity_and_swap_symmetry(data):
+def _bilinearity_case(seed):
+    rng = random.Random(seed)
+    wf, wg = (rng.choice((4, 6, 8, 10, 12, 16)) for _ in range(2))
+    forms = [_isobaric_form(rng, w) for w in (wf, wf, wg, wg)]
+    return (*forms, _scalar(rng), _scalar(rng), rng.randint(0, 4))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(_bilinearity_case))
+def test_bracket_bilinearity_and_swap_symmetry(case):
     # [g, f]_n = (-1)^n [f, g]_n, and [., .]_n is linear in each argument
     # over Q; the uniqueness search assembles its terms from this identity
-    wf, wg = (data.draw(st.sampled_from([4, 6, 8, 10, 12, 16])) for _ in range(2))
-    f1, f2 = data.draw(_isobaric_forms(wf)), data.draw(_isobaric_forms(wf))
-    g1, g2 = data.draw(_isobaric_forms(wg)), data.draw(_isobaric_forms(wg))
-    a, b = data.draw(_SCALARS), data.draw(_SCALARS)
-    n = data.draw(st.integers(0, 4))
+    f1, f2, g1, g2, a, b, n = case
 
     def br(f, g):
         out = rc_bracket(f, g, n)
@@ -281,32 +284,39 @@ def per_order_verify_der_identity(f: ModularForm, m: int) -> bool:
     return lhs == rhs
 
 
-_GENERATORS = st.sampled_from(["E4", "E6", "Delta"])
+def _form(rng, weights, low, high):
+    prec = rng.randint(low, high)
+    generator = form_by_name(rng.choice(("E4", "E6", "Delta")), prec)
+    return rng.choice((generator, _isobaric_form(rng, rng.choice(weights), min(prec, 8))))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.data())
-def test_canonical_rc_matches_the_per_degree_chains(catalogue, data):
+def _canonical_case(seed):
     # generators or isobaric combinations, at unequal precisions, for both signs of phi
-    forms = [
-        data.draw(st.one_of(_GENERATORS.map(catalogue.get), st.sampled_from([4, 6, 8]).flatmap(_isobaric_forms)))
-        for _ in range(2)
-    ]
-    f, g = (h.truncate(min(h.prec, data.draw(st.integers(6, 14)))) for h in forms)
-    phi = phi_zagier(data.draw(st.integers(6, 14))).scale(data.draw(st.sampled_from([1, -1])))
-    n_max = data.draw(st.integers(0, 7))
+    rng = random.Random(seed)
+    f, g = (_form(rng, (4, 6, 8), 6, 14) for _ in range(2))
+    phi = phi_zagier(rng.randint(6, 14)).scale(rng.choice((1, -1)))
+    n_max = rng.randint(0, 7)
+    return f, g, n_max, phi, rng.randint(0, n_max)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32).map(_canonical_case))
+def test_canonical_rc_matches_the_per_degree_chains(case):
+    f, g, n_max, phi, n = case
     got = verify_canonical_rc(f, g, n_max, phi)
     assert got == per_degree_verify_canonical_rc(f, g, n_max, phi)
-    n = data.draw(st.integers(0, n_max))
     assert canonical_rc(f, g, n, phi) == per_degree_canonical_rc(f, g, n, phi)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.data())
-def test_der_identity_matches_the_per_order_powers(catalogue, data):
-    f = data.draw(st.one_of(_GENERATORS.map(catalogue.get), st.sampled_from([4, 6, 10]).flatmap(_isobaric_forms)))
-    f = f.truncate(min(f.prec, data.draw(st.integers(4, 12))))
-    m = data.draw(st.integers(0, 7))
+def _der_case(seed):
+    rng = random.Random(seed)
+    return _form(rng, (4, 6, 10), 4, 12), rng.randint(0, 7)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32).map(_der_case))
+def test_der_identity_matches_the_per_order_powers(case):
+    f, m = case
     assert verify_der_identity(f, m) is per_order_verify_der_identity(f, m) is True
     with pytest.MonkeyPatch.context() as mp:
         # a raising operator wrong from X^2 on: both versions must see it the same way

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import _patch_every_binding, _shimura_X_y_term_off_by_one
+from oracles import _patch_every_binding, _pochhammer_doubled_at_five, _shimura_X_y_term_off_by_one
 
 from rclab import coeffsolve, exactcore, forms, nearlyholo, rep, starprod, uniq
 from rclab.cli import main
@@ -22,7 +22,6 @@ from rclab.forms import ModularForm
 
 
 _cmz = starprod.cmz_coeff
-_pochhammer = exactcore.pochhammer
 _binom = exactcore.binom
 _assoc_family = coeffsolve.a2_family_assoc
 _ident_numerators = starprod.ident_numerators
@@ -42,12 +41,6 @@ def _cmz_shifted_at_two(kappa, k, l, n):
     # n = 2 is the first order with a j = 1 term in the cmz sum
     value = _cmz(kappa, k, l, n)
     return value + Fraction(1, 64) if n == 2 else value
-
-
-def _pochhammer_doubled_at_five(a, n):
-    # det2x2_direct reads (.)_{n-1} and the closed form (.)_{n-2}: they first disagree at n = 6
-    value = _pochhammer(a, n)
-    return 2 * value if n == 5 else value
 
 
 def _binom_doubled_at_two(a, b):
