@@ -10,10 +10,18 @@ All operators here are the pi-free rescalings: with D = q d/dq,
 On a pure-weight form F these satisfy (ell X - X ell) F = -weight(F) * F, and
 ell is a derivation over products, which is what makes every identity in this
 module a finite exact computation.
+
+The Rankin-Cohen bracket [f, g]_n = sum_r c_r D^r f D^(n-r) g is computed in
+its product form.  The q^N coefficient of D^r f D^(n-r) g is
+sum_(i+j=N) i^r j^(n-r) a_i b_j; substitute j = N - i and collect the powers
+of i, and the bracket becomes sum_t e_t D^(n-t)(D^t f * g) with
+e_t = (-1)^t C(n+x-1, n-t) C(n+x+y-2+t, t).  The products D^t f * g depend
+on neither n nor the weights, so the brackets of one pair share them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,22 +168,66 @@ def _bracket_sum(n: int, x: int, y: int, a: list, b: list, zero):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _product_coeffs(n: int, x: int, y: int) -> tuple[int, ...]:
+    """e_t = (-1)^t C(n+x-1, n-t) C(n+x+y-2+t, t), t = 0..n: [f, g]_n = sum_t e_t D^(n-t)(D^t f * g)."""
+    return tuple(int((-1) ** t * binom(n + x - 1, n - t) * binom(n + x + y - 2 + t, t))
+                 for t in range(n + 1))
+
+
+class _PairProducts:
+    """Q_t = D^t f * g of one operand pair (f, g), made up to the highest t asked for."""
+
+    def __init__(self, f: QSeries, g: QSeries):
+        self.key = (f, g)
+        self.dtf = f  # D^t f for the last t reached
+        self.products: list[QSeries] = []
+
+    def upto(self, n: int) -> list[QSeries]:
+        g, products = self.key[1], self.products
+        while len(products) <= n:
+            if products:
+                self.dtf = self.dtf.derive()
+            products.append(self.dtf * g)
+        return products
+
+
+# the products of the most recent operand pair only, so a walk over n shares them
+_last_pair: _PairProducts | None = None
+
+
 def rc_bracket(f: ModularForm, g: ModularForm, n: int) -> ModularForm:
-    """Degree-n bracket from iterated q-derivatives.
+    """Degree-n bracket from the products D^t f * g, shared across degrees.
 
     [f, g]_n = sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) D^r f D^(n-r) g
-    of weight x + y + 2n, where x, y are the weights of f and g.
+    of weight x + y + 2n, where x, y are the weights of f and g.  Its q^N
+    coefficient is sum_(i+j=N) a_i b_j sum_r c_r i^r j^(n-r); put j = N - i
+    and collect the powers of i, and it is sum_t e_t N^(n-t) sum_i i^t a_i
+    b_(N-i), that is
+
+      [f, g]_n = sum_t e_t D^(n-t)(D^t f * g),
+      e_t = (-1)^t C(n+x-1, n-t) C(n+x+y-2+t, t).
+
+    The products do not depend on n or on the weights, so the products of
+    the last operand pair are kept and a walk over n = 0..N makes N + 1 of
+    them.  They are combined by Horner in D, acc <- D acc + e_t Q_t, over
+    one common denominator, and the sum is reduced once.
     """
+    global _last_pair
     if n < 0:
         raise ValueError("bracket degree must be >= 0")
     x, y = f.weight, g.weight
     prec = min(f.prec, g.prec)
-    df = [f.series.truncate(prec)]
-    dg = [g.series.truncate(prec)]
-    for _ in range(n):
-        df.append(df[-1].derive())
-        dg.append(dg[-1].derive())
-    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, df, dg, QSeries.zero(prec)))
+    key = (f.series.truncate(prec), g.series.truncate(prec))
+    if _last_pair is None or _last_pair.key != key:
+        _last_pair = _PairProducts(*key)
+    products = _last_pair.upto(n)[: n + 1]
+    den = math.lcm(*(q.den for q in products))
+    acc = [0] * prec
+    for e, q in zip(_product_coeffs(n, x, y), products):
+        m = e * (den // q.den)
+        acc = [i * a + m * c for i, (a, c) in enumerate(zip(acc, q.nums))]
+    return ModularForm(x + y + 2 * n, QSeries.from_numerators(acc, den))
 
 
 def ramanujan_X(f: ModularForm) -> ModularForm:

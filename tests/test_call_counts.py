@@ -6,6 +6,7 @@ starts recomputing shared objects again fails here, not only in a timing.
 """
 
 import io
+import random
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -15,6 +16,8 @@ from oracles import _patch_every_binding
 from rclab import exactcore, forms, nearlyholo, starprod
 from rclab.cli import main
 from rclab.coeffsolve import ATable
+from rclab.exactcore import QSeries
+from rclab.forms import ModularForm
 
 
 @pytest.mark.parametrize(
@@ -103,3 +106,38 @@ def test_only_rows_holding_a_fraction_are_scaled(monkeypatch, suite, scaled):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", suite, "--json"]) == 0
     assert (count > 0) == scaled
+
+
+def test_bracket_walks_share_their_products(monkeypatch):
+    # [f, g]_n reads the products D^t f * g, t <= n, of the most recent pair
+    count = 0
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+
+    def pair(seed):
+        rng = random.Random(seed)
+        return tuple(ModularForm(w, QSeries.from_numerators([rng.randint(-99, 99) for _ in range(20)], 7))
+                     for w in (4, 6))
+
+    def walk(f, g, degrees):
+        before = count
+        for n in degrees:
+            nearlyholo.rc_bracket(f, g, n)
+        return count - before
+
+    a, b, c = pair(1), pair(2), pair(3)
+    assert walk(*a, range(7)) == 7  # one product per term of each bracket made 28
+    assert walk(*b, range(7)) == 7
+    assert walk(*c, [6]) == 7
+    assert walk(*c, range(6, -1, -1)) == 0
+    # the table holds one pair: going back to a or b makes their products again
+    assert nearlyholo._last_pair.key == (c[0].series, c[1].series)
+    assert walk(*a, range(7)) == 7
+    assert walk(*b, [6]) == 7
+    assert walk(*c, [0]) == 1

@@ -226,6 +226,22 @@ def test_qs_mul_matches_fraction_oracle(case):
     assert all(type(c) is F for c in got.coeffs)
 
 
+@pytest.mark.parametrize("prec", [7, 15, 31, 63])
+def test_qs_mul_is_exact_at_the_slot_boundary(prec):
+    # When wa + wb + prec.bit_length() is a whole number of bytes, a slot
+    # without the two guard bits is exactly that wide, and the Cauchy sums of
+    # all-extreme numerators +-(2^w - 1) carry into the next slot.  For an odd
+    # bit length 2w + bit_length is odd, so there wb = wa + 1.
+    odd = prec.bit_length() % 2
+    wa = next(w for w in range(8, 16) if (2 * w + odd + prec.bit_length()) % 8 == 0)
+    signs = [(1,) * prec, (-1,) * prec, tuple((-1) ** i for i in range(prec))]
+    for sa in signs:
+        for sb in signs:
+            a = QSeries.from_numerators([s * (2**wa - 1) for s in sa])
+            b = QSeries.from_numerators([s * (2 ** (wa + odd) - 1) for s in sb])
+            assert (a * b).coeffs == _schoolbook_mul(a, b).coeffs
+
+
 # 64-bit numerators keep the oracle's fifth powers within the time budget
 @settings(max_examples=40)
 @given(st.integers(0, 2**32).map(lambda seed: _sparse_series(random.Random(seed), 160, 2**64)))

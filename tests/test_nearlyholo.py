@@ -82,6 +82,82 @@ def test_bracket_bilinearity_and_swap_symmetry(case):
     assert br(f1, g1.scale(a) + g2.scale(b)) == br(f1, g1).scale(a) + br(f1, g2).scale(b)
 
 
+def _rc_bracket_derivative_sum(f: ModularForm, g: ModularForm, n: int) -> ModularForm:
+    """Degree-n bracket from iterated q-derivatives.
+
+    [f, g]_n = sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) D^r f D^(n-r) g
+    of weight x + y + 2n, where x, y are the weights of f and g.
+    """
+    # rc_bracket as it was before the shared products D^t f * g, kept as the oracle
+    if n < 0:
+        raise ValueError("bracket degree must be >= 0")
+    x, y = f.weight, g.weight
+    prec = min(f.prec, g.prec)
+    df = [f.series.truncate(prec)]
+    dg = [g.series.truncate(prec)]
+    for _ in range(n):
+        df.append(df[-1].derive())
+        dg.append(dg[-1].derive())
+    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, df, dg, QSeries.zero(prec)))
+
+
+def _bracket_calls_case(seed):
+    """A scrambled sequence of (f, g, n), n <= 8, that a stale product table would get wrong.
+
+    The pairs share series: f with two different g, f and g swapped, f with
+    itself, f under a second weight, and a weight-0 constant on either side;
+    the precisions differ, so some keys are truncations.
+    """
+    rng = random.Random(seed)
+    precs = [rng.randint(4, 12) for _ in range(3)]
+
+    def scaled(form):
+        return ModularForm(form.weight, form.series.scale(_scalar(rng) or F(1, 3)))
+
+    f = scaled(_isobaric_form(rng, rng.choice((4, 6, 8, 10, 12)), precs[0]))
+    g = scaled(_isobaric_form(rng, rng.choice((4, 6, 8, 10, 12)), precs[1]))
+    h = scaled(_isobaric_form(rng, rng.choice((4, 6, 8, 10, 12)), precs[2]))
+    const = ModularForm(0, QSeries.constant(_scalar(rng) or 1, precs[2]))
+    f_reweighted = ModularForm(f.weight + 2 * rng.randint(1, 4), f.series)
+    pairs = [(f, g), (f, h), (g, f), (f, f), (f_reweighted, g), (f, const), (const, h)]
+    top = rng.randint(0, 8)
+    # each pair walked downwards from top, then every call again in a shuffled order
+    calls = [(a, b, n) for a, b in pairs for n in range(top, -1, -1)]
+    shuffled = calls[:]
+    rng.shuffle(shuffled)
+    return calls + shuffled
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(_bracket_calls_case))
+def test_bracket_matches_the_derivative_sum_in_any_call_order(calls):
+    # the shared products must never leak from one pair or one weight to another
+    wanted = {}
+    for f, g, n in calls:
+        got = rc_bracket(f, g, n)
+        key = (id(f), id(g), n)
+        if key not in wanted:
+            wanted[key] = _rc_bracket_derivative_sum(f, g, n)
+        want = wanted[key]
+        assert got.weight == want.weight
+        assert (got.series.nums, got.series.den) == (want.series.nums, want.series.den)
+
+
+def test_product_coefficients_are_the_collected_derivative_sum():
+    # Put j = N - i into sum_r c_r i^r j^(n-r) and collect i^t N^(n-t): the
+    # coefficient is (-1)^t sum_r C(n+x-1, n-r) C(n+y-1, r) C(n-r, t-r).  Both
+    # it and the closed form e_t have degree <= n in x and in y, so agreeing
+    # on a 13 x 13 grid proves the closed form for n <= 12 and all weights.
+    grid = range(0, 26, 2)
+    for n in range(13):
+        for x in grid:
+            for y in grid:
+                c = [int(binom(n + x - 1, n - r) * binom(n + y - 1, r)) for r in range(n + 1)]
+                collected = tuple((-1) ** t * sum(c[r] * math.comb(n - r, t - r) for r in range(t + 1))
+                                  for t in range(n + 1))
+                assert nearlyholo._product_coeffs(n, x, y) == collected
+
+
 def test_ramanujan_derivation(catalogue):
     e4, e6, d = catalogue["E4"], catalogue["E6"], catalogue["Delta"]
     e2 = eisenstein(2, 30)
