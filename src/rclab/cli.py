@@ -355,10 +355,14 @@ def suite_solve_unique(s: Suite, grid: int = 6) -> None:
             nullity=resn.nullity,
             **_inconsistency(n, grid, resn),
         )
-    # n + 2 samples, one more than the degree bound n: with n + 1 a degree
-    # above n would alias to a lower one instead of failing the check
+    # the three degrees share one chain, each read from n + 2 samples c = 0..n+1,
+    # one more than the degree bound n: with n + 1 a degree above n would
+    # alias to a lower one instead of failing the check
+    cs = range(6)
     try:
-        degs = [coeffsolve.degree_in_c(n, (4, 4), list(range(n + 2))) for n in (2, 3, 4)]
+        tables = coeffsolve.chain_solve_many(cs, 4)
+        degs = [coeffsolve.interpolant_degree(cs[: n + 2], [t.get(n, 4, 4) for t in tables[: n + 2]])
+                for n in (2, 3, 4)]
     except ValueError as exc:  # a chain level that is not uniquely solved
         s.check("solve/degree-in-c", False, {"pair": [4, 4]}, witness=str(exc))
     else:

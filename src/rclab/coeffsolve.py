@@ -27,8 +27,14 @@ Fraction between the table and the eliminator.  The systems go through the
 one sparse eliminator of rclab.exactcore (eliminate): solve is its
 one-column case, and level_echelon eliminates a level-n system once for any
 number of tables (chain_solve_many and `rc-lab solve an` both go through
-it), computing each row's columns as the row is eliminated.  The degree in c
-is read off Newton's divided differences of the sampled values, with no
+it), computing each row's columns as the row is eliminated.  solve feeds its
+staged rows last-first: the pairs a row touches grow with (k, l, m), and
+eliminate clears each new pivot column from every stored row that holds it,
+so first-to-last the level-2 kernel column, which every pivot row holds,
+would move to each larger pair and be cleared from about 100 rows at a time.
+Only a certificate depends on the order, so an inconsistent system is
+eliminated again first-to-last for its first contradictory row.  The degree
+in c is read off Newton's divided differences of the sampled values, with no
 expansion into monomials.
 """
 
@@ -209,8 +215,25 @@ class LinSystem:
 
 
 def solve(sys: LinSystem) -> SolveResult:
-    """Exact reduced row echelon over the rationals: eliminate with one column."""
-    ech = eliminate(((coeffs, (rhs,)) for coeffs, rhs in sys.rows), 1)
+    """Exact reduced row echelon over the rationals: eliminate with one column.
+
+    The rows go to eliminate last-first.  eliminate pivots at a row's smallest
+    key and clears each new pivot column from every stored row that holds it,
+    and build_ident_system emits rows whose pairs grow with (k, l, m).  In row
+    order the level-2 kernel column, held by every pivot row, is the largest
+    pair seen so far, so each late row that brings a larger pair clears it
+    from about 100 stored rows (3,256 back-clears at grid 6); last-first, a
+    new pivot column is held by few stored rows (46).  Plain reversal needs no
+    key comparison and gave the same counts as sorting by descending largest
+    key.  The reduced row echelon form is unique, so the solution, rank and
+    null basis do not depend on the order.  certificate_row does: it is the
+    first row, in row order, that makes the system inconsistent, so an
+    inconsistent system is eliminated again first-to-last.
+    """
+    rows = [(coeffs, (rhs,)) for coeffs, rhs in sys.rows]
+    ech = eliminate(reversed(rows), 1)
+    if ech.certificates[0] is not None:
+        ech = eliminate(rows, 1)
     return ech.result(sys.variables)
 
 
@@ -365,18 +388,15 @@ def interpolant_degree(xs: Sequence[RatLike], ys: Sequence[RatLike]) -> int:
 def degree_in_c(n: int, pair: Pair, c_samples: Sequence[RatLike]) -> int:
     """Degree in c of A_n(pair) along the solved chain with A_2 from the family.
 
-    All samples share one elimination per level (chain_solve_many).  With
-    n + 1 samples the result is at most n; pass n + 2 or more so that a degree
-    above n shows instead of aliasing to a lower one.
+    All samples share one elimination per level (chain_solve_many; at n = 2
+    its tables are the family itself).  With n + 1 samples the result is at
+    most n; pass n + 2 or more so that a degree above n shows instead of
+    aliasing to a lower one.
     """
     if len(c_samples) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct c samples")
     cs = [rat(c) for c in c_samples]
-    if n == 2:
-        vals = [a2_family_assoc(c)(pair[0], pair[1]) for c in cs]
-    else:
-        vals = [table.get(n, pair[0], pair[1]) for table in chain_solve_many(cs, n)]
-    return interpolant_degree(cs, vals)
+    return interpolant_degree(cs, [table.get(n, *pair) for table in chain_solve_many(cs, n)])
 
 
 # ---------------------------------------------------------------------------

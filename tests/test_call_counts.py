@@ -13,9 +13,9 @@ from contextlib import redirect_stdout
 import pytest
 from oracles import _patch_every_binding
 
-from rclab import exactcore, forms, nearlyholo, starprod
+from rclab import coeffsolve, exactcore, forms, nearlyholo, starprod
 from rclab.cli import main
-from rclab.coeffsolve import ATable
+from rclab.coeffsolve import ATable, build_ident_system, solve
 from rclab.exactcore import QSeries
 from rclab.forms import ModularForm
 
@@ -88,6 +88,51 @@ def test_each_filler_runs_once_per_key(monkeypatch, suite):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", suite, "--json"]) == 0
     assert fills and max(fills.values()) == 1
+
+
+def test_solve_unique_eliminates_each_chain_level_once(monkeypatch):
+    # one chain for the three degrees: level 3 on grid 5 and level 4 on grid 4, six c each;
+    # a chain per degree eliminated level 3 twice (three calls)
+    count = 0
+    level_echelon = coeffsolve.level_echelon
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return level_echelon(*args)
+
+    assert _patch_every_binding(monkeypatch, level_echelon, counted) >= 1
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "solve-unique", "--json"]) == 0
+    assert count == 2
+
+
+@pytest.mark.parametrize(
+    "n,clears",
+    [
+        # fed last-first, a new level-2 pivot column is held by few stored rows; first-to-last
+        # the kernel column moves to each larger pair and is cleared from every pivot row (4,728 in all)
+        (2, 1618),
+        # at levels 3..5 the order makes no difference
+        (3, 2052),
+        (4, 2484),
+        (5, 2916),
+    ],
+)
+def test_solve_reductions_per_level(monkeypatch, n, clears):
+    system = build_ident_system(n, 6, ATable.eholzer(n - 1, 36))
+    count = 0
+    clear = exactcore._clear
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return clear(*args)
+
+    monkeypatch.setattr(exactcore, "_clear", counted)
+    res = solve(system)
+    assert res.consistent and res.nullity == (1 if n == 2 else 0)
+    assert count == clears
 
 
 @pytest.mark.parametrize("suite,scaled", [("solve-unique", False), ("triple", True)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import _pochhammer_doubled_at_five, a2_family
 
 from rclab import coeffsolve, exactcore
+from rclab.cli import _inconsistency
 from rclab.coeffsolve import (
     ATable,
     LinSystem,
@@ -22,6 +23,7 @@ from rclab.coeffsolve import (
     det2x2_direct,
     det2x2_lemma,
     extended,
+    ident_row_points,
     induced_c_from_kappa,
     interpolant_degree,
     kappa_c_report,
@@ -97,6 +99,25 @@ def test_solve_basics():
     sys.add_row({0: F(1)}, 2)
     res = solve(sys)
     assert not res.consistent and res.certificate_row == 1
+
+
+def test_certificate_is_the_first_contradictory_row_in_row_order():
+    # a wrong A_2(18, 8) is read only by the last rows, (k, l, m) = (4, 4, 4), of the level-3
+    # system on grid 4; eliminated last-first, another row is the first to contradict
+    table = ATable.eholzer(2, 36)
+    table.set(2, 18, 8, table.get(2, 18, 8) + 1)
+    system = build_ident_system(3, 4, table)
+    rows = [(coeffs, (rhs,)) for coeffs, rhs in system.rows]
+    want = eliminate(iter(rows), 1).certificates[0]
+    last_first = eliminate(reversed(rows), 1).certificates[0]
+    assert want is not None and want not in (last_first, len(rows) - 1 - last_first)
+    res = solve(system)
+    assert not res.consistent and res.certificate_row == want
+    k, l, m, p = list(ident_row_points(3, 4))[want]
+    assert (k, l, m) == (4, 4, 4)
+    assert _inconsistency(3, 4, res) == {
+        "witness": {"level": 3, "certificate_row": want, "k": k, "l": l, "m": m, "p": p}
+    }
 
 
 def test_add_row_keeps_ints(monkeypatch):

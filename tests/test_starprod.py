@@ -398,10 +398,9 @@ def reference_free_bracketings(
 
 
 def reference_free_assoc_residual(
-    weights: tuple[int, int, int], coeffs: StarCoefficients, order: int
+    left: dict[tuple[int, int, int], Rat], right: dict[tuple[int, int, int], Rat]
 ) -> dict[tuple[int, tuple[int, int, int]], Rat]:
-    """(f*g)*h - f*(g*h) from reference_free_bracketings, keyed (hbar-degree, (a, b, c))."""
-    left, right = reference_free_bracketings(weights, coeffs, order)
+    """(f*g)*h - f*(g*h) from the two reference_free_bracketings, keyed (hbar-degree, (a, b, c))."""
     resid = {(sum(k), k): left.get(k, 0) - right.get(k, 0) for k in left.keys() | right.keys()}
     return {k: v for k, v in resid.items() if v}
 
@@ -434,12 +433,13 @@ def _free_model_cases():
 def test_free_model_matches_dict_reference():
     nonzero = 0
     for weights, coeffs, order in _free_model_cases():
+        bracketings = reference_free_bracketings(weights, coeffs, order)
         got = free_assoc_residual(weights, coeffs, order)
-        assert got == reference_free_assoc_residual(weights, coeffs, order), (weights, coeffs, order)
+        assert got == reference_free_assoc_residual(*bracketings), (weights, coeffs, order)
         nonzero += bool(got)
         # each bracketing on its own, so that an error common to both cannot cancel
         x, y, z = weights
-        for inner_left, want in zip((True, False), reference_free_bracketings(weights, coeffs, order)):
+        for inner_left, want in zip((True, False), bracketings):
             got = _free_bracketing(weights, coeffs, order, inner_left).support
             assert {(a, b, c): v / (pochhammer(x, a) * pochhammer(y, b) * pochhammer(z, c))
                     for (a, b, c), v in got} == want
