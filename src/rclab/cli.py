@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import coeffsolve, forms, nearlyholo, rep, starprod, uniq
@@ -35,52 +35,6 @@ class RunConfig:
     grid_bound: int = 4
     kappa_samples: tuple = ("1/2", "3/2", "2", "5/2")
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.prec < 2:
-            raise UsageError("prec must be >= 2")
-        if self.hbar_order < 0:
-            raise UsageError("hbar_order must be >= 0")
-        if self.grid_bound < 1:
-            raise UsageError("grid_bound must be >= 1")
-        if not self.kappa_samples:
-            raise UsageError("kappa_samples must not be empty")
-
-
-def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """key=value file, overridden by any explicitly supplied flags."""
-    cfg = RunConfig()
-    if path:
-        try:
-            with open(path) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
-        for line in lines:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key in ("prec", "hbar_order", "grid_bound", "seed"):
-                    setattr(cfg, key, int(value))
-                elif key == "kappa_samples":
-                    cfg.kappa_samples = tuple(
-                        _rational(v.strip()) for v in value.split(",") if v.strip()
-                    )
-                else:
-                    raise ValueError("unknown config key")
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"{path}: {key}: {exc}") from None
-    for key in ("prec", "hbar_order", "grid_bound", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "kappas", None):
-        cfg.kappa_samples = tuple(args.kappas.split(","))
-    cfg.validate()
-    return cfg
 
 
 class Suite:
@@ -274,8 +228,8 @@ def suite_triple(s: Suite) -> None:
         s.check(f"triple/xi-kernel/{'-'.join(names)}", ok, {"n_max": xi_n_max, "prec": prec})
 
 
-def suite_ident(s: Suite, n_max: int = 5, grid: int | None = None) -> None:
-    grid = grid if grid is not None else s.cfg.grid_bound
+def suite_ident(s: Suite, n_max: int = 5) -> None:
+    grid = s.cfg.grid_bound
     kappas = s.cfg.kappa_samples
     tables = [coeffsolve.ATable.from_kappa(rat(k), n_max, 4 * grid + 2 * n_max) for k in kappas]
     checked, bad = 0, [0] * len(tables)
@@ -605,8 +559,8 @@ def _suite_flags() -> dict[str, tuple[str, ...]]:
 SUITE_FLAGS = _suite_flags()
 
 # The least value of a setting for which a suite checks anything, and why; a
-# run below it is a usage error, found before any suite runs.  A suite flag
-# left out of the command line keeps the suite's default, which is above it.
+# run below it is a usage error, found before any suite runs.  A flag left
+# out of the command line keeps its default, which is above it.
 SUITE_FLOORS = {
     # the quoted +E4/144 element first differs at degree 2: a shorter run
     # cannot reproduce the mismatch and would report a false FAIL
@@ -623,17 +577,16 @@ SUITE_FLOORS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args)
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     names = list(SUITES) if args.suite == "all" else [args.suite]
     given = {flag: v for flag, v in vars(args).items() if flag in SUITE_FLAGS}
     for flag in given:
         if not set(names) & set(SUITE_FLAGS[flag]):
             raise UsageError(f"--{flag.replace('_', '-')} does not apply to the {args.suite} suite")
     for (suite, setting), low in SUITE_FLOORS.items():
-        value = given.get(setting, getattr(cfg, setting, low))
+        value = getattr(args, setting, low)
         if suite in names and value < low:
-            label = f"--{setting.replace('_', '-')}" if setting in SUITE_FLAGS else setting
-            raise UsageError(f"{label} must be >= {low} for the {suite} suite, got {value}")
+            raise UsageError(f"--{setting.replace('_', '-')} must be >= {low} for the {suite} suite, got {value}")
     s = Suite(f"verify {args.suite}", cfg)
     for name in names:
         try:
@@ -688,10 +641,12 @@ def _rational(text: str) -> str:
     return text
 
 
-def _rational_list(text: str) -> str:
-    for piece in text.split(","):
-        _rational(piece)
-    return text
+def _rational_list(text: str) -> tuple[str, ...]:
+    """A comma list of distinct rationals, each kept as written without its blanks."""
+    pieces = tuple(_rational(piece.strip()) for piece in text.split(","))
+    if len({rat(piece) for piece in pieces}) < len(pieces):
+        raise argparse.ArgumentTypeError(f"lists a value twice: {text!r}")
+    return pieces
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -743,12 +698,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=(*SUITES, "all"))
-    p.add_argument("--config", default=None)
-    p.add_argument("--prec", type=_int_at_least(2), default=None)
-    p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=None)
-    p.add_argument("--grid-bound", dest="grid_bound", type=_int_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kappas", type=_rational_list, default=None,
+    # the RunConfig settings, each defaulting to its field
+    p.add_argument("--prec", type=_int_at_least(2), default=RunConfig.prec)
+    p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=RunConfig.hbar_order)
+    p.add_argument("--grid-bound", dest="grid_bound", type=_int_at_least(1), default=RunConfig.grid_bound)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--kappas", dest="kappa_samples", type=_rational_list, default=RunConfig.kappa_samples,
                    help="comma-separated kappa sample list")
     # the SUITE_FLAGS: absent unless given, so each suite keeps its own default
     unset = argparse.SUPPRESS

@@ -151,7 +151,7 @@ def test_criterion_06_triple_space_dimensions_and_xi():
 
 def test_criterion_07_coefficient_identities_for_classical_family():
     t0 = time.time()
-    recs = _run("ident", RunConfig(kappa_samples=KAPPA_SAMPLES), n_max=5, grid=4)
+    recs = _run("ident", RunConfig(grid_bound=4, kappa_samples=KAPPA_SAMPLES), n_max=5)
     names = [f"ident/kappa-{_tag(k)}" for k in KAPPA_SAMPLES]
     ok = _all_pass(recs, names)
     # every p <= n <= 5 and k, l, m in 1..4: 21 * 4^3 residuals per kappa

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -100,17 +101,29 @@ def test_verify_reports_are_sorted_and_echo_config(capsys):
     assert names == sorted(names)
 
 
-def test_config_file_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "desk.toml"
-    cfg.write_text("prec = 12\ngrid_bound = 2\nkappa_samples = 1/2, 2\n# comment\n")
-    code, out = run(capsys, "verify", "kappa-c", "--config", str(cfg), "--json")
+def test_blanks_in_a_kappa_list_reach_no_record_name(capsys):
+    code, out = run(capsys, "verify", "kappa-c", "--kappas", "1/2, 3/2", "--json")
     assert code == 0
     obj = json.loads(out)
-    assert obj["config"]["prec"] == 12
-    assert obj["config"]["kappa_samples"] == ["1/2", "2"]
-    code, out = run(capsys, "verify", "kappa-c", "--config", str(cfg), "--prec", "14", "--json")
-    obj = json.loads(out)
-    assert obj["config"]["prec"] == 14
+    assert obj["config"]["kappa_samples"] == ["1/2", "3/2"]
+    assert [c["name"] for c in obj["checks"]] == [
+        "kappa-c/1over2/fit",
+        "kappa-c/1over2/quoted-constant-mismatch-reproduced",
+        "kappa-c/3over2/fit",
+        "kappa-c/3over2/quoted-constant-mismatch-reproduced",
+    ]
+
+
+def test_verify_options_are_pinned():
+    # a new verify option, or a second spelling of a setting, has to edit this list
+    (verify,) = [
+        a.choices["verify"] for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = sorted(s for a in verify._actions for s in a.option_strings)
+    assert options == [
+        "--grid", "--grid-bound", "--hbar-order", "--help", "--json", "--kappas", "--n-max",
+        "--order", "--phi-sign", "--prec", "--printed", "--seed", "--seeds", "-h",
+    ]
 
 
 # SHA-256 of stdout; the `verify all` digest above does not cover these commands
@@ -166,8 +179,8 @@ def test_rep_and_solve_json_outputs_are_byte_identical(capsys, argv, digest):
          "efe663ddf586c497c6ef0823062058035497dc24588fd624eb487112b81b779f"),
         ("verify ident --json",
          "eb039463471e8948fd61a4cc8d272e6759053a45beec8799549f3345499e63e6"),
-        ("verify ident --kappas 7/3 --n-max 3 --grid 3 --json",
-         "b6cb417395e3dc87fa736e06dda6b0633ecd448bc46ea52fbd4e189428ac546a"),
+        ("verify ident --kappas 7/3 --n-max 3 --grid-bound 3 --json",
+         "b4c3d0a7207f85d76e2bce4bb84181d7bf00f9a1fa964b01079911d8c7964900"),
         ("verify canonical --json",
          "522f96812780e4c960c7f5ea9c8961804162619ce39f9b6c1d13132b87f47ddd"),
         # the quoted element alone fails with its witnesses: exit 1
@@ -201,7 +214,7 @@ def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
         ("canonical --n-max 2 --prec 12", "canonical/corrected-element/E4-E6",
          {"n_max": 2, "prec": 12, "phi": "-E4/144"}),
         ("ident --n-max 2 --grid-bound 2 --kappas 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 2}),
-        ("ident --n-max 2 --grid 3 --kappas 1/2", "ident/kappa-1over2", {"n_max": 2, "grid": 3}),
+        ("ident --grid-bound 3 --kappas 1/2", "ident/kappa-1over2", {"n_max": 5, "grid": 3}),
         ("fine --n-max 4 --grid 2 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 4, "grid": 2}),
         ("fine --grid 3 --prec 8", "fine/det2x2-closed-form-negative", {"n_max": 6, "grid": 3}),
         ("solve-unique --grid 2", "solve/level3-unique", {"grid": 2}),
@@ -212,9 +225,16 @@ def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
     ],
 )
 def test_verify_flags_reach_their_suite(capsys, argv, record, params):
-    code, out = run(capsys, "verify", *argv.split(), "--json")
-    (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == record]
+    words = argv.split()
+    code, out = run(capsys, "verify", *words, "--json")
+    obj = json.loads(out)
+    (rec,) = [c for c in obj["checks"] if c["name"] == record]
     assert rec["params"] == params
+    # a run setting given as a flag is echoed as given
+    for setting in ("prec", "grid_bound"):
+        flag = "--" + setting.replace("_", "-")
+        if flag in words:
+            assert obj["config"][setting] == int(words[words.index(flag) + 1])
     assert code == 0
 
 
@@ -229,13 +249,7 @@ def test_solve_on_grid_one_reports_only_solved_samples(capsys, n):
         assert sorted(obj["sample_values"]) == [f"A_{n}(2,2)", f"A_{n}(2,4)", f"A_{n}(4,2)"]
 
 
-def test_usage_errors_exit_two(tmp_path, capsys):
-    (tmp_path / "prec.cfg").write_text("prec =\n")
-    (tmp_path / "key.cfg").write_text("colour = red\n")
-    (tmp_path / "kappa.cfg").write_text("kappa_samples = 1/0\n")
-    (tmp_path / "grid.cfg").write_text("grid_bound = 0\n")
-    (tmp_path / "empty.cfg").write_text("kappa_samples =\n")
-    (tmp_path / "order.cfg").write_text("hbar_order = 0\n")
+def test_usage_errors_exit_two(capsys):
     for argv in (
         ["bogus-command"],
         ["verify", "not-a-suite"],
@@ -256,16 +270,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["solve", "an", "--n", "0"],
         ["verify", "ident", "--grid", "0"],
         ["verify", "p3", "--kappas", "abc"],
-        ["verify", "forms", "--config", str(tmp_path / "missing.cfg")],
-        ["verify", "forms", "--config", str(tmp_path / "prec.cfg")],
-        ["verify", "forms", "--config", str(tmp_path / "key.cfg")],
-        ["verify", "kappa-c", "--config", str(tmp_path / "kappa.cfg")],
-        ["verify", "kappa-c", "--config", str(tmp_path / "grid.cfg")],
-        ["verify", "ident", "--config", str(tmp_path / "empty.cfg")],
+        # the config file is gone: each setting is spelled only as its flag
+        ["verify", "forms", "--config", "desk.cfg"],
+        # ident's grid is --grid-bound, the one its config echoes
+        ["verify", "ident", "--grid", "3"],
+        # a kappa list names each value once
+        ["verify", "ident", "--kappas", "1/2,1/2"],
+        ["verify", "ident", "--kappas", "1/2,2/4"],
+        ["verify", "ident", "--kappas", "1/2,"],
         ["verify", "assoc", "--hbar-order", "-1"],
         ["verify", "assoc", "--hbar-order", "0"],
         ["verify", "all", "--hbar-order", "0"],
-        ["verify", "assoc", "--config", str(tmp_path / "order.cfg")],
         ["verify", "combi", "--n-max", "0"],
         ["verify", "uniqueness", "--order", "-1"],
         ["verify", "ident", "--n-max", "-1"],
@@ -321,7 +336,7 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README command line does not parse: {line}")
 
 
-def test_no_suite_runs_before_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_no_suite_runs_before_a_usage_error(capsys, monkeypatch):
     # every suite floor is checked before the first suite runs, not by the suite itself
     calls = []
 
@@ -334,12 +349,11 @@ def test_no_suite_runs_before_a_usage_error(tmp_path, capsys, monkeypatch):
 
     for name, suite in cli.SUITES.items():
         monkeypatch.setitem(cli.SUITES, name, counted(suite))
-    (tmp_path / "order.cfg").write_text("hbar_order = 0\n")
     for argv in (
         ["verify", "all", "--hbar-order", "0"],
         ["verify", "all", "--n-max", "1"],
         ["verify", "ident", "--n-max", "1"],
-        ["verify", "assoc", "--config", str(tmp_path / "order.cfg")],
+        ["verify", "assoc", "--hbar-order", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
