@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import coeffsolve, forms, nearlyholo, rep, starprod, uniq
@@ -30,6 +30,7 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
+    """A verify report's `config` echo; each default is that of the suite keywords of its name."""
     prec: int = 20
     hbar_order: int = 4
     grid_bound: int = 4
@@ -99,8 +100,8 @@ def _catalogue(prec: int) -> dict:
     return {name: form_by_name(name, prec) for name in ("E4", "E6", "Delta")}
 
 
-def suite_forms(s: Suite) -> None:
-    prec = max(s.cfg.prec, 16)
+def suite_forms(s: Suite, prec: int = RunConfig.prec) -> None:
+    prec = max(prec, 16)
     cat = _catalogue(prec)
     e4, e6, d = cat["E4"], cat["E6"], cat["Delta"]
     rel = (e4 * e4 * e4).series - (e6 * e6).series
@@ -111,8 +112,8 @@ def suite_forms(s: Suite) -> None:
     s.check("forms/phi-normalization", phi.series.scale(144) == e4.series, {"prec": prec})
 
 
-def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both") -> None:
-    prec = max(s.cfg.prec, 12)
+def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int = RunConfig.prec) -> None:
+    prec = max(prec, 12)
     cat = _catalogue(prec)
     pairs = [("E4", "E6"), ("E4", "Delta"), ("E6", "Delta")]
     phi_plus = forms.phi_zagier(prec)
@@ -138,8 +139,7 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both") -> None:
             )
 
 
-def suite_combi(s: Suite, n_max: int = 5) -> None:
-    prec = s.cfg.prec
+def suite_combi(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
     cat = _catalogue(prec)
     for a, b in [("E4", "E6"), ("E4", "Delta")]:
         ok = True
@@ -151,8 +151,8 @@ def suite_combi(s: Suite, n_max: int = 5) -> None:
         s.check(f"combi/holomorphic-and-equal/{a}-{b}", ok, {"n_max": n_max, "prec": prec})
 
 
-def suite_der(s: Suite, n_max: int = 5) -> None:
-    prec = max(s.cfg.prec, 12)
+def suite_der(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
+    prec = max(prec, 12)
     cat = _catalogue(prec)
     for name, f in cat.items():
         ok = all(nearlyholo.verify_der_identity(f, m) for m in range(n_max + 1))
@@ -180,9 +180,8 @@ def suite_casimir(s: Suite) -> None:
         s.check(f"casimir/weight-{w}", ok, {"n_max": n_max, "eigenvalue": str(rep.casimir_eigenvalue(w))})
 
 
-def suite_propasso(s: Suite) -> None:
+def suite_propasso(s: Suite, prec: int = RunConfig.prec) -> None:
     n_kernel, n_realize = 8, 4
-    prec = s.cfg.prec
     cat = _catalogue(prec)
     ok = all(
         rep.act_lower(rep.lowest_weight_tensor(x, y, n)).is_zero()
@@ -203,7 +202,7 @@ def suite_propasso(s: Suite) -> None:
     s.check("propasso/realization-E4-E6", ok, {"n_max": n_realize, "prec": prec})
 
 
-def suite_triple(s: Suite) -> None:
+def suite_triple(s: Suite, prec: int = RunConfig.prec) -> None:
     n_max, xi_n_max = 8, 3
     dims_ok = all(_kernel_row(n)["ok"] for n in range(n_max + 1))
     s.check("triple/kernel-dimensions", dims_ok, {"n_max": n_max})
@@ -215,7 +214,7 @@ def suite_triple(s: Suite) -> None:
             except AssertionError:
                 pre_ok = False
     s.check("triple/preimage-formula", pre_ok, {"n_max": 5})
-    prec = max(10, min(s.cfg.prec, 15))
+    prec = max(10, min(prec, 15))
     cat = _catalogue(prec)
     triples = [("E4", "E4", "E6"), ("E4", "E6", "Delta")]
     for names in triples:
@@ -228,44 +227,41 @@ def suite_triple(s: Suite) -> None:
         s.check(f"triple/xi-kernel/{'-'.join(names)}", ok, {"n_max": xi_n_max, "prec": prec})
 
 
-def suite_ident(s: Suite, n_max: int = 5) -> None:
-    grid = s.cfg.grid_bound
-    kappas = s.cfg.kappa_samples
-    tables = [coeffsolve.ATable.from_kappa(rat(k), n_max, 4 * grid + 2 * n_max) for k in kappas]
+def suite_ident(s: Suite, n_max: int = 5, grid_bound: int = RunConfig.grid_bound,
+                kappa_samples: tuple = RunConfig.kappa_samples) -> None:
+    tables = [coeffsolve.ATable.from_kappa(rat(k), n_max, 4 * grid_bound + 2 * n_max) for k in kappa_samples]
     checked, bad = 0, [0] * len(tables)
     for n in range(n_max + 1):
-        for k, l, m, p in coeffsolve.ident_row_points(n, grid):
+        for k, l, m, p in coeffsolve.ident_row_points(n, grid_bound):
             for i, r in enumerate(starprod.ident_residuals(tables, k, l, m, n, p)):
                 bad[i] += r != 0
             checked += 1
-    for kap_s, nonzero in zip(kappas, bad):
+    for kap_s, nonzero in zip(kappa_samples, bad):
         s.check(
             f"ident/kappa-{kap_s.replace('/', 'over')}",
             nonzero == 0,
-            {"n_max": n_max, "grid": grid},
+            {"n_max": n_max, "grid": grid_bound},
             checked=checked,
             nonzero=nonzero,
         )
 
 
-def suite_assoc(s: Suite) -> None:
-    prec = s.cfg.prec
-    order = s.cfg.hbar_order
+def suite_assoc(s: Suite, prec: int = RunConfig.prec, hbar_order: int = RunConfig.hbar_order) -> None:
     cat = _catalogue(prec)
     eh = starprod.StarCoefficients.eholzer()
     for names in [("E4", "E4", "E6"), ("E4", "E6", "Delta")]:
         f, g, h = (GradedForm.from_form(cat[x]) for x in names)
-        res = starprod.assoc_residual(f, g, h, eh, order)
+        res = starprod.assoc_residual(f, g, h, eh, hbar_order)
         s.check(
             f"assoc/eholzer/{'-'.join(names)}",
             res.is_zero(),
-            {"order": order, "prec": prec},
+            {"order": hbar_order, "prec": prec},
         )
     free_ok = all(
-        not starprod.free_assoc_residual(w, eh, order)
+        not starprod.free_assoc_residual(w, eh, hbar_order)
         for w in [(2, 2, 2), (4, 6, 12), (2, 4, 8)]
     )
-    s.check("assoc/eholzer-free-model", free_ok, {"order": order})
+    s.check("assoc/eholzer-free-model", free_ok, {"order": hbar_order})
 
 
 def _inconsistency(n: int, grid: int, res) -> dict:
@@ -323,15 +319,16 @@ def suite_solve_unique(s: Suite, grid: int = 6) -> None:
         s.check("solve/degree-in-c", degs == [1, 1, 2], {"pair": [4, 4]}, degrees=degs)
 
 
-def suite_kappa_c(s: Suite, printed: bool = False) -> None:
-    for kap_s in s.cfg.kappa_samples:
-        repc = coeffsolve.kappa_c_report(rat(kap_s), s.cfg.grid_bound)
+def suite_kappa_c(s: Suite, printed: bool = False, grid_bound: int = RunConfig.grid_bound,
+                  kappa_samples: tuple = RunConfig.kappa_samples) -> None:
+    for kap_s in kappa_samples:
+        repc = coeffsolve.kappa_c_report(rat(kap_s), grid_bound)
         name = f"kappa-c/{kap_s.replace('/', 'over')}"
         if not printed:
             s.check(
                 name + "/fit",
                 repc["fit_consistent"] and repc["fit_matches_formula"],
-                {"grid": s.cfg.grid_bound},
+                {"grid": grid_bound},
                 c_fit=str(repc["c_fit"]),
                 **({} if repc["fit_witness"] is None else {"witness": repc["fit_witness"]}),
             )
@@ -339,7 +336,7 @@ def suite_kappa_c(s: Suite, printed: bool = False) -> None:
         s.check(
             name + ("/quoted-constant" if printed else "/quoted-constant-mismatch-reproduced"),
             repc["quoted_family_matches_induced"] == printed,
-            {"grid": s.cfg.grid_bound},
+            {"grid": grid_bound},
             c_quoted=str(repc["c_quoted"]),
             c_fit=str(repc["c_fit"]),
         )
@@ -353,7 +350,7 @@ def _det2x2_failure(n: int, k: int, l: int, m: int) -> str | None:
         return str(exc)
 
 
-def suite_fine(s: Suite, grid: int = 5, n_max: int = 6) -> None:
+def suite_fine(s: Suite, grid: int = 5, n_max: int = 6, prec: int = RunConfig.prec) -> None:
     n_max = max(3, n_max)  # the lemma starts at n = 3; record the n actually checked
     points = itertools.product(range(3, n_max + 1), *[range(1, grid + 1)] * 3)
     witness = next(
@@ -376,7 +373,7 @@ def suite_fine(s: Suite, grid: int = 5, n_max: int = 6) -> None:
     s.check("fine/det3-negative", ok3, {"range": 6})
     d = uniq.fine_det3_mpoly()
     s.check("fine/det3-l2-divisible", all(e[1] >= 2 for e in d.terms), {})
-    prec = min(s.cfg.prec, 14)
+    prec = min(prec, 14)
     cat = _catalogue(prec)
     resid = uniq.bracket_shift_residual(cat["E4"], cat["E4"], cat["E6"], 1)
     s.check("fine/shift-residual-nonconstant-middle", not resid.is_zero(), {"prec": prec})
@@ -408,9 +405,10 @@ def suite_p3(s: Suite) -> None:
     )
 
 
-def suite_uniqueness(s: Suite, seeds: int = 200, order: int = 3) -> None:
-    prec = min(s.cfg.prec, 15)
-    stats = uniq.random_uniqueness_search(seeds, order=order, prec=prec, seed0=s.cfg.seed)
+def suite_uniqueness(s: Suite, seeds: int = 200, order: int = 3, prec: int = RunConfig.prec,
+                     seed: int = RunConfig.seed) -> None:
+    prec = min(prec, 15)
+    stats = uniq.random_uniqueness_search(seeds, order=order, prec=prec, seed0=seed)
     # every third trial is a rescaling, which must be recovered; a drawn pair can
     # be one too (one of the 1,000 trials from seed 9000 is), so >= and not ==
     rescalings = len(range(0, seeds, 3))
@@ -544,19 +542,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if res.consistent and not residual_nonzero else 1
 
 
-def _suite_flags() -> dict[str, tuple[str, ...]]:
-    flags: dict[str, tuple[str, ...]] = {}
-    for name, suite in SUITES.items():
-        for flag in list(inspect.signature(suite).parameters)[1:]:
-            flags[flag] = flags.get(flag, ()) + (name,)
-    return flags
-
-
-# Each suite flag of `verify`, and the suites that take it as a keyword of the
-# same name, read off their signatures.  A flag left out of the command line
-# leaves the suite's default; a flag that reaches none of the suites being run
-# is a usage error.
-SUITE_FLAGS = _suite_flags()
+# Each `verify` setting and the suites that take it as a keyword of its name,
+# read off their signatures: a setting left out of the command line leaves each
+# suite's default, and one that reaches none of the suites being run is a usage error.
+_KEYWORDS = {name: list(inspect.signature(suite).parameters)[1:] for name, suite in SUITES.items()}
+SUITE_FLAGS = {flag: tuple(name for name, kws in _KEYWORDS.items() if flag in kws)
+               for kws in _KEYWORDS.values() for flag in kws}
 
 # The least value of a setting for which a suite checks anything, and why; a
 # run below it is a usage error, found before any suite runs.  A flag left
@@ -576,23 +567,32 @@ SUITE_FLOORS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    given = {flag: v for flag, v in vars(args).items() if flag in SUITE_FLAGS}
-    for flag in given:
-        if not set(names) & set(SUITE_FLAGS[flag]):
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to the {args.suite} suite")
-    for (suite, setting), low in SUITE_FLOORS.items():
-        value = getattr(args, setting, low)
-        if suite in names and value < low:
-            raise UsageError(f"--{setting.replace('_', '-')} must be >= {low} for the {suite} suite, got {value}")
-    s = Suite(f"verify {args.suite}", cfg)
+def _option(setting: str) -> str:
+    """The `verify` option that sets a setting, as the parser spells it."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return next(a.option_strings[0] for a in sub.choices["verify"]._actions if a.dest == setting)
+
+
+def run_verify(suite: str, settings: dict) -> Suite:
+    """Run `verify <suite>` after every usage check, handing each setting to the suites that take it."""
+    names = list(SUITES) if suite == "all" else [suite]
+    for setting in settings:
+        if not set(names) & set(SUITE_FLAGS[setting]):
+            raise UsageError(f"{_option(setting)} does not apply to the {suite} suite")
+    for (name, setting), low in SUITE_FLOORS.items():
+        if name in names and (value := settings.get(setting, low)) < low:
+            raise UsageError(f"{_option(setting)} must be >= {low} for the {name} suite, got {value}")
+    s = Suite(f"verify {suite}", RunConfig(**{k: settings[k] for k in settings.keys() & asdict(RunConfig())}))
     for name in names:
         try:
-            SUITES[name](s, **{flag: v for flag, v in given.items() if name in SUITE_FLAGS[flag]})
+            SUITES[name](s, **{k: v for k, v in settings.items() if k in _KEYWORDS[name]})
         except Exception as exc:  # a crash is a failed verdict, reported as a record
             s.check(f"{name}/error", False, exception=type(exc).__name__, message=str(exc))
+    return s
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    s = run_verify(args.suite, {k: v for k, v in vars(args).items() if k in SUITE_FLAGS})
     emit(s.report(), args.json)
     return 0 if s.ok() else 1
 
@@ -698,15 +698,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=(*SUITES, "all"))
-    # the RunConfig settings, each defaulting to its field
-    p.add_argument("--prec", type=_int_at_least(2), default=RunConfig.prec)
-    p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=RunConfig.hbar_order)
-    p.add_argument("--grid-bound", dest="grid_bound", type=_int_at_least(1), default=RunConfig.grid_bound)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--kappas", dest="kappa_samples", type=_rational_list, default=RunConfig.kappa_samples,
-                   help="comma-separated kappa sample list")
     # the SUITE_FLAGS: absent unless given, so each suite keeps its own default
     unset = argparse.SUPPRESS
+    p.add_argument("--prec", type=_int_at_least(2), default=unset)
+    p.add_argument("--hbar-order", dest="hbar_order", type=_int_at_least(0), default=unset)
+    p.add_argument("--grid-bound", dest="grid_bound", type=_int_at_least(1), default=unset)
+    p.add_argument("--seed", type=int, default=unset)
+    p.add_argument("--kappas", dest="kappa_samples", type=_rational_list, default=unset,
+                   help="comma-separated kappa sample list")
     p.add_argument("--grid", type=_int_at_least(1), default=unset)
     p.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=unset)
     p.add_argument("--seeds", type=_int_at_least(1), default=unset)

@@ -12,11 +12,12 @@ weight-4 element (criterion 1) and the kappa -> c constant (criterion 10).
 """
 
 import time
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
 
-from rclab.cli import SUITES, RunConfig, Suite
+from rclab.cli import RunConfig, run_verify
 from rclab.coeffsolve import degree_in_c
 from rclab.exactcore import pochhammer
 from rclab.forms import GradedForm, delta, eisenstein_form, phi_zagier
@@ -44,10 +45,17 @@ PAIRS = (("E4", "E6"), ("E4", "Delta"), ("E6", "Delta"))
 
 
 def _run(suite, cfg=None, **params):
-    """The records of one `rc-lab verify` suite, by name."""
-    s = Suite(f"verify {suite}", cfg or RunConfig())
-    SUITES[suite](s, **params)
-    return {c["name"]: c for c in s.checks}
+    """The records of one `rc-lab verify` suite, by name, checked and routed as the CLI does.
+
+    A cfg field at its default is left out, as an absent flag is; any other
+    field, like every keyword, must be taken by the suite or the run raises.
+    """
+    given = {k: v for k, v in asdict(cfg or RunConfig()).items() if v != getattr(RunConfig, k)}
+    records = {c["name"]: c for c in run_verify(suite, {**given, **params}).checks}
+    # a suite that raised is no verdict: not an AssertionError, which a strict xfail would accept
+    if error := records.get(f"{suite}/error"):
+        raise RuntimeError(f"{error['exception']}: {error['message']}")
+    return records
 
 
 def _all_pass(records, names):

@@ -1,9 +1,12 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +35,16 @@ def test_form_json_golden(capsys):
 def test_verify_all_json_report_is_byte_identical(capsys):
     # SHA-256 of the full seed-0 report, as recorded in bench/golden.json
     code, out = run(capsys, "verify", "all", "--json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6f7dfba6578e261628e4438f93f882105e78a98600ec0411d264831a785c5245"
+    )
+
+
+def test_run_settings_at_their_defaults_keep_the_report(capsys):
+    # every run setting given at its default reaches its suites and changes no byte
+    code, out = run(capsys, "verify", "all", "--json", "--seed", "0", "--prec", "20", "--hbar-order", "4",
+                    "--grid-bound", "4", "--kappas", "1/2,3/2,2,5/2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6f7dfba6578e261628e4438f93f882105e78a98600ec0411d264831a785c5245"
@@ -222,6 +235,8 @@ def test_verify_fine_records_the_n_max_it_checked(capsys, n_max, checked):
          {"seeds": 3, "order": 2, "prec": 12}),
         ("uniqueness --seeds 3 --prec 40", "uniqueness/no-counterexamples",
          {"seeds": 3, "order": 3, "prec": 15}),
+        ("assoc --hbar-order 2 --prec 12", "assoc/eholzer/E4-E4-E6", {"order": 2, "prec": 12}),
+        ("kappa-c --grid-bound 2 --kappas 1/2", "kappa-c/1over2/fit", {"grid": 2}),
     ],
 )
 def test_verify_flags_reach_their_suite(capsys, argv, record, params):
@@ -299,6 +314,12 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "kappa-c", "--grid-bound", "0"],
         ["verify", "casimir", "--n-max", "3"],
         ["verify", "ident", "--seeds", "5"],
+        # a run setting reaches only the suites that read it
+        ["verify", "forms", "--kappas", "1/2"],
+        ["verify", "casimir", "--prec", "30"],
+        ["verify", "p3", "--seed", "3"],
+        ["verify", "solve-unique", "--grid-bound", "3"],
+        ["verify", "forms", "--hbar-order", "2"],
         # solve-unique has no alias, ident reads no kind, and --kappa alone picks the star family
         ["verify", "cmz-unique"],
         ["verify", "ident", "--kind", "cmz"],
@@ -354,12 +375,39 @@ def test_no_suite_runs_before_a_usage_error(capsys, monkeypatch):
         ["verify", "all", "--n-max", "1"],
         ["verify", "ident", "--n-max", "1"],
         ["verify", "assoc", "--hbar-order", "0"],
+        ["verify", "casimir", "--prec", "30"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert calls == [], argv
+
+
+def test_a_usage_error_names_the_flag_as_spelled(capsys):
+    # --kappas sets kappa_samples: the message names the option, not the keyword
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "forms", "--kappas", "1/2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "rc-lab: error: --kappas does not apply to the forms suite\n"
+
+
+def test_suite_keywords_default_to_their_run_setting():
+    # a suite keyword named after a RunConfig field defaults to that field, and each field is read
+    config = asdict(cli.RunConfig())
+    for suite in cli.SUITES.values():
+        for name, param in inspect.signature(suite).parameters.items():
+            if name in config:
+                assert param.default == config[name], (suite.__name__, name)
+    assert config.keys() <= cli.SUITE_FLAGS.keys()
+
+
+def test_readme_lists_every_setting_with_its_suites():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = {flag: tuple(re.findall(r"`([a-z0-9-]+)`", suites))
+              for flag, suites in re.findall(r"^\* `(--[a-z-]+)`: (.*)$", section, re.M)}
+    assert listed == {cli._option(setting): suites for setting, suites in cli.SUITE_FLAGS.items()}
 
 
 def _kappa_c_verdict(capsys):
