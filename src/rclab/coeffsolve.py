@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exactcore import Echelon, Rat, RatLike, SolveResult, eliminate, pochhammer, rat
-from .starprod import cmz_coeff, ident_numerators, table_sum
+from .starprod import cmz_rule, eholzer_rule, ident_numerators, table_sum
 
 
 class MissingEntryError(KeyError):
@@ -63,7 +63,7 @@ class ATable:
     `values` is the one store: (n, x, y) -> A_n(x, y) as its reduced
     (numerator, denominator) int pair, so the identity kernels read it with
     one dict lookup and no Fraction.  Levels 0 and 1 (the ints 1 and x*y)
-    and, through an optional filler closure (used for closed-form families),
+    and, through an optional filler (a family's rule, as starprod.cmz_rule),
     every other level are stored on first lookup, so a filler runs once per
     key.  A lookup that neither covers raises MissingEntryError naming the
     missing entry.  get returns an int at levels 0 and 1 and a Rat above.
@@ -110,25 +110,13 @@ class ATable:
 
     @staticmethod
     def from_kappa(kappa: RatLike, max_n: int, grid_bound: int) -> ATable:
-        """Closed-form induced table A_n(x,y) = (-4)^n t_n^kappa (x)_n (y)_n.
-
-        The gauge -4 is the one that gives the built-in A_1 = x*y.
-        """
+        """The classical family's table, filled by rclab.starprod.cmz_rule."""
         kappa = rat(kappa)
-
-        def fill(n: int, x: int, y: int) -> Rat:
-            return (-4) ** n * cmz_coeff(kappa, Fraction(x, 2), Fraction(y, 2), n) * pochhammer(
-                x, n
-            ) * pochhammer(y, n)
-
-        return ATable(max_n, grid_bound, filler=fill, name=f"induced(kappa={kappa})")
+        return ATable(max_n, grid_bound, filler=cmz_rule(kappa), name=f"induced(kappa={kappa})")
 
     @staticmethod
     def eholzer(max_n: int, grid_bound: int) -> ATable:
-        def fill(n: int, x: int, y: int) -> Rat:
-            return pochhammer(x, n) * pochhammer(y, n)
-
-        return ATable(max_n, grid_bound, filler=fill, name="eholzer")
+        return ATable(max_n, grid_bound, filler=eholzer_rule, name="eholzer")
 
 
 def a2_family_assoc(c: RatLike) -> Callable[[int, int], Rat]:

@@ -2,20 +2,21 @@
 
 A star product here is hbar-formal:
 
-    f * g = sum_n  coeff(n, x, y) * gauge^n * [f, g]_n * hbar^n
+    f * g = sum_n  t_n(x, y) * [f, g]_n * hbar^n
 
-with x, y the weights of the graded parts.  Three coefficient kinds:
+with x, y the weights of the graded parts.  Each family is its rule
+A_n(x, y) = t_n(x, y) (x)_n (y)_n, defined once and read by StarCoefficients
+and by coeffsolve.ATable alike:
 
-  eholzer      coeff = 1
-  cmz(kappa)   coeff = t_n^kappa, the classical hypergeometric-style family;
-               the gauge defaults to -4 so that the first-order coefficient
-               is normalized to A_1(x, y) = x y
-  table        coeff = A_n(x, y) / ((x)_n (y)_n) from an explicit A-table
+  eholzer_rule   A_n = (x)_n (y)_n, so t_n = 1
+  cmz_rule(kappa) A_n = (-4)^n t_n^kappa(x/2, y/2) (x)_n (y)_n, the classical
+                 hypergeometric-style family; the factor (-4)^n normalizes the
+                 first-order rule to A_1(x, y) = x y
+  ATable.get     a table of solved or planted values
 
-cmz_coeff is the one evaluator of t_n^kappa, behind both
-StarCoefficients.coefficient and ATable.from_kappa.  Its j-sum runs in Python
-ints over falling products, with the kappa-only factor of each term cached
-per (kappa, j), and it builds one Fraction at the end.
+cmz_coeff is the one evaluator of t_n^kappa, behind cmz_rule.  Its j-sum runs
+in Python ints over falling products, with the kappa-only factor of each term
+cached per (kappa, j), and it builds one Fraction at the end.
 
 The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
@@ -40,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import rep
 from .exactcore import Rat, RatLike, pochhammer, rat
@@ -106,44 +107,44 @@ def cmz_coeff(kappa: RatLike, k: RatLike, l: RatLike, n: int) -> Rat:
     return Fraction((-1) ** n * num, 4**n * den)
 
 
+def eholzer_rule(n: int, x: int, y: int) -> Rat:
+    """A_n(x, y) = (x)_n (y)_n: the constant-coefficient family, t_n = 1."""
+    return pochhammer(x, n) * pochhammer(y, n)
+
+
+def cmz_rule(kappa: RatLike) -> Callable[[int, int, int], Rat]:
+    """The classical family's rule A_n(x, y) = (-4)^n t_n^kappa(x/2, y/2) (x)_n (y)_n.
+
+    The factor (-4)^n is the one that gives A_1(x, y) = x y.
+    """
+    kappa = rat(kappa)
+
+    def rule(n: int, x: int, y: int) -> Rat:
+        return (-4) ** n * cmz_coeff(kappa, Fraction(x, 2), Fraction(y, 2), n) * eholzer_rule(n, x, y)
+
+    return rule
+
+
 @dataclass(frozen=True)
 class StarCoefficients:
-    """Coefficient rule for a star product, plus an hbar gauge rescaling."""
+    """A deformation family, given by its rule A_n(x, y) (an int or a Rat)."""
 
-    kind: str  # 'eholzer' | 'cmz' | 'table'
-    kappa: Rat | None = None
-    table: "object | None" = None  # ATable-like with .get(n, x, y)
-    gauge: Rat = Fraction(1)
+    rule: Callable[[int, int, int], RatLike]
 
     @staticmethod
     def eholzer() -> StarCoefficients:
-        return StarCoefficients("eholzer")
+        return StarCoefficients(eholzer_rule)
 
     @staticmethod
-    def cmz(kappa: RatLike, gauge: RatLike = Fraction(-4)) -> StarCoefficients:
-        return StarCoefficients("cmz", kappa=rat(kappa), gauge=rat(gauge))
-
-    @staticmethod
-    def from_table(table, gauge: RatLike = Fraction(1)) -> StarCoefficients:
-        return StarCoefficients("table", table=table, gauge=rat(gauge))
+    def cmz(kappa: RatLike) -> StarCoefficients:
+        return StarCoefficients(cmz_rule(kappa))
 
     def coefficient(self, n: int, x: int, y: int) -> Rat:
-        """Scalar multiplying [.,.]_n between weight-x and weight-y parts."""
-        base: Rat
-        if self.kind == "eholzer":
-            base = Fraction(1)
-        elif self.kind == "cmz":
-            if x <= 0 or y <= 0:
-                raise PoleError(f"cmz coefficients need positive weights, got ({x}, {y})")
-            base = cmz_coeff(self.kappa, Fraction(x, 2), Fraction(y, 2), n)
-        elif self.kind == "table":
-            den = pochhammer(x, n) * pochhammer(y, n)
-            if den == 0:
-                raise PoleError(f"table normalization ({x})_{n} ({y})_{n} vanishes")
-            base = self.table.get(n, x, y) / den
-        else:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        return base * self.gauge**n
+        """t_n(x, y) = A_n(x, y) / ((x)_n (y)_n), the scalar of [.,.]_n between weight-x and weight-y parts."""
+        den = eholzer_rule(n, x, y)
+        if den == 0:
+            raise PoleError(f"normalization ({x})_{n} ({y})_{n} vanishes")
+        return self.rule(n, x, y) / den
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,8 @@ class HbarSeries:
         if len(self.terms) != self.order + 1:
             raise ValueError("need exactly order+1 terms")
 
-    @staticmethod
-    def from_graded(f: GradedForm, order: int) -> HbarSeries:
-        return HbarSeries(order, (f,) + tuple(GradedForm.zero() for _ in range(order)))
-
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.terms)
-
-    def __sub__(self, other: HbarSeries) -> HbarSeries:
-        order = min(self.order, other.order)
-        return HbarSeries(order, tuple(self.terms[i] - other.terms[i] for i in range(order + 1)))
 
     def to_json_obj(self) -> dict:
         return {"order": self.order, "terms": [t.to_json_obj() for t in self.terms]}
@@ -182,9 +175,9 @@ class HbarSeries:
 def star_product(f: GradedForm, g: GradedForm, coeffs: StarCoefficients, order: int) -> HbarSeries:
     """Star product of two graded forms, truncated at hbar^order.
 
-    Weight-0 parts are fine for the eholzer/table kinds: their brackets of
-    degree >= 1 vanish identically, so the table normalization is never
-    consulted there.  The cmz kind keeps its positive-weight precondition.
+    A zero bracket is skipped, so weight-0 parts are fine for every family:
+    their brackets of degree >= 1 vanish identically, and the normalization
+    (x)_n (y)_n, which vanishes there, is never consulted.
     """
     terms = []
     for n in range(order + 1):
@@ -192,27 +185,12 @@ def star_product(f: GradedForm, g: GradedForm, coeffs: StarCoefficients, order: 
         for x in f.weights():
             for y in g.weights():
                 b = rc_bracket(f.parts[x], g.parts[y], n)
-                if b.is_zero() and coeffs.kind != "cmz":
+                if b.is_zero():
                     continue
                 c = coeffs.coefficient(n, x, y)
                 if c != 0:
                     acc = acc + GradedForm.from_form(b.scale(c))
         terms.append(acc)
-    return HbarSeries(order, tuple(terms))
-
-
-def star_hbar(u: HbarSeries, v: HbarSeries, coeffs: StarCoefficients, order: int) -> HbarSeries:
-    """Bilinear extension of the star product to hbar-series operands."""
-    terms = [GradedForm.zero() for _ in range(order + 1)]
-    for a in range(min(u.order, order) + 1):
-        if u.terms[a].is_zero():
-            continue
-        for b in range(min(v.order, order - a) + 1):
-            if v.terms[b].is_zero():
-                continue
-            partial = star_product(u.terms[a], v.terms[b], coeffs, order - a - b)
-            for n in range(partial.order + 1):
-                terms[a + b + n] = terms[a + b + n] + partial.terms[n]
     return HbarSeries(order, tuple(terms))
 
 
@@ -224,12 +202,20 @@ def rc_series(f: GradedForm, g: GradedForm, order: int) -> HbarSeries:
 def assoc_residual(
     f: GradedForm, g: GradedForm, h: GradedForm, coeffs: StarCoefficients, order: int
 ) -> HbarSeries:
-    """(f*g)*h - f*(g*h) truncated at hbar^order; zero iff associative there."""
+    """(f*g)*h - f*(g*h) truncated at hbar^order; zero iff associative there.
+
+    Term a of f*g is star-multiplied by h, and f by term a of g*h, up to
+    hbar^(order - a); a zero term makes no series product.
+    """
     fg = star_product(f, g, coeffs, order)
     gh = star_product(g, h, coeffs, order)
-    left = star_hbar(fg, HbarSeries.from_graded(h, order), coeffs, order)
-    right = star_hbar(HbarSeries.from_graded(f, order), gh, coeffs, order)
-    return left - right
+    terms = [GradedForm.zero()] * (order + 1)
+    for a in range(order + 1):
+        left = star_product(fg.terms[a], h, coeffs, order - a).terms
+        right = star_product(f, gh.terms[a], coeffs, order - a).terms
+        for n in range(order - a + 1):
+            terms[a + n] = terms[a + n] + left[n] - right[n]
+    return HbarSeries(order, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +326,10 @@ def _level_scale(x: int, y: int, n: int, coeffs: StarCoefficients) -> Rat:
     """The scalar of level n of the pair star product at weights (x, y) in the dtil basis.
 
     Level n is coefficient(n, x, y) [f, g]_n, which is this scalar,
-    coefficient(n, x, y) (x)_n (y)_n / n!, times the integer vector
-    rep.lowest_weight_coeffs(n).
+    A_n(x, y) / n!, times the integer vector rep.lowest_weight_coeffs(n).
+    The rule may give an int (ATable.get at levels 0 and 1), hence rat.
     """
-    return coeffs.coefficient(n, x, y) * pochhammer(x, n) * pochhammer(y, n) / math.factorial(n)
+    return rat(coeffs.rule(n, x, y)) / math.factorial(n)
 
 
 def _free_bracketing(

@@ -9,6 +9,7 @@ import io
 import random
 from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from oracles import _patch_every_binding
@@ -17,7 +18,7 @@ from rclab import coeffsolve, exactcore, forms, nearlyholo, starprod
 from rclab.cli import main
 from rclab.coeffsolve import ATable, build_ident_system, solve
 from rclab.exactcore import QSeries
-from rclab.forms import ModularForm
+from rclab.forms import GradedForm, ModularForm
 
 
 @pytest.mark.parametrize(
@@ -186,3 +187,20 @@ def test_bracket_walks_share_their_products(monkeypatch):
     assert walk(*a, range(7)) == 7
     assert walk(*b, [6]) == 7
     assert walk(*c, [0]) == 1
+
+
+def test_assoc_residual_series_products(monkeypatch, catalogue):
+    # the pair products f*g and g*h, then each term of f*g times h and f times each term of g*h
+    f, g, h = (GradedForm.from_form(catalogue[k]) for k in ("E4", "E6", "Delta"))
+    count = 0
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    monkeypatch.setattr(nearlyholo, "_last_pair", None)  # so that no product is left from an earlier pair
+    assert starprod.assoc_residual(f, g, h, starprod.StarCoefficients.cmz(Fraction(-7, 3)), 4).is_zero()
+    assert count == 37

@@ -431,7 +431,7 @@ def test_chain_solved_table_is_associative():
 
     c = F(7, 5)
     (table,) = chain_solve_many([c], 3)
-    coeffs = StarCoefficients.from_table(table)
+    coeffs = StarCoefficients(table.get)
     assert free_assoc_residual((2, 2, 2), coeffs, 3) == {}
     prec = 12
     e4 = GradedForm.from_form(eisenstein_form(4, prec))

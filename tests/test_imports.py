@@ -39,7 +39,6 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 # Public code whose only callers are tests, and why it stays.
 UNCALLED_ALLOWED = {
-    "StarCoefficients.from_table": "tests and planted defects star-multiply solved tables with it",
     "QSeries.from_json_obj": "tests check that reports round-trip through it",
     "MPoly.from_json_obj": "no report emits an MPoly; tests pin polynomial digests through to_json_obj "
                            "and check that the README's serialization round-trips through this",

@@ -265,7 +265,7 @@ def test_assoc_fails_for_the_quoted_level_two_family(capsys, monkeypatch):
     quoted = ATable(0, 0, filler=lambda n, x, y: (
         exactcore.pochhammer(x, n) * exactcore.pochhammer(y, n) / (2 if n == 2 else 1)))
     monkeypatch.setattr(starprod.StarCoefficients, "eholzer",
-                        staticmethod(lambda: starprod.StarCoefficients.from_table(quoted)))
+                        staticmethod(lambda: starprod.StarCoefficients(quoted.get)))
     code = main(["verify", "assoc", "--json"])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
