@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import coeffsolve, forms, nearlyholo, rep, starprod, uniq
 from .exactcore import pochhammer, rat
-from .forms import GradedForm, form_by_name
+from .forms import GradedForm, ModularForm, form_by_name
 
 
 class UsageError(Exception):
@@ -139,16 +139,18 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int 
             )
 
 
+def _combi_ok(f: ModularForm, g: ModularForm, n: int) -> bool:
+    """The degree-n bracket through the raising operator is holomorphic and equals rc_bracket."""
+    out = nearlyholo.combi_bracket(f, g, n)
+    return out.is_holomorphic() and out.ypoly[0] == nearlyholo.rc_bracket(f, g, n).series.truncate(out.prec)
+
+
 def suite_combi(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
     cat = _catalogue(prec)
     for a, b in [("E4", "E6"), ("E4", "Delta")]:
-        ok = True
-        try:
-            for n in range(n_max + 1):
-                nearlyholo.combi_bracket(cat[a], cat[b], n)
-        except AssertionError:
-            ok = False
-        s.check(f"combi/holomorphic-and-equal/{a}-{b}", ok, {"n_max": n_max, "prec": prec})
+        bad = next((n for n in range(n_max + 1) if not _combi_ok(cat[a], cat[b], n)), None)
+        s.check(f"combi/holomorphic-and-equal/{a}-{b}", bad is None, {"n_max": n_max, "prec": prec},
+                **({} if bad is None else {"witness": {"n": bad}}))
 
 
 def suite_der(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
@@ -206,14 +208,11 @@ def suite_triple(s: Suite, prec: int = RunConfig.prec) -> None:
     n_max, xi_n_max = 8, 3
     dims_ok = all(_kernel_row(n)["ok"] for n in range(n_max + 1))
     s.check("triple/kernel-dimensions", dims_ok, {"n_max": n_max})
-    pre_ok = True
-    for n in range(1, 6):
-        for tgt in rep.degree_slice(n - 1):
-            try:
-                rep.triple_preimage(tgt)
-            except AssertionError:
-                pre_ok = False
-    s.check("triple/preimage-formula", pre_ok, {"n_max": 5})
+    # act_lower(preimage) + basis(target) = 0
+    bad = next((t for n in range(1, 6) for t in rep.degree_slice(n - 1)
+                if rep.act_lower(rep.triple_preimage(t)).as_dict() != {t: -1}), None)
+    s.check("triple/preimage-formula", bad is None, {"n_max": 5},
+            **({} if bad is None else {"witness": {"target": list(bad)}}))
     prec = max(10, min(prec, 15))
     cat = _catalogue(prec)
     triples = [("E4", "E4", "E6"), ("E4", "E6", "Delta")]
@@ -343,11 +342,11 @@ def suite_kappa_c(s: Suite, printed: bool = False, grid_bound: int = RunConfig.g
 
 
 def _det2x2_failure(n: int, k: int, l: int, m: int) -> str | None:
-    """Why det2x2_lemma fails at (n, k, l, m): its own assertion, or a value >= 0."""
-    try:
-        return None if coeffsolve.det2x2_lemma(n, k, l, m) < 0 else "determinant not negative"
-    except AssertionError as exc:
-        return str(exc)
+    """Why det2x2_lemma fails at (n, k, l, m): it differs from det2x2_direct, or it is >= 0."""
+    value = coeffsolve.det2x2_lemma(n, k, l, m)
+    if value != coeffsolve.det2x2_direct(n, k, l, m):
+        return "closed form disagrees with the direct determinant"
+    return None if value < 0 else "determinant not negative"
 
 
 def suite_fine(s: Suite, grid: int = 5, n_max: int = 6, prec: int = RunConfig.prec) -> None:

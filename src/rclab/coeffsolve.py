@@ -402,7 +402,8 @@ def det2x2_direct(n: int, k: int, l: int, m: int) -> Rat:
 
     With a_p = C(n,p) / [(x+y)_(n-p) (z)_p] and b_p = C(n,p) / [(x)_(n-p) (y+z)_p],
     this is a_1 b_2 - a_2 b_1, summed over the product of the four
-    denominators in Python ints.
+    denominators in Python ints.  a_p and b_p are ident_numerators' r = s = 0
+    terms at p, copied so that the fine suite builds no identity rows.
     """
     x, y, z = 2 * k, 2 * l, 2 * m
     da1 = _poch(x + y, n - 1) * _poch(z, 1)
@@ -413,7 +414,7 @@ def det2x2_direct(n: int, k: int, l: int, m: int) -> Rat:
 
 
 def det2x2_lemma(n: int, k: int, l: int, m: int) -> Rat:
-    """Closed form of det2x2_direct; asserted nonzero and equal to it.
+    """Closed form of det2x2_direct.
 
     C(n,1) C(n,2) / [(x+y)_(n-2) z (x)_(n-2) (y+z)]
       * (-y^2 - y(x+z+n-1)) / [(x+y+n-2)(y+z+1)(z+1)(x+n-2)]
@@ -425,13 +426,8 @@ def det2x2_lemma(n: int, k: int, l: int, m: int) -> Rat:
     if min(k, l, m) < 1:
         raise ValueError("k, l, m must be >= 1")
     x, y, z = 2 * k, 2 * l, 2 * m
-    value = Fraction(
+    return Fraction(
         n * math.comb(n, 2) * (-y * y - y * (x + z + n - 1)),
         _poch(x + y, n - 2) * z * _poch(x, n - 2) * (y + z)
         * (x + y + n - 2) * (y + z + 1) * (z + 1) * (x + n - 2),
     )
-    if value == 0:
-        raise AssertionError("determinant unexpectedly zero")
-    if value != det2x2_direct(n, k, l, m):
-        raise AssertionError("closed form disagrees with the direct determinant")
-    return value

@@ -226,12 +226,7 @@ def triple_preimage(target: tuple[int, int, int]) -> Vector:
             if min(key) < 0:
                 continue
             support[key] = support.get(key, Fraction(0)) + coeff * c
-    weights = (0, 0, 0)  # the lowering action does not read the weights
-    v = Vector.make(weights, support)
-    check = act_lower(v) + Vector.basis(weights, target)
-    if not check.is_zero():
-        raise AssertionError(f"preimage formula failed for target {target}")
-    return v
+    return Vector.make((0, 0, 0), support)  # the lowering action does not read the weights
 
 
 def xi_vector_concrete(

@@ -20,7 +20,7 @@ cached per (kappa, j), and it builds one Fraction at the end.
 
 The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
-ways of bracketing a triple product; ident_numerators is their one
+ways of bracketing a triple product; ident_numerators is their
 definition, as integer numerators over one common denominator D, shared by
 ident_residuals and the coefficient solver.  table_sum is their one sum
 kernel: it reads an A-table's reduced (numerator, denominator) int pairs by
@@ -179,18 +179,16 @@ def star_product(f: GradedForm, g: GradedForm, coeffs: StarCoefficients, order: 
     their brackets of degree >= 1 vanish identically, and the normalization
     (x)_n (y)_n, which vanishes there, is never consulted.
     """
-    terms = []
-    for n in range(order + 1):
-        acc = GradedForm.zero()
-        for x in f.weights():
-            for y in g.weights():
+    terms = [GradedForm.zero()] * (order + 1)
+    for x in f.weights():
+        for y in g.weights():
+            for n in range(order + 1):  # innermost, so the degrees share the pair's products
                 b = rc_bracket(f.parts[x], g.parts[y], n)
                 if b.is_zero():
                     continue
                 c = coeffs.coefficient(n, x, y)
                 if c != 0:
-                    acc = acc + GradedForm.from_form(b.scale(c))
-        terms.append(acc)
+                    terms[n] = terms[n] + GradedForm.from_form(b.scale(c))
     return HbarSeries(order, tuple(terms))
 
 
@@ -245,7 +243,8 @@ def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int],
       c_s = C(n,s) C(n-s,n-p) / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s].
 
     D is the lcm of the rising-factorial denominators, so every numerator is
-    an exact Python int.  This is the one definition of the coefficients.
+    an exact Python int.  det2x2_direct has the one other copy, of the
+    r = s = 0 terms at p = 1, 2, and a test pins it to this one.
     The weights must be >= 1.  The multinomials depend on (n, p) alone and
     are cached per (n, p).
     """

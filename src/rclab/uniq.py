@@ -43,9 +43,9 @@ import functools
 import random
 from fractions import Fraction
 
-from .exactcore import MPoly, NotDivisibleError, QSeries, Rat, RatLike, binom
+from .exactcore import MPoly, NotDivisibleError, QSeries, Rat, RatLike
 from .forms import GradedForm, ModularForm, eisenstein
-from .nearlyholo import rc_bracket
+from .nearlyholo import bracket_coeffs, rc_bracket
 from .starprod import rc_series
 
 # ---------------------------------------------------------------------------
@@ -58,37 +58,25 @@ def bracket_shift_residual(f: ModularForm, g: ModularForm, h: ModularForm, n: in
     return rc_bracket(f * g, h, n) - rc_bracket(f, g * h, n)
 
 
-def _pochhammer_mpoly(base: MPoly, n: int) -> MPoly:
-    out = MPoly.const(base.vars, 1)
-    for i in range(n):
-        out = out * (base + i)
-    return out
-
-
 _KLMRST = ("k", "l", "m", "r", "s", "t")
 
 
 def lowest_q_mpoly(n: int) -> MPoly:
     """Residual of the lowest-q-coefficient identity, symbolic in (k,l,m,r,s,t).
 
-    side1 = sum_p (-1)^p C(n,p) (2k+2l+p)_(n-p) (2m+n-p)_p (r+s)^p t^(n-p)
-    side2 = sum_q (-1)^q C(n,q) (2k+q)_(n-q) (2l+2m+n-q)_q r^q (s+t)^(n-q)
+    side1 = sum_p L_p (r+s)^p t^(n-p),  L = bracket_coeffs(n, 2k+2l, 2m)
+    side2 = sum_q R_q r^q (s+t)^(n-q),  R = bracket_coeffs(n, 2k, 2l+2m)
 
     r, s, t are the leading q-exponents of the three factors; the residual
     must vanish whenever the shifted brackets agree at the lowest q-degree.
     """
     k, l, m, r, s, t = MPoly.variables(_KLMRST)
-    side1 = MPoly.zero(_KLMRST)
+    left = bracket_coeffs(n, 2 * k + 2 * l, 2 * m)
+    right = bracket_coeffs(n, 2 * k, 2 * l + 2 * m)
+    out = MPoly.zero(_KLMRST)
     for p in range(n + 1):
-        c = (-1) ** p * binom(n, p)
-        term = _pochhammer_mpoly(2 * k + 2 * l + p, n - p) * _pochhammer_mpoly(2 * m + n - p, p)
-        side1 = side1 + c * term * (r + s).pow(p) * t.pow(n - p)
-    side2 = MPoly.zero(_KLMRST)
-    for q in range(n + 1):
-        c = (-1) ** q * binom(n, q)
-        term = _pochhammer_mpoly(2 * k + q, n - q) * _pochhammer_mpoly(2 * l + 2 * m + n - q, q)
-        side2 = side2 + c * term * r.pow(q) * (s + t).pow(n - q)
-    return side1 - side2
+        out = out + left[p] * (r + s).pow(p) * t.pow(n - p) - right[p] * r.pow(p) * (s + t).pow(n - p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +87,16 @@ def lowest_q_mpoly(n: int) -> MPoly:
 def _fine_rows_mpoly() -> list[list[MPoly]]:
     """Rows n = 1, 2, 3 of the first-coefficient linear system, symbolic.
 
-    A_n1 = (-1)^n [(2m)_n - (2l+2m)_n],  A_n2 = (-1)^n (2m)_n - (2k)_n,
-    A_n3 = (2k+2l)_n - (2k)_n.
+    With L = bracket_coeffs(n, 2k+2l, 2m) and R = bracket_coeffs(n, 2k, 2l+2m)
+    the row is [L_n - R_n, L_n - R_0, L_0 - R_0]: with constant terms 1, the
+    q^1 coefficient of the shifted brackets reads only the end coefficients.
     """
     k, l, m = MPoly.variables(("k", "l", "m"))
     rows = []
     for n in (1, 2, 3):
-        sign = (-1) ** n
-        a1 = sign * (_pochhammer_mpoly(2 * m, n) - _pochhammer_mpoly(2 * l + 2 * m, n))
-        a2 = sign * _pochhammer_mpoly(2 * m, n) - _pochhammer_mpoly(2 * k, n)
-        a3 = _pochhammer_mpoly(2 * k + 2 * l, n) - _pochhammer_mpoly(2 * k, n)
-        rows.append([a1, a2, a3])
+        left = bracket_coeffs(n, 2 * k + 2 * l, 2 * m)
+        right = bracket_coeffs(n, 2 * k, 2 * l + 2 * m)
+        rows.append([left[n] - right[n], left[n] - right[0], left[0] - right[0]])
     return rows
 
 

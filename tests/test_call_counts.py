@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from oracles import _patch_every_binding
 
-from rclab import coeffsolve, exactcore, forms, nearlyholo, starprod
+from rclab import coeffsolve, exactcore, forms, nearlyholo, starprod, uniq
 from rclab.cli import main
 from rclab.coeffsolve import ATable, build_ident_system, solve
 from rclab.exactcore import QSeries
@@ -204,3 +204,25 @@ def test_assoc_residual_series_products(monkeypatch, catalogue):
     monkeypatch.setattr(nearlyholo, "_last_pair", None)  # so that no product is left from an earlier pair
     assert starprod.assoc_residual(f, g, h, starprod.StarCoefficients.cmz(Fraction(-7, 3)), 4).is_zero()
     assert count == 37
+
+
+def test_star_product_walks_the_degrees_of_each_pair_of_parts(monkeypatch):
+    # the degrees n <= 3 of one pair of parts share its products D^t f * g, t <= 3: (E4 + E6, E6)
+    # has two pairs of parts, so 8 products, and the two series of rc_uniqueness_check make 16
+    e4, e6 = (GradedForm.from_form(forms.eisenstein_form(w, 15)) for w in (4, 6))
+    f1, g1 = e4 + e6, e6
+    count = 0
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    monkeypatch.setattr(nearlyholo, "_last_pair", None)
+    starprod.rc_series(f1, g1, 3)
+    assert count == 8
+    count = 0
+    res = uniq.rc_uniqueness_check(f1, g1, f1.scale(Fraction(2, 7)), g1.scale(Fraction(7, 2)), 3, 15)
+    assert res["C"] == Fraction(7, 2) and count == 16

@@ -32,7 +32,7 @@ from rclab.coeffsolve import (
     solve,
 )
 from rclab.exactcore import Echelon, binom, eliminate, pochhammer, rat
-from rclab.starprod import ident_residual
+from rclab.starprod import ident_numerators, ident_residual
 
 
 def test_atable_builtin_levels_and_missing():
@@ -543,8 +543,15 @@ def test_det2x2_closed_form():
         det2x2_lemma(2, 1, 1, 1)
 
 
+def test_det2x2_direct_is_the_solver_rows_at_p1_and_p2():
+    # a_p and b_p are the r = 0 and s = 0 coefficients of the index-p identity
+    for n, k, l, m in itertools.product(range(3, 9), *[range(1, 5)] * 3):
+        (l1, r1, d1), (l2, r2, d2) = (ident_numerators(n, p, 2 * k, 2 * l, 2 * m) for p in (1, 2))
+        assert det2x2_direct(n, k, l, m) == Fraction(l1[0] * r2[0] - l2[0] * r1[0], d1 * d2), (n, k, l, m)
+
+
 # det2x2_direct and det2x2_lemma as they were before they summed in ints,
-# kept verbatim as oracles
+# kept as oracles; the lemma's checks are the fine suite's
 
 
 def fraction_det2x2_direct(n: int, k: int, l: int, m: int):
@@ -563,43 +570,30 @@ def fraction_det2x2_lemma(n: int, k: int, l: int, m: int):
     if min(k, l, m) < 1:
         raise ValueError("k, l, m must be >= 1")
     x, y, z = 2 * k, 2 * l, 2 * m
-    value = (
+    return (
         binom(n, 1)
         * binom(n, 2)
         / (pochhammer(x + y, n - 2) * z * pochhammer(x, n - 2) * (y + z))
         * Fraction(-y * y - y * (x + z + n - 1))
         / ((x + y + n - 2) * (y + z + 1) * (z + 1) * (x + n - 2))
     )
-    if value == 0:
-        raise AssertionError("determinant unexpectedly zero")
-    if value != fraction_det2x2_direct(n, k, l, m):
-        raise AssertionError("closed form disagrees with the direct determinant")
-    return value
-
-
-def _outcome(fn, *args):
-    """The value of fn(*args) with its type, or the message of the AssertionError it raises."""
-    try:
-        value = fn(*args)
-    except AssertionError as exc:
-        return "AssertionError", str(exc)
-    return type(value), value
 
 
 @pytest.mark.parametrize("planted", [False, True])
 def test_det2x2_matches_the_fraction_oracle(monkeypatch, planted):
-    # every n in 3..10 and k, l, m in 1..7; planted, the lemma fails at n = 6 and 7,
-    # the two n whose determinants read a length-5 pochhammer (as n - 1 or n - 2)
+    # every n in 3..10 and k, l, m in 1..7; planted, the closed form and the direct determinant
+    # disagree at n = 6 and 7, the two n whose determinants read a length-5 pochhammer (as n - 1 or n - 2)
     if planted:
         for module in (coeffsolve, sys.modules[__name__]):
             monkeypatch.setattr(module, "pochhammer", _pochhammer_doubled_at_five)
-    failures = 0
+    disagreements = 0
     for point in itertools.product(range(3, 11), *[range(1, 8)] * 3):
-        got = _outcome(det2x2_lemma, *point)
-        assert got == _outcome(fraction_det2x2_lemma, *point), point
-        assert _outcome(det2x2_direct, *point) == _outcome(fraction_det2x2_direct, *point), point
-        failures += got[0] == "AssertionError"
-    assert failures == (2 * 7**3 if planted else 0)
+        lemma, direct = det2x2_lemma(*point), det2x2_direct(*point)
+        assert type(lemma) is type(direct) is Fraction, point
+        assert (lemma, direct) == (fraction_det2x2_lemma(*point), fraction_det2x2_direct(*point)), point
+        assert lemma < 0, point
+        disagreements += lemma != direct
+    assert disagreements == (2 * 7**3 if planted else 0)
 
 
 def test_kappa_to_c_values():

@@ -22,7 +22,7 @@ from rclab.forms import ModularForm
 
 
 _cmz = starprod.cmz_coeff
-_binom = exactcore.binom
+_bracket_coeffs = nearlyholo.bracket_coeffs
 _assoc_family = coeffsolve.a2_family_assoc
 _ident_numerators = starprod.ident_numerators
 _ramanujan_X = nearlyholo.ramanujan_X
@@ -43,10 +43,9 @@ def _cmz_shifted_at_two(kappa, k, l, n):
     return value + Fraction(1, 64) if n == 2 else value
 
 
-def _binom_doubled_at_two(a, b):
-    # C(3, 2) in the n = 3 lowest-q residual: p3_build is then not divisible by 4 l (r + t)
-    value = _binom(a, b)
-    return 2 * value if b == 2 else value
+def _bracket_coeffs_doubled_at_two(n, x, y):
+    # the r = 2 entry doubled: the n = 3 lowest-q residual, and so p3_build, is then not divisible by 4 l (r + t)
+    return [2 * c if r == 2 else c for r, c in enumerate(_bracket_coeffs(n, x, y))]
 
 
 def _assoc_family_wrong_c_term(c):
@@ -129,7 +128,7 @@ DEFECTS = [
         id="pochhammer-doubled-at-n5",
     ),
     pytest.param(
-        exactcore.binom, _binom_doubled_at_two, "p3",
+        nearlyholo.bracket_coeffs, _bracket_coeffs_doubled_at_two, "p3",
         ["p3/reference-diff-within-recorded-damage", "p3/spot-coefficients", "p3/substituted-all-positive"],
         id="binom-doubled-at-j2",
     ),
@@ -218,8 +217,30 @@ def test_fine_failure_names_the_first_disagreeing_point(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "original,replacement,suite,witnesses",
+    [
+        pytest.param(
+            nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "combi",
+            {"combi/holomorphic-and-equal/E4-E6": {"n": 2}, "combi/holomorphic-and-equal/E4-Delta": {"n": 2}},
+            id="combi",
+        ),
+        pytest.param(
+            rep.act_lower, _act_lower_doubled_from_two, "triple", {"triple/preimage-formula": {"target": [0, 0, 1]}},
+            id="triple",
+        ),
+    ],
+)
+def test_a_failing_record_names_its_first_witness(capsys, monkeypatch, original, replacement, suite, witnesses):
+    # X^2 is the first wrong raise; the first target whose preimage has an index 2 is (0, 0, 1)
+    _patch_every_binding(monkeypatch, original, replacement)
+    assert main(["verify", suite, "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["witness"] for c in checks if c["status"] == "fail"} == witnesses
+
+
 def test_p3_failure_names_the_first_remainder_term(capsys, monkeypatch):
-    _patch_every_binding(monkeypatch, exactcore.binom, _binom_doubled_at_two)
+    _patch_every_binding(monkeypatch, nearlyholo.bracket_coeffs, _bracket_coeffs_doubled_at_two)
     assert main(["verify", "p3", "--json"]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     rec = checks["p3/reference-diff-within-recorded-damage"]
