@@ -31,11 +31,11 @@ it), computing each row's columns as the row is eliminated.  solve feeds its
 staged rows last-first: the pairs a row touches grow with (k, l, m), and
 eliminate clears each new pivot column from every stored row that holds it,
 so first-to-last the level-2 kernel column, which every pivot row holds,
-would move to each larger pair and be cleared from about 100 rows at a time.
-Only a certificate depends on the order, so an inconsistent system is
-eliminated again first-to-last for its first contradictory row.  The degree
-in c is read off Newton's divided differences of the sampled values, with no
-expansion into monomials.
+would move to each larger pair and be cleared from about 100 rows at a time
+(3,628 row reductions at grid 6 against 178).  Only a certificate depends on
+the order, so an inconsistent system is eliminated again first-to-last for
+its first contradictory row.  The degree in c is read off Newton's divided
+differences of the sampled values, with no expansion into monomials.
 """
 
 from __future__ import annotations
@@ -209,14 +209,15 @@ def solve(sys: LinSystem) -> SolveResult:
     key and clears each new pivot column from every stored row that holds it,
     and build_ident_system emits rows whose pairs grow with (k, l, m).  In row
     order the level-2 kernel column, held by every pivot row, is the largest
-    pair seen so far, so each late row that brings a larger pair clears it
-    from about 100 stored rows (3,256 back-clears at grid 6); last-first, a
-    new pivot column is held by few stored rows (46).  Plain reversal needs no
-    key comparison and gave the same counts as sorting by descending largest
-    key.  The reduced row echelon form is unique, so the solution, rank and
-    null basis do not depend on the order.  certificate_row does: it is the
-    first row, in row order, that makes the system inconsistent, so an
-    inconsistent system is eliminated again first-to-last.
+    pair seen so far, so each late row that brings a larger pair clears it from
+    about 100 stored rows (3,256 back-clears at grid 6); last-first, a new
+    pivot column is held by few stored rows (46).  A row on pivot columns only
+    is checked by evaluation, so that is 178 _clear calls in all against 3,628.
+    Plain reversal needs no key comparison and gave the same counts as sorting
+    by descending largest key.  The reduced row echelon form is unique, so the
+    solution, rank and null basis do not depend on the order.  certificate_row
+    does: it is the first row, in row order, that makes the system
+    inconsistent, so an inconsistent system is eliminated again first-to-last.
     """
     rows = [(coeffs, (rhs,)) for coeffs, rhs in sys.rows]
     ech = eliminate(reversed(rows), 1)

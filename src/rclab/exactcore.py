@@ -31,8 +31,9 @@ Gauss-Jordan over Python ints: a row of ints is used as given (the identity
 systems arrive that way), a row that holds a Fraction is first scaled to
 integers, every stored pivot row is kept fully reduced and primitive
 (content divided out), and Fractions are built only at the end, when each
-pivot row is divided by its pivot.  Its result is the reduced row echelon
-form, which is unique, so no reduction order can change it.
+pivot row is divided by its pivot.  A row on pivot columns only is checked
+by evaluation.  Its result is the reduced row echelon form, which is
+unique, so no reduction order can change it.
 
 All values are immutable after construction and all operations are pure,
 which is what makes sharing a memoized result between callers safe.
@@ -692,6 +693,25 @@ def _scaled_row(coeffs: Mapping, rhs: Sequence[Rat]) -> tuple[dict, list[int]]:
     )
 
 
+def _settled(row: Mapping, rhs: Sequence, pivots: dict) -> Sequence | None:
+    """d times (rhs minus the row's value at the pivot rows), d a common denominator of
+    their pivot entries, for a row on pivot columns only; None if it leaves an entry in a free column."""
+    d, left, free = 1, rhs, {}
+    for col, v in row.items():
+        prow, prhs = pivots[col]
+        p = prow[col]
+        if d % p:
+            m = p // math.gcd(d, p)
+            d, left, free = d * m, [m * x for x in left], {c: m * x for c, x in free.items()}
+        k = v * (d // p)
+        left = [x - k * y for x, y in zip(left, prhs)]
+        if len(prow) > 1:
+            for c, w in prow.items():
+                if c != col:
+                    free[c] = free.get(c, 0) - k * w
+    return None if any(free.values()) else left
+
+
 def _integer_rref(
     rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int
 ) -> tuple[dict[object, tuple[dict[object, int], list[int]]], list[int | None]]:
@@ -699,16 +719,18 @@ def _integer_rref(
     pivots: dict = {}
     certificates: list[int | None] = [None] * width
     for idx, (coeffs, rhs) in enumerate(rows):
-        if {*map(type, coeffs.values()), *map(type, rhs)} == {int}:
-            row, r = dict(coeffs), list(rhs)
-        else:
-            row, r = _scaled_row(coeffs, rhs)
-        # pivot rows have no entry in another pivot column, so each reduction
-        # clears one column and leaves the row's other pivot columns alone
-        for col in [c for c in row if c in pivots]:
-            r = _clear(row, r, *pivots[col], col)
-        if not row:
-            for j, v in enumerate(r):
+        left = _settled(coeffs, rhs, pivots) if pivots.keys() >= coeffs.keys() else None
+        if left is None:
+            ints = {*map(type, coeffs.values()), *map(type, rhs)} == {int}
+            row, r = (dict(coeffs), list(rhs)) if ints else _scaled_row(coeffs, rhs)
+            # pivot rows have no entry in another pivot column, so each reduction
+            # clears one column and leaves the row's other pivot columns alone
+            for col in [c for c in row if c in pivots]:
+                r = _clear(row, r, *pivots[col], col)
+            if not row:
+                left = r
+        if left is not None:
+            for j, v in enumerate(left):
                 if v and certificates[j] is None:
                     certificates[j] = idx
             continue
@@ -733,20 +755,22 @@ def eliminate(rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int) -> E
     The elimination is a fraction-free Gauss-Jordan over Python ints.  A row
     whose entries (right-hand side included) are all ints is used as given; a
     row that holds a Fraction is scaled to integers by the lcm of its
-    denominators.  Each row is reduced once against each pivot column it
-    touches, by b*row - a*prow with a/b the entry ratio in lowest terms (no
-    rescaling when b = 1).  A row that does not vanish is divided by its
-    content and becomes a pivot row at its smallest key; that column is then
-    cleared from the earlier pivot rows, which are divided by their content
-    in turn.  So every pivot row is kept fully reduced: its pivot is its
-    smallest key and it has no entry in any other pivot column.  A new row
-    therefore never cascades through the stored rows, and no
-    back-substitution is needed.  Fractions are built only at the end,
-    dividing each row by its pivot entry.  That gives the reduced row echelon
-    form of the matrix, which is unique, so the result does not depend on the
-    order of the reductions.  The certificate of a column is the first row
-    that reduces to 0 = nonzero, a property of the row prefix.  The caller's
-    rows are not modified.
+    denominators.  A row whose columns are all pivot columns is evaluated at
+    the pivot rows and dropped if it leaves nothing in their free columns (a
+    right-hand side left over makes it a certificate).  Every other row is
+    reduced once against each pivot column it touches, by b*row - a*prow with
+    a/b the entry ratio in lowest terms (no rescaling when b = 1).  A row that
+    does not vanish is divided by its content and becomes a pivot row at its
+    smallest key; that column is then cleared from the earlier pivot rows,
+    which are divided by their content in turn.  So every pivot row is kept
+    fully reduced: its pivot is its smallest key and it has no entry in any
+    other pivot column.  A new row therefore never cascades through the stored
+    rows, and no back-substitution is needed.  Fractions are built only at the
+    end, dividing each row by its pivot entry.  That gives the reduced row
+    echelon form of the matrix, which is unique, so the result does not depend
+    on the order of the reductions.  The certificate of a column is the first
+    row that reduces to 0 = nonzero, a property of the row prefix.  The
+    caller's rows are not modified.
     """
     pivots, certificates = _integer_rref(rows, width)
     return Echelon(

@@ -111,13 +111,17 @@ def test_solve_unique_eliminates_each_chain_level_once(monkeypatch):
 @pytest.mark.parametrize(
     "n,clears",
     [
-        # fed last-first, a new level-2 pivot column is held by few stored rows; first-to-last
-        # the kernel column moves to each larger pair and is cleared from every pivot row (4,728 in all)
-        (2, 1618),
-        # at levels 3..5 the order makes no difference
-        (3, 2052),
-        (4, 2484),
-        (5, 2916),
+        # a row whose columns are all pivot columns is checked by evaluation, not cleared, and
+        # most rows of these systems are such checks: clearing every row made 1,618, 2,052,
+        # 2,484 and 2,916 calls.  What is left is the rows that bring a new pivot column and the
+        # back-clears of the stored rows.  Fed last-first, a new level-2 pivot column is held by
+        # few stored rows; first-to-last the kernel column moves to each larger pair and is
+        # cleared from every pivot row (3,628 in all)
+        (2, 178),
+        # at levels 3..5 every pivot row ends with one entry (199 first-to-last)
+        (3, 174),
+        (4, 174),
+        (5, 174),
     ],
 )
 def test_solve_reductions_per_level(monkeypatch, n, clears):
@@ -134,6 +138,24 @@ def test_solve_reductions_per_level(monkeypatch, n, clears):
     res = solve(system)
     assert res.consistent and res.nullity == (1 if n == 2 else 0)
     assert count == clears
+
+
+def test_verify_all_ledger(monkeypatch):
+    # the whole-run counts of `verify all`: a change anywhere that eliminates more often, or
+    # clears rows that evaluation settles (11,205 _clear calls before it did), fails here
+    counts = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    assert _patch_every_binding(monkeypatch, exactcore.eliminate, counting("eliminate", exactcore.eliminate)) >= 3
+    monkeypatch.setattr(exactcore, "_clear", counting("_clear", exactcore._clear))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "all", "--json"]) == 0
+    assert counts == {"eliminate": 15, "_clear": 1089}
 
 
 @pytest.mark.parametrize("suite,scaled", [("solve-unique", False), ("triple", True)])

@@ -306,6 +306,101 @@ def test_eliminate_takes_int_rows_as_given(system):
         assert min(row) == col and not (set(row) - {col}) & set(pivots)
 
 
+def _settled_case(seed):
+    """(rows, width, late): a full-rank block, then `late` rows that are exact combinations of it.
+
+    The hidden reduced rows E_p are e_p plus a free part on the non-pivot keys above p: none,
+    lam_p * u for a shared vector u, or one of their own.  The block mixes them by a unit
+    triangular matrix in a drawn order, so it has the pivots of E.  Each later row combines
+    rows of E with no free part and rows lam_p * u with weights summing to zero against lam,
+    so it lies on pivot columns only and leaves nothing in a free column; some of them get a
+    right-hand side moved off by a nonzero amount in a drawn column.  A last row on pivot
+    columns only, one of them holding a free part, may follow: it leaves a free column, so it
+    is cleared.  Rows are Fractions or ints in drawn shares.
+    """
+    rng = random.Random(seed)
+    keys = sorted(rng.sample([(i, j) for i in range(4) for j in range(5)], rng.randint(2, 10)))
+    pivots = sorted(rng.sample(keys, rng.randint(1, len(keys))))
+    width = rng.randint(1, 4)
+    free = [k for k in keys if k not in pivots]
+    shared = [p for p in pivots if free and p < free[-1] and rng.random() < 0.6]
+    u = {f: F(rng.choice((-1, 1)) * rng.randint(1, 4), 3) for f in free if shared and f > max(shared)}
+    lam, e = {}, {}
+    for p in pivots:
+        if p in shared:
+            lam[p] = F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            part = {f: lam[p] * v for f, v in u.items()}
+        elif rng.random() < 0.5:
+            part = {f: _entry(rng) for f in free if f > p}
+        else:
+            part = {}
+        e[p] = ({p: F(1), **{f: v for f, v in part.items() if v}}, [_entry(rng) for _ in range(width)])
+
+    def combine(weights):
+        row, rhs = {}, [F(0)] * width
+        for p, c in weights.items():
+            for k, v in e[p][0].items():
+                row[k] = row.get(k, F(0)) + c * v
+            rhs = [r + c * s for r, s in zip(rhs, e[p][1])]
+        return {k: v for k, v in row.items() if v}, rhs
+
+    order = rng.sample(pivots, len(pivots))
+    block = [combine({p: F(1), **{q: _entry(rng) for q in order[i + 1:] if rng.random() < 0.4}})
+             for i, p in enumerate(order)]
+    plain = [p for p in pivots if not e[p][0].keys() - {p}]
+    late = []
+    for _ in range(rng.randint(1, 8)):
+        weights = {p: _entry(rng) for p in plain if rng.random() < 0.6}
+        if len(shared) > 1 and rng.random() < 0.7:
+            group = rng.sample(shared, rng.randint(2, len(shared)))
+            weights.update({p: _entry(rng) for p in group[1:]})
+            weights[group[0]] = -sum(weights[p] * lam[p] for p in group[1:]) / lam[group[0]]
+        row, rhs = combine(weights)
+        if rng.random() < 0.3:
+            j = rng.randrange(width)
+            rhs[j] += rng.choice((-1, 1)) * F(rng.randint(1, 5), rng.randint(1, 3))
+        late.append((row, rhs))
+    holding = [p for p in pivots if p not in plain]
+    extra = []
+    if holding and rng.random() < 0.3:
+        extra.append(({p: F(rng.randint(1, 5)) for p in [rng.choice(holding), *rng.sample(plain, len(plain) // 2)]},
+                      [_entry(rng) for _ in range(width)]))
+    int_share = rng.choice((0, 1, rng.random()))
+    rows = []
+    for coeffs, rhs in block + late + extra:
+        if rng.random() < int_share:
+            d = lcm(*(v.denominator for v in [*coeffs.values(), *rhs])) * rng.choice((1, 2, -3, 6))
+            coeffs, rhs = {c: int(v * d) for c, v in coeffs.items()}, [int(v * d) for v in rhs]
+        rows.append((coeffs, rhs))
+    return rows, width, len(late)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32).map(_settled_case))
+def test_rows_on_pivot_columns_are_checked_by_evaluation(case):
+    rows, width, late = case
+    snapshot = [(dict(coeffs), list(rhs)) for coeffs, rhs in rows]
+    types = [[type(v) for v in [*coeffs.values(), *rhs]] for coeffs, rhs in rows]
+    settled = exactcore._settled
+    dropped = 0
+
+    def counted(row, rhs, pivots):
+        nonlocal dropped
+        left = settled(row, rhs, pivots)
+        dropped += left is not None
+        return left
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactcore, "_settled", counted)
+        got = eliminate(iter(rows), width)
+    # every later row is settled by evaluation, not cleared
+    assert dropped >= late
+    assert rows == snapshot
+    assert [[type(v) for v in [*coeffs.values(), *rhs]] for coeffs, rhs in rows] == types
+    as_fractions = [({c: F(v) for c, v in coeffs.items()}, [F(v) for v in rhs]) for coeffs, rhs in rows]
+    _same_echelon(got, _reference_eliminate(iter(as_fractions), width))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_grid_six_systems_eliminate_as_the_reference(n):
     sys = build_ident_system(n, 6, ATable.eholzer(n - 1, 40))

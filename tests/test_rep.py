@@ -180,13 +180,14 @@ def test_act_lower_surjective_on_triple_slices():
 def test_triple_preimage_explicit_and_random():
     v = triple_preimage((0, 0, 0))
     assert v.as_dict() == {(1, 0, 0): F(1)}
+    # every target of degree <= 4, then 30 drawn ones of degree up to 24
     rng = random.Random(41)
-    for n in range(1, 6):
-        for tgt in degree_slice(n - 1):
-            pre = triple_preimage(tgt)
-            # act_lower(pre) = -target, by the scaled convention
-            assert act_lower(pre).as_dict() == {tgt: F(-1)}, tgt
-            assert all(key[0] >= tgt[0] + 1 for key in pre.as_dict())
+    drawn = [tuple(rng.randint(0, 8) for _ in range(3)) for _ in range(30)]
+    for tgt in [t for n in range(5) for t in degree_slice(n)] + drawn:
+        pre = triple_preimage(tgt)
+        # act_lower(pre) = -target, by the scaled convention
+        assert act_lower(pre).as_dict() == {tgt: F(-1)}, tgt
+        assert all(key[0] >= tgt[0] + 1 for key in pre.as_dict())
 
 
 def test_xi_degree_zero_is_plain_product(catalogue):
