@@ -21,7 +21,7 @@ from .forms import (
 from .nearlyholo import (
     NearlyHoloForm,
     canonical_rc,
-    combi_bracket,
+    combi_brackets,
     lower,
     ramanujan_X,
     rc_bracket,

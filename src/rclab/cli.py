@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import coeffsolve, forms, nearlyholo, rep, starprod, uniq
 from .exactcore import pochhammer, rat
-from .forms import GradedForm, ModularForm, form_by_name
+from .forms import GradedForm, form_by_name
 
 
 class UsageError(Exception):
@@ -126,6 +126,7 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int 
                 f"canonical/corrected-element/{a}-{b}",
                 repm["ok"],
                 {"n_max": n_max, "prec": prec, "phi": "-E4/144"},
+                **({} if repm["ok"] else {"witness": _jsonify(repm["failures"][:1])}),
             )
         if phi_sign != "minus":
             # with both signs the quoted element is expected to fail
@@ -139,16 +140,14 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int 
             )
 
 
-def _combi_ok(f: ModularForm, g: ModularForm, n: int) -> bool:
-    """The degree-n bracket through the raising operator is holomorphic and equals rc_bracket."""
-    out = nearlyholo.combi_bracket(f, g, n)
-    return out.is_holomorphic() and out.ypoly[0] == nearlyholo.rc_bracket(f, g, n).series.truncate(out.prec)
-
-
 def suite_combi(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
     cat = _catalogue(prec)
     for a, b in [("E4", "E6"), ("E4", "Delta")]:
-        bad = next((n for n in range(n_max + 1) if not _combi_ok(cat[a], cat[b], n)), None)
+        f, g = cat[a], cat[b]
+        brackets = nearlyholo.combi_brackets(f, g, n_max)
+        # each degree through the raising operator is holomorphic and equals rc_bracket
+        bad = next((n for n, out in enumerate(brackets) if not out.is_holomorphic()
+                    or out.ypoly[0] != nearlyholo.rc_bracket(f, g, n).series.truncate(out.prec)), None)
         s.check(f"combi/holomorphic-and-equal/{a}-{b}", bad is None, {"n_max": n_max, "prec": prec},
                 **({} if bad is None else {"witness": {"n": bad}}))
 
@@ -157,8 +156,9 @@ def suite_der(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
     prec = max(prec, 12)
     cat = _catalogue(prec)
     for name, f in cat.items():
-        ok = all(nearlyholo.verify_der_identity(f, m) for m in range(n_max + 1))
-        s.check(f"der/{name}", ok, {"m_max": n_max, "prec": prec})
+        bad = nearlyholo.verify_der_identity(f, n_max)
+        s.check(f"der/{name}", bad is None, {"m_max": n_max, "prec": prec},
+                **({} if bad is None else {"witness": {"m": bad}}))
 
 
 def _casimir_ok(w: int, n: int) -> bool:

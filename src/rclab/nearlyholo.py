@@ -17,6 +17,10 @@ sum_(i+j=N) i^r j^(n-r) a_i b_j; substitute j = N - i and collect the powers
 of i, and the bracket becomes sum_t e_t D^(n-t)(D^t f * g) with
 e_t = (-1)^t C(n+x-1, n-t) C(n+x+y-2+t, t).  The products D^t f * g depend
 on neither n nor the weights, so the brackets of one pair share them.
+
+Each form's chain (X^r f for combi_brackets and the der identity, Zagier's
+f_r for canonical_rc) is built once, up to the top degree, and each degree
+reads its prefix; _bracket_sum is the one sum over two chains.
 """
 
 from __future__ import annotations
@@ -142,15 +146,12 @@ def raising_chain(F: NearlyHoloForm, top: int) -> list[NearlyHoloForm]:
 
 
 def dtil_chain(F: NearlyHoloForm | ModularForm, top: int) -> list[NearlyHoloForm]:
-    """dtil^r F = X^r F / (weight)_r for r = 0..top, the phi_r basis, dividing by weight + r per step."""
+    """dtil^r F = X^r F / (weight)_r for r = 0..top, the phi_r basis, read off the raising chain."""
     if isinstance(F, ModularForm):
         F = NearlyHoloForm.from_modular(F)
     if pochhammer(F.weight, top) == 0:
         raise ValueError(f"normalized raising undefined: ({F.weight})_{top} = 0")
-    chain = [F]
-    for r in range(top):
-        chain.append(shimura_X(chain[-1]).scale(Fraction(1, F.weight + r)))
-    return chain
+    return [xr.scale(1 / pochhammer(F.weight, r)) for r, xr in enumerate(raising_chain(F, top))]
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +264,15 @@ def zagier_sequence(f: ModularForm, phi: ModularForm, r_max: int) -> list[Modula
     return seq
 
 
-def _chain_bracket(fs: list[ModularForm], gs: list[ModularForm], n: int, prec: int) -> ModularForm:
-    """sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) f_r g_(n-r) from chains f_0.., g_0.. of length > n."""
-    x, y = fs[0].weight, gs[0].weight
-    a = [fr.series.truncate(prec) for fr in fs[: n + 1]]
-    b = [gr.series.truncate(prec) for gr in gs[: n + 1]]
-    return ModularForm(x + y + 2 * n, _bracket_sum(n, x, y, a, b, QSeries.zero(prec)))
-
-
 def canonical_rc(f: ModularForm, g: ModularForm, n: int, phi: ModularForm) -> ModularForm:
     """Bracket built from the inductive chains instead of q-derivatives.
 
     sum_r (-1)^r C(n+x-1, n-r) C(n+y-1, r) f_r g_(n-r).  Whether this equals
     rc_bracket depends on the choice of phi; see verify_canonical_rc.
     """
-    prec = min(f.prec, g.prec, phi.prec)
-    return _chain_bracket(zagier_sequence(f, phi, n), zagier_sequence(g, phi, n), n, prec)
+    x, y = f.weight, g.weight
+    zero = ModularForm(x + y + 2 * n, QSeries.zero(min(f.prec, g.prec, phi.prec)))
+    return _bracket_sum(n, x, y, zagier_sequence(f, phi, n), zagier_sequence(g, phi, n), zero)
 
 
 def verify_canonical_rc(
@@ -287,15 +281,14 @@ def verify_canonical_rc(
     """Compare canonical_rc against rc_bracket for n <= n_max.
 
     Returns {"ok": bool, "failures": [(n, first bad power, residual coeff)]}.
-    No renormalization is attempted; a mismatch is surfaced as data.  The
-    chains of f and g are built once, up to n_max, and each degree reads
-    their prefixes.
+    No renormalization is attempted; a mismatch is surfaced as data.
     """
+    x, y = f.weight, g.weight
     prec = min(f.prec, g.prec, phi.prec)
     fs, gs = zagier_sequence(f, phi, n_max), zagier_sequence(g, phi, n_max)
     failures = []
     for n in range(n_max + 1):
-        lhs = _chain_bracket(fs, gs, n, prec)
+        lhs = _bracket_sum(n, x, y, fs, gs, ModularForm(x + y + 2 * n, QSeries.zero(prec)))
         rhs = rc_bracket(f, g, n).truncate(lhs.prec)
         diff = lhs.series - rhs.series
         if not diff.is_zero():
@@ -309,36 +302,38 @@ def verify_canonical_rc(
 # ---------------------------------------------------------------------------
 
 
-def verify_der_identity(f: ModularForm, m: int) -> bool:
-    """Check D^m f = m! sum_r Y^r (X^(m-r)/(m-r)!) C(w+m-1, r) f exactly."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+def verify_der_identity(f: ModularForm, m_max: int) -> int | None:
+    """The first m <= m_max where D^m f != m! sum_r Y^r (X^(m-r)/(m-r)!) C(w+m-1, r) f, or None."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     w = f.weight
     prec = f.prec
-    chain = raising_chain(NearlyHoloForm.from_modular(f), m)
-    rhs = NearlyHoloForm.zero(w + 2 * m, prec)
-    for r in range(m + 1):
-        coeff = binom(w + m - 1, r) / math.factorial(m - r)
-        # multiply by Y^r: shift the Y-polynomial up by r
-        shifted = [QSeries.zero(prec)] * r + [s for s in chain[m - r].ypoly]
-        rhs = rhs + NearlyHoloForm.make(w + 2 * m, shifted).scale(coeff)
-    rhs = rhs.scale(math.factorial(m))
-    dm = f.series
-    for _ in range(m):
+    chain = raising_chain(NearlyHoloForm.from_modular(f), m_max)
+    dm = f.series  # D^m f, one derivative more per m
+    for m in range(m_max + 1):
+        rhs = NearlyHoloForm.zero(w + 2 * m, prec)
+        for r in range(m + 1):
+            coeff = binom(w + m - 1, r) * math.perm(m, r)  # m!/(m-r)! C(w+m-1, r)
+            # multiply by Y^r: shift the Y-polynomial up by r
+            shifted = [QSeries.zero(prec)] * r + [s for s in chain[m - r].ypoly]
+            rhs = rhs + NearlyHoloForm.make(w + 2 * m, shifted).scale(coeff)
+        if NearlyHoloForm.make(w + 2 * m, [dm]) != rhs:
+            return m
         dm = dm.derive()
-    lhs = NearlyHoloForm.make(w + 2 * m, [dm])
-    return lhs == rhs
+    return None
 
 
-def combi_bracket(f: ModularForm, g: ModularForm, n: int) -> NearlyHoloForm:
-    """Bracket written through the raising operator:
+def combi_brackets(f: ModularForm, g: ModularForm, n_max: int) -> list[NearlyHoloForm]:
+    """Brackets n = 0..n_max written through the raising operator:
 
     sum_r (-1)^r C(x+n-1, n-r) C(y+n-1, r) X^r f * X^(n-r) g.
 
-    The Y-terms cancel: the result is holomorphic and equals rc_bracket.
+    The Y-terms cancel: each result is holomorphic and equals rc_bracket.
+    Every degree reads a prefix of one raising chain per form.
     """
     x, y = f.weight, g.weight
     prec = min(f.prec, g.prec)
-    xf = raising_chain(NearlyHoloForm.from_modular(f).truncate(prec), n)
-    xg = raising_chain(NearlyHoloForm.from_modular(g).truncate(prec), n)
-    return _bracket_sum(n, x, y, xf, xg, NearlyHoloForm.zero(x + y + 2 * n, prec))
+    xf = raising_chain(NearlyHoloForm.from_modular(f).truncate(prec), n_max)
+    xg = raising_chain(NearlyHoloForm.from_modular(g).truncate(prec), n_max)
+    return [_bracket_sum(n, x, y, xf, xg, NearlyHoloForm.zero(x + y + 2 * n, prec))
+            for n in range(n_max + 1)]

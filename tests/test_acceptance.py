@@ -21,7 +21,7 @@ from rclab.cli import RunConfig, run_verify
 from rclab.coeffsolve import degree_in_c
 from rclab.exactcore import pochhammer
 from rclab.forms import GradedForm, delta, eisenstein_form, phi_zagier
-from rclab.nearlyholo import canonical_rc, combi_bracket, rc_bracket
+from rclab.nearlyholo import canonical_rc, combi_brackets, rc_bracket
 from rclab.rep import act_lower, casimir_eigenvalue, lowest_weight_tensor, realize_and_multiply
 from rclab.uniq import rc_uniqueness_check
 
@@ -105,8 +105,9 @@ def test_criterion_02_raising_operator_bracket_form():
     cat = _cat(prec)
     ok = True
     for a, b in PAIRS:
-        for n in range(6):
-            out = combi_bracket(cat[a], cat[b], n)
+        brackets = combi_brackets(cat[a], cat[b], 5)
+        ok = ok and len(brackets) == 6
+        for n, out in enumerate(brackets):
             ok = ok and out.is_holomorphic() and out.ypoly[0] == rc_bracket(cat[a], cat[b], n).series
     assert _report(2, "raising-operator bracket form, n <= 5", ok)
 

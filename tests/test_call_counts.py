@@ -28,8 +28,12 @@ from rclab.forms import GradedForm, ModularForm
         ("ident", starprod.ident_numerators, 1344),
         # one chain per form, per pair and per phi sign: 3 pairs x 2 signs x 2 forms
         ("canonical", nearlyholo.zagier_sequence, 12),
-        # X^1..X^m f once per m: 3 forms x (1 + 2 + 3 + 4 + 5)
-        ("der", nearlyholo.shimura_X, 45),
+        # one raising chain per form and pair up to n_max = 5, every degree reading its prefix:
+        # 2 pairs x 2 forms x 5 (a chain per degree made 60)
+        ("combi", nearlyholo.shimura_X, 20),
+        # one raising chain X^1..X^5 f per form, every order reading its prefix: 3 forms x 5
+        # (a chain per order made 45)
+        ("der", nearlyholo.shimura_X, 15),
         # one normalized chain per factor: per (E4, E6) realization 2n raises for n <= 4
         ("propasso", nearlyholo.shimura_X, 20),
         # the xi-kernel checks: per triple and (n, p), nu raises of each of f and g, then p of
@@ -141,21 +145,31 @@ def test_solve_reductions_per_level(monkeypatch, n, clears):
 
 
 def test_verify_all_ledger(monkeypatch):
-    # the whole-run counts of `verify all`: a change anywhere that eliminates more often, or
-    # clears rows that evaluation settles (11,205 _clear calls before it did), fails here
+    # the whole-run counts of `verify all`: a change anywhere that eliminates more often, clears
+    # rows that evaluation settles (11,205 _clear calls before it did), raises a chain again
+    # (205 shimura_X calls with a chain per degree) or makes more brackets or series products
+    # fails here.  The caches are emptied first, so that the counts do not depend on the tests
+    # run before
+    uniq._monomial.cache_clear()
+    uniq._monomial_bracket.cache_clear()
+    forms.eisenstein.cache_clear()
+    monkeypatch.setattr(nearlyholo, "_last_pair", None)
     counts = Counter()
 
     def counting(name, function):
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[name] += 1
-            return function(*args)
+            return function(*args, **kwargs)
         return counted
 
-    assert _patch_every_binding(monkeypatch, exactcore.eliminate, counting("eliminate", exactcore.eliminate)) >= 3
+    for function, bindings in ((exactcore.eliminate, 3), (nearlyholo.shimura_X, 2), (nearlyholo.rc_bracket, 4)):
+        assert _patch_every_binding(monkeypatch, function, counting(function.__name__, function)) >= bindings
     monkeypatch.setattr(exactcore, "_clear", counting("_clear", exactcore._clear))
+    monkeypatch.setattr(QSeries, "__mul__", counting("QSeries products", QSeries.__mul__))
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "all", "--json"]) == 0
-    assert counts == {"eliminate": 15, "_clear": 1089}
+    assert counts == {"eliminate": 15, "_clear": 1089, "shimura_X": 135, "rc_bracket": 438,
+                      "QSeries products": 1765}
 
 
 @pytest.mark.parametrize("suite,scaled", [("solve-unique", False), ("triple", True)])

@@ -14,7 +14,7 @@ from rclab.nearlyholo import (
     NearlyHoloForm,
     _bracket_sum,
     canonical_rc,
-    combi_bracket,
+    combi_brackets,
     dtil_chain,
     lower,
     raising_chain,
@@ -283,12 +283,14 @@ def test_lower_raise_commutator_is_weight():
 @pytest.mark.parametrize("name", ["E4", "E6", "Delta"])
 def test_der_identity(catalogue, name):
     f = catalogue[name].truncate(25)
-    assert all(verify_der_identity(f, m) for m in range(6))
+    assert verify_der_identity(f, 5) is None
+    with pytest.raises(ValueError):
+        verify_der_identity(f, -1)
 
 
 def test_combi_bracket_degree_one(catalogue):
     e4, e6 = catalogue["E4"], catalogue["E6"]
-    got = combi_bracket(e4, e6, 1)
+    got = combi_brackets(e4, e6, 1)[1]
     assert got.is_holomorphic()
     assert got.ypoly[0] == rc_bracket(e4, e6, 1).series
     # explicit cancellation: 4 f Xg - 6 Xf g with the Y-parts dropping out
@@ -300,8 +302,9 @@ def test_combi_bracket_degree_one(catalogue):
 @pytest.mark.parametrize("pair", [("E4", "E6"), ("E4", "Delta")])
 def test_combi_bracket_holomorphic_to_degree_five(catalogue, pair):
     f, g = catalogue[pair[0]].truncate(25), catalogue[pair[1]].truncate(25)
-    for n in range(6):
-        assert combi_bracket(f, g, n).is_holomorphic()
+    brackets = combi_brackets(f, g, 5)
+    assert len(brackets) == 6
+    assert all(out.is_holomorphic() for out in brackets)
 
 
 def test_nearlyholo_prec_and_trim():
@@ -313,8 +316,8 @@ def test_nearlyholo_prec_and_trim():
         NearlyHoloForm.make(4, [])
 
 
-# canonical_rc, verify_canonical_rc and verify_der_identity as they were
-# before the chains were built once per call, kept verbatim as oracles.
+# canonical_rc, verify_canonical_rc, verify_der_identity and combi_bracket as
+# they were before the chains were built once per call, kept verbatim as oracles.
 
 
 def per_degree_canonical_rc(f: ModularForm, g: ModularForm, n: int, phi: ModularForm) -> ModularForm:
@@ -360,6 +363,18 @@ def per_order_verify_der_identity(f: ModularForm, m: int) -> bool:
     return lhs == rhs
 
 
+def per_degree_combi_bracket(f: ModularForm, g: ModularForm, n: int) -> NearlyHoloForm:
+    x, y = f.weight, g.weight
+    prec = min(f.prec, g.prec)
+    xf = raising_chain(NearlyHoloForm.from_modular(f).truncate(prec), n)
+    xg = raising_chain(NearlyHoloForm.from_modular(g).truncate(prec), n)
+    return _bracket_sum(n, x, y, xf, xg, NearlyHoloForm.zero(x + y + 2 * n, prec))
+
+
+def first_failing_order(f: ModularForm, m_max: int) -> int | None:
+    return next((m for m in range(m_max + 1) if not per_order_verify_der_identity(f, m)), None)
+
+
 def _form(rng, weights, low, high):
     prec = rng.randint(low, high)
     generator = form_by_name(rng.choice(("E4", "E6", "Delta")), prec)
@@ -392,9 +407,31 @@ def _der_case(seed):
 @settings(max_examples=30)
 @given(st.integers(0, 2**32).map(_der_case))
 def test_der_identity_matches_the_per_order_powers(case):
-    f, m = case
-    assert verify_der_identity(f, m) is per_order_verify_der_identity(f, m) is True
+    f, m_max = case
+    assert verify_der_identity(f, m_max) is first_failing_order(f, m_max) is None
     with pytest.MonkeyPatch.context() as mp:
         # a raising operator wrong from X^2 on: both versions must see it the same way
         mp.setattr(nearlyholo, "shimura_X", _shimura_X_y_term_off_by_one)
-        assert verify_der_identity(f, m) is per_order_verify_der_identity(f, m)
+        assert verify_der_identity(f, m_max) == first_failing_order(f, m_max) == (2 if m_max >= 2 else None)
+
+
+PAIRS = [(a, b) for a in ("E4", "E6", "Delta") for b in ("E4", "E6", "Delta")]
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["unpatched", "shimura_X-y-term-off-by-one"])
+def test_one_chain_per_form_matches_the_per_degree_chains(monkeypatch, catalogue, planted):
+    # every degree and order read from one chain equals its own chain, built from scratch
+    if planted:
+        monkeypatch.setattr(nearlyholo, "shimura_X", _shimura_X_y_term_off_by_one)
+    for a, b in PAIRS:
+        f, g = catalogue[a], catalogue[b]
+        brackets = combi_brackets(f, g, 6)
+        assert len(brackets) == 7
+        for n, got in enumerate(brackets):
+            assert got == per_degree_combi_bracket(f, g, n)
+            # a wrong X^2 leaves Y-terms from n = 2 on, except in [f, f]_n for odd n, which is
+            # antisymmetric in its two chains and so zero
+            assert got.is_holomorphic() is (not planted or n < 2 or a == b and n % 2 == 1)
+    for name in ("E4", "E6", "Delta"):
+        f = catalogue[name]
+        assert verify_der_identity(f, 8) == first_failing_order(f, 8) == (2 if planted else None)

@@ -226,13 +226,27 @@ def test_fine_failure_names_the_first_disagreeing_point(capsys, monkeypatch):
             id="combi",
         ),
         pytest.param(
+            nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "der",
+            {"der/E4": {"m": 2}, "der/E6": {"m": 2}, "der/Delta": {"m": 2}},
+            id="der",
+        ),
+        pytest.param(
+            nearlyholo.ramanujan_X, _ramanujan_X_off_by_f_from_ten, "canonical",
+            {"canonical/corrected-element/E4-E6": [[3, 0, "35/12"]],
+             "canonical/corrected-element/E4-Delta": [[1, 1, "2"]],
+             "canonical/corrected-element/E6-Delta": [[1, 1, "3"]]},
+            id="canonical",
+        ),
+        pytest.param(
             rep.act_lower, _act_lower_doubled_from_two, "triple", {"triple/preimage-formula": {"target": [0, 0, 1]}},
             id="triple",
         ),
     ],
 )
 def test_a_failing_record_names_its_first_witness(capsys, monkeypatch, original, replacement, suite, witnesses):
-    # X^2 is the first wrong raise; the first target whose preimage has an index 2 is (0, 0, 1)
+    # X^2 is the first wrong raise, so combi fails first at n = 2 and der at m = 2; the first
+    # Zagier chain term raised from weight 10 or more is E6's f_3 (n = 3) and Delta's f_1
+    # (n = 1); the first target whose preimage has an index 2 is (0, 0, 1)
     _patch_every_binding(monkeypatch, original, replacement)
     assert main(["verify", suite, "--json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
