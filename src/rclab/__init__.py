@@ -41,7 +41,7 @@ from .rep import (
     realize_and_multiply,
     triple_kernel_dim,
     triple_preimage,
-    xi_vector_concrete,
+    xi_vectors,
 )
 from .starprod import (
     HbarSeries,

@@ -117,11 +117,13 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int 
     cat = _catalogue(prec)
     pairs = [("E4", "E6"), ("E4", "Delta"), ("E6", "Delta")]
     phi_plus = forms.phi_zagier(prec)
-    phi_minus = phi_plus.scale(-1)
+    phis = {"minus": phi_plus.scale(-1), "plus": phi_plus}
+    # one Zagier chain per form and sign of phi, every pair reading it
+    chains = {(name, sign): nearlyholo.zagier_sequence(f, phi, n_max)
+              for name, f in cat.items() for sign, phi in phis.items() if phi_sign in (sign, "both")}
     for a, b in pairs:
-        f, g = cat[a], cat[b]
         if phi_sign in ("minus", "both"):
-            repm = nearlyholo.verify_canonical_rc(f, g, n_max, phi_minus)
+            repm = nearlyholo.verify_canonical_rc(chains[a, "minus"], chains[b, "minus"])
             s.check(
                 f"canonical/corrected-element/{a}-{b}",
                 repm["ok"],
@@ -130,7 +132,7 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int 
             )
         if phi_sign != "minus":
             # with both signs the quoted element is expected to fail
-            repp = nearlyholo.verify_canonical_rc(f, g, n_max, phi_plus)
+            repp = nearlyholo.verify_canonical_rc(chains[a, "plus"], chains[b, "plus"])
             kind = "quoted-element-mismatch-reproduced" if phi_sign == "both" else "quoted-element"
             s.check(
                 f"canonical/{kind}/{a}-{b}",
@@ -193,15 +195,16 @@ def suite_propasso(s: Suite, prec: int = RunConfig.prec) -> None:
     )
     s.check("propasso/tensor-kernel", ok, {"n_max": n_kernel})
     f, g = cat["E4"], cat["E6"]
-    ok = True
-    for n in range(n_realize + 1):
-        got = rep.realize_and_multiply(rep.lowest_weight_tensor(4, 6, n), f, g)
-        want = nearlyholo.rc_bracket(f, g, n).series.scale(
-            1 / (pochhammer(4, n) * pochhammer(6, n))
-        )
-        if not (got.is_holomorphic() and got.ypoly[0] == want.truncate(got.prec)):
-            ok = False
-    s.check("propasso/realization-E4-E6", ok, {"n_max": n_realize, "prec": prec})
+    fs, gs = nearlyholo.dtil_chain(f, n_realize), nearlyholo.dtil_chain(g, n_realize)
+
+    def realizes_bracket(n: int) -> bool:
+        got = rep.realize_and_multiply(rep.lowest_weight_tensor(4, 6, n), fs, gs)
+        want = nearlyholo.rc_bracket(f, g, n).series.scale(1 / (pochhammer(4, n) * pochhammer(6, n)))
+        return got.is_holomorphic() and got.ypoly[0] == want.truncate(got.prec)
+
+    bad = next((n for n in range(n_realize + 1) if not realizes_bracket(n)), None)
+    s.check("propasso/realization-E4-E6", bad is None, {"n_max": n_realize, "prec": prec},
+            **({} if bad is None else {"witness": {"n": bad}}))
 
 
 def suite_triple(s: Suite, prec: int = RunConfig.prec) -> None:
@@ -217,13 +220,10 @@ def suite_triple(s: Suite, prec: int = RunConfig.prec) -> None:
     cat = _catalogue(prec)
     triples = [("E4", "E4", "E6"), ("E4", "E6", "Delta")]
     for names in triples:
-        f, g, h = (cat[x] for x in names)
-        ok = all(
-            nearlyholo.lower(rep.xi_vector_concrete(f, g, h, n, p)).is_zero()
-            for n in range(xi_n_max + 1)
-            for p in range(n + 1)
-        )
-        s.check(f"triple/xi-kernel/{'-'.join(names)}", ok, {"n_max": xi_n_max, "prec": prec})
+        xis = rep.xi_vectors(*(cat[x] for x in names), xi_n_max)
+        bad = next((np for np, xi in xis.items() if not nearlyholo.lower(xi).is_zero()), None)
+        s.check(f"triple/xi-kernel/{'-'.join(names)}", bad is None, {"n_max": xi_n_max, "prec": prec},
+                **({} if bad is None else {"witness": {"n": bad[0], "p": bad[1]}}))
 
 
 def suite_ident(s: Suite, n_max: int = 5, grid_bound: int = RunConfig.grid_bound,

@@ -20,7 +20,9 @@ on neither n nor the weights, so the brackets of one pair share them.
 
 Each form's chain (X^r f for combi_brackets and the der identity, Zagier's
 f_r for canonical_rc) is built once, up to the top degree, and each degree
-reads its prefix; _bracket_sum is the one sum over two chains.
+reads its prefix; verify_canonical_rc reads chains its caller built, so
+that pairs sharing a form share its chain.  _bracket_sum is the one sum over
+two chains.
 """
 
 from __future__ import annotations
@@ -275,19 +277,20 @@ def canonical_rc(f: ModularForm, g: ModularForm, n: int, phi: ModularForm) -> Mo
     return _bracket_sum(n, x, y, zagier_sequence(f, phi, n), zagier_sequence(g, phi, n), zero)
 
 
-def verify_canonical_rc(
-    f: ModularForm, g: ModularForm, n_max: int, phi: ModularForm
-) -> dict:
-    """Compare canonical_rc against rc_bracket for n <= n_max.
+def verify_canonical_rc(fs: list[ModularForm], gs: list[ModularForm]) -> dict:
+    """Compare the bracket sum over two Zagier chains against rc_bracket, n <= the shorter top.
 
-    Returns {"ok": bool, "failures": [(n, first bad power, residual coeff)]}.
-    No renormalization is attempted; a mismatch is surfaced as data.
+    fs and gs are zagier_sequence(f, phi, n_max) and zagier_sequence(g, phi,
+    n_max), built once by the caller; each degree reads their prefixes, at
+    the common precision of the chains.  Returns {"ok": bool, "failures":
+    [(n, first bad power, residual coeff)]}.  No renormalization is
+    attempted; a mismatch is surfaced as data.
     """
+    f, g = fs[0], gs[0]
     x, y = f.weight, g.weight
-    prec = min(f.prec, g.prec, phi.prec)
-    fs, gs = zagier_sequence(f, phi, n_max), zagier_sequence(g, phi, n_max)
+    prec = min(s.prec for s in (*fs, *gs))
     failures = []
-    for n in range(n_max + 1):
+    for n in range(min(len(fs), len(gs))):
         lhs = _bracket_sum(n, x, y, fs, gs, ModularForm(x + y + 2 * n, QSeries.zero(prec)))
         rhs = rc_bracket(f, g, n).truncate(lhs.prec)
         diff = lhs.series - rhs.series

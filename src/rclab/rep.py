@@ -160,20 +160,18 @@ def lowest_weight_tensor(x: int, y: int, n: int) -> Vector:
     return Vector.make((x, y), {k: fact * c for k, c in coeffs.items()})
 
 
-def realize_and_multiply(
-    v: Vector, f: ModularForm | NearlyHoloForm, g: ModularForm | NearlyHoloForm
-) -> NearlyHoloForm:
-    """Send dtil^r f (x) dtil^s g to the product of the realized factors.
+def realize_and_multiply(v: Vector, fs: list[NearlyHoloForm], gs: list[NearlyHoloForm]) -> NearlyHoloForm:
+    """Send dtil^r f (x) dtil^s g to fs[r] * gs[s], the product of the realized factors.
 
-    dtil^r is realized as X^r / (weight)_r on each factor, read from one
-    normalized chain per factor.  On the vector lowest_weight_tensor(x, y, n)
+    fs and gs are the normalized chains dtil_chain(f, .) and dtil_chain(g, .),
+    built once by the caller, realizing dtil^r as X^r / (weight)_r; each
+    vector reads their prefixes.  On the vector lowest_weight_tensor(x, y, n)
     this lands exactly on rc_bracket(f, g, n) / ((x)_n (y)_n).
     """
+    f, g = fs[0], gs[0]
     if v.weights != (f.weight, g.weight):
         raise ValueError(f"vector weights {v.weights} do not match forms ({f.weight}, {g.weight})")
     keys = [key for key, _ in v.support] or [(0, 0)]
-    fs = dtil_chain(f, max(r for r, _ in keys))
-    gs = dtil_chain(g, max(s for _, s in keys))
     # every term has the weight of the first: adding one of another total degree raises ValueError
     total = NearlyHoloForm.zero(sum(v.weights) + 2 * sum(keys[0]), min(f.prec, g.prec))
     for (r, s), c in v.support:
@@ -229,26 +227,30 @@ def triple_preimage(target: tuple[int, int, int]) -> Vector:
     return Vector.make((0, 0, 0), support)  # the lowering action does not read the weights
 
 
-def xi_vector_concrete(
-    f: ModularForm, g: ModularForm, h: ModularForm, n: int, p: int
-) -> NearlyHoloForm:
-    """Concrete lowest-weight vector xi_(n,p) in the three-factor space.
+def xi_vectors(f: ModularForm, g: ModularForm, h: ModularForm, n_max: int) -> dict[tuple[int, int], NearlyHoloForm]:
+    """Concrete lowest-weight vectors xi_(n,p) in the three-factor space, 0 <= p <= n <= n_max.
 
     With x, y, z the weights of f, g, h and nu = n - p, the pair (f, g) gives
     the holomorphic lowest-weight vector of weight B = x + y + 2 nu
 
-      w = (-1)^nu nu! realize(lowest_weight_tensor(x, y, nu), f, g),
+      w_nu = (-1)^nu nu! realize(lowest_weight_tensor(x, y, nu), f, g),
 
-    and xi is the one of degree p in the pair (w, h):
+    and xi is the one of degree p in the pair (w_nu, h):
 
-      xi_(n,p) = p! realize(lowest_weight_tensor(B, z, p), w, h)
-               = sum_s (-1)^s C(p, s) [X^s w / (B)_s] * dtil^(p-s) h,
+      xi_(n,p) = p! realize(lowest_weight_tensor(B, z, p), w_nu, h)
+               = sum_s (-1)^s C(p, s) [X^s w_nu / (B)_s] * dtil^(p-s) h,
 
     so lower(xi) = 0 is an exact identity for every n, p and all weights.
+    One normalized chain per factor f, g, h and per w_nu is built, up to the
+    top degree it reaches; every (n, p) reads their prefixes.  Keyed by
+    (n, p), in the order n, then p.
     """
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    nu = n - p
-    w = realize_and_multiply(lowest_weight_tensor(f.weight, g.weight, nu), f, g)
-    w = w.scale((-1) ** nu * math.factorial(nu))
-    return realize_and_multiply(lowest_weight_tensor(w.weight, h.weight, p), w, h).scale(math.factorial(p))
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    fs, gs, hs = (dtil_chain(form, n_max) for form in (f, g, h))
+    ws = []
+    for nu in range(n_max + 1):
+        w = realize_and_multiply(lowest_weight_tensor(f.weight, g.weight, nu), fs, gs)
+        ws.append(dtil_chain(w.scale((-1) ** nu * math.factorial(nu)), n_max - nu))
+    return {(n, p): realize_and_multiply(lowest_weight_tensor(ws[n - p][0].weight, h.weight, p), ws[n - p], hs)
+            .scale(math.factorial(p)) for n in range(n_max + 1) for p in range(n + 1)}

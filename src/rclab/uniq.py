@@ -21,11 +21,12 @@ rests on that fact, and nothing in rc-lab computes a gcd or a factorization.
 
 The search works in generator coordinates.  [., .]_n is bilinear, so each
 term [f, g]_n of a drawn pair is a sum of c_i d_j [m_i, m_j]_n over the
-generator monomials m = E4^a E6^b, and the monomial brackets are memoized per
-(m_i, m_j, n, prec): at weights 4..16 and order 3 the table has at most
-9 * 9 * 4 entries per precision, filled once per process.  The generator
-monomials themselves are memoized per (a, b, prec) and shared with
-IsobaricPoly.to_form.
+generator monomials m = E4^a E6^b.  The search owns one table of monomial
+brackets, filled one monomial pair at a time by one rc_bracket walk over
+n = 0..order, so the degrees of a pair share their products D^t m_i * m_j:
+at weights 4..16 and order 3 it holds at most 9 * 9 pairs of 4 brackets, and
+it goes when the search returns.  The generator monomials themselves are
+memoized per (a, b, prec) and shared with IsobaricPoly.to_form.
 
 The determinant and the cubic certificate do not depend on any point:
 fine_det3_mpoly is derived once per process and fine_det3 evaluates it, and
@@ -424,16 +425,20 @@ def _graded(p: IsobaricPoly, prec: int) -> GradedForm:
     return GradedForm({w: IsobaricPoly(t).to_form(prec) for w, t in parts.items()})
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: int) -> QSeries:
-    """[E4^a1 E6^b1, E4^a2 E6^b2]_n to prec, memoized: the search's bracket table."""
-    (a1, b1), (a2, b2) = m1, m2
-    f = ModularForm(4 * a1 + 6 * b1, _monomial(a1, b1, prec))
-    g = ModularForm(4 * a2 + 6 * b2, _monomial(a2, b2, prec))
-    return rc_bracket(f, g, n).series
+class _BracketTable(dict):
+    """(m_f, m_g) -> [m_f, m_g]_n for n = 0..order to prec, each pair filled by one rc_bracket walk."""
+
+    def __init__(self, order: int, prec: int):
+        super().__init__()
+        self.order, self.prec = order, prec
+
+    def __missing__(self, pair: tuple[tuple[int, int], tuple[int, int]]) -> list[QSeries]:
+        f, g = (ModularForm(4 * a + 6 * b, _monomial(a, b, self.prec)) for a, b in pair)
+        self[pair] = walk = [rc_bracket(f, g, n).series for n in range(self.order + 1)]
+        return walk
 
 
-def _bracket_term(f: MPoly, g: MPoly, n: int, prec: int) -> GradedForm:
+def _bracket_term(f: MPoly, g: MPoly, n: int, table: _BracketTable) -> GradedForm:
     """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).terms[n].
 
     By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
@@ -443,7 +448,7 @@ def _bracket_term(f: MPoly, g: MPoly, n: int, prec: int) -> GradedForm:
     for (a1, b1), c in f.terms.items():
         for (a2, b2), d in g.terms.items():
             w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
-            s = _monomial_bracket((a1, b1), (a2, b2), n, prec).scale(c * d)
+            s = table[(a1, b1), (a2, b2)][n].scale(c * d)
             parts[w] = parts[w] + s if w in parts else s
     return GradedForm({w: ModularForm(w, s) for w, s in parts.items()})
 
@@ -454,13 +459,14 @@ def random_uniqueness_search(seeds: int, order: int = 3, prec: int = 15, seed0: 
     Each trial draws two random graded pairs in generator coordinates; every
     third trial replaces the second pair by an exact rescaling of the first
     to exercise the recovery path.  The terms [f, g]_n are assembled from the
-    memoized monomial-bracket table and compared order by order, so
+    search's monomial-bracket table and compared order by order, so
     non-matching pairs exit at their first differing term.  When every term
     up to `order` agrees, the series RC(f1, g1) and RC(f2, g2) are equal, so
     the pairs go straight to the verdict half of rc_uniqueness_check with no
     bracket recomputed.  Returns counts; 'counterexamples' must stay 0.
     """
     stats = {"trials": seeds, "equal_pairs": 0, "recovered_constants": 0, "counterexamples": 0}
+    table = _BracketTable(order, prec)
     for i in range(seeds):
         rng = random.Random(seed0 + i)
         f1, g1 = _random_coords(rng), _random_coords(rng)
@@ -470,7 +476,7 @@ def random_uniqueness_search(seeds: int, order: int = 3, prec: int = 15, seed0: 
         else:
             f2, g2 = _random_coords(rng), _random_coords(rng)
         if any(
-            _bracket_term(f1, g1, n, prec) != _bracket_term(f2, g2, n, prec)
+            _bracket_term(f1, g1, n, table) != _bracket_term(f2, g2, n, table)
             for n in range(order + 1)
         ):
             continue

@@ -21,7 +21,7 @@ from rclab.cli import RunConfig, run_verify
 from rclab.coeffsolve import degree_in_c
 from rclab.exactcore import pochhammer
 from rclab.forms import GradedForm, delta, eisenstein_form, phi_zagier
-from rclab.nearlyholo import canonical_rc, combi_brackets, rc_bracket
+from rclab.nearlyholo import canonical_rc, combi_brackets, dtil_chain, rc_bracket
 from rclab.rep import act_lower, casimir_eigenvalue, lowest_weight_tensor, realize_and_multiply
 from rclab.uniq import rc_uniqueness_check
 
@@ -137,8 +137,9 @@ def test_criterion_05_lowest_weight_vectors_and_realization():
     prec = 20
     e4 = eisenstein_form(4, prec)
     e6 = eisenstein_form(6, prec)
+    fs, gs = dtil_chain(e4, 4), dtil_chain(e6, 4)
     for n in range(5):
-        got = realize_and_multiply(lowest_weight_tensor(4, 6, n), e4, e6)
+        got = realize_and_multiply(lowest_weight_tensor(4, 6, n), fs, gs)
         want = rc_bracket(e4, e6, n).series.scale(1 / (pochhammer(4, n) * pochhammer(6, n)))
         ok = ok and got.is_holomorphic() and got.ypoly[0] == want
     assert _report(5, "lowest-weight vectors and bracket realization", ok)

@@ -26,19 +26,25 @@ from rclab.forms import GradedForm, ModularForm
     [
         # one set of numerators per (n, p, k, l, m), shared by the four kappa tables
         ("ident", starprod.ident_numerators, 1344),
-        # one chain per form, per pair and per phi sign: 3 pairs x 2 signs x 2 forms
-        ("canonical", nearlyholo.zagier_sequence, 12),
+        # one chain per form and phi sign, shared by the pairs: 3 forms x 2 signs (a chain per
+        # form of each pair made 12)
+        ("canonical", nearlyholo.zagier_sequence, 6),
         # one raising chain per form and pair up to n_max = 5, every degree reading its prefix:
         # 2 pairs x 2 forms x 5 (a chain per degree made 60)
         ("combi", nearlyholo.shimura_X, 20),
         # one raising chain X^1..X^5 f per form, every order reading its prefix: 3 forms x 5
         # (a chain per order made 45)
         ("der", nearlyholo.shimura_X, 15),
-        # one normalized chain per factor: per (E4, E6) realization 2n raises for n <= 4
-        ("propasso", nearlyholo.shimura_X, 20),
-        # the xi-kernel checks: per triple and (n, p), nu raises of each of f and g, then p of
-        # each of w and h, so 2n per (n, p), 40 per triple for n <= 3
-        ("triple", nearlyholo.shimura_X, 80),
+        # one normalized chain of E4 and one of E6 up to n = 4, every degree reading its prefix:
+        # 2 x 4 (chains per degree made 2n raises for each n <= 4, 20 in all)
+        ("propasso", nearlyholo.shimura_X, 8),
+        # the xi-kernel checks: per triple one chain of each of f, g and h up to n_max = 3, and
+        # one of each w_nu up to 3 - nu, so 3 x 3 + 3 + 2 + 1 + 0 = 15 per triple (a chain per
+        # (n, p) made nu raises of each of f and g and p of each of w and h, 40 per triple)
+        ("triple", nearlyholo.shimura_X, 30),
+        # the search's table: one walk n = 0..3 per ordered pair of the 9 generator monomials of
+        # weights 4..16, 81 x 4 (the table memoized per (pair, n) made 309, the misses among them)
+        ("uniqueness", nearlyholo.rc_bracket, 324),
     ],
 )
 def test_suite_builds_each_object_once(monkeypatch, suite, function, calls):
@@ -147,11 +153,14 @@ def test_solve_reductions_per_level(monkeypatch, n, clears):
 def test_verify_all_ledger(monkeypatch):
     # the whole-run counts of `verify all`: a change anywhere that eliminates more often, clears
     # rows that evaluation settles (11,205 _clear calls before it did), raises a chain again
-    # (205 shimura_X calls with a chain per degree) or makes more brackets or series products
-    # fails here.  The caches are emptied first, so that the counts do not depend on the tests
-    # run before
+    # (205 shimura_X calls with a chain per degree, 135 with chains per (n, p) in triple and per
+    # degree in propasso), builds a Zagier chain per pair (12), makes more brackets or series
+    # products, or builds more identity rows fails here.  The search's table now lives in the
+    # search, so it makes 453 rc_bracket calls, one walk per monomial pair (438 with the table
+    # memoized per (pair, n), 309 of them misses), and 1,268 products (1,765 with that table, a
+    # chain per (n, p) and a Zagier chain per pair).  The caches are emptied first, so that the
+    # counts do not depend on the tests run before
     uniq._monomial.cache_clear()
-    uniq._monomial_bracket.cache_clear()
     forms.eisenstein.cache_clear()
     monkeypatch.setattr(nearlyholo, "_last_pair", None)
     counts = Counter()
@@ -162,14 +171,24 @@ def test_verify_all_ledger(monkeypatch):
             return function(*args, **kwargs)
         return counted
 
-    for function, bindings in ((exactcore.eliminate, 3), (nearlyholo.shimura_X, 2), (nearlyholo.rc_bracket, 4)):
+    for function, bindings in ((exactcore.eliminate, 3), (nearlyholo.shimura_X, 2), (nearlyholo.rc_bracket, 4),
+                               (nearlyholo.zagier_sequence, 2), (starprod.ident_numerators, 3)):
         assert _patch_every_binding(monkeypatch, function, counting(function.__name__, function)) >= bindings
     monkeypatch.setattr(exactcore, "_clear", counting("_clear", exactcore._clear))
     monkeypatch.setattr(QSeries, "__mul__", counting("QSeries products", QSeries.__mul__))
+    ident_rows = coeffsolve._ident_rows
+
+    def counted_rows(*args, **kwargs):
+        for row in ident_rows(*args, **kwargs):
+            counts["identity rows"] += 1
+            yield row
+
+    monkeypatch.setattr(coeffsolve, "_ident_rows", counted_rows)
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "all", "--json"]) == 0
-    assert counts == {"eliminate": 15, "_clear": 1089, "shimura_X": 135, "rc_bracket": 438,
-                      "QSeries products": 1765}
+    assert counts == {"eliminate": 15, "_clear": 1089, "shimura_X": 73, "rc_bracket": 453,
+                      "zagier_sequence": 6, "ident_numerators": 6052, "identity rows": 4708,
+                      "QSeries products": 1268}
 
 
 @pytest.mark.parametrize("suite,scaled", [("solve-unique", False), ("triple", True)])

@@ -195,7 +195,7 @@ def test_canonical_rc_degree_zero(catalogue):
 def test_canonical_rc_with_corrected_element(catalogue):
     phi = phi_zagier(30).scale(-1)
     for a, b in (("E4", "E6"), ("E4", "Delta")):
-        rep = verify_canonical_rc(catalogue[a], catalogue[b], 4, phi)
+        rep = verify_canonical_rc(zagier_sequence(catalogue[a], phi, 4), zagier_sequence(catalogue[b], phi, 4))
         assert rep["ok"], rep
 
 
@@ -209,7 +209,7 @@ def test_canonical_rc_quoted_element_residual_is_exact(catalogue):
     assert diff == (e4.series * e4.series * e6.series).scale(2)
     # and the zero element does not restore the identity either
     phi0 = ModularForm(4, QSeries.zero(30))
-    rep = verify_canonical_rc(e4, e6, 2, phi0)
+    rep = verify_canonical_rc(zagier_sequence(e4, phi0, 2), zagier_sequence(e6, phi0, 2))
     assert not rep["ok"]
 
 
@@ -394,7 +394,8 @@ def _canonical_case(seed):
 @given(st.integers(0, 2**32).map(_canonical_case))
 def test_canonical_rc_matches_the_per_degree_chains(case):
     f, g, n_max, phi, n = case
-    got = verify_canonical_rc(f, g, n_max, phi)
+    # on the chains shared by every degree, as suite_canonical shares them between pairs
+    got = verify_canonical_rc(zagier_sequence(f, phi, n_max), zagier_sequence(g, phi, n_max))
     assert got == per_degree_verify_canonical_rc(f, g, n_max, phi)
     assert canonical_rc(f, g, n, phi) == per_degree_canonical_rc(f, g, n, phi)
 

@@ -98,13 +98,29 @@ def _lowest_weight_tensor_r1_doubled(x, y, n):
     return rep.Vector.make((x, y), v)
 
 
-def _bracket_term_weighted_c_plus_d(f, g, n, prec):
+def _bracket_term_weighted_c_plus_d(f, g, n, table):
     # each monomial pair [m_f, m_g]_n weighted by c + d instead of c d, that is
     # [f, 1_g]_n + [1_f, g]_n with 1_p the sum of p's monomials: no longer bilinear
     def ones(p):
         return MPoly(p.vars, dict.fromkeys(p.terms, 1))
 
-    return _bracket_term(f, ones(g), n, prec) + _bracket_term(ones(f), g, n, prec)
+    return _bracket_term(f, ones(g), n, table) + _bracket_term(ones(f), g, n, table)
+
+
+def _xi_vectors_pair_weight_minus_two(f, g, h, n_max):
+    # rep.xi_vectors with X^s w_nu divided by (B - 2)_s, B = x + y + 2 nu the weight of w_nu: the
+    # raise keeps the weight w_nu carries, so xi_(n,p) is lowest-weight only for p = 0.  (A tag
+    # of B - 2 on w_nu itself is no defect: lowering and raising read the tag, and the kernel
+    # identity holds for any tag.)
+    fs, gs, hs = (nearlyholo.dtil_chain(form, n_max) for form in (f, g, h))
+    ws = []
+    for nu in range(n_max + 1):
+        w = rep.realize_and_multiply(rep.lowest_weight_tensor(f.weight, g.weight, nu), fs, gs)
+        chain = nearlyholo.raising_chain(w.scale((-1) ** nu * math.factorial(nu)), n_max - nu)
+        ws.append([xs.scale(1 / exactcore.pochhammer(w.weight - 2, s)) for s, xs in enumerate(chain)])
+    return {(n, p): rep.realize_and_multiply(rep.lowest_weight_tensor(ws[n - p][0].weight, h.weight, p),
+                                             ws[n - p], hs).scale(math.factorial(p))
+            for n in range(n_max + 1) for p in range(n + 1)}
 
 
 def _act_lower_doubled_from_two(v):
@@ -183,6 +199,11 @@ DEFECTS = [
         rep.act_lower, _act_lower_doubled_from_two, "triple", ["triple/preimage-formula"],
         id="act_lower-doubled-from-index2",
     ),
+    pytest.param(
+        rep.xi_vectors, _xi_vectors_pair_weight_minus_two, "triple",
+        ["triple/xi-kernel/E4-E4-E6", "triple/xi-kernel/E4-E6-Delta"],
+        id="xi_vectors-pair-weight-minus-two",
+    ),
 ]
 
 
@@ -241,12 +262,25 @@ def test_fine_failure_names_the_first_disagreeing_point(capsys, monkeypatch):
             rep.act_lower, _act_lower_doubled_from_two, "triple", {"triple/preimage-formula": {"target": [0, 0, 1]}},
             id="triple",
         ),
+        pytest.param(
+            rep.lowest_weight_tensor, _lowest_weight_tensor_times_n_factorial, "propasso",
+            {"propasso/realization-E4-E6": {"n": 3}},
+            id="lowest_weight_tensor-times-n-factorial",
+        ),
+        pytest.param(
+            rep.xi_vectors, _xi_vectors_pair_weight_minus_two, "triple",
+            {"triple/xi-kernel/E4-E4-E6": {"n": 1, "p": 1}, "triple/xi-kernel/E4-E6-Delta": {"n": 1, "p": 1}},
+            id="xi_vectors-pair-weight-minus-two",
+        ),
     ],
 )
 def test_a_failing_record_names_its_first_witness(capsys, monkeypatch, original, replacement, suite, witnesses):
     # X^2 is the first wrong raise, so combi fails first at n = 2 and der at m = 2; the first
     # Zagier chain term raised from weight 10 or more is E6's f_3 (n = 3) and Delta's f_1
-    # (n = 1); the first target whose preimage has an index 2 is (0, 0, 1)
+    # (n = 1); the first target whose preimage has an index 2 is (0, 0, 1); the realization
+    # without the 1/n! first differs at n = 3: 0! = 1! = 1, and [E4, E6]_2 is a cusp form of
+    # weight 14, so zero, and so is twice it; a pair weight off by 2 first divides a raise of
+    # w_nu at (n, p) = (1, 1)
     _patch_every_binding(monkeypatch, original, replacement)
     assert main(["verify", suite, "--json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import dtil_power, shimura_pow
+from oracles import _shimura_X_y_term_off_by_one, dtil_power, shimura_pow
+
+from rclab import nearlyholo
 
 from rclab.exactcore import QSeries, binom, pochhammer
 from rclab.forms import ModularForm
-from rclab.nearlyholo import NearlyHoloForm, lower as nh_lower, rc_bracket
+from rclab.nearlyholo import NearlyHoloForm, dtil_chain, lower as nh_lower, rc_bracket
 from rclab.rep import (
     Vector,
     act_lower,
@@ -19,7 +22,7 @@ from rclab.rep import (
     realize_and_multiply,
     triple_kernel_dim,
     triple_preimage,
-    xi_vector_concrete,
+    xi_vectors,
 )
 
 
@@ -131,10 +134,11 @@ def test_act_lower_on_tensor_basics():
 
 def test_realization_degree_zero_and_one(catalogue):
     e4, e6 = catalogue["E4"].truncate(20), catalogue["E6"].truncate(20)
-    got = realize_and_multiply(lowest_weight_tensor(4, 6, 0), e4, e6)
+    fs, gs = dtil_chain(e4, 1), dtil_chain(e6, 1)
+    got = realize_and_multiply(lowest_weight_tensor(4, 6, 0), fs, gs)
     assert got.is_holomorphic()
     assert got.ypoly[0] == (e4 * e6).series
-    got1 = realize_and_multiply(lowest_weight_tensor(4, 6, 1), e4, e6)
+    got1 = realize_and_multiply(lowest_weight_tensor(4, 6, 1), fs, gs)
     assert got1.is_holomorphic()
     assert got1.ypoly[0] == rc_bracket(e4, e6, 1).series.scale(F(1, 24))
 
@@ -142,18 +146,19 @@ def test_realization_degree_zero_and_one(catalogue):
 @pytest.mark.parametrize("n", range(5))
 def test_realization_matches_scaled_bracket(catalogue, n):
     e4, d = catalogue["E4"].truncate(20), catalogue["Delta"].truncate(20)
-    got = realize_and_multiply(lowest_weight_tensor(4, 12, n), e4, d)
+    got = realize_and_multiply(lowest_weight_tensor(4, 12, n), dtil_chain(e4, n), dtil_chain(d, n))
     want = rc_bracket(e4, d, n).series.scale(1 / (pochhammer(4, n) * pochhammer(12, n)))
     assert got.is_holomorphic()
     assert got.ypoly[0] == want
 
 
 def test_realization_weight_mismatch(catalogue):
+    fs, gs = dtil_chain(catalogue["E4"], 1), dtil_chain(catalogue["E6"], 1)
     with pytest.raises(ValueError):
-        realize_and_multiply(lowest_weight_tensor(4, 4, 1), catalogue["E4"], catalogue["E6"])
+        realize_and_multiply(lowest_weight_tensor(4, 4, 1), fs, gs)
     # terms of two total degrees have two weights
     with pytest.raises(ValueError):
-        realize_and_multiply(Vector.make((4, 6), {(1, 0): 1, (1, 1): 1}), catalogue["E4"], catalogue["E6"])
+        realize_and_multiply(Vector.make((4, 6), {(1, 0): 1, (1, 1): 1}), fs, gs)
 
 
 def test_act_lower_on_triple_basics():
@@ -192,8 +197,8 @@ def test_triple_preimage_explicit_and_random():
 
 def test_xi_degree_zero_is_plain_product(catalogue):
     e4, e6, d = (catalogue[k].truncate(15) for k in ("E4", "E6", "Delta"))
-    xi = xi_vector_concrete(e4, e6, d, 0, 0)
-    assert xi.is_holomorphic()
+    ((key, xi),) = xi_vectors(e4, e6, d, 0).items()
+    assert key == (0, 0) and xi.is_holomorphic()
     assert xi.ypoly[0] == (e4 * e6 * d).series.truncate(15)
     assert nh_lower(xi).is_zero()
 
@@ -203,14 +208,65 @@ def test_xi_is_lowest_weight_concretely(catalogue, n, p):
     e4 = catalogue["E4"].truncate(15)
     e6 = catalogue["E6"].truncate(15)
     d = catalogue["Delta"].truncate(15)
-    assert nh_lower(xi_vector_concrete(e4, e4, e6, n, p)).is_zero()
-    assert nh_lower(xi_vector_concrete(e4, e6, d, n, p)).is_zero()
+    assert nh_lower(xi_vectors(e4, e4, e6, n)[n, p]).is_zero()
+    assert nh_lower(xi_vectors(e4, e6, d, n)[n, p]).is_zero()
 
 
 def test_xi_rejects_bad_indices(catalogue):
     e4 = catalogue["E4"]
     with pytest.raises(ValueError):
-        xi_vector_concrete(e4, e4, e4, 2, 3)
+        xi_vectors(e4, e4, e4, -1)
+
+
+# realize_and_multiply as it was before its callers built the chains, on the
+# forms, and xi_vector_concrete, one (n, p) at a time, which xi_vectors
+# replaced: kept verbatim as oracles, the realization under a new name.
+
+
+def realize_on_forms(
+    v: Vector, f: ModularForm | NearlyHoloForm, g: ModularForm | NearlyHoloForm
+) -> NearlyHoloForm:
+    """Send dtil^r f (x) dtil^s g to the product of the realized factors.
+
+    dtil^r is realized as X^r / (weight)_r on each factor, read from one
+    normalized chain per factor.  On the vector lowest_weight_tensor(x, y, n)
+    this lands exactly on rc_bracket(f, g, n) / ((x)_n (y)_n).
+    """
+    if v.weights != (f.weight, g.weight):
+        raise ValueError(f"vector weights {v.weights} do not match forms ({f.weight}, {g.weight})")
+    keys = [key for key, _ in v.support] or [(0, 0)]
+    fs = dtil_chain(f, max(r for r, _ in keys))
+    gs = dtil_chain(g, max(s for _, s in keys))
+    # every term has the weight of the first: adding one of another total degree raises ValueError
+    total = NearlyHoloForm.zero(sum(v.weights) + 2 * sum(keys[0]), min(f.prec, g.prec))
+    for (r, s), c in v.support:
+        total = total + (fs[r] * gs[s]).scale(c)
+    return total
+
+
+def xi_vector_concrete(
+    f: ModularForm, g: ModularForm, h: ModularForm, n: int, p: int
+) -> NearlyHoloForm:
+    """Concrete lowest-weight vector xi_(n,p) in the three-factor space.
+
+    With x, y, z the weights of f, g, h and nu = n - p, the pair (f, g) gives
+    the holomorphic lowest-weight vector of weight B = x + y + 2 nu
+
+      w = (-1)^nu nu! realize(lowest_weight_tensor(x, y, nu), f, g),
+
+    and xi is the one of degree p in the pair (w, h):
+
+      xi_(n,p) = p! realize(lowest_weight_tensor(B, z, p), w, h)
+               = sum_s (-1)^s C(p, s) [X^s w / (B)_s] * dtil^(p-s) h,
+
+    so lower(xi) = 0 is an exact identity for every n, p and all weights.
+    """
+    if not 0 <= p <= n:
+        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
+    nu = n - p
+    w = realize_on_forms(lowest_weight_tensor(f.weight, g.weight, nu), f, g)
+    w = w.scale((-1) ** nu * math.factorial(nu))
+    return realize_on_forms(lowest_weight_tensor(w.weight, h.weight, p), w, h).scale(math.factorial(p))
 
 
 # realize_and_multiply and xi_vector_concrete as they were before both read
@@ -271,38 +327,60 @@ def per_power_xi_vector_concrete(
 def test_xi_matches_the_per_power_oracle(catalogue, names):
     # unequal precisions, so that every truncation of the oracle is exercised
     f, g, h = (catalogue[name].truncate(prec) for name, prec in zip(names, (14, 13, 15)))
-    for n in range(6):
-        for p in range(n + 1):
-            got, want = xi_vector_concrete(f, g, h, n, p), per_power_xi_vector_concrete(f, g, h, n, p)
-            assert got == want and str(got) == str(want), (n, p)
+    xis = xi_vectors(f, g, h, 5)
+    assert list(xis) == [(n, p) for n in range(6) for p in range(n + 1)]
+    for (n, p), got in xis.items():
+        want = per_power_xi_vector_concrete(f, g, h, n, p)
+        assert got == want and str(got) == str(want), (n, p)
 
 
 @pytest.mark.parametrize("pair", [("E4", "E6"), ("E6", "Delta"), ("Delta", "E4")], ids="-".join)
 def test_realization_matches_the_per_power_oracle(catalogue, pair):
     f, g = catalogue[pair[0]].truncate(16), catalogue[pair[1]].truncate(14)
+    fs, gs = dtil_chain(f, 6), dtil_chain(g, 6)
     for n in range(7):
         v = lowest_weight_tensor(f.weight, g.weight, n)
-        assert realize_and_multiply(v, f, g) == per_power_realize_and_multiply(v, f, g)
+        assert realize_and_multiply(v, fs, gs) == per_power_realize_and_multiply(v, f, g)
     # vectors that are not lowest-weight, one total degree each, and the zero vector
     rng = random.Random(5)
     for n in range(7):
         keys = rng.sample(range(n + 1), rng.randint(0, n + 1))
         coeffs = {(r, n - r): F(rng.randint(-9, 9), rng.randint(1, 4)) for r in keys}
         v = Vector.make((f.weight, g.weight), coeffs)
-        assert realize_and_multiply(v, f, g) == per_power_realize_and_multiply(v, f, g)
+        assert realize_and_multiply(v, fs, gs) == per_power_realize_and_multiply(v, f, g)
 
 
 def test_weight_zero_factors_still_raise(catalogue):
     const = ModularForm(0, QSeries.constant(1, 12))
     e4 = catalogue["E4"].truncate(12)
     for v, f, g in ((lowest_weight_tensor(0, 4, 1), const, e4), (lowest_weight_tensor(4, 0, 2), e4, const)):
-        for realize in (realize_and_multiply, per_power_realize_and_multiply):
+        for realize in (realize_on_forms, per_power_realize_and_multiply):
             with pytest.raises(ValueError):
                 realize(v, f, g)
     # degree 0 reads no raise, so a weight-0 factor is fine there
     v0 = lowest_weight_tensor(0, 4, 0)
-    assert realize_and_multiply(v0, const, e4) == per_power_realize_and_multiply(v0, const, e4)
+    assert realize_and_multiply(v0, dtil_chain(const, 0), dtil_chain(e4, 0)) == \
+        per_power_realize_and_multiply(v0, const, e4)
     for n, p in ((1, 0), (1, 1), (2, 1)):
         for xi in (xi_vector_concrete, per_power_xi_vector_concrete):
             with pytest.raises(ValueError):
                 xi(const, e4, const, n, p)
+        with pytest.raises(ValueError):
+            xi_vectors(const, e4, const, n)
+    assert list(xi_vectors(const, e4, const, 0)) == [(0, 0)]
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["unpatched", "shimura_X-y-term-off-by-one"])
+def test_xi_vectors_match_the_per_degree_oracle(catalogue, monkeypatch, patched):
+    # the catalogue triples of `verify triple`, at its precision; under a raise wrong from X^2 on
+    # both versions build the same wrong vectors, which are then not all lowest-weight
+    if patched:
+        monkeypatch.setattr(nearlyholo, "shimura_X", _shimura_X_y_term_off_by_one)
+    for names in (("E4", "E4", "E6"), ("E4", "E6", "Delta")):
+        f, g, h = (catalogue[name].truncate(15) for name in names)
+        xis = xi_vectors(f, g, h, 3)
+        assert list(xis) == [(n, p) for n in range(4) for p in range(n + 1)]
+        for (n, p), got in xis.items():
+            want = xi_vector_concrete(f, g, h, n, p)
+            assert got == want and str(got) == str(want), (names, n, p)
+        assert all(nh_lower(xi).is_zero() for xi in xis.values()) != patched

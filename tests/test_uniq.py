@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -13,7 +14,9 @@ from rclab.nearlyholo import rc_bracket
 from rclab.starprod import rc_series
 from rclab.uniq import (
     IsobaricPoly,
+    _BracketTable,
     _bracket_term,
+    _monomial,
     _graded,
     _random_coords,
     _substitute_direction,
@@ -337,4 +340,30 @@ def _bracket_term_case(seed):
 def test_bracket_term_matches_rc_series(case):
     f, g, n, prec = case
     want = rc_series(_graded(f, prec), _graded(g, prec), n).terms[n]
-    assert _bracket_term(f, g, n, prec) == want
+    assert _bracket_term(f, g, n, _BracketTable(4, prec)) == want
+
+
+# the search's bracket table as it was before one walk over n filled each monomial pair,
+# memoized per (m1, m2, n, prec), kept verbatim as the oracle
+@functools.lru_cache(maxsize=None)
+def _monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: int) -> QSeries:
+    """[E4^a1 E6^b1, E4^a2 E6^b2]_n to prec, memoized: the search's bracket table."""
+    (a1, b1), (a2, b2) = m1, m2
+    f = ModularForm(4 * a1 + 6 * b1, _monomial(a1, b1, prec))
+    g = ModularForm(4 * a2 + 6 * b2, _monomial(a2, b2, prec))
+    return rc_bracket(f, g, n).series
+
+
+@pytest.mark.parametrize("prec", [15, 8])
+def test_walked_table_matches_the_per_degree_brackets(prec):
+    # every ordered pair of the 9 generator monomials of weights 4..16, the search's order 3
+    # the oracle first, n outermost as the search used to ask, so that no bracket of it reuses
+    # the products of the walk it is compared with
+    monomials = [ab for w in range(4, 17, 2) for ab in weight_basis(w)]
+    assert len(monomials) == 9
+    want = {(m1, m2, n): _monomial_bracket(m1, m2, n, prec) for n in range(4) for m1 in monomials for m2 in monomials}
+    table = _BracketTable(3, prec)
+    for m1 in monomials:
+        for m2 in monomials:
+            assert table[m1, m2] == [want[m1, m2, n] for n in range(4)]
+    assert len(table) == 81
