@@ -39,12 +39,19 @@ class RunConfig:
 
 
 class Suite:
-    """Collects named check records and renders the report."""
+    """Collects named check records and renders the report; holds the run's catalogue forms."""
 
     def __init__(self, command: str, cfg: RunConfig):
         self.command = command
         self.cfg = cfg
         self.checks: list[dict] = []
+        self._catalogues: dict[int, dict] = {}
+
+    def catalogue(self, prec: int) -> dict:
+        """E4, E6 and Delta at prec, built once per precision and read by every suite of the run."""
+        if prec not in self._catalogues:
+            self._catalogues[prec] = {name: form_by_name(name, prec) for name in ("E4", "E6", "Delta")}
+        return self._catalogues[prec]
 
     def check(self, name: str, ok: bool, params: dict | None = None, **data) -> None:
         self.checks.append(
@@ -96,13 +103,9 @@ def emit(report: dict, as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _catalogue(prec: int) -> dict:
-    return {name: form_by_name(name, prec) for name in ("E4", "E6", "Delta")}
-
-
 def suite_forms(s: Suite, prec: int = RunConfig.prec) -> None:
     prec = max(prec, 16)
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     e4, e6, d = cat["E4"], cat["E6"], cat["Delta"]
     rel = (e4 * e4 * e4).series - (e6 * e6).series
     s.check("forms/discriminant-relation", rel == d.series.scale(1728), {"prec": prec})
@@ -114,7 +117,7 @@ def suite_forms(s: Suite, prec: int = RunConfig.prec) -> None:
 
 def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int = RunConfig.prec) -> None:
     prec = max(prec, 12)
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     pairs = [("E4", "E6"), ("E4", "Delta"), ("E6", "Delta")]
     phi_plus = forms.phi_zagier(prec)
     phis = {"minus": phi_plus.scale(-1), "plus": phi_plus}
@@ -143,7 +146,7 @@ def suite_canonical(s: Suite, n_max: int = 6, phi_sign: str = "both", prec: int 
 
 
 def suite_combi(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     for a, b in [("E4", "E6"), ("E4", "Delta")]:
         f, g = cat[a], cat[b]
         brackets = nearlyholo.combi_brackets(f, g, n_max)
@@ -156,7 +159,7 @@ def suite_combi(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
 
 def suite_der(s: Suite, n_max: int = 5, prec: int = RunConfig.prec) -> None:
     prec = max(prec, 12)
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     for name, f in cat.items():
         bad = nearlyholo.verify_der_identity(f, n_max)
         s.check(f"der/{name}", bad is None, {"m_max": n_max, "prec": prec},
@@ -186,7 +189,7 @@ def suite_casimir(s: Suite) -> None:
 
 def suite_propasso(s: Suite, prec: int = RunConfig.prec) -> None:
     n_kernel, n_realize = 8, 4
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     ok = all(
         rep.act_lower(rep.lowest_weight_tensor(x, y, n)).is_zero()
         for n in range(n_kernel + 1)
@@ -217,7 +220,7 @@ def suite_triple(s: Suite, prec: int = RunConfig.prec) -> None:
     s.check("triple/preimage-formula", bad is None, {"n_max": 5},
             **({} if bad is None else {"witness": {"target": list(bad)}}))
     prec = max(10, min(prec, 15))
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     triples = [("E4", "E4", "E6"), ("E4", "E6", "Delta")]
     for names in triples:
         xis = rep.xi_vectors(*(cat[x] for x in names), xi_n_max)
@@ -246,7 +249,7 @@ def suite_ident(s: Suite, n_max: int = 5, grid_bound: int = RunConfig.grid_bound
 
 
 def suite_assoc(s: Suite, prec: int = RunConfig.prec, hbar_order: int = RunConfig.hbar_order) -> None:
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     eh = starprod.StarCoefficients.eholzer()
     for names in [("E4", "E4", "E6"), ("E4", "E6", "Delta")]:
         f, g, h = (GradedForm.from_form(cat[x]) for x in names)
@@ -278,17 +281,12 @@ def suite_solve_unique(s: Suite, grid: int = 6) -> None:
     res2 = coeffsolve.solve(sys2)
     kernel_ok = False
     if res2.consistent and res2.nullity == 1:
-        vec = res2.null_basis[0]
-        i0 = sys2.variables.index((2, 2))
-        if vec[i0] != 0:
-            scale = Fraction(4, 5) / vec[i0]
-            kernel_ok = all(
-                vec[i] * scale == Fraction(p[0] * p[1], p[0] + p[1] + 1)
-                for i, p in enumerate(sys2.variables)
-            )
+        # the one null vector is x*y/(x+y+1) up to a nonzero scale
+        ratios = {v / Fraction(x * y, x + y + 1) for v, (x, y) in zip(res2.null_basis[0], sys2.variables)}
+        kernel_ok = len(ratios) == 1 and 0 not in ratios
     s.check(
         "solve/level2-nullity-and-kernel",
-        res2.consistent and res2.nullity == 1 and kernel_ok,
+        kernel_ok,
         {"grid": grid},
         nullity=res2.nullity,
         **_inconsistency(2, grid, res2),
@@ -373,7 +371,7 @@ def suite_fine(s: Suite, grid: int = 5, n_max: int = 6, prec: int = RunConfig.pr
     d = uniq.fine_det3_mpoly()
     s.check("fine/det3-l2-divisible", all(e[1] >= 2 for e in d.terms), {})
     prec = min(prec, 14)
-    cat = _catalogue(prec)
+    cat = s.catalogue(prec)
     resid = uniq.bracket_shift_residual(cat["E4"], cat["E4"], cat["E6"], 1)
     s.check("fine/shift-residual-nonconstant-middle", not resid.is_zero(), {"prec": prec})
 

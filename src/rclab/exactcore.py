@@ -19,6 +19,9 @@ Everything downstream works over these three carriers:
              substitute multiplies each group of terms that share their
              mapped exponents once by the image powers, each computed once
 
+QSeries.pow and MPoly.pow are one binary power (_binary_power): no product
+by one and no square past the top bit.
+
 The scalar combinatorics, binom and pochhammer, take their whole product in
 Python ints over the argument's numerator and denominator and build one
 Fraction at the end.  Both are memoized without bound: the identity systems
@@ -86,6 +89,21 @@ def binom(a: RatLike, b: int) -> Rat:
     a = rat(a)
     p, q = a.numerator, a.denominator
     return Fraction(math.prod(range(p, p - b * q, -q)), q**b * math.factorial(b))
+
+
+def _binary_power(base, e: int, one):
+    """base**e, or one() for e == 0, with no product by one and no square past the top bit:
+    bit_length(e) + popcount(e) - 2 products for e >= 1 (Knuth, TAOCP Vol. 2, 4.6.3)."""
+    if e < 0:
+        raise ValueError("negative powers are not defined")
+    out = None
+    while e:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one() if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +263,7 @@ class QSeries:
         return _canonical(self.prec + k, (0,) * k + self.nums, self.den)
 
     def pow(self, e: int) -> QSeries:
-        if e < 0:
-            raise ValueError("negative powers are not defined")
-        out = QSeries.one(self.prec)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _binary_power(self, e, lambda: QSeries.one(self.prec))
 
     def derive(self) -> QSeries:
         """The operator D = q d/dq: multiply the q^n coefficient by n."""
@@ -443,17 +452,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def pow(self, e: int) -> MPoly:
-        if e < 0:
-            raise ValueError("negative powers are not defined")
-        out = None  # no multiplication by one, no square past the top bit
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return self._like({(0,) * len(self.vars): Fraction(1)}) if out is None else out
+        return _binary_power(self, e, lambda: self._like({(0,) * len(self.vars): Fraction(1)}))
 
     __pow__ = pow
 

@@ -11,6 +11,10 @@ On a pure-weight form F these satisfy (ell X - X ell) F = -weight(F) * F, and
 ell is a derivation over products, which is what makes every identity in this
 module a finite exact computation.
 
+Y-polynomial arithmetic builds no zero series to pad with: a sum adds the
+shared Y-coefficients and keeps the longer tail, a product starts each Y-degree
+from its first term, and X builds each D c_j + (j - 1 - w) c_(j-1) directly.
+
 The Rankin-Cohen bracket [f, g]_n = sum_r c_r D^r f D^(n-r) g, with n! c_r
 from bracket_coeffs, is computed in its product form.  The q^N coefficient of D^r f D^(n-r) g is
 sum_(i+j=N) i^r j^(n-r) a_i b_j; substitute j = N - i and collect the powers
@@ -79,13 +83,9 @@ class NearlyHoloForm:
     def __add__(self, other: NearlyHoloForm) -> NearlyHoloForm:
         if self.weight != other.weight:
             raise ValueError(f"cannot add weights {self.weight} and {other.weight}")
-        prec = min(self.prec, other.prec)
-        n = max(len(self.ypoly), len(other.ypoly))
-        parts = []
-        for j in range(n):
-            a = self.ypoly[j] if j < len(self.ypoly) else QSeries.zero(prec)
-            b = other.ypoly[j] if j < len(other.ypoly) else QSeries.zero(prec)
-            parts.append(a.truncate(prec) + b.truncate(prec))
+        a, b = self.ypoly, other.ypoly
+        parts = [s + t for s, t in zip(a, b)]
+        parts += a[len(b):] + b[len(a):]  # the longer operand's tail; the other slice is empty
         return NearlyHoloForm.make(self.weight, parts)
 
     def __sub__(self, other: NearlyHoloForm) -> NearlyHoloForm:
@@ -96,11 +96,14 @@ class NearlyHoloForm:
         return NearlyHoloForm.make(self.weight, [s.scale(c) for s in self.ypoly])
 
     def __mul__(self, other: NearlyHoloForm) -> NearlyHoloForm:
-        prec = min(self.prec, other.prec)
-        out = [QSeries.zero(prec) for _ in range(len(self.ypoly) + len(other.ypoly) - 1)]
+        out: list[QSeries] = []
         for i, a in enumerate(self.ypoly):
             for j, b in enumerate(other.ypoly):
-                out[i + j] = out[i + j] + a.truncate(prec) * b.truncate(prec)
+                # i + j is at most len(out): each Y-degree starts from its first product
+                if i + j == len(out):
+                    out.append(a * b)
+                else:
+                    out[i + j] = out[i + j] + a * b
         return NearlyHoloForm.make(self.weight + other.weight, out)
 
     def truncate(self, prec: int) -> NearlyHoloForm:
@@ -121,22 +124,17 @@ class NearlyHoloForm:
 
 def shimura_X(F: NearlyHoloForm) -> NearlyHoloForm:
     """Weight-raising operator: (Dc_j) Y^j + (j - w) c_j Y^(j+1), weight + 2."""
-    w = F.weight
-    prec = F.prec
-    parts = [QSeries.zero(prec) for _ in range(len(F.ypoly) + 1)]
-    for j, c in enumerate(F.ypoly):
-        parts[j] = parts[j] + c.derive()
-        parts[j + 1] = parts[j + 1] + c.scale(j - w)
+    w, c = F.weight, F.ypoly
+    parts = [c[0].derive()]
+    parts += [c[j].derive() + c[j - 1].scale(j - 1 - w) for j in range(1, len(c))]
+    parts.append(c[-1].scale(len(c) - 1 - w))
     return NearlyHoloForm.make(w + 2, parts)
 
 
 def lower(F: NearlyHoloForm) -> NearlyHoloForm:
     """Y-derivation (the scaled lowering operator): sum j c_j Y^(j-1), weight - 2."""
-    prec = F.prec
-    if F.is_holomorphic():
-        return NearlyHoloForm.zero(F.weight - 2, prec)
     parts = [F.ypoly[j].scale(j) for j in range(1, len(F.ypoly))]
-    return NearlyHoloForm.make(F.weight - 2, parts or [QSeries.zero(prec)])
+    return NearlyHoloForm.make(F.weight - 2, parts or [QSeries.zero(F.prec)])
 
 
 def raising_chain(F: NearlyHoloForm, top: int) -> list[NearlyHoloForm]:

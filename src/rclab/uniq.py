@@ -327,10 +327,8 @@ class IsobaricPoly(MPoly):
         w = self.weight()
         if w is None:
             raise ValueError("only weight-homogeneous polynomials convert to forms")
-        total = QSeries.zero(prec)
-        for (a, b), c in self.terms.items():
-            total = total + _monomial(a, b, prec).scale(c)
-        return ModularForm(w, total)
+        first, *rest = (_monomial(a, b, prec).scale(c) for (a, b), c in self.terms.items())
+        return ModularForm(w, sum(rest, first))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,10 +4,11 @@ Oracles kept from earlier implementations, the quoted level-2 family, shared
 planted defects and the patch that reaches every binding of a function.
 """
 
+import math
 import sys
 from fractions import Fraction as F
 
-from rclab import nearlyholo
+from rclab import nearlyholo, rep
 from rclab.exactcore import QSeries, pochhammer, rat
 from rclab.forms import ModularForm
 from rclab.nearlyholo import NearlyHoloForm
@@ -38,6 +39,14 @@ def _pochhammer_doubled_at_five(a, n):
     # det2x2_direct reads (.)_{n-1} and the closed form (.)_{n-2}: they first disagree at n = 6
     value = pochhammer(a, n)
     return 2 * value if n == 5 else value
+
+
+_lowest_weight_tensor = rep.lowest_weight_tensor
+
+
+def _lowest_weight_tensor_times_n_factorial(x, y, n):
+    # without the 1/n!: act_lower still kills it, so only the realization sees the scale
+    return _lowest_weight_tensor(x, y, n).scale(math.factorial(n))
 
 
 _shimura_X = nearlyholo.shimura_X

@@ -7,6 +7,7 @@ starts recomputing shared objects again fails here, not only in a timing.
 
 import io
 import random
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -17,7 +18,7 @@ from oracles import _patch_every_binding
 from rclab import coeffsolve, exactcore, forms, nearlyholo, starprod, uniq
 from rclab.cli import main
 from rclab.coeffsolve import ATable, build_ident_system, solve
-from rclab.exactcore import QSeries
+from rclab.exactcore import MPoly, QSeries
 from rclab.forms import GradedForm, ModularForm
 
 
@@ -75,6 +76,49 @@ def test_suite_builds_each_eisenstein_series_once(suite, builds):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", suite, "--json"]) == 0
     assert forms.eisenstein.cache_info().misses == builds
+
+
+def test_verify_all_builds_delta_once_per_precision(monkeypatch):
+    # the run's Suite holds the catalogue: Delta at prec 20, at the 15 of triple and at the 14
+    # of fine (8 with every suite building its own catalogue)
+    precs = []
+    delta = forms.delta
+
+    def counted(prec):
+        precs.append(prec)
+        return delta(prec)
+
+    assert _patch_every_binding(monkeypatch, delta, counted) >= 1
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "all", "--json"]) == 0
+    assert sorted(precs) == [14, 15, 20]
+
+
+def test_binary_power_products(monkeypatch):
+    # bit_length(e) - 1 squares and popcount(e) - 1 products into the result: none by one and
+    # no square past the top bit (the padded loop made bit_length(e) + popcount(e) products)
+    count = 0
+
+    def counting(mul):
+        def counted(a, b):
+            nonlocal count
+            count += 1
+            return mul(a, b)
+        return counted
+
+    monkeypatch.setattr(QSeries, "__mul__", counting(QSeries.__mul__))
+    monkeypatch.setattr(MPoly, "__mul__", counting(MPoly.__mul__))
+    series = QSeries.from_numerators([1, -1, 0, 2], 3)
+    poly = MPoly(("x", "y"), {(1, 0): Fraction(1, 2), (0, 1): 3})
+    for e in range(41):
+        want = e.bit_length() + e.bit_count() - 2 if e else 0
+        for base in (series, poly):
+            count = 0
+            base.pow(e)
+            assert count == want
+    count = 0
+    forms.delta(20)  # the Euler product to the 24th power
+    assert count == 5
 
 
 @pytest.mark.parametrize("suite", ["solve-unique", "ident"])
@@ -157,11 +201,17 @@ def test_verify_all_ledger(monkeypatch):
     # degree in propasso), builds a Zagier chain per pair (12), makes more brackets or series
     # products, or builds more identity rows fails here.  The search's table now lives in the
     # search, so it makes 453 rc_bracket calls, one walk per monomial pair (438 with the table
-    # memoized per (pair, n), 309 of them misses), and 1,268 products (1,765 with that table, a
-    # chain per (n, p) and a Zagier chain per pair).  The caches are emptied first, so that the
-    # counts do not depend on the tests run before
-    uniq._monomial.cache_clear()
-    forms.eisenstein.cache_clear()
+    # memoized per (pair, n), 309 of them misses).  It makes 1,203 series products: 1,268 with a
+    # binary power that multiplied into a series of ones and squared past the top bit (Delta's
+    # 24th power took 7 products, now 5) and a catalogue built per suite (Delta built 8 times,
+    # now once per precision, 3 times); 1,765 with the memoized table, a chain per (n, p) and a
+    # Zagier chain per pair.  It makes 1,909 series additions and subtractions: Y-polynomial
+    # sums, products and raises that padded with zero series, and isobaric sums started from
+    # zero, made 3,059, 1,458 of them with a zero operand.  The caches are emptied first, so
+    # that the counts do not depend on the tests run before
+    for cached in (exactcore.binom, exactcore.pochhammer, nearlyholo._product_coeffs, uniq.fine_det3_mpoly,
+                   uniq._monomial, forms.eisenstein):
+        cached.cache_clear()
     monkeypatch.setattr(nearlyholo, "_last_pair", None)
     counts = Counter()
 
@@ -176,6 +226,8 @@ def test_verify_all_ledger(monkeypatch):
         assert _patch_every_binding(monkeypatch, function, counting(function.__name__, function)) >= bindings
     monkeypatch.setattr(exactcore, "_clear", counting("_clear", exactcore._clear))
     monkeypatch.setattr(QSeries, "__mul__", counting("QSeries products", QSeries.__mul__))
+    monkeypatch.setattr(QSeries, "_combine", counting("QSeries additions and subtractions", QSeries._combine))
+    monkeypatch.setattr(Fraction, "__new__", counting("Fraction constructions", Fraction.__new__))
     ident_rows = coeffsolve._ident_rows
 
     def counted_rows(*args, **kwargs):
@@ -186,9 +238,16 @@ def test_verify_all_ledger(monkeypatch):
     monkeypatch.setattr(coeffsolve, "_ident_rows", counted_rows)
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "all", "--json"]) == 0
+    fractions = counts.pop("Fraction constructions")
     assert counts == {"eliminate": 15, "_clear": 1089, "shimura_X": 73, "rc_bracket": 453,
                       "zagier_sequence": 6, "ident_numerators": 6052, "identity rows": 4708,
-                      "QSeries products": 1268}
+                      "QSeries products": 1203, "QSeries additions and subtractions": 1909}
+    # how many Fractions an operation builds is up to the fractions module, so this count is
+    # pinned for CPython 3.11 only.  Each zero series cost a Fraction(0) and each padded power
+    # a Fraction(1): the run built 41,347 before Y-polynomial arithmetic, isobaric sums and
+    # powers stopped building them
+    if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11):
+        assert fractions == 40175
 
 
 @pytest.mark.parametrize("suite,scaled", [("solve-unique", False), ("triple", True)])

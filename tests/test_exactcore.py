@@ -252,6 +252,82 @@ def test_qs_pow_matches_repeated_oracle_products(a):
         want = _schoolbook_mul(want, a)
 
 
+def padded_qseries_pow(self, e):
+    """QSeries.pow before the one binary power, verbatim: it multiplies its first factor into
+    a series of ones and squares once past the top bit."""
+    if e < 0:
+        raise ValueError("negative powers are not defined")
+    out = QSeries.one(self.prec)
+    base = self
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+def own_mpoly_pow(self, e):
+    """MPoly.pow before QSeries.pow shared its loop, verbatim."""
+    if e < 0:
+        raise ValueError("negative powers are not defined")
+    out = None  # no multiplication by one, no square past the top bit
+    base = self
+    while e:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return self._like({(0,) * len(self.vars): F(1)}) if out is None else out
+
+
+def _pow_series(seed):
+    """The zero series, a constant or a short series with non-integral coefficients, some zero."""
+    rng = random.Random(seed)
+    prec = rng.randint(1, 10)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return QSeries.zero(prec)
+    if kind == 1:
+        return QSeries.constant(_small_coeff(rng), prec)
+    return QSeries(prec, [_small_coeff(rng) if rng.random() < 0.7 else F(0) for _ in range(prec)])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(_pow_series))
+def test_qs_pow_matches_the_padded_loop(a):
+    for e in range(41):
+        assert a.pow(e) == padded_qseries_pow(a, e)
+    with pytest.raises(ValueError):
+        a.pow(-1)
+
+
+def _pow_poly(seed):
+    """The zero polynomial, a constant, or at most 3 terms in one variable or 2 in two (so that
+    the 40th power stays small), with non-integral coefficients; some are IsobaricPolys."""
+    rng = random.Random(seed)
+    vars = ("x",) if rng.random() < 0.5 else ("x", "y")
+    kind = rng.randrange(4)
+    if kind == 0:
+        p = MPoly.zero(vars)
+    elif kind == 1:
+        p = MPoly.const(vars, _small_coeff(rng))
+    else:
+        p = _mpoly(rng, vars, max_terms=4 - len(vars), max_exp=2)
+    return IsobaricPoly(_mpoly(rng, ("g4", "g6"), max_terms=2, max_exp=2).terms) if rng.random() < 0.2 else p
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32).map(_pow_poly))
+def test_mpoly_pow_matches_the_old_loop(a):
+    for e in range(41):
+        got = a.pow(e)
+        assert type(got) is type(a) and got == own_mpoly_pow(a, e) and a**e == got
+    with pytest.raises(ValueError):
+        a.pow(-1)
+
+
 def _assert_canonical(s):
     """The storage invariant: one positive denominator in lowest terms."""
     assert s.den > 0 and math.gcd(s.den, *s.nums) == 1

@@ -12,7 +12,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import _patch_every_binding, _pochhammer_doubled_at_five, _shimura_X_y_term_off_by_one
+from oracles import (
+    _lowest_weight_tensor_times_n_factorial,
+    _patch_every_binding,
+    _pochhammer_doubled_at_five,
+    _shimura_X_y_term_off_by_one,
+)
 
 from rclab import coeffsolve, exactcore, forms, nearlyholo, rep, starprod, uniq
 from rclab.cli import main
@@ -83,11 +88,6 @@ def _delta_wrong_at_q3(prec):
 
 def _casimir_eigenvalue_off_by_one(w):
     return _casimir_eigenvalue(w) + 1
-
-
-def _lowest_weight_tensor_times_n_factorial(x, y, n):
-    # without the 1/n!: act_lower still kills it, so only the realization sees the scale
-    return _lowest_weight_tensor(x, y, n).scale(math.factorial(n))
 
 
 def _lowest_weight_tensor_r1_doubled(x, y, n):

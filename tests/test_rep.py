@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import _shimura_X_y_term_off_by_one, dtil_power, shimura_pow
+from oracles import _lowest_weight_tensor_times_n_factorial, _shimura_X_y_term_off_by_one, dtil_power, shimura_pow
 
 from rclab import nearlyholo
 
@@ -146,10 +146,16 @@ def test_realization_degree_zero_and_one(catalogue):
 @pytest.mark.parametrize("n", range(5))
 def test_realization_matches_scaled_bracket(catalogue, n):
     e4, d = catalogue["E4"].truncate(20), catalogue["Delta"].truncate(20)
-    got = realize_and_multiply(lowest_weight_tensor(4, 12, n), dtil_chain(e4, n), dtil_chain(d, n))
+    fs, gs = dtil_chain(e4, n), dtil_chain(d, n)
+    got = realize_and_multiply(lowest_weight_tensor(4, 12, n), fs, gs)
     want = rc_bracket(e4, d, n).series.scale(1 / (pochhammer(4, n) * pochhammer(12, n)))
     assert got.is_holomorphic()
     assert got.ypoly[0] == want
+    # no bracket here is zero, unlike [E4, E6]_2 in S_14 = 0, so every degree checks the scale:
+    # the realization without the 1/n! first differs at n = 2
+    assert not want.is_zero()
+    scaled = realize_and_multiply(_lowest_weight_tensor_times_n_factorial(4, 12, n), fs, gs)
+    assert (scaled.ypoly[0] == want) is (n < 2)
 
 
 def test_realization_weight_mismatch(catalogue):

@@ -211,6 +211,45 @@ def test_isobaric_arithmetic_keeps_its_type():
     assert type(g4.substitute({"g4": MPoly.var(("g4", "g6"), "g6")})) is MPoly
 
 
+def padded_to_form(self, prec):
+    """IsobaricPoly.to_form as it was when it summed from a zero series, kept verbatim as the oracle."""
+    w = self.weight()
+    if w is None:
+        raise ValueError("only weight-homogeneous polynomials convert to forms")
+    total = QSeries.zero(prec)
+    for (a, b), c in self.terms.items():
+        total = total + _monomial(a, b, prec).scale(c)
+    return ModularForm(w, total)
+
+
+def _isobaric_case(seed):
+    # a homogeneous polynomial with non-integral coefficients on some of its weight's
+    # monomials, or a mixed or zero one, which neither version converts
+    rng = random.Random(seed)
+    weight = rng.choice((0, 4, 6, 8, 12, 16, 24))
+    basis = weight_basis(weight)
+    terms = {ab: F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 7, 144)))
+             for ab in rng.sample(basis, rng.randint(1, len(basis)))}
+    kind = rng.random()
+    if kind < 0.1:
+        terms = {}
+    elif kind < 0.2:
+        terms[(0, 1) if weight != 6 else (1, 0)] = F(1, 3)
+    return IsobaricPoly(terms), rng.randint(1, 12)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32).map(_isobaric_case))
+def test_isobaric_to_form_matches_the_padded_sum(case):
+    p, prec = case
+    if p.weight() is None:
+        for to_form in (IsobaricPoly.to_form, padded_to_form):
+            with pytest.raises(ValueError, match="weight-homogeneous"):
+                to_form(p, prec)
+    else:
+        assert p.to_form(prec) == padded_to_form(p, prec)
+
+
 def test_uniqueness_check_recovers_constant(catalogue):
     prec = 15
     f1 = GradedForm.from_form(catalogue["E4"].truncate(prec))
