@@ -440,14 +440,17 @@ def _bracket_term(f: MPoly, g: MPoly, n: int, table: _BracketTable) -> GradedFor
     """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).terms[n].
 
     By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
-    terms c m_f of f and d m_g of g, grouped by weight; zero parts drop out.
+    terms c m_f of f and d m_g of g, grouped by weight; zero brackets (such
+    as [m, m]_n for odd n) are skipped, and zero parts drop out.
     """
     parts: dict[int, QSeries] = {}
     for (a1, b1), c in f.terms.items():
         for (a2, b2), d in g.terms.items():
-            w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
-            s = table[(a1, b1), (a2, b2)][n].scale(c * d)
-            parts[w] = parts[w] + s if w in parts else s
+            bracket = table[(a1, b1), (a2, b2)][n]
+            if not bracket.is_zero():
+                w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
+                s = bracket.scale(c * d)
+                parts[w] = parts[w] + s if w in parts else s
     return GradedForm({w: ModularForm(w, s) for w, s in parts.items()})
 
 

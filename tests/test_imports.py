@@ -1,5 +1,6 @@
-"""Every rclab module imports on its own, without the package __init__, and
-every public function in it has a caller.
+"""Every rclab module imports on its own, without the package __init__,
+every public function in it has a caller, and the package itself binds only
+its modules.
 
 Each module is imported in a fresh interpreter under a stub `rclab` package
 whose __init__ never runs, so an import cycle between the modules cannot be
@@ -7,6 +8,7 @@ hidden by the order in which __init__ happens to import them.
 """
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,14 @@ def test_module_imports_without_the_package_init(module):
         [sys.executable, "-c", _STUB_IMPORT, str(PACKAGE_DIR), module], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_binds_only_its_modules():
+    # each name is imported from the module that defines it: the package re-exports none
+    public = {name: value for name, value in vars(rclab).items() if not name.startswith("_")}
+    assert [name for name, value in public.items()
+            if not (inspect.ismodule(value) and value.__name__ == f"rclab.{name}")] == []
+    assert isinstance(rclab.__version__, str)
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"

@@ -3,8 +3,10 @@
 A defect is patched at every binding of the function it replaces, since the
 modules import names such as `cmz_coeff` by name and a patch on the defining
 module alone would miss those call sites; a static method is patched on its
-class.  Each case runs `verify <suite> --json` and asserts exit 1, exactly the
-named records failing and nothing on stderr.
+class.  Each case pins the number of modules that bind its function, so a
+new call site that imports it is counted.  Each case runs `verify <suite>
+--json` and asserts exit 1, exactly the named records failing and nothing on
+stderr.
 """
 
 import json
@@ -131,85 +133,85 @@ def _act_lower_doubled_from_two(v):
 DEFECTS = [
     pytest.param(
         starprod.cmz_coeff, _cmz_scaled_at_four, "ident",
-        ["ident/kappa-1over2", "ident/kappa-3over2", "ident/kappa-2", "ident/kappa-5over2"],
+        ["ident/kappa-1over2", "ident/kappa-3over2", "ident/kappa-2", "ident/kappa-5over2"], 1,
         id="cmz_coeff-scaled-at-n4",
     ),
     pytest.param(
         starprod.cmz_coeff, _cmz_shifted_at_two, "kappa-c",
-        ["kappa-c/1over2/fit", "kappa-c/3over2/fit", "kappa-c/2/fit", "kappa-c/5over2/fit"],
+        ["kappa-c/1over2/fit", "kappa-c/3over2/fit", "kappa-c/2/fit", "kappa-c/5over2/fit"], 1,
         id="cmz_coeff-shifted-at-n2",
     ),
     pytest.param(
-        exactcore.pochhammer, _pochhammer_doubled_at_five, "fine", ["fine/det2x2-closed-form-negative"],
+        exactcore.pochhammer, _pochhammer_doubled_at_five, "fine", ["fine/det2x2-closed-form-negative"], 6,
         id="pochhammer-doubled-at-n5",
     ),
     pytest.param(
         nearlyholo.bracket_coeffs, _bracket_coeffs_doubled_at_two, "p3",
-        ["p3/reference-diff-within-recorded-damage", "p3/spot-coefficients", "p3/substituted-all-positive"],
+        ["p3/reference-diff-within-recorded-damage", "p3/spot-coefficients", "p3/substituted-all-positive"], 2,
         id="binom-doubled-at-j2",
     ),
     pytest.param(
-        coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve/degree-in-c"],
+        coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve/degree-in-c"], 1,
         id="a2_family_assoc-wrong-c-term",
     ),
     pytest.param(
-        coeffsolve.a2_family_assoc, _assoc_family_c_plus_c_squared, "solve-unique", ["solve/degree-in-c"],
+        coeffsolve.a2_family_assoc, _assoc_family_c_plus_c_squared, "solve-unique", ["solve/degree-in-c"], 1,
         id="a2_family_assoc-c-plus-c-squared",
     ),
     pytest.param(
         starprod.ident_numerators, _ident_left1_doubled_from_three, "solve-unique",
-        ["solve/level3-unique", "solve/level4-unique", "solve/level5-unique", "solve/degree-in-c"],
+        ["solve/level3-unique", "solve/level4-unique", "solve/level5-unique", "solve/degree-in-c"], 2,
         id="ident_numerators-left1-doubled-from-n3",
     ),
     pytest.param(
         nearlyholo.ramanujan_X, _ramanujan_X_off_by_f_from_ten, "canonical",
         ["canonical/corrected-element/E4-E6", "canonical/corrected-element/E4-Delta",
-         "canonical/corrected-element/E6-Delta"],
+         "canonical/corrected-element/E6-Delta"], 1,
         id="ramanujan_X-off-by-f-from-weight10",
     ),
     pytest.param(
-        nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "der", ["der/E4", "der/E6", "der/Delta"],
+        nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "der", ["der/E4", "der/E6", "der/Delta"], 1,
         id="shimura_X-y-term-off-by-one",
     ),
     pytest.param(
         nearlyholo.shimura_X, _shimura_X_y_term_off_by_one, "combi",
-        ["combi/holomorphic-and-equal/E4-E6", "combi/holomorphic-and-equal/E4-Delta"],
+        ["combi/holomorphic-and-equal/E4-E6", "combi/holomorphic-and-equal/E4-Delta"], 1,
         id="shimura_X-y-term-off-by-one-combi",
     ),
     pytest.param(
-        forms.delta, _delta_wrong_at_q3, "forms", ["forms/discriminant-relation"],
+        forms.delta, _delta_wrong_at_q3, "forms", ["forms/discriminant-relation"], 1,
         id="delta-wrong-at-q3",
     ),
     pytest.param(
         rep.casimir_eigenvalue, _casimir_eigenvalue_off_by_one, "casimir",
-        ["casimir/weight-2", "casimir/weight-4", "casimir/weight-6", "casimir/weight-12"],
+        ["casimir/weight-2", "casimir/weight-4", "casimir/weight-6", "casimir/weight-12"], 1,
         id="casimir_eigenvalue-off-by-one",
     ),
     pytest.param(
         rep.lowest_weight_tensor, _lowest_weight_tensor_times_n_factorial, "propasso",
-        ["propasso/realization-E4-E6"],
+        ["propasso/realization-E4-E6"], 1,
         id="lowest_weight_tensor-times-n-factorial",
     ),
     pytest.param(
         rep.lowest_weight_tensor, _lowest_weight_tensor_r1_doubled, "propasso",
-        ["propasso/tensor-kernel", "propasso/realization-E4-E6"],
+        ["propasso/tensor-kernel", "propasso/realization-E4-E6"], 1,
         id="lowest_weight_tensor-r1-doubled-from-n2",
     ),
     pytest.param(
-        rep.act_lower, _act_lower_doubled_from_two, "triple", ["triple/preimage-formula"],
+        rep.act_lower, _act_lower_doubled_from_two, "triple", ["triple/preimage-formula"], 1,
         id="act_lower-doubled-from-index2",
     ),
     pytest.param(
         rep.xi_vectors, _xi_vectors_pair_weight_minus_two, "triple",
-        ["triple/xi-kernel/E4-E4-E6", "triple/xi-kernel/E4-E6-Delta"],
+        ["triple/xi-kernel/E4-E4-E6", "triple/xi-kernel/E4-E6-Delta"], 1,
         id="xi_vectors-pair-weight-minus-two",
     ),
 ]
 
 
-@pytest.mark.parametrize("original,replacement,suite,failing", DEFECTS)
-def test_planted_defect_fails_its_suite(capsys, monkeypatch, original, replacement, suite, failing):
-    assert _patch_every_binding(monkeypatch, original, replacement) >= 2
+@pytest.mark.parametrize("original,replacement,suite,failing,bindings", DEFECTS)
+def test_planted_defect_fails_its_suite(capsys, monkeypatch, original, replacement, suite, failing, bindings):
+    assert _patch_every_binding(monkeypatch, original, replacement) == bindings
     code = main(["verify", suite, "--json"])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""

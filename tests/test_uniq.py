@@ -406,3 +406,43 @@ def test_walked_table_matches_the_per_degree_brackets(prec):
         for m2 in monomials:
             assert table[m1, m2] == [want[m1, m2, n] for n in range(4)]
     assert len(table) == 81
+
+
+# the search's bracket term as it was before it skipped zero monomial brackets, kept verbatim as
+# the oracle
+def summing_bracket_term(f: MPoly, g: MPoly, n: int, table: _BracketTable) -> GradedForm:
+    """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).terms[n].
+
+    By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
+    terms c m_f of f and d m_g of g, grouped by weight; zero parts drop out.
+    """
+    parts: dict[int, QSeries] = {}
+    for (a1, b1), c in f.terms.items():
+        for (a2, b2), d in g.terms.items():
+            w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
+            s = table[(a1, b1), (a2, b2)][n].scale(c * d)
+            parts[w] = parts[w] + s if w in parts else s
+    return GradedForm({w: ModularForm(w, s) for w, s in parts.items()})
+
+
+@pytest.mark.parametrize("prec", [15, 8])
+def test_bracket_term_matches_the_summing_oracle(prec):
+    # every ordered pair of the 9 generator monomials at every degree of the search's order 3,
+    # each monomial with a seeded coefficient.  Off the diagonal both forms get one seeded second
+    # term x, so that the zero brackets [x, x]_n for odd n meet nonzero ones; on it the forms are
+    # c m and d m, whose odd terms are zero.  More terms are zero where the bracket lies in a
+    # space of cusp forms that is zero, as [E4, E6]_2 does in S_14
+    rng = random.Random(3500 + prec)
+    monomials = [ab for w in range(4, 17, 2) for ab in weight_basis(w)]
+    coords = (F(1), F(-3), F(2), F(-2, 7), F(5, 3))
+    table = _BracketTable(3, prec)
+    zero_terms = 0
+    for m1 in monomials:
+        for m2 in monomials:
+            extra = {} if m1 == m2 else {rng.choice(monomials): rng.choice(coords)}
+            f, g = (IsobaricPoly({m: rng.choice(coords), **extra}) for m in (m1, m2))
+            for n in range(4):
+                got = _bracket_term(f, g, n, table)
+                assert got == summing_bracket_term(f, g, n, table)
+                zero_terms += got.is_zero()
+    assert len(table) == 81 and zero_terms >= 9 * 2
