@@ -105,6 +105,9 @@ class ATable:
         return num if n in (0, 1) else Fraction(num, den)
 
     def set(self, n: int, x: int, y: int, v: RatLike) -> None:
+        """Store A_n(x, y) = v; levels 0 and 1 are built in, so setting them raises ValueError."""
+        if n in (0, 1):
+            raise ValueError(f"{self.name}: A_{n} is built in, cannot set A_{n}({x}, {y})")
         v = rat(v)
         self.values[(n, x, y)] = (v.numerator, v.denominator)
 
@@ -129,9 +132,11 @@ def a2_family_assoc(c: RatLike) -> Callable[[int, int], Rat]:
     kernel direction but half this particular part, and is not associative.
     """
     c = rat(c)
+    cn, cd = c.numerator, c.denominator
 
     def f(x: int, y: int) -> Rat:
-        return Fraction(x * (x + 1) * y * (y + 1)) + c * Fraction(x * y, x + y + 1)
+        s = x + y + 1
+        return Fraction(x * y * ((x + 1) * (y + 1) * s * cd + cn), s * cd)
 
     return f
 
@@ -243,37 +248,39 @@ def _ident_rows(
 
     One row per (k, l, m, p): (nonzero coefficients by level-n pair, values).
     Since A_0 = 1, the level-n unknowns are the end terms of each identity
-    sum; the interior terms are known, read from each table by table_sum, and
+    sum, placed directly: r = 0 at (x+y, z), s = 0 at (x, y+z), r = n at
+    (x, y) only at p = 0 and s = n at (y, z) only at p = n, but not at n = 0,
+    where r = 0 is r = n; with weights >= 1 the four pairs differ.  The
+    interior terms are known, read from each table by table_sum, and
     move to the right-hand side.  Each row is the identity scaled by the D of
     ident_numerators and by L, the lcm of its right-hand-side denominators,
     so its coefficients and right-hand sides are Python ints; the matrix is
-    the same for every table up to the scale L of each row.  Every pair a row
-    touches is added to `pairs`, also one whose coefficients sum to 0.
+    the same for every table up to the scale L of each row.  Every pair a
+    row touches is added to `pairs`.
     """
+    # one table (build_ident_system, `rc-lab solve an`) skips the three comprehensions
+    # that a row for the 3-6 tables of a degree-in-c chain runs: 1/8 of a one-table row
+    one = len(tables) == 1
     for k, l, m, p in ident_row_points(n, grid_bound):
         x, y, z = 2 * k, 2 * l, 2 * m
         left, right, _ = ident_numerators(n, p, x, y, z)
-        coeffs: dict[Pair, int] = {}
-        interior = []
-        for r, c in enumerate(left):
-            if 0 < r < n:
-                interior.append((-c, (r, x, y), (n - r, x + y + 2 * r, z)))
-            else:
-                pair = (x + y, z) if r == 0 else (x, y)
-                coeffs[pair] = coeffs.get(pair, 0) + c
-        for s, c in enumerate(right):
-            if 0 < s < n:
-                interior.append((c, (s, y, z), (n - s, x, y + z + 2 * s)))
-            else:
-                pair = (x, y + z) if s == 0 else (y, z)
-                coeffs[pair] = coeffs.get(pair, 0) - c
-        pairs.update(coeffs)
-        sums = [table_sum(interior, t) for t in tables]
-        scale = math.lcm(*(den for _, den in sums))
-        yield (
-            {pair: v * scale for pair, v in coeffs.items() if v},
-            tuple(num * (scale // den) for num, den in sums),
-        )
+        interior = [(-c, (r, x, y), (n - r, x + y + 2 * r, z)) for r, c in enumerate(left[1:n], 1)]
+        interior += [(c, (s, y, z), (n - s, x, y + z + 2 * s)) for s, c in enumerate(right[1:n], 1)]
+        if one:
+            num, scale = table_sum(interior, tables[0])
+            rhs = (num,)
+        else:
+            sums = [table_sum(interior, t) for t in tables]
+            scale = math.lcm(*[den for _, den in sums])
+            rhs = tuple([num * (scale // den) for num, den in sums])
+        row = {(x + y, z): left[0] * scale}
+        if p == 0 < n:
+            row[(x, y)] = left[n] * scale
+        row[(x, y + z)] = -right[0] * scale
+        if p == n > 0:
+            row[(y, z)] = -right[n] * scale
+        pairs.update(row)
+        yield row, rhs
 
 
 def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:

@@ -246,7 +246,9 @@ def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int],
     an exact Python int.  det2x2_direct has the one other copy, of the
     r = s = 0 terms at p = 1, 2, and a test pins it to this one.
     The weights must be >= 1.  The multinomials depend on (n, p) alone and
-    are cached per (n, p).
+    are cached per (n, p).  (x)_r and (z)_s are running products along r and
+    s, from (z)_p and (x)_{n-p}, so a term makes one perm call, for its
+    (x+y+2r)_{n-p-r} or (y+z+2s)_{p-s}, and the last term of a side none.
     """
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
@@ -255,9 +257,17 @@ def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int],
     cl, cr = _multinomials(n, p)
     # the denominators of c_r and c_s, with (a)_j = perm(a + j - 1, j) for a >= 1
     perm = math.perm
-    zp, xnp = perm(z + p - 1, p), perm(x + n - p - 1, n - p)
-    dl = [zp * perm(x + y + n - p + r - 1, n - p - r) * perm(x + r - 1, r) for r in range(n - p + 1)]
-    dr = [xnp * perm(y + z + p + s - 1, p - s) * perm(z + s - 1, s) for s in range(p + 1)]
+    m = n - p
+    zx, xz = perm(z + p - 1, p), perm(x + m - 1, m)
+    dl, dr = [], []
+    for r in range(m):
+        dl.append(zx * perm(x + y + m + r - 1, m - r))
+        zx *= x + r
+    dl.append(zx)
+    for s in range(p):
+        dr.append(xz * perm(y + z + p + s - 1, p - s))
+        xz *= z + s
+    dr.append(xz)
     d = math.lcm(*dl, *dr)
     return [c * (d // e) for c, e in zip(cl, dl)], [c * (d // e) for c, e in zip(cr, dr)], d
 

@@ -32,7 +32,7 @@ from rclab.coeffsolve import (
     solve,
 )
 from rclab.exactcore import Echelon, binom, eliminate, pochhammer, rat
-from rclab.starprod import ident_numerators, ident_residual
+from rclab.starprod import ident_numerators, ident_residual, table_sum
 
 
 def test_atable_builtin_levels_and_missing():
@@ -43,6 +43,17 @@ def test_atable_builtin_levels_and_missing():
         t.get(2, 4, 6)
     t.set(2, 4, 6, F(7, 2))
     assert t.get(2, 4, 6) == F(7, 2)
+
+
+def test_atable_set_rejects_the_built_in_levels():
+    # levels 0 and 1 are built in: a set A_1(2, 2) = 1/2 read back as 1 from get (an int, the
+    # numerator alone) but as (1, 2) from table_sum, so the two readers of one table disagreed
+    t = ATable(1, 4)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="built in"):
+            t.set(n, 2, 2, F(1, 2))
+    assert t.get(1, 2, 2) == 4 and table_sum([(1, (1, 2, 2), (0, 2, 2))], t) == (4, 1)
+    assert t.values == {(1, 2, 2): (4, 1), (0, 2, 2): (1, 1)}
 
 
 def test_atable_from_kappa_matches_direct_formula():
@@ -62,11 +73,15 @@ def test_a2_family_values():
 
 
 def test_a2_family_assoc_is_doubled_family():
-    for c in (F(0), F(-5, 2), F(4)):
+    # the value is one Fraction over (x+y+1) times the denominator of c, so the c values include
+    # ones whose denominator or numerator shares a factor with x+y+1 (7/3 at (2, 4), 5/3 and -9/7
+    # at (3, 5)), which the Fraction must reduce; plain ints, negative c and odd weights too
+    for c in (F(0), F(-5, 2), F(4), F(7, 3), F(5, 3), F(-9, 7), F(-14, 9), 0, 3, -6):
         fa = a2_family_assoc(c)
-        fq = a2_family(c / 2)
-        for x, y in ((2, 2), (4, 6), (8, 2)):
-            assert fa(x, y) == 2 * fq(x, y)
+        fq = a2_family(F(c) / 2)
+        for x, y in ((2, 2), (4, 6), (8, 2), (2, 4), (1, 1), (3, 5), (1, 6), (5, 2), (7, 7)):
+            got = fa(x, y)
+            assert type(got) is Fraction and got == 2 * fq(x, y)
 
 
 def test_a2_families_against_induced_values():

@@ -210,8 +210,9 @@ def test_ident_residuals_match_the_per_table_residual(case):
 
 
 def _level_case(seed):
+    """(n, grid, tables): levels 0-4, since at n = 0 the end terms r = 0 and r = n are one term."""
     rng = random.Random(seed)
-    return rng.randint(1, 4), rng.randint(1, 3), [_table(rng) for _ in range(rng.randint(1, 3))]
+    return rng.randint(0, 4), rng.randint(1, 3), [_table(rng) for _ in range(rng.randint(1, 3))]
 
 
 @settings(max_examples=60)

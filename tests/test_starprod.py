@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -252,23 +254,23 @@ def test_ident_residual_detects_wrong_family():
 
 
 def test_ident_coefficients_match_binom_pochhammer_expression():
-    weights = range(2, 13, 2)
+    # the even weights the identities use, and every weight 1-7, since the running products
+    # in ident_numerators step by 1 and it takes any weight >= 1; D must be the least common
+    # multiple of the definition's denominators, not just a common multiple
+    triples = {t for weights in (range(2, 13, 2), range(1, 8)) for t in itertools.product(weights, repeat=3)}
     for n in range(7):
         for p in range(n + 1):
-            for x in weights:
-                for y in weights:
-                    for z in weights:
-                        left, right, d = ident_numerators(n, p, x, y, z)
-                        assert [F(c, d) for c in left] == [
-                            binom(n, r) * binom(n - r, p)
-                            / (pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r))
-                            for r in range(n - p + 1)
-                        ]
-                        assert [F(c, d) for c in right] == [
-                            binom(n, s) * binom(n - s, n - p)
-                            / (pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s))
-                            for s in range(p + 1)
-                        ]
+            for x, y, z in sorted(triples):
+                left, right, d = ident_numerators(n, p, x, y, z)
+                dl = [pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r)
+                      for r in range(n - p + 1)]
+                dr = [pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s)
+                      for s in range(p + 1)]
+                assert [F(c, d) for c in left] == [binom(n, r) * binom(n - r, p) / e for r, e in enumerate(dl)]
+                assert [F(c, d) for c in right] == [
+                    binom(n, s) * binom(n - s, n - p) / e for s, e in enumerate(dr)
+                ]
+                assert d == math.lcm(*(int(e) for e in dl + dr))
     with pytest.raises(ValueError):
         ident_numerators(2, 3, 2, 2, 2)
     with pytest.raises(ValueError, match="weights must be >= 1"):
