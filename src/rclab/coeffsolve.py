@@ -73,13 +73,12 @@ class ATable:
         self,
         max_n: int,
         grid_bound: int,
-        values: dict[tuple[int, int, int], tuple[int, int]] | None = None,
         filler: Callable[[int, int, int], Rat] | None = None,
         name: str = "table",
     ):
         self.max_n = max_n
         self.grid_bound = grid_bound
-        self.values: dict[tuple[int, int, int], tuple[int, int]] = dict(values or {})
+        self.values: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.filler = filler
         self.name = name
 
@@ -323,13 +322,8 @@ def extended(known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult) -> 
         raise ValueError(f"level-{n} system inconsistent (row {res.certificate_row})")
     if res.nullity != 0:
         raise ValueError(f"level-{n} system has nullity {res.nullity}, expected 0")
-    out = ATable(
-        max(n, known.max_n),
-        known.grid_bound,
-        values=dict(known.values),
-        filler=known.filler,
-        name=known.name,
-    )
+    out = ATable(max(n, known.max_n), known.grid_bound, filler=known.filler, name=known.name)
+    out.values.update(known.values)
     for pair, v in zip(pairs, res.solution):
         out.set(n, pair[0], pair[1], v)
     return out
@@ -370,10 +364,13 @@ def interpolant_degree(xs: Sequence[RatLike], ys: Sequence[RatLike]) -> int:
     of the last nonzero one (0 when every value is 0).  With k points the
     degree is at most k - 1, so a curve of higher degree aliases to a lower
     one: pass at least one point more than the largest degree to be detected.
+    Raises ValueError unless there is one ordinate per abscissa.
     """
     xs = [rat(x) for x in xs]
     if not xs or len(set(xs)) != len(xs):
         raise ValueError("need one or more samples at distinct abscissae")
+    if len(ys) != len(xs):
+        raise ValueError(f"need one ordinate per abscissa, got {len(ys)} for {len(xs)}")
     dd = [rat(y) for y in ys]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):

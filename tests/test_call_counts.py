@@ -132,7 +132,7 @@ def test_each_filler_runs_once_per_key(monkeypatch, suite):
     fills = Counter()
     init = ATable.__init__
 
-    def counting_init(self, max_n, grid_bound, values=None, filler=None, name="table"):
+    def counting_init(self, max_n, grid_bound, filler=None, name="table"):
         if filler is not None and not hasattr(filler, "counted"):
             original = filler
 
@@ -141,7 +141,7 @@ def test_each_filler_runs_once_per_key(monkeypatch, suite):
                 return original(n, x, y)
 
             filler.counted = True
-        init(self, max_n, grid_bound, values, filler, name)
+        init(self, max_n, grid_bound, filler, name)
 
     monkeypatch.setattr(ATable, "__init__", counting_init)
     with redirect_stdout(io.StringIO()):

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _pochhammer_doubled_at_five, a2_family
+from oracles import _pochhammer_doubled_at_five, a2_family, ref_ident_rows, ref_rref
 
 from rclab import coeffsolve, exactcore
 from rclab.cli import _inconsistency
@@ -31,7 +31,7 @@ from rclab.coeffsolve import (
     level_echelon,
     solve,
 )
-from rclab.exactcore import Echelon, binom, eliminate, pochhammer, rat
+from rclab.exactcore import binom, eliminate, pochhammer
 from rclab.starprod import ident_numerators, ident_residual, table_sum
 
 
@@ -219,53 +219,9 @@ def test_multi_column_elimination_matches_per_column_solve(system):
         assert got.null_basis == want.null_basis
 
 
-# The eliminator as it was before the integer Gauss-Jordan, kept verbatim as
-# the oracle for eliminate: Fraction rows, leading-entry reduction, then
-# back-substitution.
-def _reference_reduce(row, rhs, prow, prhs, factor):
-    """row -= factor * prow in place; returns rhs - factor * prhs."""
-    for c, v in prow.items():
-        nv = row.get(c, F(0)) - factor * v
-        if nv == 0:
-            row.pop(c, None)
-        else:
-            row[c] = nv
-    return [r - factor * p for r, p in zip(rhs, prhs)]
-
-
-def _reference_eliminate(rows, width):
-    pivots = {}
-    certificates = [None] * width
-    for idx, (coeffs, rhs) in enumerate(rows):
-        row = dict(coeffs)
-        r = list(rhs)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = 1 / row[lead]
-                pivots[lead] = ({c: v * inv for c, v in row.items()}, [v * inv for v in r])
-                break
-            prow, pr = pivots[lead]
-            r = _reference_reduce(row, r, prow, pr, row[lead])
-        else:
-            for j, v in enumerate(r):
-                if v != 0 and certificates[j] is None:
-                    certificates[j] = idx
-    # back-substitution to reduced echelon form
-    for col in sorted(pivots, reverse=True):
-        prow, pr = pivots[col]
-        for col2 in sorted(pivots):
-            if col2 >= col:
-                break
-            row2, r2 = pivots[col2]
-            if col in row2:
-                pivots[col2] = (row2, _reference_reduce(row2, r2, prow, pr, row2[col]))
-    return Echelon(pivots, certificates)
-
-
-def _same_echelon(got, want):
-    assert got.pivots == want.pivots
-    assert got.certificates == want.certificates
+def _same_echelon(got, rows, width):
+    """got is the echelon of rows by the Gauss-Jordan reference, with Fraction entries."""
+    assert (got.pivots, got.certificates) == ref_rref(rows, width)
     assert all(
         type(v) is F for row, r in got.pivots.values() for v in [*row.values(), *r]
     )
@@ -312,8 +268,7 @@ def test_eliminate_takes_int_rows_as_given(system):
     # the int rows are used as they are, but never modified
     assert rows == snapshot
     assert [[type(v) for v in [*coeffs.values(), *rhs]] for coeffs, rhs in rows] == types
-    as_fractions = [({c: F(v) for c, v in coeffs.items()}, [F(v) for v in rhs]) for coeffs, rhs in rows]
-    _same_echelon(got, _reference_eliminate(iter(as_fractions), width))
+    _same_echelon(got, rows, width)
     pivots, _ = exactcore._integer_rref(iter(rows), width)
     for col, (row, r) in pivots.items():
         assert all(type(v) is int for v in [*row.values(), *r])
@@ -412,31 +367,25 @@ def test_rows_on_pivot_columns_are_checked_by_evaluation(case):
     assert dropped >= late
     assert rows == snapshot
     assert [[type(v) for v in [*coeffs.values(), *rhs]] for coeffs, rhs in rows] == types
-    as_fractions = [({c: F(v) for c, v in coeffs.items()}, [F(v) for v in rhs]) for coeffs, rhs in rows]
-    _same_echelon(got, _reference_eliminate(iter(as_fractions), width))
+    _same_echelon(got, rows, width)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_grid_six_systems_eliminate_as_the_reference(n):
     sys = build_ident_system(n, 6, ATable.eholzer(n - 1, 40))
-    # add_row keeps the int coefficients; the reference divides by its pivot
-    # entry, so it gets the same values as Fractions
+    # add_row keeps the int coefficients
     assert all(type(v) is int for coeffs, _ in sys.rows for v in coeffs.values())
     rows = [(coeffs, (rhs,)) for coeffs, rhs in sys.rows]
-    as_fractions = [({c: F(v) for c, v in coeffs.items()}, rhs) for coeffs, rhs in rows]
-    _same_echelon(eliminate(iter(rows), 1), _reference_eliminate(iter(as_fractions), 1))
+    _same_echelon(eliminate(iter(rows), 1), rows, 1)
 
 
 def test_chain_levels_eliminate_as_the_reference(monkeypatch):
     checked = []
 
     def both(rows, width):
-        # the level rows carry int coefficients; the reference divides by its
-        # pivot entry, so it gets the same values as Fractions
         rows = list(rows)
         got = eliminate(iter(rows), width)
-        as_fractions = [({c: F(v) for c, v in coeffs.items()}, rhs) for coeffs, rhs in rows]
-        _same_echelon(got, _reference_eliminate(iter(as_fractions), width))
+        _same_echelon(got, rows, width)
         checked.append(width)
         return got
 
@@ -445,27 +394,39 @@ def test_chain_levels_eliminate_as_the_reference(monkeypatch):
     assert checked == [3, 3]
 
 
-def _reference_chain(c, upto_n, final_grid=4):
-    # a separate chain per c value, one build_ident_system + solve per level:
-    # the chain as it was before each level was eliminated once for several c
-    fam = a2_family_assoc(c)
-    table = ATable(2, final_grid + upto_n - 2, filler=lambda n, x, y: fam(x, y), name="ref")
+def _reference_chain(cs, upto_n, final_grid=4):
+    """Levels 3..upto_n from A_2(x, y) = x(x+1) y(y+1) + c x y / (x+y+1) by the references, for each
+    c in cs: level j from its identity rows on grid final_grid + (upto_n - j), eliminated by
+    Gauss-Jordan with one right-hand side per c, where it must be unique.  Returns one dict
+    (n, x, y) -> A_n(x, y), n >= 3, per c."""
+    solved = [{} for _ in cs]
+
+    def family(c, values):
+        def A(n, x, y):
+            return [1, x * y, x * (x + 1) * y * (y + 1) + c * F(x * y, x + y + 1)][n] if n < 3 else values[n, x, y]
+        return A
+
+    As = [family(c, values) for c, values in zip(cs, solved)]
     for j in range(3, upto_n + 1):
-        sys = build_ident_system(j, final_grid + (upto_n - j), table)
-        table = extended(table, j, sys.variables, solve(sys))
-    return table
+        rows = ref_ident_rows(j, final_grid + (upto_n - j), As)
+        pivots, certificates = ref_rref(rows, len(cs))
+        assert set(pivots) == set().union(*(coeffs for coeffs, _ in rows)) and certificates == [None] * len(cs)
+        for i, values in enumerate(solved):
+            values.update({(j, *pair): rhs[i] for pair, (_, rhs) in pivots.items()})
+    return solved
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_several_c_chain_matches_separate_chains(n):
     cs = [F(0), F(-5, 4), F(1, 2), F(3), F(7, 5)]
     tables = chain_solve_many(cs, n)
-    for c, got in zip(cs, tables):
-        want = _reference_chain(c, n)
-        solved = {key: v for key, v in want.values.items() if key[0] >= 3}
-        assert solved and {key: got.values[key] for key in solved} == solved
+    for c, got, solved in zip(cs, tables, _reference_chain(cs, n)):
+        assert solved and {key: got.get(*key) for key in solved} == solved
         assert {key for key in got.values if key[0] >= 3} == set(solved)
         assert (got.max_n, got.grid_bound, got.name) == (n, 4 + n - 2, f"chain(c={c})")
+        # get and table_sum read every stored entry alike
+        for key in list(got.values):
+            assert F(*table_sum([(1, key, (0, 2, 2))], got)) == got.get(*key)
 
 
 def test_level_one_system_kernel_is_product_direction():
@@ -550,7 +511,7 @@ def test_chain_solved_table_is_associative():
 
 
 def test_grid_too_small_raises():
-    known = ATable(2, 3, values={}, name="tiny")
+    known = ATable(2, 3, name="tiny")
     with pytest.raises(MissingEntryError):
         build_ident_system(3, 4, known)
 
@@ -566,47 +527,10 @@ def test_interpolant_degree():
         interpolant_degree([0, 1, 2, 0], [F(0), F(1), F(3), F(5)])
     with pytest.raises(ValueError):
         interpolant_degree([], [])
-
-
-# The interpolation degree_in_c used before it read the degree off the divided
-# differences, kept verbatim as the oracle for interpolant_degree.
-def reference_interpolate(points):
-    """Exact polynomial interpolation; coefficients lowest-degree first.
-
-    Returns the least-degree polynomial through every point (Newton divided
-    differences over all points, trailing zeros trimmed), then re-evaluates it
-    at each point as a check of the expansion.  With k points the degree is at
-    most k - 1, so a curve of higher degree aliases to a lower one: pass at
-    least one point more than the largest degree to be detected.
-    """
-    if not points:
-        raise ValueError("need at least one sample")
-    xs = [rat(p[0]) for p in points]
-    ys = [rat(p[1]) for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("sample abscissae must be distinct")
-    # Newton's divided differences over all points, then trim
-    coeffs = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    # expand to monomial basis
-    poly = [F(0)] * len(xs)
-    for i in reversed(range(len(xs))):
-        # poly = poly * (x - xs[i]) + coeffs[i]
-        shifted = [F(0)] + poly[:-1]
-        poly = [shifted[d] - (xs[i] * poly[d] if d < len(poly) else 0) for d in range(len(poly))]
-        poly[0] += coeffs[i]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    # consistency: all points must evaluate exactly
-    for xv, yv in zip(xs, ys):
-        acc = F(0)
-        for d in reversed(range(len(poly))):
-            acc = acc * xv + poly[d]
-        if acc != yv:
-            raise ValueError("inconsistent interpolation data")
-    return poly
+    # two points show no degree above 1, and one ordinate per abscissa is needed
+    for ys in ([F(0), F(1), F(4)], [F(0)]):
+        with pytest.raises(ValueError):
+            interpolant_degree([0, 1], ys)
 
 
 def _rational(rng):
@@ -626,7 +550,11 @@ def _samples_case(seed):
 @given(st.integers(0, 2**32).map(_samples_case))
 def test_interpolant_degree_matches_reference_interpolation(samples):
     xs, ys = samples
-    assert interpolant_degree(xs, ys) == len(reference_interpolate(list(zip(xs, ys)))) - 1
+    # at distinct abscissae the Vandermonde rows have full rank: their one solution is the
+    # interpolant's coefficients, the degree the last nonzero one
+    pivots, certificates = ref_rref([({d: x**d for d in range(len(xs))}, (y,)) for x, y in zip(xs, ys)], 1)
+    assert len(pivots) == len(xs) and certificates == [None]
+    assert interpolant_degree(xs, ys) == max((d for d, (_, (a,)) in pivots.items() if a), default=0)
 
 
 @pytest.mark.parametrize("n,deg", [(2, 1), (3, 1), (4, 2)])

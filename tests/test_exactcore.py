@@ -1,15 +1,30 @@
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import sigma_oracle
+from oracles import (
+    ref_binom,
+    ref_pochhammer,
+    ref_poly_evaluate,
+    ref_poly_mul,
+    ref_poly_pow,
+    ref_poly_substitute,
+    ref_qs_add,
+    ref_qs_derive,
+    ref_qs_mul,
+    ref_qs_pow,
+    ref_qs_scale,
+    ref_qs_shift,
+    ref_qs_sub,
+    ref_qs_truncate,
+    sigma_oracle,
+)
 
-from rclab.exactcore import MPoly, NotDivisibleError, QSeries, binom, pochhammer, rat
+from rclab.exactcore import MPoly, NotDivisibleError, QSeries, binom, pochhammer
 from rclab.uniq import IsobaricPoly
 
 
@@ -21,28 +36,6 @@ def test_scalar_helpers():
     assert binom(2, 5) == 0  # integer collapse
     assert binom(F(-1, 2), 2) == F(3, 8)
     assert binom(-1, 0) == 1
-
-
-def _pochhammer_oracle(a, n):
-    # the per-factor Fraction loop that pochhammer used before its int kernel
-    if n < 0:
-        raise ValueError(n)
-    a = F(a)
-    out = F(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
-def _binom_oracle(a, b):
-    # the per-factor Fraction loop that binom used before its int kernel
-    if b < 0:
-        return F(0)
-    a = F(a)
-    num = F(1)
-    for i in range(b):
-        num *= a - i
-    return num / math.factorial(b)
 
 
 def _rational(rng):
@@ -62,10 +55,10 @@ def _scalar_case(seed):
 def test_binom_pochhammer_match_fraction_oracles(case):
     a, k = case
     got = binom(a, k)
-    assert type(got) is F and got == _binom_oracle(a, k)
+    assert type(got) is F and got == ref_binom(F(a), k)
     if k >= 0:
         got = pochhammer(a, k)
-        assert type(got) is F and got == _pochhammer_oracle(a, k)
+        assert type(got) is F and got == ref_pochhammer(F(a), k)
     # a negative length raises on every call: the memo never stores a failure
     for _ in range(2):
         with pytest.raises(ValueError):
@@ -133,66 +126,6 @@ def test_qs_ring_axioms_and_derivation_property():
         assert (a * b).derive() == a.derive() * b + a * b.derive()
 
 
-def _schoolbook_mul(a, b):
-    """Reference product: the Fraction double loop the integer kernel replaced."""
-    prec = min(a.prec, b.prec)
-    out = [F(0)] * prec
-    for i, x in enumerate(a.coeffs[:prec]):
-        if x == 0:
-            continue
-        for j in range(prec - i):
-            y = b.coeffs[j]
-            if y != 0:
-                out[i + j] += x * y
-    return type(a)(prec, tuple(out))
-
-
-@dataclass(frozen=True)
-class _FractionQSeries:
-    """QSeries as a tuple of Fractions, one Fraction operation per coefficient.
-
-    The storage the integer-numerator QSeries replaced, kept as the reference
-    that every kernel of the new type is checked against.
-    """
-
-    prec: int
-    coeffs: tuple
-
-    def __add__(self, other):
-        return _FractionQSeries(min(self.prec, other.prec),
-                                tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return _FractionQSeries(min(self.prec, other.prec),
-                                tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return _FractionQSeries(self.prec, tuple(-x for x in self.coeffs))
-
-    __mul__ = _schoolbook_mul
-
-    def scale(self, c):
-        return _FractionQSeries(self.prec, tuple(F(c) * x for x in self.coeffs))
-
-    def derive(self):
-        return _FractionQSeries(self.prec, tuple(n * x for n, x in enumerate(self.coeffs)))
-
-    def truncate(self, prec):
-        return _FractionQSeries(prec, self.coeffs[:prec])
-
-    def shift(self, k):
-        return _FractionQSeries(self.prec + k, (F(0),) * k + self.coeffs)
-
-    def pow(self, e):
-        out = _FractionQSeries(self.prec, (F(1),) + (F(0),) * (self.prec - 1))
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def to_json_obj(self):
-        return {"prec": self.prec, "coeffs": [str(x) for x in self.coeffs]}
-
-
 def _sparse_series(rng, max_prec, max_abs):
     """Zero-heavy series: up to 12 nonzero coefficients over mixed denominators, numerators
     of every size up to max_abs (max_abs shifted right by a drawn bit count bounds each)."""
@@ -222,7 +155,7 @@ def test_qs_mul_matches_fraction_oracle(case):
     a, b = case
     got = a * b
     assert got.prec == min(a.prec, b.prec)
-    assert got.coeffs == _schoolbook_mul(a, b).coeffs
+    assert got.coeffs == ref_qs_mul(a.coeffs, b.coeffs)
     assert all(type(c) is F for c in got.coeffs)
 
 
@@ -239,47 +172,7 @@ def test_qs_mul_is_exact_at_the_slot_boundary(prec):
         for sb in signs:
             a = QSeries.from_numerators([s * (2**wa - 1) for s in sa])
             b = QSeries.from_numerators([s * (2 ** (wa + odd) - 1) for s in sb])
-            assert (a * b).coeffs == _schoolbook_mul(a, b).coeffs
-
-
-# 64-bit numerators keep the oracle's fifth powers within the time budget
-@settings(max_examples=40)
-@given(st.integers(0, 2**32).map(lambda seed: _sparse_series(random.Random(seed), 160, 2**64)))
-def test_qs_pow_matches_repeated_oracle_products(a):
-    want = QSeries.one(a.prec)
-    for e in range(6):
-        assert a.pow(e) == want
-        want = _schoolbook_mul(want, a)
-
-
-def padded_qseries_pow(self, e):
-    """QSeries.pow before the one binary power, verbatim: it multiplies its first factor into
-    a series of ones and squares once past the top bit."""
-    if e < 0:
-        raise ValueError("negative powers are not defined")
-    out = QSeries.one(self.prec)
-    base = self
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
-
-
-def own_mpoly_pow(self, e):
-    """MPoly.pow before QSeries.pow shared its loop, verbatim."""
-    if e < 0:
-        raise ValueError("negative powers are not defined")
-    out = None  # no multiplication by one, no square past the top bit
-    base = self
-    while e:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return self._like({(0,) * len(self.vars): F(1)}) if out is None else out
+            assert (a * b).coeffs == ref_qs_mul(a.coeffs, b.coeffs)
 
 
 def _pow_series(seed):
@@ -294,11 +187,20 @@ def _pow_series(seed):
     return QSeries(prec, [_small_coeff(rng) if rng.random() < 0.7 else F(0) for _ in range(prec)])
 
 
+def _wide_series(seed):
+    # 64-bit numerators keep the reference's fifth powers within the time budget
+    return _sparse_series(random.Random(seed), 160, 2**64)
+
+
+@pytest.mark.parametrize("case,top", [(_wide_series, 5), (_pow_series, 40)], ids=["prec-160-e5", "prec-10-e40"])
 @settings(max_examples=60)
-@given(st.integers(0, 2**32).map(_pow_series))
-def test_qs_pow_matches_the_padded_loop(a):
-    for e in range(41):
-        assert a.pow(e) == padded_qseries_pow(a, e)
+@given(seed=st.integers(0, 2**32))
+def test_qs_pow_matches_repeated_oracle_products(case, top, seed):
+    a = case(seed)
+    want = ref_qs_pow(a.coeffs, 0)
+    for e in range(top + 1):
+        assert a.pow(e).coeffs == want
+        want = ref_qs_mul(want, a.coeffs)
     with pytest.raises(ValueError):
         a.pow(-1)
 
@@ -321,9 +223,11 @@ def _pow_poly(seed):
 @settings(max_examples=60)
 @given(st.integers(0, 2**32).map(_pow_poly))
 def test_mpoly_pow_matches_the_old_loop(a):
+    want = ref_poly_pow(a.terms, 0, len(a.vars))
     for e in range(41):
         got = a.pow(e)
-        assert type(got) is type(a) and got == own_mpoly_pow(a, e) and a**e == got
+        assert type(got) is type(a) and got.terms == want and a**e == got
+        want = ref_poly_mul(want, a.terms)
     with pytest.raises(ValueError):
         a.pow(-1)
 
@@ -338,16 +242,18 @@ def _assert_canonical(s):
     assert s.nums == tuple(c.numerator * (s.den // c.denominator) for c in s.coeffs)
 
 
+# each operation on two QSeries, and on their coefficient tuples by the reference
 _OPS = {
-    "add": lambda a, b, c, e: a + b,
-    "sub": lambda a, b, c, e: a - b,
-    "neg": lambda a, b, c, e: -a,
-    "mul": lambda a, b, c, e: a * b,
-    "derive": lambda a, b, c, e: a.derive(),
-    "scale": lambda a, b, c, e: a.scale(c),
-    "pow": lambda a, b, c, e: a.pow(e),
-    "truncate": lambda a, b, c, e: a.truncate(max(1, a.prec - e)),
-    "shift": lambda a, b, c, e: a.shift(e),
+    "add": (lambda a, b, c, e: a + b, lambda a, b, c, e: ref_qs_add(a, b)),
+    "sub": (lambda a, b, c, e: a - b, lambda a, b, c, e: ref_qs_sub(a, b)),
+    "neg": (lambda a, b, c, e: -a, lambda a, b, c, e: ref_qs_scale(a, -1)),
+    "mul": (lambda a, b, c, e: a * b, lambda a, b, c, e: ref_qs_mul(a, b)),
+    "derive": (lambda a, b, c, e: a.derive(), lambda a, b, c, e: ref_qs_derive(a)),
+    "scale": (lambda a, b, c, e: a.scale(c), lambda a, b, c, e: ref_qs_scale(a, c)),
+    "pow": (lambda a, b, c, e: a.pow(e), lambda a, b, c, e: ref_qs_pow(a, e)),
+    "truncate": (lambda a, b, c, e: a.truncate(max(1, a.prec - e)),
+                 lambda a, b, c, e: ref_qs_truncate(a, max(1, len(a) - e))),
+    "shift": (lambda a, b, c, e: a.shift(e), lambda a, b, c, e: ref_qs_shift(a, e)),
 }
 
 
@@ -376,14 +282,14 @@ def test_qs_kernels_match_fraction_tuple_oracle(case):
     a, b = QSeries(len(xs), tuple(xs)), QSeries(len(ys), tuple(ys))
     for s in (a, b):
         _assert_canonical(s)
-    got = _OPS[op](a, b, c, e)
-    want = _OPS[op](_FractionQSeries(len(xs), tuple(xs)), _FractionQSeries(len(ys), tuple(ys)), c, e)
-    assert got.prec == want.prec and got.coeffs == want.coeffs
+    kernel, reference = _OPS[op]
+    got, want = kernel(a, b, c, e), reference(tuple(xs), tuple(ys), c, e)
+    assert got.prec == len(want) and got.coeffs == want
     _assert_canonical(got)
-    assert got.to_json_obj() == want.to_json_obj()
+    assert got.to_json_obj() == {"prec": len(want), "coeffs": [str(x) for x in want]}
     back = QSeries.from_json_obj(json.loads(json.dumps(got.to_json_obj())))
     assert back == got and hash(back) == hash(got)
-    rebuilt = QSeries(want.prec, want.coeffs)
+    rebuilt = QSeries(len(want), want)
     assert rebuilt == got and hash(rebuilt) == hash(got)
 
 
@@ -582,104 +488,6 @@ def test_mpoly_json_round_trips(p):
     assert back == p and back.to_json_obj() == obj
 
 
-class ReferenceMPoly(MPoly):
-    """MPoly with the Fraction kernels it had before they summed in ints.
-
-    __mul__, pow, substitute and evaluate are the old bodies verbatim, except
-    that annotations are dropped, Fraction is spelled F and MPoly names this
-    class, so every product an oracle makes is an old product too.
-    """
-
-    __slots__ = ()
-
-    def _like(self, terms):
-        return ReferenceMPoly(self.vars, terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            c = rat(other)
-            return self._like({e: c * v for e, v in self.terms.items()})
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, F(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return self._like(out)
-
-    __rmul__ = __mul__
-
-    def pow(self, e):
-        if e < 0:
-            raise ValueError("negative powers are not defined")
-        out = self._like({(0,) * len(self.vars): 1})
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def substitute(self, mapping):
-        targets = list(mapping.values())
-        if not targets:
-            return self
-        tvars = targets[0].vars
-        for p in targets:
-            if p.vars != tvars:
-                raise ValueError("all substitution images must share one variable list")
-        for name in mapping:
-            if name not in self.vars:
-                raise KeyError(f"unknown variable {name!r}; have {self.vars}")
-        images = []
-        for name in self.vars:
-            if name in mapping:
-                images.append(mapping[name])
-            else:
-                if name not in tvars:
-                    raise KeyError(f"variable {name!r} missing from target variables {tvars}")
-                images.append(ReferenceMPoly.var(tvars, name))
-        powers = {}
-        out = {}
-        for exp, c in self.terms.items():
-            term = ReferenceMPoly.const(tvars, c)
-            for i, e in enumerate(exp):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = images[i].pow(e)
-                    term = term * powers[i, e]
-            for te, tc in term.terms.items():
-                out[te] = out.get(te, F(0)) + tc
-        return ReferenceMPoly(tvars, out)
-
-    def evaluate(self, values):
-        out = F(0)
-        for exp, c in self.terms.items():
-            v = c
-            for name, e in zip(self.vars, exp):
-                if e:
-                    v *= rat(values[name]) ** e
-            out += v
-        return out
-
-    @staticmethod
-    def const(vars, c):
-        return ReferenceMPoly(vars, {(0,) * len(vars): rat(c)})
-
-    @staticmethod
-    def var(vars, name):
-        return ReferenceMPoly(vars, MPoly.var(vars, name).terms)
-
-
-def _ref(p):
-    return ReferenceMPoly(p.vars, p.terms)
-
-
 def _mixed_coeff(rng):
     """Numerators up to 2^70 over denominators whose lcm varies from term to term."""
     num = rng.randint(-9, 9) if rng.random() < 0.5 else rng.randint(-(2**70), 2**70)
@@ -691,8 +499,8 @@ def _mixed_mpoly(rng, vars=_VARS, max_terms=6, max_exp=3):
                        MPoly(vars, {(0,) * len(vars): _mixed_coeff(rng)}), MPoly.zero(vars)))
 
 
-def _same(got, want):
-    assert type(got) is MPoly and got.vars == want.vars and got.terms == want.terms
+def _same(got, vars, want):
+    assert type(got) is MPoly and got.vars == vars and got.terms == want
     assert all(type(c) is F and c != 0 for c in got.terms.values())
 
 
@@ -707,10 +515,11 @@ def _mixed_product_case(seed):
 @example((MPoly(_VARS, {(1, 0, 0): F(1, 2), (0, 1, 0): F(-1, 3)}), MPoly.const(_VARS, 6), 3, F(-5, 7)))
 def test_mpoly_mul_and_pow_match_fraction_oracle(case):
     a, b, e, c = case
-    _same(a * b, _ref(a) * _ref(b))
-    _same(a.pow(e), _ref(a).pow(e))
-    _same(a * c, _ref(a) * c)
-    _same(c * a, c * _ref(a))
+    constant = {(0,) * len(_VARS): c}
+    _same(a * b, _VARS, ref_poly_mul(a.terms, b.terms))
+    _same(a.pow(e), _VARS, ref_poly_pow(a.terms, e, len(_VARS)))
+    _same(a * c, _VARS, ref_poly_mul(a.terms, constant))
+    _same(c * a, _VARS, ref_poly_mul(constant, a.terms))
 
 
 def _substitution_case(seed):
@@ -733,8 +542,9 @@ def _substitution_case(seed):
 @given(st.integers(0, 2**32).map(_substitution_case))
 def test_mpoly_substitute_matches_fraction_oracle(case):
     p, mapping = case
-    want = _ref(p).substitute({name: _ref(img) for name, img in mapping.items()})
-    _same(p.substitute(mapping), want)
+    tvars = next(iter(mapping.values())).vars
+    want = ref_poly_substitute(p.terms, _VARS, {name: img.terms for name, img in mapping.items()}, tvars)
+    _same(p.substitute(mapping), tvars, want)
 
 
 def _evaluation_case(seed):
@@ -751,12 +561,12 @@ def _evaluation_case(seed):
 def test_mpoly_evaluate_matches_fraction_oracle(case):
     p, point, dropped = case
     got = p.evaluate(point)
-    assert type(got) is F and got == _ref(p).evaluate(point)
+    assert type(got) is F and got == ref_poly_evaluate(p.terms, _VARS, point)
     partial = {name: v for name, v in point.items() if name != dropped}
     if any(exp[_VARS.index(dropped)] for exp in p.terms):
         # a used variable that is not given: the same KeyError, naming it
         with pytest.raises(KeyError) as want:
-            _ref(p).evaluate(partial)
+            ref_poly_evaluate(p.terms, _VARS, partial)
         with pytest.raises(KeyError) as got_err:
             p.evaluate(partial)
         assert got_err.value.args == want.value.args == (dropped,)

@@ -1,6 +1,6 @@
 """Every rclab module imports on its own, without the package __init__,
-every public function in it has a caller, and the package itself binds only
-its modules.
+every public function in it has a caller, the package itself binds only
+its modules, and no test reference reads the library.
 
 Each module is imported in a fresh interpreter under a stub `rclab` package
 whose __init__ never runs, so an import cycle between the modules cannot be
@@ -127,3 +127,35 @@ def test_no_handler_catches_an_assertion_error():
                 names = [getattr(t, "id", getattr(t, "attr", None)) for t in types]
                 caught += [(path.name, node.lineno)] * names.count("AssertionError")
     assert caught == []
+
+
+def _rclab_bound(source):
+    """The module-level names of source that an rclab import binds, or whose definition reads one."""
+    tree = ast.parse(source)
+    bound, reads = set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names
+                      if alias.name.partition(".")[0] == "rclab"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "rclab":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign)):
+            names = [node.name] if not isinstance(node, ast.Assign) else [
+                t.id for t in node.targets if isinstance(t, ast.Name)]
+            for name in names:
+                reads[name] = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    while more := {name for name, read in reads.items() if read & bound} - bound:
+        bound |= more
+    return bound
+
+
+def test_no_reference_reads_the_library():
+    # each ref_* of tests/oracles.py is written from its definition over plain data; one that read
+    # an rclab name, directly or through another name of the module, would check the library
+    # against itself
+    source = (Path(__file__).parent / "oracles.py").read_text()
+    refs = [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("ref_")]
+    assert len(refs) >= 6 and [name for name in refs if name in _rclab_bound(source)] == []
+    planted = "from rclab.exactcore import rat\nhelper = rat\ndef ref_x(a):\n    return helper(a)\n"
+    assert "ref_x" in _rclab_bound(planted)

@@ -1,13 +1,21 @@
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import _lowest_weight_tensor_times_n_factorial, _shimura_X_y_term_off_by_one, dtil_power, shimura_pow
+from oracles import (
+    _lowest_weight_tensor_times_n_factorial,
+    _shimura_X_y_term_off_by_one,
+    ref_binom,
+    ref_dtil_chain,
+    ref_pochhammer,
+    ref_raise,
+    ref_ypoly_add,
+    ref_ypoly_mul,
+    ref_ypoly_scale,
+)
 
 from rclab import nearlyholo
-
-from rclab.exactcore import QSeries, binom, pochhammer
+from rclab.exactcore import QSeries, pochhammer
 from rclab.forms import ModularForm
 from rclab.nearlyholo import NearlyHoloForm, dtil_chain, lower as nh_lower, rc_bracket
 from rclab.rep import (
@@ -224,104 +232,40 @@ def test_xi_rejects_bad_indices(catalogue):
         xi_vectors(e4, e4, e4, -1)
 
 
-# realize_and_multiply as it was before its callers built the chains, on the
-# forms, and xi_vector_concrete, one (n, p) at a time, which xi_vectors
-# replaced: kept verbatim as oracles, the realization under a new name.
+# the realization and the xi vectors by the Y-polynomial reference
 
 
-def realize_on_forms(
-    v: Vector, f: ModularForm | NearlyHoloForm, g: ModularForm | NearlyHoloForm
-) -> NearlyHoloForm:
-    """Send dtil^r f (x) dtil^s g to the product of the realized factors.
-
-    dtil^r is realized as X^r / (weight)_r on each factor, read from one
-    normalized chain per factor.  On the vector lowest_weight_tensor(x, y, n)
-    this lands exactly on rc_bracket(f, g, n) / ((x)_n (y)_n).
-    """
-    if v.weights != (f.weight, g.weight):
-        raise ValueError(f"vector weights {v.weights} do not match forms ({f.weight}, {g.weight})")
-    keys = [key for key, _ in v.support] or [(0, 0)]
-    fs = dtil_chain(f, max(r for r, _ in keys))
-    gs = dtil_chain(g, max(s for _, s in keys))
-    # every term has the weight of the first: adding one of another total degree raises ValueError
-    total = NearlyHoloForm.zero(sum(v.weights) + 2 * sum(keys[0]), min(f.prec, g.prec))
-    for (r, s), c in v.support:
-        total = total + (fs[r] * gs[s]).scale(c)
-    return total
+def _parts(F: NearlyHoloForm) -> list[tuple]:
+    return [s.coeffs for s in F.ypoly]
 
 
-def xi_vector_concrete(
-    f: ModularForm, g: ModularForm, h: ModularForm, n: int, p: int
-) -> NearlyHoloForm:
-    """Concrete lowest-weight vector xi_(n,p) in the three-factor space.
-
-    With x, y, z the weights of f, g, h and nu = n - p, the pair (f, g) gives
-    the holomorphic lowest-weight vector of weight B = x + y + 2 nu
-
-      w = (-1)^nu nu! realize(lowest_weight_tensor(x, y, nu), f, g),
-
-    and xi is the one of degree p in the pair (w, h):
-
-      xi_(n,p) = p! realize(lowest_weight_tensor(B, z, p), w, h)
-               = sum_s (-1)^s C(p, s) [X^s w / (B)_s] * dtil^(p-s) h,
-
-    so lower(xi) = 0 is an exact identity for every n, p and all weights.
-    """
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    nu = n - p
-    w = realize_on_forms(lowest_weight_tensor(f.weight, g.weight, nu), f, g)
-    w = w.scale((-1) ** nu * math.factorial(nu))
-    return realize_on_forms(lowest_weight_tensor(w.weight, h.weight, p), w, h).scale(math.factorial(p))
+def _ref_chain(f: ModularForm, top: int) -> list[list[tuple]]:
+    return ref_dtil_chain([f.series.coeffs], f.weight, top)
 
 
-# realize_and_multiply and xi_vector_concrete as they were before both read
-# one normalized chain per factor, kept verbatim as oracles.
+def _ref_realize(support, fs: list, gs: list) -> list[tuple]:
+    """sum c dtil^r f dtil^s g over the terms ((r, s), c), from the normalized chains fs and gs."""
+    out = [(0,) * min(len(fs[0][0]), len(gs[0][0]))]
+    for (r, s), c in support:
+        out = ref_ypoly_add(out, ref_ypoly_scale(ref_ypoly_mul(fs[r], gs[s]), c))
+    return out
 
 
-def per_power_realize_and_multiply(v: Vector, f: ModularForm, g: ModularForm) -> NearlyHoloForm:
-    if v.weights != (f.weight, g.weight):
-        raise ValueError(f"vector weights {v.weights} do not match forms ({f.weight}, {g.weight})")
-    prec = min(f.prec, g.prec)
-    n_max = max((r + s for (r, s), _ in v.support), default=0)
-    total = NearlyHoloForm.zero(sum(v.weights) + 2 * n_max, prec)
-    fr_cache: dict[int, NearlyHoloForm] = {}
-    gs_cache: dict[int, NearlyHoloForm] = {}
-    for (r, s), c in v.support:
-        if r not in fr_cache:
-            fr_cache[r] = dtil_power(f, r)
-        if s not in gs_cache:
-            gs_cache[s] = dtil_power(g, s)
-        term = (fr_cache[r] * gs_cache[s]).scale(c)
-        # pad the weight: all terms of a lowest-weight combination share r+s
-        if term.weight != total.weight:
-            raise ValueError("tensor vector mixes total degrees; realization is weight-ambiguous")
-        total = total + term
-    return total
-
-
-def per_power_xi_vector_concrete(
-    f: ModularForm, g: ModularForm, h: ModularForm, n: int, p: int
-) -> NearlyHoloForm:
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    x, y = f.weight, g.weight
-    nu = n - p
-    prec = min(f.prec, g.prec, h.prec)
-    inner = None
-    for r in range(nu + 1):
-        term = (dtil_power(f, nu - r) * dtil_power(g, r)).scale((-1) ** r * binom(nu, r))
-        inner = term if inner is None else inner + term
-    inner = inner.truncate(prec)
-    base = x + y + 2 * nu
-    out = None
-    xs = inner
-    for s in range(p + 1):
-        coeff = (-1) ** s * binom(p, s) / pochhammer(base, s)
-        term = (xs * dtil_power(h, p - s).truncate(prec)).scale(coeff)
-        out = term if out is None else out + term
-        if s < p:
-            xs = shimura_pow(xs, 1)
+def _ref_xi_vectors(f: ModularForm, g: ModularForm, h: ModularForm, n_max: int) -> dict:
+    """xi_(n,p) = sum_s (-1)^s C(p, s) [X^s w / (B)_s] dtil^(p-s) h, with nu = n - p,
+    w = sum_r (-1)^r C(nu, r) dtil^(nu-r) f dtil^r g and B = x + y + 2 nu."""
+    fs, gs, hs = (_ref_chain(form, n_max) for form in (f, g, h))
+    out = {}
+    for n in range(n_max + 1):
+        for p in range(n + 1):
+            nu = n - p
+            w = _ref_realize([((nu - r, r), (-1) ** r * ref_binom(nu, r)) for r in range(nu + 1)], fs, gs)
+            B = f.weight + g.weight + 2 * nu
+            xs = [w]
+            for s in range(p):
+                xs.append(ref_raise(xs[-1], B + 2 * s))
+            ws = [ref_ypoly_scale(x, F(1, ref_pochhammer(B, s))) for s, x in enumerate(xs)]
+            out[n, p] = _ref_realize([((s, p - s), (-1) ** s * ref_binom(p, s)) for s in range(p + 1)], ws, hs)
     return out
 
 
@@ -335,58 +279,60 @@ def test_xi_matches_the_per_power_oracle(catalogue, names):
     f, g, h = (catalogue[name].truncate(prec) for name, prec in zip(names, (14, 13, 15)))
     xis = xi_vectors(f, g, h, 5)
     assert list(xis) == [(n, p) for n in range(6) for p in range(n + 1)]
+    want = _ref_xi_vectors(f, g, h, 5)
     for (n, p), got in xis.items():
-        want = per_power_xi_vector_concrete(f, g, h, n, p)
-        assert got == want and str(got) == str(want), (n, p)
+        assert got.weight == f.weight + g.weight + h.weight + 2 * n and _parts(got) == want[n, p], (n, p)
 
 
 @pytest.mark.parametrize("pair", [("E4", "E6"), ("E6", "Delta"), ("Delta", "E4")], ids="-".join)
 def test_realization_matches_the_per_power_oracle(catalogue, pair):
     f, g = catalogue[pair[0]].truncate(16), catalogue[pair[1]].truncate(14)
     fs, gs = dtil_chain(f, 6), dtil_chain(g, 6)
-    for n in range(7):
-        v = lowest_weight_tensor(f.weight, g.weight, n)
-        assert realize_and_multiply(v, fs, gs) == per_power_realize_and_multiply(v, f, g)
-    # vectors that are not lowest-weight, one total degree each, and the zero vector
+    ref_fs, ref_gs = _ref_chain(f, 6), _ref_chain(g, 6)
+    # the lowest-weight vectors, vectors that are not lowest-weight, one total degree each, and
+    # the zero vector
     rng = random.Random(5)
     for n in range(7):
         keys = rng.sample(range(n + 1), rng.randint(0, n + 1))
         coeffs = {(r, n - r): F(rng.randint(-9, 9), rng.randint(1, 4)) for r in keys}
-        v = Vector.make((f.weight, g.weight), coeffs)
-        assert realize_and_multiply(v, fs, gs) == per_power_realize_and_multiply(v, f, g)
+        for v in (lowest_weight_tensor(f.weight, g.weight, n), Vector.make((f.weight, g.weight), coeffs)):
+            got = realize_and_multiply(v, fs, gs)
+            assert got.weight == f.weight + g.weight + 2 * (n if v.support else 0)
+            assert _parts(got) == _ref_realize(v.support, ref_fs, ref_gs)
 
 
 def test_weight_zero_factors_still_raise(catalogue):
     const = ModularForm(0, QSeries.constant(1, 12))
     e4 = catalogue["E4"].truncate(12)
-    for v, f, g in ((lowest_weight_tensor(0, 4, 1), const, e4), (lowest_weight_tensor(4, 0, 2), e4, const)):
-        for realize in (realize_on_forms, per_power_realize_and_multiply):
+    # (0)_r = 0 for r >= 1: no normalized chain of a weight-0 factor reaches degree 1
+    for top in (1, 2):
+        for chain in (dtil_chain, _ref_chain):
             with pytest.raises(ValueError):
-                realize(v, f, g)
+                chain(const, top)
     # degree 0 reads no raise, so a weight-0 factor is fine there
     v0 = lowest_weight_tensor(0, 4, 0)
-    assert realize_and_multiply(v0, dtil_chain(const, 0), dtil_chain(e4, 0)) == \
-        per_power_realize_and_multiply(v0, const, e4)
-    for n, p in ((1, 0), (1, 1), (2, 1)):
-        for xi in (xi_vector_concrete, per_power_xi_vector_concrete):
-            with pytest.raises(ValueError):
-                xi(const, e4, const, n, p)
+    got = realize_and_multiply(v0, dtil_chain(const, 0), dtil_chain(e4, 0))
+    assert _parts(got) == _ref_realize(v0.support, _ref_chain(const, 0), _ref_chain(e4, 0))
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            _ref_xi_vectors(const, e4, const, n)
         with pytest.raises(ValueError):
             xi_vectors(const, e4, const, n)
-    assert list(xi_vectors(const, e4, const, 0)) == [(0, 0)]
+    assert list(xi_vectors(const, e4, const, 0)) == list(_ref_xi_vectors(const, e4, const, 0)) == [(0, 0)]
 
 
 @pytest.mark.parametrize("patched", [False, True], ids=["unpatched", "shimura_X-y-term-off-by-one"])
 def test_xi_vectors_match_the_per_degree_oracle(catalogue, monkeypatch, patched):
     # the catalogue triples of `verify triple`, at its precision; under a raise wrong from X^2 on
-    # both versions build the same wrong vectors, which are then not all lowest-weight
+    # the library builds wrong vectors, not all lowest-weight, and the reference, out of the
+    # patch's reach, does not
     if patched:
         monkeypatch.setattr(nearlyholo, "shimura_X", _shimura_X_y_term_off_by_one)
     for names in (("E4", "E4", "E6"), ("E4", "E6", "Delta")):
         f, g, h = (catalogue[name].truncate(15) for name in names)
-        xis = xi_vectors(f, g, h, 3)
-        assert list(xis) == [(n, p) for n in range(4) for p in range(n + 1)]
-        for (n, p), got in xis.items():
-            want = xi_vector_concrete(f, g, h, n, p)
-            assert got == want and str(got) == str(want), (names, n, p)
+        xis, want = xi_vectors(f, g, h, 3), _ref_xi_vectors(f, g, h, 3)
+        assert list(xis) == list(want) == [(n, p) for n in range(4) for p in range(n + 1)]
+        # only a vector that reads X^2 or above, through nu >= 2 or p >= 2, can be wrong
+        wrong = [(n, p) for (n, p), got in xis.items() if _parts(got) != want[n, p]]
+        assert bool(wrong) is patched and all(n - p >= 2 or p >= 2 for n, p in wrong)
         assert all(nh_lower(xi).is_zero() for xi in xis.values()) != patched

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -7,16 +8,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ref_bracket, ref_qs_add, ref_qs_mul, ref_qs_pow, ref_qs_scale, sigma_oracle
 
 from rclab.exactcore import MPoly, QSeries
 from rclab.forms import GradedForm, ModularForm, delta, eisenstein_form
-from rclab.nearlyholo import rc_bracket
 from rclab.starprod import rc_series
 from rclab.uniq import (
     IsobaricPoly,
     _BracketTable,
     _bracket_term,
-    _monomial,
     _graded,
     _random_coords,
     _substitute_direction,
@@ -211,15 +211,25 @@ def test_isobaric_arithmetic_keeps_its_type():
     assert type(g4.substitute({"g4": MPoly.var(("g4", "g6"), "g6")})) is MPoly
 
 
-def padded_to_form(self, prec):
-    """IsobaricPoly.to_form as it was when it summed from a zero series, kept verbatim as the oracle."""
-    w = self.weight()
-    if w is None:
-        raise ValueError("only weight-homogeneous polynomials convert to forms")
-    total = QSeries.zero(prec)
-    for (a, b), c in self.terms.items():
-        total = total + _monomial(a, b, prec).scale(c)
-    return ModularForm(w, total)
+@functools.cache
+def _ref_monomial(a: int, b: int, prec: int) -> tuple:
+    """E4^a E6^b by the q-series reference, E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n) q^n."""
+    e4, e6 = ((1,) + tuple(c * sigma_oracle(n, k) for n in range(1, prec)) for c, k in ((240, 3), (-504, 5)))
+    return ref_qs_mul(ref_qs_pow(e4, a), ref_qs_pow(e6, b))
+
+
+def _ref_form(p: IsobaricPoly, prec: int) -> tuple:
+    """sum c E4^a E6^b over the terms of p."""
+    total = (0,) * prec
+    for (a, b), c in p.terms.items():
+        total = ref_qs_add(total, ref_qs_scale(_ref_monomial(a, b, prec), c))
+    return total
+
+
+@functools.cache
+def _ref_monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: int) -> tuple:
+    (a1, b1), (a2, b2) = m1, m2
+    return ref_bracket(_ref_monomial(a1, b1, prec), _ref_monomial(a2, b2, prec), 4 * a1 + 6 * b1, 4 * a2 + 6 * b2, n)
 
 
 def _isobaric_case(seed):
@@ -243,11 +253,11 @@ def _isobaric_case(seed):
 def test_isobaric_to_form_matches_the_padded_sum(case):
     p, prec = case
     if p.weight() is None:
-        for to_form in (IsobaricPoly.to_form, padded_to_form):
-            with pytest.raises(ValueError, match="weight-homogeneous"):
-                to_form(p, prec)
+        with pytest.raises(ValueError, match="weight-homogeneous"):
+            p.to_form(prec)
     else:
-        assert p.to_form(prec) == padded_to_form(p, prec)
+        got = p.to_form(prec)
+        assert got.weight == p.weight() and got.series.coeffs == _ref_form(p, prec)
 
 
 def test_uniqueness_check_recovers_constant(catalogue):
@@ -303,11 +313,12 @@ def _reference_graded(rng, prec):
 
 
 def _reference_term(f, g, n):
-    acc = GradedForm.zero()
-    for x in f.weights():
-        for y in g.weights():
-            acc = acc + GradedForm.from_form(rc_bracket(f.parts[x], g.parts[y], n))
-    return acc
+    """[f, g]_n of two graded forms by the bracket reference: weight -> coefficients, zero parts dropped."""
+    acc = {}
+    for (x, fx), (y, gy) in itertools.product(f.parts.items(), g.parts.items()):
+        bracket = ref_bracket(fx.series.coeffs, gy.series.coeffs, x, y, n)
+        acc[x + y + 2 * n] = ref_qs_add(acc[x + y + 2 * n], bracket) if x + y + 2 * n in acc else bracket
+    return {w: s for w, s in acc.items() if any(s)}
 
 
 def _reference_search(seeds, order, prec, seed0):
@@ -382,47 +393,27 @@ def test_bracket_term_matches_rc_series(case):
     assert _bracket_term(f, g, n, _BracketTable(4, prec)) == want
 
 
-# the search's bracket table as it was before one walk over n filled each monomial pair,
-# memoized per (m1, m2, n, prec), kept verbatim as the oracle
-@functools.lru_cache(maxsize=None)
-def _monomial_bracket(m1: tuple[int, int], m2: tuple[int, int], n: int, prec: int) -> QSeries:
-    """[E4^a1 E6^b1, E4^a2 E6^b2]_n to prec, memoized: the search's bracket table."""
-    (a1, b1), (a2, b2) = m1, m2
-    f = ModularForm(4 * a1 + 6 * b1, _monomial(a1, b1, prec))
-    g = ModularForm(4 * a2 + 6 * b2, _monomial(a2, b2, prec))
-    return rc_bracket(f, g, n).series
-
-
 @pytest.mark.parametrize("prec", [15, 8])
 def test_walked_table_matches_the_per_degree_brackets(prec):
     # every ordered pair of the 9 generator monomials of weights 4..16, the search's order 3
-    # the oracle first, n outermost as the search used to ask, so that no bracket of it reuses
-    # the products of the walk it is compared with
     monomials = [ab for w in range(4, 17, 2) for ab in weight_basis(w)]
     assert len(monomials) == 9
-    want = {(m1, m2, n): _monomial_bracket(m1, m2, n, prec) for n in range(4) for m1 in monomials for m2 in monomials}
     table = _BracketTable(3, prec)
     for m1 in monomials:
         for m2 in monomials:
-            assert table[m1, m2] == [want[m1, m2, n] for n in range(4)]
+            assert [s.coeffs for s in table[m1, m2]] == [_ref_monomial_bracket(m1, m2, n, prec) for n in range(4)]
     assert len(table) == 81
 
 
-# the search's bracket term as it was before it skipped zero monomial brackets, kept verbatim as
-# the oracle
-def summing_bracket_term(f: MPoly, g: MPoly, n: int, table: _BracketTable) -> GradedForm:
-    """[f, g]_n of two graded forms in generator coordinates, as rc_series(.).terms[n].
-
-    By bilinearity this is the sum of c d [m_f, m_g]_n over the monomial
-    terms c m_f of f and d m_g of g, grouped by weight; zero parts drop out.
-    """
-    parts: dict[int, QSeries] = {}
-    for (a1, b1), c in f.terms.items():
-        for (a2, b2), d in g.terms.items():
-            w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
-            s = table[(a1, b1), (a2, b2)][n].scale(c * d)
-            parts[w] = parts[w] + s if w in parts else s
-    return GradedForm({w: ModularForm(w, s) for w, s in parts.items()})
+def _ref_bracket_term(f: IsobaricPoly, g: IsobaricPoly, n: int, prec: int) -> dict:
+    """[f, g]_n in generator coordinates by bilinearity over the reference's monomial brackets:
+    weight -> coefficients, zero parts dropped."""
+    parts = {}
+    for ((a1, b1), c), ((a2, b2), d) in itertools.product(f.terms.items(), g.terms.items()):
+        w = 4 * (a1 + a2) + 6 * (b1 + b2) + 2 * n
+        term = ref_qs_scale(_ref_monomial_bracket((a1, b1), (a2, b2), n, prec), c * d)
+        parts[w] = ref_qs_add(parts[w], term) if w in parts else term
+    return {w: s for w, s in parts.items() if any(s)}
 
 
 @pytest.mark.parametrize("prec", [15, 8])
@@ -443,6 +434,6 @@ def test_bracket_term_matches_the_summing_oracle(prec):
             f, g = (IsobaricPoly({m: rng.choice(coords), **extra}) for m in (m1, m2))
             for n in range(4):
                 got = _bracket_term(f, g, n, table)
-                assert got == summing_bracket_term(f, g, n, table)
+                assert {w: part.series.coeffs for w, part in got.parts.items()} == _ref_bracket_term(f, g, n, prec)
                 zero_terms += got.is_zero()
     assert len(table) == 81 and zero_terms >= 9 * 2
