@@ -16,26 +16,27 @@ them exactly, and packages the structural facts about the solution set:
     c = 4*kappa^2 - 8*kappa + 3 (kappa_c_report records how this differs
     from the historically quoted constant).
 
-An ATable stores each value as a reduced (numerator, denominator) int pair.
-The coefficients of a level-n identity system come only from
-ident_numerators, so up to a positive scale of each row its matrix does not
-depend on the lower-level table; only the right-hand side does, summed from
-the table's pairs by rclab.starprod.table_sum.  Each row is its identity
-scaled by the common denominator D and by the lcm of its right-hand-side
-denominators, so its entries and right-hand sides are Python ints, with no
-Fraction between the table and the eliminator.  The systems go through the
-one sparse eliminator of rclab.exactcore (eliminate): solve is its
-one-column case, and level_echelon eliminates a level-n system once for any
-number of tables (chain_solve_many and `rc-lab solve an` both go through
-it), computing each row's columns as the row is eliminated.  solve feeds its
-staged rows last-first: the pairs a row touches grow with (k, l, m), and
-eliminate clears each new pivot column from every stored row that holds it,
-so first-to-last the level-2 kernel column, which every pivot row holds,
-would move to each larger pair and be cleared from about 100 rows at a time
-(3,628 row reductions at grid 6 against 178).  Only a certificate depends on
-the order, so an inconsistent system is eliminated again first-to-last for
-its first contradictory row.  The degree in c is read off Newton's divided
-differences of the sampled values, with no expansion into monomials.
+An ATable stores each value as t_n(x, y) = A_n(x, y) / ((x)_n (y)_n), a
+reduced (numerator, denominator) int pair, and the level-n systems are in the
+t-values, where every identity coefficient is an integer
+(rclab.starprod.ident_coefficients): the matrix does not depend on the
+lower-level table, only the right-hand side does, summed from the table's
+pairs by rclab.starprod.table_sum and scaled to ints by its lcm.  Outside,
+the coordinates stay the A-values: get and set read and take A, and the
+eliminator reports solutions and null bases in A = t (X)_n (Z)_n.  The
+systems go through the one sparse eliminator of rclab.exactcore (eliminate):
+solve is its one-column case, and level_echelon eliminates a level-n system
+once for any number of tables (chain_solve_many and `rc-lab solve an` both go
+through it), computing each row's columns as the row is eliminated.  solve
+feeds its staged rows last-first: the pairs a row touches grow with
+(k, l, m), and eliminate clears each new pivot column from every stored row
+that holds it, so first-to-last the level-2 kernel column, which every pivot
+row holds, would move to each larger pair and be cleared from about 100 rows
+at a time (3,628 row reductions at grid 6 against 178).  Only a certificate
+depends on the order, so an inconsistent system is eliminated again
+first-to-last for its first contradictory row.  The degree in c is read off
+Newton's divided differences of the sampled values, with no expansion into
+monomials.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exactcore import Echelon, Rat, RatLike, SolveResult, eliminate, pochhammer, rat
-from .starprod import cmz_rule, eholzer_rule, ident_numerators, table_sum
+from .starprod import cmz_t, eholzer_rule, ident_coefficients, table_sum
 
 
 class MissingEntryError(KeyError):
@@ -58,22 +59,23 @@ Pair = tuple[int, int]
 
 
 class ATable:
-    """Values A_n(x, y) on even-weight pairs, with levels 0 and 1 built in.
+    """Values A_n(x, y) on even-weight pairs, stored as t_n(x, y), with levels 0 and 1 built in.
 
-    `values` is the one store: (n, x, y) -> A_n(x, y) as its reduced
-    (numerator, denominator) int pair, so the identity kernels read it with
-    one dict lookup and no Fraction.  Levels 0 and 1 (the ints 1 and x*y)
-    and, through an optional filler (a family's rule, as starprod.cmz_rule),
-    every other level are stored on first lookup, so a filler runs once per
-    key.  A lookup that neither covers raises MissingEntryError naming the
-    missing entry.  get returns an int at levels 0 and 1 and a Rat above.
+    `values` is the one store: (n, x, y) -> t_n(x, y) = A_n(x, y) / ((x)_n (y)_n)
+    as its reduced (numerator, denominator) int pair, so the identity kernels
+    read it with one dict lookup and no Fraction.  Levels 0 and 1 (t = 1) and,
+    through an optional filler (a family's t-rule, as starprod.cmz_t), every
+    other level are stored on first lookup, so a filler runs once per key.  A
+    lookup that neither covers raises MissingEntryError naming the missing
+    entry.  get returns A = t (x)_n (y)_n, an int at levels 0 and 1 and a Rat
+    above, so 0 where (x)_n (y)_n = 0; set takes A.
     """
 
     def __init__(
         self,
         max_n: int,
         grid_bound: int,
-        filler: Callable[[int, int, int], Rat] | None = None,
+        filler: Callable[[int, int, int], Rat | int] | None = None,
         name: str = "table",
     ):
         self.max_n = max_n
@@ -83,16 +85,14 @@ class ATable:
         self.name = name
 
     def entry(self, key: tuple[int, int, int]) -> tuple[int, int]:
-        """A_n(x, y) at key = (n, x, y) as (numerator, denominator), stored on first lookup."""
+        """t_n(x, y) at key = (n, x, y) as (numerator, denominator), stored on first lookup."""
         v = self.values.get(key)
         if v is None:
             n, x, y = key
-            if n == 0:
+            if n in (0, 1):
                 v = (1, 1)
-            elif n == 1:
-                v = (x * y, 1)
             elif self.filler is not None:
-                f = rat(self.filler(n, x, y))
+                f = self.filler(n, x, y)  # an int or a Fraction, both reduced
                 v = (f.numerator, f.denominator)
             else:
                 raise MissingEntryError(f"{self.name}: no entry for A_{n}({x}, {y})")
@@ -101,24 +101,40 @@ class ATable:
 
     def get(self, n: int, x: int, y: int) -> Rat | int:
         num, den = self.entry((n, x, y))
-        return num if n in (0, 1) else Fraction(num, den)
+        a = num * eholzer_rule(n, x, y)
+        return a if n in (0, 1) else Fraction(a, den)
 
     def set(self, n: int, x: int, y: int, v: RatLike) -> None:
-        """Store A_n(x, y) = v; levels 0 and 1 are built in, so setting them raises ValueError."""
+        """Store A_n(x, y) = v as t = v / ((x)_n (y)_n).
+
+        Levels 0 and 1 are built in, so setting them raises ValueError; where
+        (x)_n (y)_n = 0, t is undetermined and the division raises ZeroDivisionError.
+        """
         if n in (0, 1):
             raise ValueError(f"{self.name}: A_{n} is built in, cannot set A_{n}({x}, {y})")
-        v = rat(v)
-        self.values[(n, x, y)] = (v.numerator, v.denominator)
+        t = rat(v) / eholzer_rule(n, x, y)
+        self.values[(n, x, y)] = (t.numerator, t.denominator)
 
     @staticmethod
     def from_kappa(kappa: RatLike, max_n: int, grid_bound: int) -> ATable:
-        """The classical family's table, filled by rclab.starprod.cmz_rule."""
+        """The classical family's table, filled by rclab.starprod.cmz_t."""
         kappa = rat(kappa)
-        return ATable(max_n, grid_bound, filler=cmz_rule(kappa), name=f"induced(kappa={kappa})")
+        return ATable(max_n, grid_bound, filler=cmz_t(kappa), name=f"induced(kappa={kappa})")
 
     @staticmethod
     def eholzer(max_n: int, grid_bound: int) -> ATable:
-        return ATable(max_n, grid_bound, filler=eholzer_rule, name="eholzer")
+        return ATable(max_n, grid_bound, filler=lambda n, x, y: 1, name="eholzer")
+
+
+def a2_t(c: RatLike) -> Callable[[int, int], Rat]:
+    """The t-rule of a2_family_assoc(c): t_2(x, y) = 1 + c / ((x+1)(y+1)(x+y+1)), one Fraction from ints."""
+    c = rat(c)
+
+    def t(x: int, y: int) -> Rat:
+        d = (x + 1) * (y + 1) * (x + y + 1) * c.denominator
+        return Fraction(d + c.numerator, d)
+
+    return t
 
 
 def a2_family_assoc(c: RatLike) -> Callable[[int, int], Rat]:
@@ -129,15 +145,10 @@ def a2_family_assoc(c: RatLike) -> Callable[[int, int], Rat]:
     (c = 0 is the all-ones normalized product; the induced classical family
     sits at c = 4*kappa^2 - 8*kappa + 3).  The quoted family has the same
     kernel direction but half this particular part, and is not associative.
+    It is a2_t(c) times (x)_2 (y)_2.
     """
-    c = rat(c)
-    cn, cd = c.numerator, c.denominator
-
-    def f(x: int, y: int) -> Rat:
-        s = x + y + 1
-        return Fraction(x * y * ((x + 1) * (y + 1) * s * cd + cn), s * cd)
-
-    return f
+    t = a2_t(c)
+    return lambda x, y: t(x, y) * eholzer_rule(2, x, y)
 
 
 def kappa_to_c(kappa: RatLike) -> Rat:
@@ -195,10 +206,13 @@ def kappa_c_report(kappa: RatLike, grid_bound: int = 4) -> dict:
 
 @dataclass
 class LinSystem:
-    """Sparse exact system: rows are (coefficient dict keyed by the variables, rhs)."""
+    """Sparse exact system: rows are (coefficient dict keyed by the variables, rhs).
+
+    With a scale, a row's unknown at key is its variable over scale(key)."""
 
     variables: list
     rows: list[tuple[dict, Rat | int]] = field(default_factory=list)
+    scale: Callable[[object], int] | None = None
 
     def add_row(self, coeffs: dict, rhs: RatLike) -> None:
         # ints stay ints, so that an all-int row reaches the eliminator as it is
@@ -224,14 +238,14 @@ def solve(sys: LinSystem) -> SolveResult:
     inconsistent, so an inconsistent system is eliminated again first-to-last.
     """
     rows = [(coeffs, (rhs,)) for coeffs, rhs in sys.rows]
-    ech = eliminate(reversed(rows), 1)
+    ech = eliminate(reversed(rows), 1, sys.scale)
     if ech.certificates[0] is not None:
-        ech = eliminate(rows, 1)
+        ech = eliminate(rows, 1, sys.scale)
     return ech.result(sys.variables)
 
 
 # ---------------------------------------------------------------------------
-# The identity systems on the A-values
+# The identity systems, on the t-values and solved for the A-values
 # ---------------------------------------------------------------------------
 
 
@@ -240,29 +254,34 @@ def ident_row_points(n: int, grid_bound: int) -> Iterator[tuple[int, int, int, i
     return itertools.product(*[range(1, grid_bound + 1)] * 3, range(n + 1))
 
 
+def _a_scale(n: int) -> Callable[[Pair], int]:
+    """The factor (X)_n (Z)_n that takes the level-n unknown t_n(X, Z) to A_n(X, Z), for eliminate."""
+    return lambda pair: eholzer_rule(n, *pair)
+
+
 def _ident_rows(
     n: int, grid_bound: int, tables: Sequence[ATable], pairs: set[Pair]
 ) -> Iterator[tuple[dict[Pair, int], tuple[int, ...]]]:
-    """The level-n identity rows in order, one right-hand side per table.
+    """The level-n identity rows in the t-unknowns, in order, one right-hand side per table.
 
     One row per (k, l, m, p): (nonzero coefficients by level-n pair, values).
-    Since A_0 = 1, the level-n unknowns are the end terms of each identity
+    Since t_0 = 1, the level-n unknowns are the end terms of each identity
     sum, placed directly: r = 0 at (x+y, z), s = 0 at (x, y+z), r = n at
     (x, y) only at p = 0 and s = n at (y, z) only at p = n, but not at n = 0,
     where r = 0 is r = n; with weights >= 1 the four pairs differ.  The
-    interior terms are known, read from each table by table_sum, and
-    move to the right-hand side.  Each row is the identity scaled by the D of
-    ident_numerators and by L, the lcm of its right-hand-side denominators,
-    so its coefficients and right-hand sides are Python ints; the matrix is
-    the same for every table up to the scale L of each row.  Every pair a
-    row touches is added to `pairs`.
+    interior terms are known, read from each table by table_sum, and move
+    to the right-hand side.  The coefficients of ident_coefficients are
+    integers, and each row is scaled by L, the lcm of its right-hand-side
+    denominators, so its coefficients and right-hand sides are Python ints;
+    the matrix is the same for every table up to the scale L of each row.
+    Every pair a row touches is added to `pairs`.
     """
     # one table (build_ident_system, `rc-lab solve an`) skips the three comprehensions
     # that a row for the 3-6 tables of a degree-in-c chain runs: 1/8 of a one-table row
     one = len(tables) == 1
     for k, l, m, p in ident_row_points(n, grid_bound):
         x, y, z = 2 * k, 2 * l, 2 * m
-        left, right, _ = ident_numerators(n, p, x, y, z)
+        left, right = ident_coefficients(n, p, x, y, z)
         interior = [(-c, (r, x, y), (n - r, x + y + 2 * r, z)) for r, c in enumerate(left[1:n], 1)]
         interior += [(c, (s, y, z), (n - s, x, y + z + 2 * s)) for s, c in enumerate(right[1:n], 1)]
         if one:
@@ -290,29 +309,28 @@ def build_ident_system(n: int, grid_bound: int, known: ATable) -> LinSystem:
     level-n pairs the rows touch (this auto-enlarges past the nominal grid,
     as the boundary terms reach weights up to twice the grid).  Lower-level
     lookups go through `known` and raise MissingEntryError if the table is
-    too small.  Up to a positive scale of each row the matrix does not depend
-    on `known`; only the right-hand side does.  Each row is its identity
-    scaled by the D of ident_numerators and by the lcm of its right-hand-side
-    denominators, so the coefficients and right-hand sides are integers; the
-    reduced echelon form, and with it every solution, rank and null basis, is
-    the same as for the unscaled identities.
+    too small.  The rows are _ident_rows, integer rows in the t-unknowns;
+    the matrix does not depend on `known` up to a positive scale of each row.
+    The system's scale takes the unknowns to the A-values, so the reduced
+    echelon form, and with it every solution, rank and null basis that solve
+    reports, is the one of the unscaled identities in the A-values.
     """
     if n < 1:
         raise ValueError("systems are built for levels n >= 1")
     pairs: set[Pair] = set()
     rows = [(coeffs, rhs) for coeffs, (rhs,) in _ident_rows(n, grid_bound, [known], pairs)]
-    return LinSystem(sorted(pairs), rows)
+    return LinSystem(sorted(pairs), rows, _a_scale(n))
 
 
 def level_echelon(n: int, grid_bound: int, tables: Sequence[ATable]) -> tuple[list[Pair], Echelon]:
     """The level-n identity system on the grid, eliminated once for all tables.
 
     Returns the sorted level-n pairs the rows touch (the column keys) and the
-    echelon, with one right-hand-side column per table.  Every row is built
-    and eliminated in one pass, without staging the system.
+    echelon in the A-values, with one right-hand-side column per table.
+    Every row is built and eliminated in one pass, without staging the system.
     """
     pairs: set[Pair] = set()
-    ech = eliminate(_ident_rows(n, grid_bound, tables, pairs), len(tables))
+    ech = eliminate(_ident_rows(n, grid_bound, tables, pairs), len(tables), _a_scale(n))
     return sorted(pairs), ech
 
 
@@ -330,7 +348,7 @@ def extended(known: ATable, n: int, pairs: Sequence[Pair], res: SolveResult) -> 
 
 
 def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) -> list[ATable]:
-    """Solve levels 3..upto_n for every c in cs, seeding A_2 from a2_family_assoc(c).
+    """Solve levels 3..upto_n for every c in cs, seeding t_2 from a2_t(c), so A_2 is a2_family_assoc(c).
 
     Level j is solved on grid final_grid + (upto_n - j), so each level covers
     every pair the next level's rows reference.  The level-j matrix does not
@@ -340,11 +358,11 @@ def chain_solve_many(cs: Sequence[RatLike], upto_n: int, final_grid: int = 4) ->
     base_bound = final_grid + max(0, upto_n - 2)
 
     def base(c: RatLike) -> ATable:
-        fam = a2_family_assoc(c)
+        t2 = a2_t(c)
 
         def fill(n: int, x: int, y: int) -> Rat:
             if n == 2:
-                return fam(x, y)
+                return t2(x, y)
             raise MissingEntryError(f"chain(c={c}): no entry for A_{n}({x}, {y})")
 
         return ATable(2, base_bound, filler=fill, name=f"chain(c={c})")
@@ -407,8 +425,9 @@ def det2x2_direct(n: int, k: int, l: int, m: int) -> Rat:
 
     With a_p = C(n,p) / [(x+y)_(n-p) (z)_p] and b_p = C(n,p) / [(x)_(n-p) (y+z)_p],
     this is a_1 b_2 - a_2 b_1, summed over the product of the four
-    denominators in Python ints.  a_p and b_p are ident_numerators' r = s = 0
-    terms at p, copied so that the fine suite builds no identity rows.
+    denominators in Python ints.  a_p and b_p are L_0 / ((x+y)_n (z)_n) and
+    R_0 / ((x)_n (y+z)_n) of ident_coefficients at p, copied so that the fine
+    suite builds no identity rows.
     """
     x, y, z = 2 * k, 2 * l, 2 * m
     da1 = _poch(x + y, n - 1) * _poch(z, 1)

@@ -49,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Rat = Fraction
 
@@ -742,7 +742,7 @@ def _integer_rref(
     return pivots, certificates
 
 
-def eliminate(rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int) -> Echelon:
+def eliminate(rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int, scale: Callable | None = None) -> Echelon:
     """Exact sparse reduced row echelon over the rationals, row by row.
 
     Each row is (coefficients by column key, `width` right-hand-side values)
@@ -769,13 +769,14 @@ def eliminate(rows: Iterable[tuple[dict, Sequence[Rat | int]]], width: int) -> E
     echelon form of the matrix, which is unique, so the result does not depend
     on the order of the reductions.  The certificate of a column is the first
     row that reduces to 0 = nonzero, a property of the row prefix.  The
-    caller's rows are not modified.
+    caller's rows are not modified.  With a scale, the echelon is the one in
+    the unknowns scale(c) times the rows' unknown at c: column c divided by
+    the nonzero int scale(c).
     """
     pivots, certificates = _integer_rref(rows, width)
-    return Echelon(
-        {
-            col: ({c: Fraction(v, row[col]) for c, v in row.items()}, [Fraction(v, row[col]) for v in r])
-            for col, (row, r) in pivots.items()
-        },
-        certificates,
-    )
+    scale = scale or (lambda col: 1)
+    echelon = {}
+    for col, (row, r) in pivots.items():
+        d, w = row[col], scale(col)
+        echelon[col] = ({c: Fraction(v * w, d * scale(c)) for c, v in row.items()}, [Fraction(v * w, d) for v in r])
+    return Echelon(echelon, certificates)

@@ -4,29 +4,30 @@ A star product here is hbar-formal:
 
     f * g = sum_n  t_n(x, y) * [f, g]_n * hbar^n
 
-with x, y the weights of the graded parts.  Each family is its rule
-A_n(x, y) = t_n(x, y) (x)_n (y)_n, defined once and read by StarCoefficients
-and by coeffsolve.ATable alike:
+with x, y the weights of the graded parts.  A family is given by its t_n or
+by A_n = t_n (x)_n (y)_n: StarCoefficients reads its A-rule, and
+coeffsolve.ATable stores t_n and fills it from its t-rule:
 
-  eholzer_rule   A_n = (x)_n (y)_n, so t_n = 1
-  cmz_rule(kappa) A_n = (-4)^n t_n^kappa(x/2, y/2) (x)_n (y)_n, the classical
-                 hypergeometric-style family; the factor (-4)^n normalizes the
-                 first-order rule to A_1(x, y) = x y
+  eholzer_rule   A_n = (x)_n (y)_n in ints, so t_n = 1; also the factor
+                 that takes any family's t_n to its A_n
+  cmz_t(kappa)   t_n = (-4)^n t_n^kappa(x/2, y/2), the classical
+                 hypergeometric-style family; the factor (-4)^n normalizes
+                 the first order to t_1 = 1, that is A_1(x, y) = x y
   ATable.get     a table of solved or planted values
 
-cmz_coeff is the one evaluator of t_n^kappa, behind cmz_rule.  Its j-sum runs
+cmz_coeff is the one evaluator of t_n^kappa, behind cmz_t.  Its j-sum runs
 in Python ints over falling products, with the kappa-only factor of each term
 cached per (kappa, j), and it builds one Fraction at the end.
 
 The reduced associativity identities identify, for each hbar-degree n and
 each p = 0..n, the coefficient of dtil^(n-p) f * g * dtil^p h in the two
-ways of bracketing a triple product; ident_numerators is their
-definition, as integer numerators over one common denominator D, shared by
-ident_residuals and the coefficient solver.  table_sum is their one sum
-kernel: it reads an A-table's reduced (numerator, denominator) int pairs by
+ways of bracketing a triple product.  Read in the t-values, every coefficient
+of an identity is an integer: ident_coefficients is their definition, shared
+by ident_residuals and the coefficient solver.  table_sum is their one sum
+kernel: it reads a table's reduced (numerator, denominator) int pairs of t by
 key and sums in Python ints, for ident_residuals and for the solver's rows
-alike.  ident_residuals evaluates one identity for any number of A-tables
-from one set of numerators and builds one Fraction per table.  The version
+alike.  ident_residuals evaluates one identity for any number of tables from
+one set of coefficients and builds one Fraction per table.  The version
 implemented carries the multinomial factors C(n, r), C(n, s) on the interior
 terms; free_assoc_residual expands both bracketings completely in the free
 triple-product model (rclab.rep vectors) and is the independent oracle for
@@ -107,22 +108,22 @@ def cmz_coeff(kappa: RatLike, k: RatLike, l: RatLike, n: int) -> Rat:
     return Fraction((-1) ** n * num, 4**n * den)
 
 
-def eholzer_rule(n: int, x: int, y: int) -> Rat:
-    """A_n(x, y) = (x)_n (y)_n: the constant-coefficient family, t_n = 1."""
-    return pochhammer(x, n) * pochhammer(y, n)
+def eholzer_rule(n: int, x: int, y: int) -> int:
+    """A_n(x, y) = (x)_n (y)_n at integer weights, as an int: the constant-coefficient family, t_n = 1."""
+    return math.prod(range(x, x + n)) * math.prod(range(y, y + n))
 
 
-def cmz_rule(kappa: RatLike) -> Callable[[int, int, int], Rat]:
-    """The classical family's rule A_n(x, y) = (-4)^n t_n^kappa(x/2, y/2) (x)_n (y)_n.
+def cmz_t(kappa: RatLike) -> Callable[[int, int, int], Rat]:
+    """The classical family's t-rule t_n(x, y) = (-4)^n t_n^kappa(x/2, y/2).
 
-    The factor (-4)^n is the one that gives A_1(x, y) = x y.
+    The factor (-4)^n is the one that gives t_1 = 1, that is A_1(x, y) = x y.
     """
     kappa = rat(kappa)
 
-    def rule(n: int, x: int, y: int) -> Rat:
-        return (-4) ** n * cmz_coeff(kappa, Fraction(x, 2), Fraction(y, 2), n) * eholzer_rule(n, x, y)
+    def t(n: int, x: int, y: int) -> Rat:
+        return (-4) ** n * cmz_coeff(kappa, Fraction(x, 2), Fraction(y, 2), n)
 
-    return rule
+    return t
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,15 @@ class StarCoefficients:
 
     @staticmethod
     def cmz(kappa: RatLike) -> StarCoefficients:
-        return StarCoefficients(cmz_rule(kappa))
+        t = cmz_t(kappa)
+        return StarCoefficients(lambda n, x, y: t(n, x, y) * eholzer_rule(n, x, y))
 
     def coefficient(self, n: int, x: int, y: int) -> Rat:
         """t_n(x, y) = A_n(x, y) / ((x)_n (y)_n), the scalar of [.,.]_n between weight-x and weight-y parts."""
         den = eholzer_rule(n, x, y)
         if den == 0:
             raise PoleError(f"normalization ({x})_{n} ({y})_{n} vanishes")
-        return self.rule(n, x, y) / den
+        return Fraction(self.rule(n, x, y), den)
 
 
 @dataclass(frozen=True)
@@ -230,55 +232,56 @@ def _multinomials(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def ident_numerators(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int], list[int], int]:
-    """The degree-n, index-p associativity identity as integers over one denominator.
+def ident_coefficients(n: int, p: int, x: int, y: int, z: int) -> tuple[list[int], list[int]]:
+    """The degree-n, index-p associativity identity on the t-values, as integers.
 
-    x, y, z are the (integer) weights.  Returns (left, right, D) for the identity
+    x, y, z are the (integer) weights.  Returns (L, R) for the identity
 
-      sum_r c_r A_r(x,y) A_{n-r}(x+y+2r, z) = sum_s c_s A_s(y,z) A_{n-s}(x, y+z+2s)
+      sum_r L_r t_r(x,y) t_{n-r}(x+y+2r, z) = sum_s R_s t_s(y,z) t_{n-s}(x, y+z+2s)
 
-    with c_r = left[r] / D, 0 <= r <= n-p, and c_s = right[s] / D, 0 <= s <= p:
+    with 0 <= r <= n-p and 0 <= s <= p:
 
-      c_r = C(n,r) C(n-r,p) / [(x+y+2r)_{n-p-r} (z)_p (x)_r]
-      c_s = C(n,s) C(n-s,n-p) / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s].
+      L_r = C(n,r) C(n-r,p) (y)_r (x+y+r+n-p)_p (z+p)_{n-p-r}
+      R_s = C(n,s) C(n-s,n-p) (y)_s (x+n-p)_{p-s} (y+z+s+p)_{n-p}.
 
-    D is the lcm of the rising-factorial denominators, so every numerator is
-    an exact Python int.  det2x2_direct has the one other copy, of the
-    r = s = 0 terms at p = 1, 2, and a test pins it to this one.
+    With A = t (x)_n (y)_n this is, term by term, the identity on the A-values
+    with c_r = C(n,r) C(n-r,p) / [(x+y+2r)_{n-p-r} (z)_p (x)_r] and
+    c_s = C(n,s) C(n-s,n-p) / [(x)_{n-p} (y+z+2s)_{p-s} (z)_s].
+
     The weights must be >= 1.  The multinomials depend on (n, p) alone and
-    are cached per (n, p).  (x)_r and (z)_s are running products along r and
-    s, from (z)_p and (x)_{n-p}, so a term makes one perm call, for its
-    (x+y+2r)_{n-p-r} or (y+z+2s)_{p-s}, and the last term of a side none.
+    are cached per (n, p).  The product of the three rising factorials of a
+    term is a running product along its side: from one term to the next it
+    gains one factor of each of the first two and loses one of the third,
+    by one exact integer division, so a side makes two perm calls in all.
     """
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
     if min(x, y, z) < 1:
         raise ValueError(f"weights must be >= 1, got ({x}, {y}, {z})")
     cl, cr = _multinomials(n, p)
-    # the denominators of c_r and c_s, with (a)_j = perm(a + j - 1, j) for a >= 1
-    perm = math.perm
-    m = n - p
-    zx, xz = perm(z + p - 1, p), perm(x + m - 1, m)
-    dl, dr = [], []
+    m, perm = n - p, math.perm
+    # (y)_r (a+r)_p (z+p)_{m-r}, a = x+y+m, whose last factor is z+n-1-r
+    v, a = perm(x + y + n - 1, p) * perm(z + n - 1, m), x + y + m
+    left = [cl[0] * v]
     for r in range(m):
-        dl.append(zx * perm(x + y + m + r - 1, m - r))
-        zx *= x + r
-    dl.append(zx)
+        v = v * (y + r) * (a + r + p) // ((a + r) * (z + n - 1 - r))
+        left.append(cl[r + 1] * v)
+    # (y)_s (x+m)_{p-s} (e+s)_m, e = y+z+p, whose last factor is x+n-1-s
+    u, e = perm(x + n - 1, p) * perm(y + z + n - 1, m), y + z + p
+    right = [cr[0] * u]
     for s in range(p):
-        dr.append(xz * perm(y + z + p + s - 1, p - s))
-        xz *= z + s
-    dr.append(xz)
-    d = math.lcm(*dl, *dr)
-    return [c * (d // e) for c, e in zip(cl, dl)], [c * (d // e) for c, e in zip(cr, dr)], d
+        u = u * (y + s) * (e + s + m) // ((e + s) * (x + n - 1 - s))
+        right.append(cr[s + 1] * u)
+    return left, right
 
 
 Key = tuple[int, int, int]
 
 
 def table_sum(terms: Iterable[tuple[int, Key, Key]], table) -> tuple[int, int]:
-    """sum c * A(a) * A(b) over (int c, key a, key b) of one A-table, as (numerator, denominator).
+    """sum c * t(a) * t(b) over (int c, key a, key b) of one table, as (numerator, denominator).
 
-    A key is (n, x, y).  Each value is read from the table's store of reduced
+    A key is (n, x, y).  Each t is read from the table's store of reduced
     (numerator, denominator) int pairs with one dict lookup; a miss goes
     through table.entry, which fills it or raises MissingEntryError.  The sum
     runs in Python ints over a running common denominator: a term whose
@@ -305,20 +308,17 @@ def ident_residuals(tables, k: int, l: int, m: int, n: int, p: int) -> list[Rat]
 
     k, l, m are half-weights; x = 2k, y = 2l, z = 2m.  The identity equates
     the coefficient of dtil^(n-p) f * g * dtil^p h in the two bracketings
-    (see ident_numerators).  Returns LHS - RHS as a Fraction for each A-table
-    (rclab.coeffsolve.ATable); every table must cover every referenced pair.
-    The numerators and the keyed terms are built once for all tables, each
-    table_sum runs in integers and one Fraction is built per table at the end.
+    (see ident_coefficients).  Returns LHS - RHS, in the A-values, as a
+    Fraction for each table (rclab.coeffsolve.ATable); every table must cover
+    every referenced pair.  The coefficients and the keyed terms are built
+    once for all tables, each table_sum runs in integers on the t-values and
+    one Fraction is built per table at the end.
     """
     x, y, z = 2 * k, 2 * l, 2 * m
-    left, right, d = ident_numerators(n, p, x, y, z)
+    left, right = ident_coefficients(n, p, x, y, z)
     terms = [(c, (r, x, y), (n - r, x + y + 2 * r, z)) for r, c in enumerate(left)]
     terms += [(-c, (s, y, z), (n - s, x, y + z + 2 * s)) for s, c in enumerate(right)]
-    out = []
-    for table in tables:
-        num, den = table_sum(terms, table)
-        out.append(Fraction(num, den * d))
-    return out
+    return [Fraction(*table_sum(terms, table)) for table in tables]
 
 
 def ident_residual(atable, k: int, l: int, m: int, n: int, p: int) -> Rat:

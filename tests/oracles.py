@@ -80,6 +80,11 @@ def ref_pochhammer(a, n):
     return out
 
 
+def ref_normalization(n, x, y):
+    """(x)_n (y)_n, the factor that takes a family's t_n(x, y) to A_n(x, y)."""
+    return ref_pochhammer(x, n) * ref_pochhammer(y, n)
+
+
 def ref_binom(a, b):
     """C(a, b) = a (a-1) ... (a-b+1) / b! for a rational a, and 0 for b < 0, as a Fraction."""
     if b < 0:

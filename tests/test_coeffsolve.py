@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _pochhammer_doubled_at_five, a2_family, ref_ident_rows, ref_rref
+from oracles import _pochhammer_doubled_at_five, a2_family, ref_ident_rows, ref_normalization, ref_rref
 
 from rclab import coeffsolve, exactcore
 from rclab.cli import _inconsistency
@@ -32,7 +32,7 @@ from rclab.coeffsolve import (
     solve,
 )
 from rclab.exactcore import binom, eliminate, pochhammer
-from rclab.starprod import ident_numerators, ident_residual, table_sum
+from rclab.starprod import ident_coefficients, ident_residual, table_sum
 
 
 def test_atable_builtin_levels_and_missing():
@@ -52,8 +52,56 @@ def test_atable_set_rejects_the_built_in_levels():
     for n in (0, 1):
         with pytest.raises(ValueError, match="built in"):
             t.set(n, 2, 2, F(1, 2))
-    assert t.get(1, 2, 2) == 4 and table_sum([(1, (1, 2, 2), (0, 2, 2))], t) == (4, 1)
-    assert t.values == {(1, 2, 2): (4, 1), (0, 2, 2): (1, 1)}
+    # table_sum reads t, and get returns A = t (x)_n (y)_n
+    assert table_sum([(1, (1, 2, 2), (0, 2, 2))], t) == (1, 1)
+    assert t.get(1, 2, 2) == 4 == F(*table_sum([(1, (1, 2, 2), (0, 2, 2))], t)) * ref_normalization(1, 2, 2)
+    assert t.values == {(1, 2, 2): (1, 1), (0, 2, 2): (1, 1)}
+
+
+def test_atable_levels_zero_and_one_store_t_equal_to_one():
+    for table in (ATable(1, 4), ATable.eholzer(3, 10), ATable.from_kappa(F(-7, 3), 3, 10)):
+        for x, y in ((2, 2), (4, 10), (1, 7), (0, 6), (-3, 5)):
+            assert (table.get(0, x, y), table.get(1, x, y)) == (1, x * y)
+            assert [type(table.get(n, x, y)) for n in (0, 1)] == [int, int]
+            assert table.values[(0, x, y)] == table.values[(1, x, y)] == (1, 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_atable_set_then_get_returns_the_value_and_type(seed):
+    # A is stored as t = A / ((x)_n (y)_n) and read back as t (x)_n (y)_n, a Fraction at every
+    # level >= 2, integral or not; the stored pair is t in lowest terms
+    rng = random.Random(seed)
+    t = ATable(5, 40)
+    for _ in range(200):
+        n, x, y = rng.randint(2, 5), 2 * rng.randint(1, 20), 2 * rng.randint(1, 20)
+        v = F(rng.randint(-10**6, 10**6), rng.choice((1, 1, 2, 3, 7, 10**9 + 7)))
+        t.set(n, x, y, v)
+        got = t.get(n, x, y)
+        assert type(got) is F and got == v
+        w = v / ref_normalization(n, x, y)
+        assert t.values[(n, x, y)] == (w.numerator, w.denominator)
+    t.set(3, 4, 6, 12)  # an int is taken as its Fraction
+    assert type(t.get(3, 4, 6)) is F and t.get(3, 4, 6) == 12
+
+
+def test_atable_where_the_normalization_vanishes():
+    # (x)_n (y)_n = 0 for a weight in 1-n..0: t is undetermined there and A = 0 for every
+    # family, so get returns 0 whatever t the filler gives, and set, which divides by it,
+    # raises ZeroDivisionError for any A, zero or not, and stores nothing
+    t = ATable(3, 10, filler=lambda n, x, y: F(5, 3))
+    for n, x, y in ((2, 0, 4), (2, -1, 6), (3, 4, -2), (2, 0, 0)):
+        assert ref_normalization(n, x, y) == 0
+        assert t.get(n, x, y) == 0 and type(t.get(n, x, y)) is F
+        for v in (F(1, 2), 0):
+            with pytest.raises(ZeroDivisionError):
+                t.set(n, x, y, v)
+        assert t.values[(n, x, y)] == (5, 3)
+        blank = ATable(3, 10)
+        with pytest.raises(ZeroDivisionError):
+            blank.set(n, x, y, 1)
+        assert not blank.values
+    # at level 1, A_1 = x y is 0 at a zero weight as built in
+    assert t.get(1, 0, 4) == 0 and type(t.get(1, 0, 4)) is int
 
 
 def test_atable_from_kappa_matches_direct_formula():
@@ -382,10 +430,13 @@ def test_grid_six_systems_eliminate_as_the_reference(n):
 def test_chain_levels_eliminate_as_the_reference(monkeypatch):
     checked = []
 
-    def both(rows, width):
+    def both(rows, width, scale):
+        # the rows are in the t-unknowns, and scale(c) takes column c to the A-values: the
+        # echelon is the reference's of the rows with each column c divided by scale(c)
         rows = list(rows)
-        got = eliminate(iter(rows), width)
-        _same_echelon(got, rows, width)
+        _same_echelon(eliminate(iter(rows), width), rows, width)
+        got = eliminate(iter(rows), width, scale)
+        _same_echelon(got, [({c: F(v, scale(c)) for c, v in coeffs.items()}, rhs) for coeffs, rhs in rows], width)
         checked.append(width)
         return got
 
@@ -424,9 +475,9 @@ def test_several_c_chain_matches_separate_chains(n):
         assert solved and {key: got.get(*key) for key in solved} == solved
         assert {key for key in got.values if key[0] >= 3} == set(solved)
         assert (got.max_n, got.grid_bound, got.name) == (n, 4 + n - 2, f"chain(c={c})")
-        # get and table_sum read every stored entry alike
+        # table_sum reads t of every stored entry, and get returns A = t (x)_n (y)_n
         for key in list(got.values):
-            assert F(*table_sum([(1, key, (0, 2, 2))], got)) == got.get(*key)
+            assert F(*table_sum([(1, key, (0, 2, 2))], got)) * ref_normalization(*key) == got.get(*key)
 
 
 def test_level_one_system_kernel_is_product_direction():
@@ -582,10 +633,15 @@ def test_det2x2_closed_form():
 
 
 def test_det2x2_direct_is_the_solver_rows_at_p1_and_p2():
-    # a_p and b_p are the r = 0 and s = 0 coefficients of the index-p identity
+    # a_p and b_p are the r = 0 and s = 0 coefficients of the index-p identity on the A-values:
+    # the t-value coefficients L_0 and R_0 over the normalizations of their level-n unknowns,
+    # (x+y)_n (z)_n and (x)_n (y+z)_n
     for n, k, l, m in itertools.product(range(3, 9), *[range(1, 5)] * 3):
-        (l1, r1, d1), (l2, r2, d2) = (ident_numerators(n, p, 2 * k, 2 * l, 2 * m) for p in (1, 2))
-        assert det2x2_direct(n, k, l, m) == Fraction(l1[0] * r2[0] - l2[0] * r1[0], d1 * d2), (n, k, l, m)
+        x, y, z = 2 * k, 2 * l, 2 * m
+        (l1, r1), (l2, r2) = (ident_coefficients(n, p, x, y, z) for p in (1, 2))
+        a1, a2 = (F(left[0], ref_normalization(n, x + y, z)) for left in (l1, l2))
+        b1, b2 = (F(right[0], ref_normalization(n, x, y + z)) for right in (r1, r2))
+        assert det2x2_direct(n, k, l, m) == a1 * b2 - a2 * b1, (n, k, l, m)
 
 
 # det2x2_direct and det2x2_lemma as they were before they summed in ints,

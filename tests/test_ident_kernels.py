@@ -1,10 +1,13 @@
 """The integer identity kernels against the identity reference.
 
-ident_residual(s), table_sum, the level rows of coeffsolve and ATable.get are
-checked against the definition of the associativity identities in
-tests/oracles.py (ref_ident_residual, ref_ident_rows), which reads the
-A-values through a plain callable, and the level rows' echelon against the
-Gauss-Jordan reference (ref_rref).
+The library stores and solves for t_n(x, y) = A_n(x, y) / ((x)_n (y)_n), in
+which every identity coefficient is an integer; the references of
+tests/oracles.py stay in the A-values.  ident_residual(s), table_sum, the
+level rows of coeffsolve and ATable.get are checked against the definition
+of the associativity identities there (ref_ident_residual, ref_ident_rows),
+which reads the A-values through a plain callable, and the level rows'
+echelon, solutions and null bases, which come out in the A-values, against
+the Gauss-Jordan reference (ref_rref) on the reference rows.
 """
 
 import functools
@@ -15,11 +18,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import a2_family, ref_ident_residual, ref_ident_rows, ref_rref
+from oracles import a2_family, ref_ident_residual, ref_ident_rows, ref_normalization, ref_rref
 
 from rclab import coeffsolve
-from rclab.coeffsolve import ATable, MissingEntryError, chain_solve_many, level_echelon
-from rclab.exactcore import Rat, pochhammer
+from rclab.coeffsolve import ATable, MissingEntryError, build_ident_system, chain_solve_many, level_echelon, solve
+from rclab.exactcore import Rat
 from rclab.starprod import ident_residual, ident_residuals, table_sum
 
 
@@ -35,7 +38,7 @@ def _planted(c: Rat) -> ATable:
     quoted = a2_family(c)
 
     def fill(n: int, x: int, y: int) -> Rat:
-        return quoted(x, y) if n == 2 else pochhammer(x, n) * pochhammer(y, n)
+        return quoted(x, y) / ref_normalization(2, x, y) if n == 2 else 1
 
     return ATable(5, 40, filler=fill, name=f"planted(c={c})")
 
@@ -96,15 +99,42 @@ def test_level_echelon_matches_eliminating_the_oracle_rows(case):
     keys, got = level_echelon(n, grid, tables)
     reference = ref_ident_rows(n, grid, [t.get for t in tables])
     assert keys == sorted(set().union(*(coeffs for coeffs, _ in reference)))
-    assert (got.pivots, got.certificates) == ref_rref(reference, len(tables))
-    # each integer row is its reference row times one positive scale, the D of the identity
+    pivots, certificates = ref_rref(reference, len(tables))
+    assert (got.pivots, got.certificates) == (pivots, certificates)
+    # the solutions and null bases, in the A-values, are the reference's, and so are solve's
+    for j, table in enumerate(tables):
+        want = _reference_result(pivots, certificates[j], keys, j)
+        assert _result(got.result(keys, j)) == want
+        if n:  # systems are built from level 1 on
+            system = build_ident_system(n, grid, table)
+            assert system.variables == keys and _result(solve(system)) == want
+    # each integer row is in the t-unknowns: its reference row, with the coefficient of each
+    # level-n pair times that pair's (X)_n (Z)_n, times one positive scale
     rows = list(coeffsolve._ident_rows(n, grid, tables, set()))
     assert len(rows) == len(reference)
     for (coeffs, rhs), (ref_coeffs, ref_rhs) in zip(rows, reference):
         assert all(type(v) is int for v in coeffs.values()) and coeffs.keys() == ref_coeffs.keys()
         assert all(type(v) is int for v in rhs) and all(not v for v, w in zip(rhs, ref_rhs) if not w)
-        scales = {v / ref_coeffs[key] for key, v in coeffs.items()} | {v / w for v, w in zip(rhs, ref_rhs) if w}
+        scales = {v / (ref_coeffs[key] * ref_normalization(n, *key)) for key, v in coeffs.items()}
+        scales |= {v / w for v, w in zip(rhs, ref_rhs) if w}
         assert len(scales) <= 1 and all(scale > 0 for scale in scales)
+
+
+def _result(res):
+    """The comparable fields of a SolveResult."""
+    return res.consistent, res.rank, res.nullity, res.solution, res.null_basis
+
+
+def _reference_result(pivots, certificate, keys, j):
+    """The solution of right-hand side j over keys read from the reference echelon: the free
+    entries 0, and one null vector per free key, 1 there, 0 at the other free keys."""
+    rank, nullity = len(pivots), len(keys) - len(pivots)
+    if certificate is not None:
+        return False, rank, nullity, None, []
+    solution = [pivots[key][1][j] if key in pivots else 0 for key in keys]
+    null_basis = [[1 if key == free else 0 if key not in pivots else -pivots[key][0].get(free, 0) for key in keys]
+                  for free in keys if free not in pivots]
+    return True, rank, nullity, solution, null_basis
 
 
 def _key(rng, table: ATable, solved: bool = True):
@@ -126,11 +156,15 @@ def _sum_case(seed):
 @settings(max_examples=300)
 @given(st.integers(0, 2**32).map(_sum_case))
 def test_table_sum_matches_the_fraction_triple_sum(case):
-    # levels 0 and 1 read back as ints and the others as Fractions, so the
-    # sum meets both kinds of entry
+    # table_sum sums the stored t-values, t = A / ((x)_n (y)_n) with A read by get; levels 0
+    # and 1 read back as ints and the others as Fractions, so the sum meets both kinds of entry
     table, terms = case
     num, den = table_sum(terms, table)
-    assert den > 0 and F(num, den) == sum((c * table.get(*a) * table.get(*b) for c, a, b in terms), F(0))
+
+    def t(key):
+        return table.get(*key) / F(ref_normalization(*key))
+
+    assert den > 0 and F(num, den) == sum((c * t(a) * t(b) for c, a, b in terms), F(0))
 
 
 def _get_case(seed):
@@ -143,12 +177,14 @@ def _get_case(seed):
 @given(st.integers(0, 2**32).map(_get_case))
 def test_get_returns_the_values_and_types_of_the_fraction_table(case):
     table, (n, x, y) = case
-    # levels 0 and 1 are the ints 1 and x y, every other level the filler's value as a Fraction
-    want = 1 if n == 0 else x * y if n == 1 else F(table.filler(n, x, y))
+    # levels 0 and 1 are the ints 1 and x y, every other level the filler's t-value times
+    # (x)_n (y)_n as a Fraction; the store holds t in lowest terms, 1 at levels 0 and 1
+    want = 1 if n == 0 else x * y if n == 1 else F(table.filler(n, x, y)) * ref_normalization(n, x, y)
     for _ in range(2):  # the first lookup may fill the entry, the second reads it back
         got = table.get(n, x, y)
         assert type(got) is type(want) and got == want
-    assert table.entry((n, x, y)) == (got.numerator, got.denominator)
+    t = F(got) / ref_normalization(n, x, y)
+    assert table.entry((n, x, y)) == (t.numerator, t.denominator)
 
 
 def test_a_missing_entry_raises_the_same_message():

@@ -30,8 +30,8 @@ from rclab.forms import ModularForm
 
 _cmz = starprod.cmz_coeff
 _bracket_coeffs = nearlyholo.bracket_coeffs
-_assoc_family = coeffsolve.a2_family_assoc
-_ident_numerators = starprod.ident_numerators
+_a2_t = coeffsolve.a2_t
+_ident_coefficients = starprod.ident_coefficients
 _ramanujan_X = nearlyholo.ramanujan_X
 _delta = forms.delta
 _casimir_eigenvalue = rep.casimir_eigenvalue
@@ -55,25 +55,28 @@ def _bracket_coeffs_doubled_at_two(n, x, y):
     return [2 * c if r == 2 else c for r, c in enumerate(_bracket_coeffs(n, x, y))]
 
 
-def _assoc_family_wrong_c_term(c):
-    # the c-term over x + y + 2 instead of x + y + 1 is not a kernel direction
+# the level-2 family's defects are planted in its t-rule a2_t, which both a2_family_assoc and
+# the chain's level 2 read
+def _a2_t_wrong_c_term(c):
+    # the c-term of t_2 over (x+1)(y+1)(x+y+2) instead of (x+1)(y+1)(x+y+1): A_2 then has
+    # c x y / (x+y+2) in place of c x y / (x+y+1), which is not a kernel direction
     c = Fraction(c)
-    return lambda x, y: Fraction(x * (x + 1) * y * (y + 1)) + c * Fraction(x * y, x + y + 2)
+    return lambda x, y: 1 + c / ((x + 1) * (y + 1) * (x + y + 2))
 
 
-def _assoc_family_c_plus_c_squared(c):
+def _a2_t_c_plus_c_squared(c):
     # the family at c + c^2: every member is still a level-2 solution, so only
     # the degree in c changes (to 2, 2, 4 at levels 2, 3, 4)
     c = Fraction(c)
-    return _assoc_family(c + c * c)
+    return _a2_t(c + c * c)
 
 
 def _ident_left1_doubled_from_three(n, p, x, y, z):
-    # the r = 1 coefficient of the left bracketing, doubled wherever it exists at n >= 3
-    left, right, d = _ident_numerators(n, p, x, y, z)
+    # the r = 1 coefficient L_1 of the left bracketing, doubled wherever it exists at n >= 3
+    left, right = _ident_coefficients(n, p, x, y, z)
     if n >= 3 and len(left) > 1:
         left = [left[0], 2 * left[1], *left[2:]]
-    return left, right, d
+    return left, right
 
 
 def _ramanujan_X_off_by_f_from_ten(f):
@@ -151,17 +154,17 @@ DEFECTS = [
         id="binom-doubled-at-j2",
     ),
     pytest.param(
-        coeffsolve.a2_family_assoc, _assoc_family_wrong_c_term, "solve-unique", ["solve/degree-in-c"], 1,
+        coeffsolve.a2_t, _a2_t_wrong_c_term, "solve-unique", ["solve/degree-in-c"], 1,
         id="a2_family_assoc-wrong-c-term",
     ),
     pytest.param(
-        coeffsolve.a2_family_assoc, _assoc_family_c_plus_c_squared, "solve-unique", ["solve/degree-in-c"], 1,
+        coeffsolve.a2_t, _a2_t_c_plus_c_squared, "solve-unique", ["solve/degree-in-c"], 1,
         id="a2_family_assoc-c-plus-c-squared",
     ),
     pytest.param(
-        starprod.ident_numerators, _ident_left1_doubled_from_three, "solve-unique",
+        starprod.ident_coefficients, _ident_left1_doubled_from_three, "solve-unique",
         ["solve/level3-unique", "solve/level4-unique", "solve/level5-unique", "solve/degree-in-c"], 2,
-        id="ident_numerators-left1-doubled-from-n3",
+        id="ident_coefficients-left1-doubled-from-n3",
     ),
     pytest.param(
         nearlyholo.ramanujan_X, _ramanujan_X_off_by_f_from_ten, "canonical",
@@ -317,7 +320,7 @@ def test_kappa_c_failure_names_the_first_inconsistent_grid_point(capsys, monkeyp
 
 
 def test_solve_unique_failures_name_the_contradictory_row(capsys, monkeypatch):
-    _patch_every_binding(monkeypatch, starprod.ident_numerators, _ident_left1_doubled_from_three)
+    _patch_every_binding(monkeypatch, starprod.ident_coefficients, _ident_left1_doubled_from_three)
     assert main(["verify", "solve-unique", "--json"]) == 1
     witnesses = {
         c["name"]: c["witness"] for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] == "fail"
@@ -333,8 +336,7 @@ def test_solve_unique_failures_name_the_contradictory_row(capsys, monkeypatch):
 def test_assoc_fails_for_the_quoted_level_two_family(capsys, monkeypatch):
     # the quoted A_2 at c = 0 is half of (x)_2 (y)_2; every other level is the
     # constant-coefficient one, so the product is associative only below hbar^2
-    quoted = ATable(0, 0, filler=lambda n, x, y: (
-        exactcore.pochhammer(x, n) * exactcore.pochhammer(y, n) / (2 if n == 2 else 1)))
+    quoted = ATable(0, 0, filler=lambda n, x, y: Fraction(1, 2) if n == 2 else 1)
     monkeypatch.setattr(starprod.StarCoefficients, "eholzer",
                         staticmethod(lambda: starprod.StarCoefficients(quoted.get)))
     code = main(["verify", "assoc", "--json"])

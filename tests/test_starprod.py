@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rclab.coeffsolve import ATable, a2_family_assoc
+from oracles import ref_binom, ref_normalization, ref_pochhammer
+
+from rclab.coeffsolve import ATable, a2_t
 from rclab.exactcore import QSeries, Rat, binom, pochhammer, rat
 from rclab.forms import GradedForm, ModularForm
 from rclab.nearlyholo import rc_bracket
@@ -20,9 +22,9 @@ from rclab.starprod import (
     _free_bracketing,
     assoc_residual,
     cmz_coeff,
-    cmz_rule,
+    cmz_t,
     free_assoc_residual,
-    ident_numerators,
+    ident_coefficients,
     ident_residual,
     rc_series,
     star_product,
@@ -127,13 +129,14 @@ def test_each_family_is_defined_once_by_its_rule(seed):
     rng = random.Random(seed)
     kappa = F(rng.randint(-30, 30), rng.randint(1, 7))
     cm, eh = StarCoefficients.cmz(kappa), StarCoefficients.eholzer()
-    table, rule = ATable.from_kappa(kappa, 8, 24), cmz_rule(kappa)
+    table, t = ATable.from_kappa(kappa, 8, 24), cmz_t(kappa)
     for n in range(9):
         for x in range(2, 25, 2):
             for y in range(2, 25, 2):
                 assert cm.coefficient(n, x, y) == F(-4) ** n * cmz_coeff(kappa, F(x, 2), F(y, 2), n)
                 assert eh.coefficient(n, x, y) == 1
-                assert table.get(n, x, y) == rule(n, x, y)
+                # the table is filled by the t-rule, StarCoefficients reads the A-rule
+                assert table.get(n, x, y) == cm.rule(n, x, y) == t(n, x, y) * ref_normalization(n, x, y)
     for n in range(1, 9):
         for coeffs in (cm, eh):
             for y in (0, 2, 24):
@@ -238,8 +241,8 @@ def test_ident_residual_degree_zero_and_one():
 
 def test_ident_residual_level_two_family():
     for c in (F(0), F(-5, 2), F(3), F(7, 5)):
-        fam = a2_family_assoc(c)
-        table = ATable(2, 60, filler=lambda n, x, y, fam=fam: fam(x, y) if n == 2 else None)
+        t2 = a2_t(c)
+        table = ATable(2, 60, filler=lambda n, x, y, t2=t2: t2(x, y) if n == 2 else None)
         for k in range(1, 5):
             for l in range(1, 5):
                 for m in range(1, 5):
@@ -249,32 +252,38 @@ def test_ident_residual_level_two_family():
 
 def test_ident_residual_detects_wrong_family():
     # halving the level-2 value breaks the identities: the system is inhomogeneous
-    half = ATable(2, 60, filler=lambda n, x, y: pochhammer(x, n) * pochhammer(y, n) / 2)
+    half = ATable(2, 60, filler=lambda n, x, y: F(1, 2))
     assert ident_residual(half, 1, 1, 1, 2, 0) != 0
 
 
 def test_ident_coefficients_match_binom_pochhammer_expression():
     # the even weights the identities use, and every weight 1-7, since the running products
-    # in ident_numerators step by 1 and it takes any weight >= 1; D must be the least common
-    # multiple of the definition's denominators, not just a common multiple
+    # in ident_coefficients step by 1 and it takes any weight >= 1.  Each integer coefficient is
+    # the A-value coefficient of the definition times the normalizations (x)_n (y)_n of its two
+    # A-values: L_r = c_r (x)_r (y)_r (X)_N (z)_N with X = x+y+2r, N = n-r, and
+    # R_s = c_s (y)_s (z)_s (x)_N (Y)_N with Y = y+z+2s, N = n-s
+    P, C = ref_pochhammer, ref_binom
     triples = {t for weights in (range(2, 13, 2), range(1, 8)) for t in itertools.product(weights, repeat=3)}
+    assert len(triples) == 532
     for n in range(7):
         for p in range(n + 1):
             for x, y, z in sorted(triples):
-                left, right, d = ident_numerators(n, p, x, y, z)
-                dl = [pochhammer(x + y + 2 * r, n - p - r) * pochhammer(z, p) * pochhammer(x, r)
-                      for r in range(n - p + 1)]
-                dr = [pochhammer(x, n - p) * pochhammer(y + z + 2 * s, p - s) * pochhammer(z, s)
-                      for s in range(p + 1)]
-                assert [F(c, d) for c in left] == [binom(n, r) * binom(n - r, p) / e for r, e in enumerate(dl)]
-                assert [F(c, d) for c in right] == [
-                    binom(n, s) * binom(n - s, n - p) / e for s, e in enumerate(dr)
+                left, right = ident_coefficients(n, p, x, y, z)
+                assert all(type(v) is int for v in left + right)
+                assert left == [
+                    C(n, r) * C(n - r, p) / (P(x + y + 2 * r, n - p - r) * P(z, p) * P(x, r))
+                    * P(x, r) * P(y, r) * P(x + y + 2 * r, n - r) * P(z, n - r)
+                    for r in range(n - p + 1)
                 ]
-                assert d == math.lcm(*(int(e) for e in dl + dr))
+                assert right == [
+                    C(n, s) * C(n - s, n - p) / (P(x, n - p) * P(y + z + 2 * s, p - s) * P(z, s))
+                    * P(y, s) * P(z, s) * P(x, n - s) * P(y + z + 2 * s, n - s)
+                    for s in range(p + 1)
+                ]
     with pytest.raises(ValueError):
-        ident_numerators(2, 3, 2, 2, 2)
+        ident_coefficients(2, 3, 2, 2, 2)
     with pytest.raises(ValueError, match="weights must be >= 1"):
-        ident_numerators(2, 1, 2, 0, 2)
+        ident_coefficients(2, 1, 2, 0, 2)
 
 
 def test_ident_residual_published_variant_diverges():
@@ -313,7 +322,7 @@ def test_free_model_oracle_for_cmz_family(kappa):
 
 
 def test_free_model_oracle_flags_bad_coefficients():
-    bad = ATable(3, 40, filler=lambda n, x, y: pochhammer(x, n) * pochhammer(y, n) * (2 if n == 2 else 1))
+    bad = ATable(3, 40, filler=lambda n, x, y: 2 if n == 2 else 1)
     resid = free_assoc_residual((2, 2, 2), StarCoefficients(bad.get), 3)
     assert resid
 
@@ -444,8 +453,7 @@ def _free_model_cases():
             coeffs = StarCoefficients.eholzer()
         else:
             level, factor = rng.randint(2, max(2, order)), F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
-            table = ATable(5, 40, filler=lambda n, x, y, level=level, factor=factor: (
-                pochhammer(x, n) * pochhammer(y, n) * (factor if n == level else 1)))
+            table = ATable(5, 40, filler=lambda n, x, y, level=level, factor=factor: factor if n == level else 1)
             coeffs = StarCoefficients(table.get)
         cases.append((weights, coeffs, order))
     # weight 0: the outer level and (w)_s vanish together
